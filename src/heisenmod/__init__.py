@@ -6,9 +6,20 @@ the time-frequency plane, Gabor frame operators and bounds, canonical dual
 windows, adjoint lattices with the Janssen frame-operator form, module inner
 products and actions, and a verification suite that measures the numerical
 gap of every identity these objects satisfy.
+
+The environment variable HEISENMOD_THREADS caps the linear-algebra thread
+pools. It is applied here, before any submodule loads numpy, so it holds for
+every entry point; it has no effect when numpy was imported before heisenmod.
 """
 
-from .groups import (
+import os as _os
+
+if _os.environ.get("HEISENMOD_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["HEISENMOD_THREADS"])
+
+from .groups import (  # noqa: E402 -- the thread cap must precede numpy
     FiniteAbelianGroup,
     GroupElement,
     MeasuredSubgroup,

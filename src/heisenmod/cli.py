@@ -9,30 +9,28 @@ or arguments, 3 mathematical domain error (for example, asking for dual
 windows of a system that is not a frame).
 
 The environment variable HEISENMOD_THREADS caps the linear-algebra thread
-pools; it must be honored before numpy loads, so this module defers heavy
-imports until after it is read.
+pools. The package applies it on import, before numpy loads, so it holds for
+``python -m heisenmod.cli`` and the console script alike.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
+
+import numpy as np
+
+from .gabor import (GaborSystem, dual_window, frame_bounds, frame_operator, is_frame,
+                    janssen_frame_operator, spectrum)
+from .groups import FiniteAbelianGroup, adjoint_subgroup, subgroup_from_generators
+from .module import figa_check, module_context, module_frame_check, verify_suite
+from .shifts import Window, parse_window
 
 
 class SpecError(ValueError):
     """Malformed job file: bad schema, field type, or window name."""
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("HEISENMOD_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _load_job(path: str) -> dict:
@@ -49,8 +47,6 @@ def _load_job(path: str) -> dict:
 
 
 def _parse_group(job: dict):
-    from .groups import FiniteAbelianGroup
-
     orders = job.get("group")
     if not isinstance(orders, list) or not orders or not all(
         isinstance(n, int) and n >= 1 for n in orders
@@ -60,8 +56,6 @@ def _parse_group(job: dict):
 
 
 def _parse_lattice(job: dict, group):
-    from .groups import subgroup_from_generators
-
     gens = job.get("generators", [])
     if not isinstance(gens, list):
         raise SpecError('field "generators" must be a list of [[x...],[w...]] pairs')
@@ -87,8 +81,6 @@ def _parse_lattice(job: dict, group):
 
 
 def _parse_windows(job: dict, group):
-    from .shifts import Window, parse_window
-
     raw = job.get("windows", [])
     if not isinstance(raw, list):
         raise SpecError('field "windows" must be a list')
@@ -106,8 +98,6 @@ def _parse_windows(job: dict, group):
                 raise SpecError(
                     f"explicit window needs {group.order} [re, im] pairs, got {item!r}"
                 )
-            import numpy as np
-
             vals = np.array([complex(p[0], p[1]) for p in item])
             windows.append(Window(group, vals))
         else:
@@ -154,8 +144,6 @@ def _plain(v) -> str:
 
 
 def cmd_adjoint(job: dict, args) -> int:
-    from .groups import adjoint_subgroup
-
     group = _parse_group(job)
     lattice = _parse_lattice(job, group)
     adj = adjoint_subgroup(lattice)
@@ -170,8 +158,6 @@ def cmd_adjoint(job: dict, args) -> int:
 
 
 def _system(job: dict, args, need_windows: int = 1):
-    from .gabor import GaborSystem
-
     group = _parse_group(job)
     lattice = _parse_lattice(job, group)
     windows = _parse_windows(job, group)
@@ -181,8 +167,6 @@ def _system(job: dict, args, need_windows: int = 1):
 
 
 def cmd_frame_bounds(job: dict, args) -> int:
-    from .gabor import frame_bounds, is_frame
-
     _, lattice, _, sys_ = _system(job, args)
     bounds = frame_bounds(sys_)
     payload = {
@@ -196,8 +180,6 @@ def cmd_frame_bounds(job: dict, args) -> int:
 
 
 def cmd_dual_window(job: dict, args) -> int:
-    from .gabor import dual_window, frame_bounds
-
     _, _, _, sys_ = _system(job, args)
     duals = dual_window(sys_, args.tol)
     bounds = frame_bounds(sys_)
@@ -212,8 +194,6 @@ def cmd_dual_window(job: dict, args) -> int:
 
 
 def cmd_figa(job: dict, args) -> int:
-    from .module import figa_check, module_context
-
     group, lattice, windows, _ = _system(job, args)
     four = [windows[i % len(windows)] for i in range(4)]
     res = figa_check(four[0], four[1], four[2], four[3], module_context(lattice))
@@ -228,9 +208,6 @@ def cmd_figa(job: dict, args) -> int:
 
 
 def cmd_gen_check(job: dict, args) -> int:
-    from .gabor import is_frame
-    from .module import module_context, module_frame_check
-
     _, lattice, windows, sys_ = _system(job, args)
     res = module_frame_check(windows, module_context(lattice), args.tol)
     frame = is_frame(sys_, args.tol)
@@ -246,10 +223,6 @@ def cmd_gen_check(job: dict, args) -> int:
 
 
 def cmd_janssen(job: dict, args) -> int:
-    import numpy as np
-
-    from .gabor import GaborSystem, frame_operator, janssen_frame_operator
-
     _, lattice, windows, _ = _system(job, args)
     eta = windows[0]
     gap = float(
@@ -264,8 +237,6 @@ def cmd_janssen(job: dict, args) -> int:
 
 
 def cmd_spectrum(job: dict, args) -> int:
-    from .gabor import spectrum
-
     _, _, _, sys_ = _system(job, args)
     eigs = [float(v) for v in spectrum(sys_)]
     payload = {"spectrum": eigs}
@@ -274,8 +245,6 @@ def cmd_spectrum(job: dict, args) -> int:
 
 
 def cmd_verify(job: dict, args) -> int:
-    from .module import verify_suite
-
     group = _parse_group(job)
     lattice = _parse_lattice(job, group)
     seed = _resolve_seed(job, args)
@@ -314,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     try:
         job = _load_job(args.spec)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import MeasuredSubgroup, adjoint_subgroup
-from .shifts import OperatorMatrix, Window, tf_shift_matrix, tf_shift_values
+from .shifts import OperatorMatrix, Window
+from .twisted import TwistedSeq, integrated_rep
 
 
 @dataclass(frozen=True)
@@ -58,12 +59,9 @@ class NotAFrameError(ValueError):
 
 
 def shift_orbit(eta: Window, sub: MeasuredSubgroup) -> np.ndarray:
-    """|Delta| x |G| matrix whose row for z is pi(z) eta."""
-    group = sub.ambient
-    out = np.empty((len(sub), group.order), dtype=np.complex128)
-    for i, z in enumerate(sub.elements):
-        out[i] = tf_shift_values(group, z, eta.values)
-    return out
+    """|Delta| x |G| matrix whose row for z is pi(z) eta: one gather over the lattice's orbit table."""
+    perm, phase = sub._tables.orbit
+    return sub._tables.group.roots[phase] * eta.values[perm]
 
 
 def analysis(eta: Window, sub: MeasuredSubgroup) -> np.ndarray:
@@ -129,17 +127,14 @@ def reconstruction_residual(sys: GaborSystem, duals: list[Window], xi: Window) -
 
 
 def janssen_frame_operator(eta: Window, sub: MeasuredSubgroup) -> OperatorMatrix:
-    """Adjoint-lattice form: s(Delta)^{-1} sum over the adjoint of <eta, pi(w) eta> pi(w)."""
+    """Adjoint-lattice form: s(Delta)^{-1} sum over the adjoint of <eta, pi(w) eta> pi(w).
+
+    That is integrated_rep of the correlation sequence on the adjoint, whose weight is 1/s(Delta).
+    """
     if eta.group != sub.ambient:
         raise ValueError("window group does not match the subgroup's ambient group")
-    group = sub.ambient
     adj = adjoint_subgroup(sub)
-    n = group.order
-    total = np.zeros((n, n), dtype=np.complex128)
-    for w in adj.elements:
-        corr = complex(np.vdot(tf_shift_values(group, w, eta.values), eta.values))
-        total += corr * tf_shift_matrix(group, w)
-    return float(1 / sub.size) * total
+    return integrated_rep(TwistedSeq(adj, False, analysis(eta, adj) @ eta.values))
 
 
 def spectrum(sys: GaborSystem) -> np.ndarray:

@@ -8,6 +8,13 @@ order. The dual group is identified with the group itself through the pairing
 
 so points of the time-frequency plane G x G^ are pairs of coordinate tuples.
 
+Phase convention: a phase is an integer m mod N, N the lcm of the factor
+orders, made complex only by the root table roots[m] = exp(2 pi i m / N); the
+pairing is m = sum_j (w_j x_j mod n_j) N / n_j mod N. Each group builds one
+integer table on first use (coordinates, mixed-radix weights, N, roots), and
+each measured subgroup one of its own (sorted plane indices, orbit gather,
+twisted-algebra tables).
+
 Measure conventions: counting measure (weight 1) on G, weight 1/|G| per point
 on the dual, hence weight 1/|G| per point of the plane. A subgroup carries an
 explicit per-point rational weight; its size is s = |G| / (weight * |Delta|),
@@ -17,9 +24,10 @@ so that size * weight * |Delta| = |G| always holds exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -45,10 +53,11 @@ class FiniteAbelianGroup:
         if not self.orders or any(int(n) < 1 for n in self.orders):
             raise ValueError(f"cyclic factor orders must be >= 1, got {self.orders!r}")
         object.__setattr__(self, "orders", tuple(int(n) for n in self.orders))
-        total = 1
-        for n in self.orders:
-            total *= n
-        object.__setattr__(self, "order", total)
+        object.__setattr__(self, "order", math.prod(self.orders))
+
+    @cached_property
+    def _table(self) -> _GroupTable:
+        return _GroupTable(self.orders)
 
     @property
     def rank(self) -> int:
@@ -76,19 +85,12 @@ class FiniteAbelianGroup:
 
     def index(self, a: GroupElement) -> int:
         """Rank of an element in the lexicographic enumeration (mixed radix)."""
-        idx = 0
-        for v, n in zip(self.reduce(a), self.orders):
-            idx = idx * n + v
-        return idx
+        return int(self._table.index(self.reduce(a)))
 
     def element_at(self, idx: int) -> GroupElement:
         if not 0 <= idx < self.order:
             raise ValueError(f"index {idx} out of range for group of order {self.order}")
-        coords = []
-        for n in reversed(self.orders):
-            coords.append(idx % n)
-            idx //= n
-        return tuple(reversed(coords))
+        return tuple(self._table.coords[idx].tolist())
 
     # Time-frequency plane arithmetic: componentwise on (x, w) pairs.
 
@@ -103,32 +105,127 @@ class FiniteAbelianGroup:
 
     def tf_points(self) -> list[TFPoint]:
         """All |G|^2 points of the time-frequency plane, lexicographic."""
-        elems = self.elements()
-        return [TFPoint(x, w) for x in elems for w in elems]
+        return list(self._table.points(np.arange(self.order**2)))
+
+
+class _GroupTable:
+    """Integer index and phase arithmetic of one group on coordinate arrays (rank as last axis).
+
+    An element's index is coordinates @ radix; a plane point (x, w) has plane
+    index index(x) * |G| + index(w), so sorting plane indices sorts TFPoints.
+    """
+
+    def __init__(self, orders: tuple[int, ...]) -> None:
+        self.orders = np.array(orders, dtype=np.int64)
+        self.size = math.prod(orders)
+        self.radix = np.array([math.prod(orders[j + 1 :]) for j in range(len(orders))], dtype=np.int64)
+        self.coords = np.arange(self.size)[:, None] // self.radix % self.orders
+        self.modulus = math.lcm(*orders)
+        self.scale = self.modulus // self.orders
+        self.roots = np.exp(2j * np.pi * np.arange(self.modulus) / self.modulus)
+
+    def index(self, coords) -> np.ndarray:
+        return np.asarray(coords) % self.orders @ self.radix
+
+    def pairing(self, w, x) -> np.ndarray:
+        """Integer phase m mod N with character(w, x) = roots[m]."""
+        return np.asarray(w) * np.asarray(x) % self.orders @ self.scale % self.modulus
+
+    def plane_index(self, x, w) -> np.ndarray:
+        return self.index(x) * self.size + self.index(w)
+
+    def split(self, plane) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates x and w of plane indices."""
+        return self.coords[plane // self.size], self.coords[plane % self.size]
+
+    def points(self, plane: np.ndarray) -> tuple[TFPoint, ...]:
+        xs, ws = self.split(plane)
+        return tuple(TFPoint(tuple(x), tuple(w)) for x, w in zip(xs.tolist(), ws.tolist()))
+
+    def gather(self, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Shifts of the points (x_k, w_k): perm[k, t] = index(t - x_k), phase[k, t] = pairing(w_k, t).
+
+        (pi(z_k) xi)(t) = roots[phase[k, t]] * xi[perm[k, t]].
+        """
+        t = self.coords[None]
+        return self.index(t - x[:, None]), self.pairing(w[:, None], t)
+
+
+def _member(sorted_values: np.ndarray, values) -> np.ndarray:
+    """Elementwise membership of values in a sorted nonempty array."""
+    pos = np.searchsorted(sorted_values, values).clip(max=len(sorted_values) - 1)
+    return sorted_values[pos] == values
+
+
+def _span(table: _GroupTable, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted plane indices of the subgroup generated by ``points``, and the points kept as generators.
+
+    Points already in the span are dropped. A kept point g extends the span H
+    by the disjoint cosets H + k g, 0 < k < m, where m is the order of g
+    modulo H; so the span at least doubles per kept generator and at most
+    log2 of its order are kept. The order of g divides N, so k runs up to N.
+    """
+    span = np.zeros(1, dtype=np.int64)
+    kept = []
+    rest = np.asarray(points, dtype=np.int64)
+    k = np.arange(table.modulus + 1)[:, None]
+    while True:
+        rest = rest[~_member(span, rest)]
+        if not rest.size:
+            return span, np.array(kept, dtype=np.int64)
+        kept.append(rest[0])
+        gx, gw = table.split(rest[0])
+        mx, mw = k * gx, k * gw
+        m = 1 + int(np.argmax(_member(span, table.plane_index(mx[1:], mw[1:]))))
+        sx, sw = table.split(span)
+        span = np.sort(table.plane_index(sx[:, None] + mx[None, :m], sw[:, None] + mw[None, :m]).ravel())
+
+
+class _LatticeTable:
+    """Integer tables of one measured subgroup; the gather and the twisted tables are built on first use.
+
+    Position k everywhere is elements[k]: ``plane`` holds the sorted plane
+    indices, ``x`` and ``w`` the coordinates, and ``gens`` the generators the
+    closure span kept.
+    """
+
+    def __init__(self, group: _GroupTable, plane: np.ndarray, gens: np.ndarray) -> None:
+        self.group = group
+        self.plane = plane
+        self.gens = gens
+        self.x, self.w = group.split(plane)
+
+    @cached_property
+    def orbit(self) -> tuple[np.ndarray, np.ndarray]:
+        """The group's gather of every point: perm[k, t] = index(t - x_k) and its phase table."""
+        return self.group.gather(self.x, self.w)
+
+    @cached_property
+    def add(self) -> np.ndarray:
+        """add[i, j] = position of z_i + z_j."""
+        x, w = self.x[:, None] + self.x[None], self.w[:, None] + self.w[None]
+        return np.searchsorted(self.plane, self.group.plane_index(x, w))
+
+    @cached_property
+    def neg(self) -> np.ndarray:
+        return np.searchsorted(self.plane, self.group.plane_index(-self.x, -self.w))
+
+    @cached_property
+    def cocycle(self) -> np.ndarray:
+        """Integer phase of c(z_i, z_j) = conj(character(tau_j, x_i))."""
+        return -self.group.pairing(self.w[None], self.x[:, None]) % self.group.modulus
 
 
 def character(group: FiniteAbelianGroup, w: GroupElement, x: GroupElement) -> complex:
     """Pairing <w, x> = exp(2 pi i sum_j w_j x_j / n_j), a unit complex number."""
-    w = group.reduce(w)
-    x = group.reduce(x)
-    phase = sum(Fraction(wj * xj, nj) for wj, xj, nj in zip(w, x, group.orders))
-    return complex(np.exp(2j * np.pi * float(phase % 1)))
+    table = group._table
+    return complex(table.roots[table.pairing(group.reduce(w), group.reduce(x))])
 
 
 def character_vector(group: FiniteAbelianGroup, w: GroupElement) -> np.ndarray:
     """Values of the character w on all of G, in enumeration order."""
-    w = group.reduce(w)
-    table = _element_table(group)
-    phases = table @ (np.asarray(w, dtype=float) / np.asarray(group.orders, dtype=float))
-    return np.exp(2j * np.pi * phases)
-
-
-@lru_cache(maxsize=None)
-def _element_table(group: FiniteAbelianGroup) -> np.ndarray:
-    """|G| x rank integer array of coordinates, enumeration order; read-only."""
-    table = np.array(group.elements(), dtype=np.int64).reshape(group.order, group.rank)
-    table.setflags(write=False)
-    return table
+    table = group._table
+    return table.roots[table.pairing(group.reduce(w), table.coords)]
 
 
 @dataclass(frozen=True)
@@ -137,61 +234,53 @@ class MeasuredSubgroup:
 
     ``elements`` is the full sorted point list, ``weight`` the exact rational
     mass of each point, and ``size`` the derived covolume |G|/(weight*|Delta|).
+    Construction checks that the points form a subgroup.
     """
 
     ambient: FiniteAbelianGroup
     elements: tuple[TFPoint, ...]
     weight: Fraction
     size: Fraction = field(init=False)
+    _tables: _LatticeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weight = Fraction(self.weight)
         if weight <= 0:
             raise ValueError(f"subgroup weight must be positive, got {weight}")
         object.__setattr__(self, "weight", weight)
-        elems = tuple(sorted(TFPoint(self.ambient.reduce(z[0]), self.ambient.reduce(z[1]))
-                             for z in self.elements))
-        if len(set(elems)) != len(elems):
+        table = self.ambient._table
+        coords = np.array(self.elements, dtype=np.int64)
+        if coords.size and coords.shape[1:] != (2, self.ambient.rank):
+            raise ValueError(f"subgroup points must be pairs of {self.ambient.rank}-coordinate tuples")
+        coords = coords.reshape(-1, 2, self.ambient.rank)
+        plane = np.sort(table.plane_index(coords[:, 0], coords[:, 1]))
+        if np.any(plane[1:] == plane[:-1]):
             raise ValueError("subgroup element list contains duplicates")
-        object.__setattr__(self, "elements", elems)
-        _check_closure(self.ambient, elems)
-        object.__setattr__(self, "size", Fraction(self.ambient.order, 1) / (weight * len(elems)))
+        span, gens = _span(table, plane)
+        if len(span) != len(plane):
+            outside = table.points(np.setdiff1d(span, plane)[:1])[0]
+            raise ValueError(f"points do not form a subgroup: they generate {outside}, not among them")
+        object.__setattr__(self, "elements", table.points(plane))
+        object.__setattr__(self, "_tables", _LatticeTable(table, plane, gens))
+        object.__setattr__(self, "size", Fraction(self.ambient.order, 1) / (weight * len(plane)))
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    def _plane_index(self, z: TFPoint) -> int:
+        return self.ambient.index(z[0]) * self.ambient.order + self.ambient.index(z[1])
+
     def __contains__(self, z: TFPoint) -> bool:
-        return TFPoint(self.ambient.reduce(z[0]), self.ambient.reduce(z[1])) in _element_set(self)
+        return bool(_member(self._tables.plane, self._plane_index(z)))
 
     def index(self, z: TFPoint) -> int:
-        return _element_index(self)[TFPoint(self.ambient.reduce(z[0]), self.ambient.reduce(z[1]))]
+        if z not in self:
+            raise KeyError(z)
+        return int(np.searchsorted(self._tables.plane, self._plane_index(z)))
 
     def with_weight(self, weight: Fraction | int | str) -> "MeasuredSubgroup":
         """Same point set under a different measure."""
         return MeasuredSubgroup(self.ambient, self.elements, Fraction(weight))
-
-
-def _check_closure(group: FiniteAbelianGroup, elems: tuple[TFPoint, ...]) -> None:
-    points = set(elems)
-    if group.tf_zero() not in points:
-        raise ValueError("subgroup must contain the zero point")
-    for z in elems:
-        if group.tf_neg(z) not in points:
-            raise ValueError(f"subgroup not closed under negation at {z}")
-    for z in elems:
-        for u in elems:
-            if group.tf_add(z, u) not in points:
-                raise ValueError(f"subgroup not closed under addition at {z} + {u}")
-
-
-@lru_cache(maxsize=None)
-def _element_set(sub: MeasuredSubgroup) -> frozenset[TFPoint]:
-    return frozenset(sub.elements)
-
-
-@lru_cache(maxsize=None)
-def _element_index(sub: MeasuredSubgroup) -> dict[TFPoint, int]:
-    return {z: i for i, z in enumerate(sub.elements)}
 
 
 def subgroup_from_generators(
@@ -200,17 +289,9 @@ def subgroup_from_generators(
     weight: Fraction | int | str = 1,
 ) -> MeasuredSubgroup:
     """Smallest subgroup of G x G^ containing the generators, with the given weight."""
-    points = [TFPoint(group.reduce(x), group.reduce(w)) for x, w in gens]
-    closure = {group.tf_zero()}
-    frontier = [group.tf_zero()]
-    while frontier:
-        z = frontier.pop()
-        for g in points:
-            nxt = group.tf_add(z, g)
-            if nxt not in closure:
-                closure.add(nxt)
-                frontier.append(nxt)
-    return MeasuredSubgroup(group, tuple(closure), Fraction(weight))
+    points = [group.index(x) * group.order + group.index(w) for x, w in gens]
+    span, _ = _span(group._table, np.array(points, dtype=np.int64))
+    return MeasuredSubgroup(group, group._table.points(span), Fraction(weight))
 
 
 def full_plane(group: FiniteAbelianGroup, weight: Fraction | int | str = 1) -> MeasuredSubgroup:
@@ -227,27 +308,17 @@ def adjoint_subgroup(sub: MeasuredSubgroup) -> MeasuredSubgroup:
     """Adjoint subgroup: all plane points whose shifts commute with every shift from the subgroup.
 
     Membership of (y, tau) amounts to character(tau, x) = character(w, y) for
-    every (x, w) in the subgroup, tested here in exact integer arithmetic. The
-    result carries weight 1/size per the induced-measure convention.
+    every (x, w) in the subgroup. Both sides are characters of (x, w), so the
+    test runs on the generators the closure span kept, for the whole plane at
+    once, in integer phases. The result carries weight 1/size per the
+    induced-measure convention.
     """
-    group = sub.ambient
-    members = [z for z in group.tf_points() if _commutes_with_all(group, z, sub.elements)]
-    return MeasuredSubgroup(group, tuple(members), 1 / sub.size)
-
-
-def _commutes_with_all(
-    group: FiniteAbelianGroup, z: TFPoint, elems: tuple[TFPoint, ...]
-) -> bool:
-    y, tau = z
-    for x, w in elems:
-        # character(tau, x) = character(w, y) iff the phase difference is an integer.
-        diff = sum(
-            Fraction(tj * xj - wj * yj, nj)
-            for tj, xj, wj, yj, nj in zip(tau, x, w, y, group.orders)
-        )
-        if diff % 1 != 0:
-            return False
-    return True
+    table = sub.ambient._table
+    gx, gw = table.split(sub._tables.gens)
+    member = np.ones((table.size, table.size), dtype=bool)  # member[index(y), index(tau)]
+    for x, w in zip(gx, gw):
+        member &= table.pairing(w, table.coords)[:, None] == table.pairing(table.coords, x)[None, :]
+    return MeasuredSubgroup(sub.ambient, table.points(np.flatnonzero(member)), 1 / sub.size)
 
 
 def default_measures(group: FiniteAbelianGroup) -> dict[str, Fraction]:
@@ -269,29 +340,24 @@ def all_subgroups(group: FiniteAbelianGroup) -> tuple[tuple[TFPoint, ...], ...]:
     so one round of pairwise sums is complete. Higher-rank ambients iterate to
     a fixed point.
     """
-    plane = group.tf_points()
-    cyclics: set[frozenset[TFPoint]] = set()
-    for z in plane:
-        cyc = {group.tf_zero()}
-        cur = z
-        while cur not in cyc:
-            cyc.add(cur)
-            cur = group.tf_add(cur, z)
-        cyclics.add(frozenset(cyc))
-    found: set[frozenset[TFPoint]] = set(cyclics)
-    frontier = set(cyclics)
+    table = group._table
+    # Row p lists k p for k < N; points generating the same cyclic subgroup give equal sorted rows.
+    k = np.arange(table.modulus)[:, None]
+    x, w = table.split(np.arange(table.size**2))
+    rows = np.unique(np.sort(table.plane_index(x[:, None] * k, w[:, None] * k)), axis=0)
+    cyclics = [np.unique(row) for row in rows]
+    found = {tuple(c.tolist()): c for c in cyclics}
+    frontier = list(found.values())
     while frontier:
-        new: set[frozenset[TFPoint]] = set()
+        new = {}
         for h in frontier:
-            for c in cyclics:
-                if c <= h:
-                    continue
-                total = frozenset(group.tf_add(a, b) for a in h for b in c)
-                if total not in found:
-                    new.add(total)
-        found |= new
+            hx, hw = table.split(h)
+            for cx, cw in (table.split(c) for c in cyclics):
+                total = np.unique(table.plane_index(hx[:, None] + cx[None], hw[:, None] + cw[None]))
+                new.setdefault(tuple(total.tolist()), total)
+        frontier = [total for key, total in new.items() if key not in found]
+        found.update(new)
         if group.rank == 1:
             # Subgroups of a rank-two plane need at most two cyclic summands.
             break
-        frontier = new
-    return tuple(sorted(tuple(sorted(h)) for h in found))
+    return tuple(sorted(table.points(h) for h in found.values()))

@@ -8,6 +8,11 @@ then multiply by the character w. Shifts compose projectively,
 and the adjoint of pi(z) is conj(c(z, -z)) pi(-z). Operators are plain complex
 |G| x |G| ndarrays; shifts act on vectors directly in O(|G|) and matrices are
 materialized only on demand.
+
+Phases are integers mod N, the lcm of the factor orders, made complex by one
+lookup in the group's root table (see groups). Every shift, and every row of a
+lattice's orbit table, is one gather: (pi(z) xi)(t) = roots[phase[t]] xi[perm[t]]
+with perm[t] = index(t - x) and phase[t] = pairing(w, t).
 """
 
 from __future__ import annotations
@@ -17,13 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groups import (
-    FiniteAbelianGroup,
-    GroupElement,
-    TFPoint,
-    character,
-    character_vector,
-)
+from .groups import FiniteAbelianGroup, GroupElement, TFPoint, character
 
 OperatorMatrix = np.ndarray
 
@@ -123,60 +122,40 @@ def gaussian_stream(seed: int, count: int) -> np.ndarray:
     return out[:count]
 
 
-@lru_cache(maxsize=None)
-def _translation_perm(group: FiniteAbelianGroup, x: GroupElement) -> np.ndarray:
-    """Index array p with (T_x xi)(t) = xi(p[t]), i.e. p[t] = index(t - x)."""
-    perm = np.empty(group.order, dtype=np.intp)
-    for i, t in enumerate(group.elements()):
-        perm[i] = group.index(group.add(t, group.neg(x)))
-    perm.setflags(write=False)
-    return perm
-
-
-@lru_cache(maxsize=None)
-def _char_vector_cached(group: FiniteAbelianGroup, w: GroupElement) -> np.ndarray:
-    vec = character_vector(group, w)
-    vec.setflags(write=False)
-    return vec
+def _shift(group: FiniteAbelianGroup, z: TFPoint) -> tuple[np.ndarray, np.ndarray]:
+    """The group's gather of the single point z = (x, w): perm[t] = index(t - x), phase[t] = pairing(w, t)."""
+    perm, phase = group._table.gather(np.array([group.reduce(z[0])]), np.array([group.reduce(z[1])]))
+    return perm[0], phase[0]
 
 
 def translate(x: GroupElement, xi: Window) -> Window:
     """(T_x xi)(t) = xi(t - x)."""
-    g = xi.group
-    return Window(g, xi.values[_translation_perm(g, g.reduce(x))])
+    return tf_shift((x, xi.group.zero()), xi)
 
 
 def modulate(w: GroupElement, xi: Window) -> Window:
     """(M_w xi)(t) = character(w, t) xi(t)."""
-    g = xi.group
-    return Window(g, _char_vector_cached(g, g.reduce(w)) * xi.values)
+    return tf_shift((xi.group.zero(), w), xi)
 
 
 def tf_shift(z: TFPoint, xi: Window) -> Window:
     """pi(z) xi = M_w T_x xi for z = (x, w)."""
-    g = xi.group
-    x, w = g.reduce(z[0]), g.reduce(z[1])
-    shifted = xi.values[_translation_perm(g, x)]
-    return Window(g, _char_vector_cached(g, w) * shifted)
+    return Window(xi.group, tf_shift_values(xi.group, z, xi.values))
 
 
 def tf_shift_values(group: FiniteAbelianGroup, z: TFPoint, values: np.ndarray) -> np.ndarray:
     """pi(z) applied to a bare coefficient vector."""
-    x, w = group.reduce(z[0]), group.reduce(z[1])
-    return _char_vector_cached(group, w) * values[_translation_perm(group, x)]
+    perm, phase = _shift(group, z)
+    return group._table.roots[phase] * values[perm]
 
 
 @lru_cache(maxsize=None)
 def tf_shift_matrix(group: FiniteAbelianGroup, z: TFPoint) -> OperatorMatrix:
-    """pi(z) as a |G| x |G| matrix (cached, read-only)."""
-    x = group.reduce(z[0])
-    w = group.reduce(z[1])
+    """pi(z) as a |G| x |G| matrix (cached, read-only): row t holds roots[phase[t]] in column perm[t]."""
+    perm, phase = _shift(group, z)
     n = group.order
     mat = np.zeros((n, n), dtype=np.complex128)
-    chars = _char_vector_cached(group, w)
-    for j, t in enumerate(group.elements()):
-        i = group.index(group.add(t, x))
-        mat[i, j] = chars[i]
+    mat[np.arange(n), perm] = group._table.roots[phase]
     mat.setflags(write=False)
     return mat
 
@@ -188,6 +167,4 @@ def tf_shift_adjoint_matrix(group: FiniteAbelianGroup, z: TFPoint) -> OperatorMa
 
 def heisenberg_cocycle(group: FiniteAbelianGroup, z: TFPoint, u: TFPoint) -> complex:
     """c(z, u) = conj(character(tau, x)) for z = (x, w), u = (y, tau)."""
-    x = group.reduce(z[0])
-    tau = group.reduce(u[1])
-    return complex(np.conj(character(group, tau, x)))
+    return character(group, u[1], z[0]).conjugate()

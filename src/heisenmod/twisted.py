@@ -14,17 +14,22 @@ its representing matrix.
 With the conjugated cocycle the integrated representation reverses products,
 rep(a * b) = rep(b) rep(a), exactly what a right module action requires; the
 involution identity rep(a*) = rep(a)^H holds for both flags.
+
+Every product, involution and representation reads the domain's integer
+tables (see groups): the add and neg index tables, the cocycle as integer
+phases mod N with kappa = roots[phase] (roots[-phase] on the conjugated
+flag), and the orbit gather. The integrated representation is one scatter
+of |Delta| * |G| entries into the |G| x |G| matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .groups import MeasuredSubgroup, TFPoint
-from .shifts import OperatorMatrix, heisenberg_cocycle, tf_shift_matrix
+from .shifts import OperatorMatrix
 
 
 @dataclass(eq=False)
@@ -61,56 +66,35 @@ def unit_seq(domain: MeasuredSubgroup, conjugated: bool = False) -> TwistedSeq:
     return TwistedSeq(domain, conjugated, coeffs)
 
 
-@lru_cache(maxsize=None)
-def _conv_tables(domain: MeasuredSubgroup, conjugated: bool) -> tuple[np.ndarray, np.ndarray]:
-    """ADD[i, j] = index(z_i + z_j) and KAPPA[i, j] = kappa(z_i, z_j)."""
-    group = domain.ambient
-    elems = domain.elements
-    n = len(elems)
-    idx = {z: i for i, z in enumerate(elems)}
-    add = np.empty((n, n), dtype=np.intp)
-    kappa = np.empty((n, n), dtype=np.complex128)
-    for i, zi in enumerate(elems):
-        for j, zj in enumerate(elems):
-            add[i, j] = idx[group.tf_add(zi, zj)]
-            kappa[i, j] = heisenberg_cocycle(group, zi, zj)
-    if conjugated:
-        kappa = kappa.conj()
-    add.setflags(write=False)
-    kappa.setflags(write=False)
-    return add, kappa
-
-
-@lru_cache(maxsize=None)
-def _neg_table(domain: MeasuredSubgroup) -> np.ndarray:
-    group = domain.ambient
-    idx = {z: i for i, z in enumerate(domain.elements)}
-    neg = np.array([idx[group.tf_neg(z)] for z in domain.elements], dtype=np.intp)
-    neg.setflags(write=False)
-    return neg
-
-
 def _require_same_algebra(a: TwistedSeq, b: TwistedSeq) -> None:
     if a.domain != b.domain or a.conjugated != b.conjugated:
         raise ValueError("sequences belong to different twisted algebras")
 
 
+def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[i] = sum of the values whose index is i."""
+    out = np.empty(size, dtype=np.complex128)
+    out.real = np.bincount(index.ravel(), weights=values.real.ravel(), minlength=size)
+    out.imag = np.bincount(index.ravel(), weights=values.imag.ravel(), minlength=size)
+    return out
+
+
 def twisted_convolve(a: TwistedSeq, b: TwistedSeq) -> TwistedSeq:
     """(a * b)(z) = weight * sum over w of kappa(w, z - w) a(w) b(z - w)."""
     _require_same_algebra(a, b)
-    add, kappa = _conv_tables(a.domain, a.conjugated)
-    contrib = float(a.domain.weight) * (a.coeffs[:, None] * kappa * b.coeffs[None, :])
-    out = np.zeros(len(a.domain), dtype=np.complex128)
-    np.add.at(out, add, contrib)
-    return TwistedSeq(a.domain, a.conjugated, out)
+    tables = a.domain._tables
+    phase = -tables.cocycle % tables.group.modulus if a.conjugated else tables.cocycle
+    contrib = float(a.domain.weight) * (a.coeffs[:, None] * tables.group.roots[phase] * b.coeffs[None, :])
+    return TwistedSeq(a.domain, a.conjugated, _scatter(tables.add, contrib, len(a.domain)))
 
 
 def involution(a: TwistedSeq) -> TwistedSeq:
-    """a*(z) = conj(kappa(z, -z)) conj(a(-z))."""
-    add, kappa = _conv_tables(a.domain, a.conjugated)
-    neg = _neg_table(a.domain)
-    diag = kappa[np.arange(len(a.domain)), neg]
-    return TwistedSeq(a.domain, a.conjugated, diag.conj() * a.coeffs[neg].conj())
+    """a*(z) = conj(kappa(z, -z)) conj(a(-z)), where c(z, -z) = character(w, x) for z = (x, w)."""
+    tables = a.domain._tables
+    phase = tables.group.pairing(tables.w, tables.x)
+    if not a.conjugated:
+        phase = -phase % tables.group.modulus
+    return TwistedSeq(a.domain, a.conjugated, tables.group.roots[phase] * a.coeffs[tables.neg].conj())
 
 
 def trace(a: TwistedSeq) -> complex:
@@ -118,23 +102,20 @@ def trace(a: TwistedSeq) -> complex:
     return a.at(a.domain.ambient.tf_zero())
 
 
-@lru_cache(maxsize=None)
-def _shift_stack(domain: MeasuredSubgroup, conjugated: bool) -> np.ndarray:
-    """Stacked matrices of pi(z) (or pi(z)* when conjugated) over the subgroup."""
-    group = domain.ambient
-    n = group.order
-    stack = np.empty((len(domain), n, n), dtype=np.complex128)
-    for i, z in enumerate(domain.elements):
-        mat = tf_shift_matrix(group, z)
-        stack[i] = mat.conj().T if conjugated else mat
-    stack.setflags(write=False)
-    return stack
-
-
 def integrated_rep(a: TwistedSeq) -> OperatorMatrix:
-    """weight * sum_z a(z) pi(z), with pi(z)* in place of pi(z) on the conjugated flag."""
-    stack = _shift_stack(a.domain, a.conjugated)
-    return float(a.domain.weight) * np.einsum("i,ijk->jk", a.coeffs, stack)
+    """weight * sum_z a(z) pi(z), with pi(z)* in place of pi(z) on the conjugated flag.
+
+    One scatter of the domain's orbit gather, since pi(z) holds
+    roots[phase[z, t]] at row t, column perm[z, t]. On the conjugated flag
+    the result is the conjugate transpose of the plain scatter of conj(a).
+    """
+    tables = a.domain._tables
+    perm, phase = tables.orbit
+    n = tables.group.size
+    coeffs = a.coeffs.conj() if a.conjugated else a.coeffs
+    entries = _scatter(perm + n * np.arange(n), coeffs[:, None] * tables.group.roots[phase], n * n)
+    mat = float(a.domain.weight) * entries.reshape(n, n)
+    return mat.conj().T if a.conjugated else mat
 
 
 def cstar_norm(a: TwistedSeq) -> float:

@@ -248,3 +248,12 @@ def test_thread_cap_env(tmp_path):
     res = run_cli("frame-bounds", "--spec", spec, env_extra={"HEISENMOD_THREADS": "1"})
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["frame"] is True
+
+
+def test_thread_cap_applied_on_package_import():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["HEISENMOD_THREADS"] = "1"
+    probe = "import os, heisenmod; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "1"

@@ -1,0 +1,213 @@
+"""Property tests of lattices, shifts and twisted algebras against naive references.
+
+The references are written here from the definitions, with exact integer
+phases: character(w, x) = exp(2 pi i m / L) with m = sum_j w_j x_j L / n_j
+mod L and L the lcm of the factor orders. Hypothesis draws groups of rank at
+most 3 with |G| <= 64 and random generator sets, derandomized so every run
+sees the same examples. The twisted references loop over |Delta|^2 in Python,
+so those properties draw |G| <= 16.
+"""
+
+import cmath
+import itertools
+import math
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from heisenmod import (
+    FiniteAbelianGroup,
+    MeasuredSubgroup,
+    TFPoint,
+    TwistedSeq,
+    Window,
+    adjoint_subgroup,
+    integrated_rep,
+    involution,
+    shift_orbit,
+    subgroup_from_generators,
+    twisted_convolve,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+@st.composite
+def lattices(draw, max_order=64):
+    """A group of rank <= 3 with |G| <= max_order and the subgroup of a random generator set."""
+    orders = []
+    for _ in range(draw(st.integers(1, 3))):
+        orders.append(draw(st.integers(1, max(1, max_order // math.prod(orders)))))
+    group = FiniteAbelianGroup(tuple(orders))
+    coord = st.tuples(*(st.integers(0, n - 1) for n in orders))
+    gens = draw(st.lists(st.tuples(coord, coord), max_size=4))
+    return group, gens
+
+
+def _modulus(group):
+    return math.lcm(*group.orders)
+
+
+def _char(group, w, x):
+    big = _modulus(group)
+    m = sum(wj * xj * (big // n) for wj, xj, n in zip(w, x, group.orders)) % big
+    return cmath.exp(2j * math.pi * m / big)
+
+
+def _sub(group, a, b):
+    return tuple((u - v) % n for u, v, n in zip(a, b, group.orders))
+
+
+def _cocycle(group, z, u):
+    return _char(group, u[1], z[0]).conjugate()
+
+
+def _elements(group):
+    return list(itertools.product(*(range(n) for n in group.orders)))
+
+
+def _shift_ref(group, z, values):
+    index = {t: i for i, t in enumerate(_elements(group))}
+    return np.array([_char(group, z[1], t) * values[index[_sub(group, t, z[0])]] for t in _elements(group)])
+
+
+def _closure_ref(group, gens):
+    """Breadth-first closure of the generators in the plane."""
+    zero = group.tf_zero()
+    points = [TFPoint(group.reduce(x), group.reduce(w)) for x, w in gens]
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for z in frontier:
+            for g in points:
+                s = group.tf_add(z, g)
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return sorted(seen)
+
+
+def _kappa(group, z, u, conjugated):
+    c = _cocycle(group, z, u)
+    return c.conjugate() if conjugated else c
+
+
+def _random_coeffs(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@PROPERTY
+@given(lattices())
+def test_closure_matches_breadth_first_reference(case):
+    group, gens = case
+    sub = subgroup_from_generators(group, gens, 1)
+    assert list(sub.elements) == _closure_ref(group, gens)
+    assert sub.size * sub.weight * len(sub) == group.order
+
+
+@PROPERTY
+@given(lattices())
+def test_adjoint_order_and_double_adjoint(case):
+    group, gens = case
+    sub = subgroup_from_generators(group, gens, 1)
+    adj = adjoint_subgroup(sub)
+    assert len(sub) * len(adj) == group.order**2
+    assert adjoint_subgroup(adj).elements == sub.elements
+    for y, tau in adj.elements[:4]:
+        for x, w in sub.elements:
+            assert _char(group, tau, x) == pytest.approx(_char(group, w, y), abs=1e-12)
+
+
+@PROPERTY
+@given(lattices(), st.integers(0, 2**31))
+def test_shift_orbit_rows_match_definition(case, seed):
+    group, gens = case
+    sub = subgroup_from_generators(group, gens, 1)
+    eta = Window(group, _random_coeffs(group.order, seed))
+    orbit = shift_orbit(eta, sub)
+    for k, z in enumerate(sub.elements[:16]):
+        assert np.allclose(orbit[k], _shift_ref(group, z, eta.values), atol=1e-12)
+
+
+@PROPERTY
+@given(lattices(max_order=16), st.booleans(), st.integers(0, 2**31))
+def test_twisted_convolve_and_involution_match_definition(case, conjugated, seed):
+    group, gens = case
+    sub = subgroup_from_generators(group, gens, 2)
+    a = TwistedSeq(sub, conjugated, _random_coeffs(len(sub), seed))
+    b = TwistedSeq(sub, conjugated, _random_coeffs(len(sub), seed + 1))
+    pos = {z: i for i, z in enumerate(sub.elements)}
+    conv = np.zeros(len(sub), dtype=complex)
+    star = np.zeros(len(sub), dtype=complex)
+    for z in sub.elements:
+        for w in sub.elements:
+            rest = TFPoint(_sub(group, z.x, w.x), _sub(group, z.w, w.w))
+            conv[pos[z]] += 2 * _kappa(group, w, rest, conjugated) * a.coeffs[pos[w]] * b.coeffs[pos[rest]]
+        neg = group.tf_neg(z)
+        star[pos[z]] = (_kappa(group, z, neg, conjugated) * a.coeffs[pos[neg]]).conjugate()
+    assert np.allclose(twisted_convolve(a, b).coeffs, conv, atol=1e-10)
+    assert np.allclose(involution(a).coeffs, star, atol=1e-12)
+
+
+@PROPERTY
+@given(lattices(max_order=16), st.booleans(), st.integers(0, 2**31))
+def test_integrated_rep_matches_definition(case, conjugated, seed):
+    group, gens = case
+    sub = subgroup_from_generators(group, gens, 3)
+    a = TwistedSeq(sub, conjugated, _random_coeffs(len(sub), seed))
+    index = {t: i for i, t in enumerate(_elements(group))}
+    ref = np.zeros((group.order, group.order), dtype=complex)
+    for k, (x, w) in enumerate(sub.elements):
+        for t, i in index.items():
+            # pi(z) has character(w, t) at row t, column t - x; pi(z)* is its conjugate transpose.
+            j = index[_sub(group, t, x)]
+            if conjugated:
+                ref[j, i] += a.coeffs[k] * _char(group, w, t).conjugate()
+            else:
+                ref[i, j] += a.coeffs[k] * _char(group, w, t)
+    assert np.allclose(integrated_rep(a), 3 * ref, atol=1e-10)
+
+
+@PROPERTY
+@given(lattices(), st.data())
+def test_non_closed_point_sets_are_rejected(case, data):
+    group, gens = case
+    sub = subgroup_from_generators(group, gens, 1)
+    elems = list(sub.elements)
+    if len(sub) == 1:
+        return  # {0, z} is a subgroup whenever 2z = 0
+    drop = data.draw(st.integers(1, len(sub) - 1))
+    with pytest.raises(ValueError):
+        MeasuredSubgroup(group, tuple(elems[:drop] + elems[drop + 1 :]), 1)
+    outside = sorted(set(group.tf_points()) - set(elems))
+    if outside:
+        extra = data.draw(st.sampled_from(outside))
+        with pytest.raises(ValueError):
+            MeasuredSubgroup(group, tuple(elems + [extra]), 1)
+
+
+@pytest.mark.parametrize(
+    "orders, a, b",
+    [((240,), 4, 3), ((240,), 2, 1), ((16, 16), 2, 4), ((16, 16), 1, 2)],
+)
+def test_scale_lattices_build_and_adjoin_quickly(orders, a, b):
+    # Steps a on every time axis and b on every frequency axis: |Delta| = prod (n/a)(n/b).
+    group = FiniteAbelianGroup(orders)
+    rank = len(orders)
+    unit = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    zero = (0,) * rank
+    gens = [(tuple(a * v for v in e), zero) for e in unit] + [(zero, tuple(b * v for v in e)) for e in unit]
+    start = time.perf_counter()
+    sub = subgroup_from_generators(group, gens, 1)
+    adj = adjoint_subgroup(sub)
+    elapsed = time.perf_counter() - start
+    expect = math.prod((n // a) * (n // b) for n in orders)
+    assert len(sub) == expect
+    assert len(adj) == group.order**2 // expect
+    assert elapsed < 1.0

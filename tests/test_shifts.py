@@ -8,6 +8,7 @@ from heisenmod import (
     TFPoint,
     Window,
     adjoint_subgroup,
+    character_vector,
     const_window,
     delta_window,
     full_plane,
@@ -234,3 +235,15 @@ def test_full_plane_shift_family_spans_all_matrices():
     mats = [tf_shift_matrix(Z3, z) for z in Z3.tf_points()]
     gram = np.array([[np.trace(a.conj().T @ b) for b in mats] for a in mats])
     assert np.allclose(gram, 3.0 * np.eye(9), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [240, 65536])
+def test_phases_reduced_mod_n_before_rounding(n):
+    # The phase w*t is reduced mod n in integers before it becomes a float.
+    group = FiniteAbelianGroup((n,))
+    w = n - 1
+    t = np.arange(n)
+    expect = np.exp(2j * np.pi * ((w * t) % n) / n)
+    assert np.abs(character_vector(group, (w,)) - expect).max() <= 1e-15
+    shifted = tf_shift_values(group, TFPoint((0,), (w,)), np.ones(n, dtype=complex))
+    assert np.abs(shifted - expect).max() <= 1e-15
