@@ -23,6 +23,7 @@ so that size * weight * |Delta| = |G| always holds exactly.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -244,10 +245,6 @@ class MeasuredSubgroup:
     _tables: _LatticeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        weight = Fraction(self.weight)
-        if weight <= 0:
-            raise ValueError(f"subgroup weight must be positive, got {weight}")
-        object.__setattr__(self, "weight", weight)
         table = self.ambient._table
         coords = np.array(self.elements, dtype=np.int64)
         if coords.size and coords.shape[1:] != (2, self.ambient.rank):
@@ -262,7 +259,14 @@ class MeasuredSubgroup:
             raise ValueError(f"points do not form a subgroup: they generate {outside}, not among them")
         object.__setattr__(self, "elements", table.points(plane))
         object.__setattr__(self, "_tables", _LatticeTable(table, plane, gens))
-        object.__setattr__(self, "size", Fraction(self.ambient.order, 1) / (weight * len(plane)))
+        self._set_weight(self.weight)
+
+    def _set_weight(self, weight: Fraction | int | str) -> None:
+        weight = Fraction(weight)
+        if weight <= 0:
+            raise ValueError(f"subgroup weight must be positive, got {weight}")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "size", Fraction(self.ambient.order, 1) / (weight * len(self.elements)))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -279,8 +283,16 @@ class MeasuredSubgroup:
         return int(np.searchsorted(self._tables.plane, self._plane_index(z)))
 
     def with_weight(self, weight: Fraction | int | str) -> "MeasuredSubgroup":
-        """Same point set under a different measure."""
-        return MeasuredSubgroup(self.ambient, self.elements, Fraction(weight))
+        """Same point set under a different measure.
+
+        The point set, and so every integer table, is independent of the
+        weight: the copy shares ``elements`` and ``_tables`` with this
+        subgroup (no sort, no closure check, no rebuilt gather); only
+        ``weight`` and ``size`` are set anew.
+        """
+        new = copy.copy(self)
+        new._set_weight(weight)
+        return new
 
 
 def subgroup_from_generators(
@@ -303,9 +315,12 @@ def trivial_subgroup(group: FiniteAbelianGroup, weight: Fraction | int | str = 1
     return MeasuredSubgroup(group, (group.tf_zero(),), Fraction(weight))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def adjoint_subgroup(sub: MeasuredSubgroup) -> MeasuredSubgroup:
     """Adjoint subgroup: all plane points whose shifts commute with every shift from the subgroup.
+
+    Cached for the 32 most recently used subgroups, so a long-running
+    process holds at most 32 lattices and their adjoints through it.
 
     Membership of (y, tau) amounts to character(tau, x) = character(w, y) for
     every (x, w) in the subgroup. Both sides are characters of (x, w), so the

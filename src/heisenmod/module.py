@@ -34,16 +34,13 @@ from .gabor import (
     reconstruction_residual,
     shift_orbit,
 )
-from .groups import MeasuredSubgroup, adjoint_subgroup
+from .groups import FiniteAbelianGroup, MeasuredSubgroup, adjoint_subgroup
 from .shifts import (
     Window,
-    delta_window,
     gaussian_stream,
-    heisenberg_cocycle,
     inner,
     randn_window,
     splitmix64_stream,
-    tf_shift_matrix,
 )
 from .twisted import (
     TwistedSeq,
@@ -174,12 +171,15 @@ def figa_check(eta: Window, gamma: Window, xi: Window, psi: Window, ctx: ModuleC
 
 
 def theta_matrix(eta: Window, gamma: Window, ctx: ModuleContext) -> np.ndarray:
-    """Matrix of xi -> left_act(left_inner(xi, eta), gamma), column by column."""
-    group = ctx.lattice.ambient
-    cols = []
-    for t in range(group.order):
-        basis = delta_window(group, t)
-        cols.append(left_act(left_inner(basis, eta, ctx), gamma, ctx).values)
+    """Matrix of xi -> left_act(left_inner(xi, eta), gamma), column by column.
+
+    left_inner(delta_t, eta) is analysis(eta, lattice) @ delta_t, which is
+    column t of the analysis matrix, so that matrix is built once. Each
+    column still goes through its own left_act, the integrated-representation
+    route that frame_like does not take.
+    """
+    coeffs = analysis(eta, ctx.lattice)
+    cols = [left_act(TwistedSeq(ctx.lattice, False, col), gamma, ctx).values for col in coeffs.T]
     return np.stack(cols, axis=1)
 
 
@@ -245,21 +245,52 @@ def _entry(name: str, cases: int, abs_gap: float, rel_gap: float, use_rel: bool 
     }
 
 
+def _plane_picks(group: FiniteAbelianGroup, seed: int, count: int) -> np.ndarray:
+    """Plane indices s mod |G|^2 of the first ``count`` SplitMix64 outputs s.
+
+    These index the points tf_points()[s mod |G|^2] without building the plane.
+    """
+    return (splitmix64_stream(seed, count) % np.uint64(group.order**2)).astype(np.int64)
+
+
+def _cocycle(table, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """c((x, w), (y, tau)) = conj(character(tau, x)) on coordinate arrays (rank as last axis)."""
+    return table.roots[table.pairing(tau, x)].conj()
+
+
+def _monomial_gap(col_a: np.ndarray, val_a: np.ndarray, col_b: np.ndarray, val_b: np.ndarray) -> float:
+    """Max entrywise |A - B| of monomial matrices: row t of A holds val_a[t] in column col_a[t], B likewise.
+
+    A row whose columns agree contributes |val_a - val_b|, else the larger of |val_a| and |val_b|.
+    """
+    rows = np.where(col_a == col_b, np.abs(val_a - val_b), np.maximum(np.abs(val_a), np.abs(val_b)))
+    return float(rows.max(initial=0.0))
+
+
 def _check_cocycle(ctx: ModuleContext, seed: int, cases: int) -> tuple[dict, dict]:
+    """Cocycle identity and projective relation on random plane points, all cases at once.
+
+    pi(z1) pi(z2) is monomial: row t holds roots[phase1[t]] * roots[phase2[perm1[t]]]
+    in column perm2[perm1[t]], and c(z1, z2) pi(z1 + z2) holds c * roots[phase3[t]]
+    in column perm3[t]. The projective gap is the max entrywise |difference| of
+    the two matrices, read off their rows by _monomial_gap. Neither the plane
+    nor a dense shift matrix is built.
+    """
     group = ctx.lattice.ambient
-    plane = group.tf_points()
-    seeds = splitmix64_stream(seed, 3 * cases)
-    picks = [plane[int(s % len(plane))] for s in seeds]
-    coc_gap = 0.0
-    proj_gap = 0.0
-    for i in range(cases):
-        z1, z2, z3 = picks[3 * i], picks[3 * i + 1], picks[3 * i + 2]
-        lhs = heisenberg_cocycle(group, z1, z2) * heisenberg_cocycle(group, group.tf_add(z1, z2), z3)
-        rhs = heisenberg_cocycle(group, z1, group.tf_add(z2, z3)) * heisenberg_cocycle(group, z2, z3)
-        coc_gap = max(coc_gap, abs(lhs - rhs))
-        prod = tf_shift_matrix(group, z1) @ tf_shift_matrix(group, z2)
-        twisted = heisenberg_cocycle(group, z1, z2) * tf_shift_matrix(group, group.tf_add(z1, z2))
-        proj_gap = max(proj_gap, float(np.abs(prod - twisted).max()))
+    table = group._table
+    x, w = table.split(_plane_picks(group, seed, 3 * cases).reshape(cases, 3))
+    x1, x2, _ = x.transpose(1, 0, 2)
+    w1, w2, w3 = w.transpose(1, 0, 2)
+    c12 = _cocycle(table, x1, w2)
+    lhs = c12 * _cocycle(table, x1 + x2, w3)
+    rhs = _cocycle(table, x1, w2 + w3) * _cocycle(table, x2, w3)
+    coc_gap = float(np.abs(lhs - rhs).max(initial=0.0))
+    perm, phase = table.gather(np.concatenate([x1, x2, x1 + x2]), np.concatenate([w1, w2, w1 + w2]))
+    perm1, perm2, perm3 = perm.reshape(3, cases, group.order)
+    phase1, phase2, phase3 = phase.reshape(3, cases, group.order)
+    prod = table.roots[phase1] * table.roots[np.take_along_axis(phase2, perm1, axis=1)]
+    twisted = c12[:, None] * table.roots[phase3]
+    proj_gap = _monomial_gap(np.take_along_axis(perm2, perm1, axis=1), prod, perm3, twisted)
     return (
         _entry("cocycle-identity", cases, coc_gap, coc_gap),
         _entry("projective-relation", cases, proj_gap, proj_gap),

@@ -149,9 +149,13 @@ def tf_shift_values(group: FiniteAbelianGroup, z: TFPoint, values: np.ndarray) -
     return group._table.roots[phase] * values[perm]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def tf_shift_matrix(group: FiniteAbelianGroup, z: TFPoint) -> OperatorMatrix:
-    """pi(z) as a |G| x |G| matrix (cached, read-only): row t holds roots[phase[t]] in column perm[t]."""
+    """pi(z) as a |G| x |G| matrix (read-only): row t holds roots[phase[t]] in column perm[t].
+
+    Cached for the 16 most recently used (group, point) pairs, so the cache
+    holds at most 16 dense matrices.
+    """
     perm, phase = _shift(group, z)
     n = group.order
     mat = np.zeros((n, n), dtype=np.complex128)

@@ -98,8 +98,12 @@ def involution(a: TwistedSeq) -> TwistedSeq:
 
 
 def trace(a: TwistedSeq) -> complex:
-    """Canonical trace: the coefficient at the zero point."""
-    return a.at(a.domain.ambient.tf_zero())
+    """Canonical trace: the coefficient at the zero point.
+
+    Zero has plane index 0 and a domain's points are sorted by plane index,
+    so zero is position 0 of every domain.
+    """
+    return complex(a.coeffs[0])
 
 
 def integrated_rep(a: TwistedSeq) -> OperatorMatrix:

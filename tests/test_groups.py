@@ -204,3 +204,44 @@ def test_all_subgroups_product_group():
     # The plane of Z_2 x Z_2 is (Z_2)^4 with 67 subgroups: Gaussian binomials
     # [4,k]_2 = 1, 15, 35, 15, 1.
     assert len(got) == 67
+
+
+SMALL_GROUPS = [FiniteAbelianGroup((n,)) for n in range(1, 13)] + [FiniteAbelianGroup((2, 4))]
+
+
+def test_zero_is_position_zero_of_every_subgroup():
+    # Plane indices are sorted and zero has plane index 0; twisted.trace relies on this.
+    for g in SMALL_GROUPS:
+        for elems in all_subgroups(g):
+            assert MeasuredSubgroup(g, elems, 1).elements[0] == g.tf_zero()
+
+
+def test_with_weight_shares_tables_and_equals_fresh_subgroup():
+    g = FiniteAbelianGroup((2, 4))
+    for elems in all_subgroups(g)[::10]:
+        sub = MeasuredSubgroup(g, elems, 1)
+        for weight in (Fraction(1, 2), 3, "5/7"):
+            moved = sub.with_weight(weight)
+            fresh = MeasuredSubgroup(g, elems, weight)
+            assert moved._tables is sub._tables
+            assert moved == fresh and hash(moved) == hash(fresh)
+            assert (moved.weight, moved.size) == (fresh.weight, fresh.size)
+            assert adjoint_subgroup(moved) == adjoint_subgroup(fresh)
+        assert sub.weight == 1 and sub.size * len(sub) == g.order
+
+
+def test_with_weight_rejects_non_positive_weights():
+    sub = subgroup_from_generators(Z4, [((2,), (0,))], 1)
+    for weight in (0, -1, "-1/2"):
+        with pytest.raises(ValueError):
+            sub.with_weight(weight)
+    assert sub.weight == 1
+
+
+def test_adjoint_cache_is_bounded():
+    bound = adjoint_subgroup.cache_info().maxsize
+    assert bound == 32
+    g = FiniteAbelianGroup((12,))
+    for elems in all_subgroups(g):  # 90 distinct lattices
+        adjoint_subgroup(MeasuredSubgroup(g, elems, 1))
+        assert adjoint_subgroup.cache_info().currsize <= bound

@@ -19,6 +19,7 @@ from heisenmod import (
     frame_like,
     frame_operator,
     full_plane,
+    heisenberg_cocycle,
     inner,
     integrated_rep,
     involution,
@@ -33,13 +34,16 @@ from heisenmod import (
     right_act,
     right_inner,
     shift_orbit,
+    splitmix64_stream,
     subgroup_from_generators,
     tf_shift,
+    tf_shift_matrix,
     theta_matrix,
     trivial_subgroup,
     twisted_convolve,
     verify_suite,
 )
+from heisenmod import module as module_impl
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -293,3 +297,87 @@ def test_verify_suite_passes_and_is_deterministic():
         assert entry["cases"] > 0 or entry["name"] == "dual-scaling"
     again = verify_suite(CTX4.lattice, seed=5)
     assert again == report
+
+
+def test_theta_matrix_matches_per_basis_vector_construction_exactly():
+    for ctx in (CTX4, CTX6, CTX_DIAG):
+        g = ctx.lattice.ambient
+        eta = randn_window(g, seed=50)
+        gamma = randn_window(g, seed=51)
+        cols = [left_act(left_inner(delta_window(g, t), eta, ctx), gamma, ctx).values for t in range(g.order)]
+        assert np.array_equal(theta_matrix(eta, gamma, ctx), np.stack(cols, axis=1))
+
+
+def test_monomial_gap_is_the_dense_max_difference():
+    rng = np.random.default_rng(3)
+    n = 6
+    for _ in range(20):
+        cols = rng.integers(0, n, size=(2, n))
+        cols[1, ::2] = cols[0, ::2]  # half the rows agree on the column
+        vals = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        dense = np.zeros((2, n, n), dtype=complex)
+        for k in range(2):
+            dense[k, np.arange(n), cols[k]] = vals[k]
+        expect = float(np.abs(dense[0] - dense[1]).max())
+        assert module_impl._monomial_gap(cols[0], vals[0], cols[1], vals[1]) == expect
+
+
+def _dense_cocycle_reference(group, seed, cases):
+    """The picks and both gaps by plane points, cocycle values and dense shift-matrix products."""
+    plane = group.tf_points()
+    picks = [plane[int(s % len(plane))] for s in splitmix64_stream(seed, 3 * cases)]
+    coc_gap = 0.0
+    proj_gap = 0.0
+    for i in range(cases):
+        z1, z2, z3 = picks[3 * i : 3 * i + 3]
+        lhs = heisenberg_cocycle(group, z1, z2) * heisenberg_cocycle(group, group.tf_add(z1, z2), z3)
+        rhs = heisenberg_cocycle(group, z1, group.tf_add(z2, z3)) * heisenberg_cocycle(group, z2, z3)
+        coc_gap = max(coc_gap, abs(lhs - rhs))
+        prod = tf_shift_matrix(group, z1) @ tf_shift_matrix(group, z2)
+        twisted = heisenberg_cocycle(group, z1, z2) * tf_shift_matrix(group, group.tf_add(z1, z2))
+        proj_gap = max(proj_gap, float(np.abs(prod - twisted).max()))
+    return picks, coc_gap, proj_gap
+
+
+COCYCLE_GROUPS = [FiniteAbelianGroup(o) for o in ((6,), (8,), (2, 4), (4, 4))]
+COCYCLE_SEEDS = (0, 7, int(splitmix64_stream(0x5EED, 1)[0]))
+
+
+@pytest.mark.parametrize("group", COCYCLE_GROUPS, ids=lambda g: "x".join(map(str, g.orders)))
+def test_cocycle_check_matches_dense_reference(group):
+    ctx = module_context(trivial_subgroup(group, 1))
+    for seed in COCYCLE_SEEDS:
+        picks, coc_ref, proj_ref = _dense_cocycle_reference(group, seed, 60)
+        assert group._table.points(module_impl._plane_picks(group, seed, 180)) == tuple(picks)
+        coc, proj = module_impl._check_cocycle(ctx, seed, 60)
+        assert abs(coc["max_abs_gap"] - coc_ref) <= 1e-15
+        assert abs(proj["max_abs_gap"] - proj_ref) <= 1e-15
+        assert coc["pass"] and proj["pass"]
+
+
+@pytest.mark.parametrize("group", COCYCLE_GROUPS, ids=lambda g: "x".join(map(str, g.orders)))
+def test_cocycle_check_catches_conjugated_cocycle(group, monkeypatch):
+    # conj(c) is a cocycle too, but pi(z1) pi(z2) = c(z1, z2) pi(z1 + z2) only holds for c itself.
+    monkeypatch.setattr(module_impl, "_cocycle", lambda table, x, tau: table.roots[table.pairing(tau, x)])
+    coc, proj = module_impl._check_cocycle(module_context(trivial_subgroup(group, 1)), 7, 60)
+    assert coc["pass"]
+    assert proj["max_abs_gap"] >= 0.5 and not proj["pass"]
+
+
+# verify-ladder sizes: Z96 at |Delta| = 192 (counting weight), its weight-3
+# rung and the Z80 |Delta| = 160 rung, with the benchmark's job seeds.
+BENCH_SCALE = [
+    ((96,), [((8,), (0,)), ((0,), (6,))], 1, 0, 192),
+    ((96,), [((24,), (72,)), ((0,), (4,))], 3, 451659735, 96),
+    ((80,), [((5,), (30,)), ((0,), (8,))], 1, 1252682883, 160),
+]
+
+
+@pytest.mark.parametrize("orders, gens, weight, seed, points", BENCH_SCALE)
+def test_verify_suite_passes_at_benchmark_scale(orders, gens, weight, seed, points):
+    lattice = subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight)
+    assert len(lattice) == points
+    tf_shift_matrix.cache_clear()
+    report = verify_suite(lattice, seed=seed)
+    assert report["pass"], [entry for entry in report["identities"] if not entry["pass"]]
+    assert tf_shift_matrix.cache_info().currsize == 0

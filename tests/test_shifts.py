@@ -247,3 +247,12 @@ def test_phases_reduced_mod_n_before_rounding(n):
     assert np.abs(character_vector(group, (w,)) - expect).max() <= 1e-15
     shifted = tf_shift_values(group, TFPoint((0,), (w,)), np.ones(n, dtype=complex))
     assert np.abs(shifted - expect).max() <= 1e-15
+
+
+def test_tf_shift_matrix_cache_is_bounded():
+    bound = tf_shift_matrix.cache_info().maxsize
+    assert bound == 16
+    g = FiniteAbelianGroup((8,))
+    for z in g.tf_points():  # 64 distinct points
+        tf_shift_matrix(g, z)
+        assert tf_shift_matrix.cache_info().currsize <= bound

@@ -7,9 +7,11 @@ import pytest
 
 from heisenmod import (
     FiniteAbelianGroup,
+    MeasuredSubgroup,
     TFPoint,
     TwistedSeq,
     adjoint_subgroup,
+    all_subgroups,
     cstar_norm,
     delta_seq,
     full_plane,
@@ -242,3 +244,11 @@ def test_domain_and_flag_mismatch_rejected():
             twisted_convolve(a, bad)
         with pytest.raises(ValueError):
             l2_localization_inner(a, bad)
+
+
+def test_trace_is_the_coefficient_at_zero_on_every_subgroup():
+    for g in [FiniteAbelianGroup((n,)) for n in range(1, 13)] + [FiniteAbelianGroup((2, 4))]:
+        for k, elems in enumerate(all_subgroups(g)):
+            dom = MeasuredSubgroup(g, elems, 1)
+            a = _random_seq(dom, bool(k % 2), 1000 + k)
+            assert trace(a) == a.at(g.tf_zero())
