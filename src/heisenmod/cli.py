@@ -114,10 +114,6 @@ def _resolve_seed(job: dict, args) -> int:
     return seed
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _cpair(c: complex) -> list[float]:
     return [float(c.real), float(c.imag)]
 
@@ -149,8 +145,8 @@ def cmd_adjoint(job: dict, args) -> int:
     adj = adjoint_subgroup(lattice)
     payload = {
         "elements": [_point(z) for z in adj.elements],
-        "weight": _frac(adj.weight),
-        "s": _frac(lattice.size),
+        "weight": str(adj.weight),
+        "s": str(lattice.size),
         "count": len(adj),
     }
     _emit(payload, args.out)
@@ -173,7 +169,7 @@ def cmd_frame_bounds(job: dict, args) -> int:
         "A": bounds.lower,
         "B": bounds.upper,
         "frame": is_frame(sys_, args.tol),
-        "s": _frac(lattice.size),
+        "s": str(lattice.size),
     }
     _emit(payload, args.out)
     return 0
@@ -225,13 +221,9 @@ def cmd_gen_check(job: dict, args) -> int:
 def cmd_janssen(job: dict, args) -> int:
     _, lattice, windows, _ = _system(job, args)
     eta = windows[0]
-    gap = float(
-        np.abs(
-            janssen_frame_operator(eta, lattice)
-            - frame_operator(GaborSystem(lattice, (eta,)))
-        ).max()
-    )
-    payload = {"max_abs_gap": gap, "pass": gap <= 1e-10, "s": _frac(lattice.size)}
+    diff = janssen_frame_operator(eta, lattice) - frame_operator(GaborSystem(lattice, (eta,)))
+    gap = float(np.abs(diff).max())
+    payload = {"max_abs_gap": gap, "pass": gap <= 1e-10, "s": str(lattice.size)}
     _emit(payload, args.out)
     return 0
 

@@ -60,8 +60,23 @@ class NotAFrameError(ValueError):
 
 def shift_orbit(eta: Window, sub: MeasuredSubgroup) -> np.ndarray:
     """|Delta| x |G| matrix whose row for z is pi(z) eta: one gather over the lattice's orbit table."""
+    return _orbit(eta.values, sub)
+
+
+def _orbit(values: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
+    """shift_orbit with leading case axes: values (..., |G|) give orbits (..., |Delta|, |G|)."""
     perm, phase = sub._tables.orbit
-    return sub._tables.group.roots[phase] * eta.values[perm]
+    return sub._tables.group.roots[phase] * np.take(values, perm, axis=-1)
+
+
+def _analyze(xi: np.ndarray, eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
+    """Analysis coefficients <xi, pi(z) eta> per case: (..., |G|) arrays give (..., |Delta|)."""
+    return (_orbit(eta, sub).conj() @ xi[..., None])[..., 0]
+
+
+def _gram(orbit: np.ndarray, weight) -> np.ndarray:
+    """Frame-operator product weight * orbit^T conj(orbit), per case of an (..., |Delta|, |G|) stack."""
+    return float(weight) * (np.swapaxes(orbit, -1, -2) @ orbit.conj())
 
 
 def analysis(eta: Window, sub: MeasuredSubgroup) -> np.ndarray:
@@ -86,15 +101,18 @@ def frame_operator(sys: GaborSystem) -> OperatorMatrix:
     n = sys.lattice.ambient.order
     total = np.zeros((n, n), dtype=np.complex128)
     for eta in sys.windows:
-        orbit = shift_orbit(eta, sys.lattice)
-        total += float(sys.lattice.weight) * (orbit.T @ orbit.conj())
+        total += _gram(shift_orbit(eta, sys.lattice), sys.lattice.weight)
     return total
+
+
+def _bounds(op: OperatorMatrix) -> FrameBounds:
+    eigs = np.linalg.eigvalsh(op)
+    return FrameBounds(max(float(eigs[0]), 0.0), max(float(eigs[-1]), 0.0))
 
 
 def frame_bounds(sys: GaborSystem) -> FrameBounds:
     """Extreme eigenvalues of the frame operator; tiny negative noise clamps to zero."""
-    eigs = np.linalg.eigvalsh(frame_operator(sys))
-    return FrameBounds(max(float(eigs[0]), 0.0), max(float(eigs[-1]), 0.0))
+    return _bounds(frame_operator(sys))
 
 
 def is_frame(sys: GaborSystem, tol: float = 1e-9) -> bool:
@@ -106,11 +124,11 @@ def is_frame(sys: GaborSystem, tol: float = 1e-9) -> bool:
 
 
 def dual_window(sys: GaborSystem, tol: float = 1e-9) -> list[Window]:
-    """Canonical dual windows S^{-1} eta_j; raises NotAFrameError when S is singular."""
-    bounds = frame_bounds(sys)
+    """Canonical dual windows S^{-1} eta_j; NotAFrameError when S is singular. S is built once."""
+    op = frame_operator(sys)
+    bounds = _bounds(op)
     if not bounds.lower > tol * max(bounds.upper, 1.0):
         raise NotAFrameError(bounds)
-    op = frame_operator(sys)
     group = sys.lattice.ambient
     stacked = np.stack([eta.values for eta in sys.windows], axis=1)
     duals = np.linalg.solve(op, stacked)
@@ -134,7 +152,7 @@ def janssen_frame_operator(eta: Window, sub: MeasuredSubgroup) -> OperatorMatrix
     if eta.group != sub.ambient:
         raise ValueError("window group does not match the subgroup's ambient group")
     adj = adjoint_subgroup(sub)
-    return integrated_rep(TwistedSeq(adj, False, analysis(eta, adj) @ eta.values))
+    return integrated_rep(TwistedSeq(adj, False, _analyze(eta.values, eta.values, adj)))
 
 
 def spectrum(sys: GaborSystem) -> np.ndarray:

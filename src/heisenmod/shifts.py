@@ -71,9 +71,13 @@ def randn_window(group: FiniteAbelianGroup, seed: int) -> Window:
     Box-Muller from SplitMix64 uniforms; see splitmix64_stream for the exact
     stream definition.
     """
-    n = group.order
+    return Window(group, _randn(seed, group.order))
+
+
+def _randn(seed, n: int) -> np.ndarray:
+    """Values of randn_window on a group of order n: one row per seed when ``seed`` is a sequence."""
     normals = gaussian_stream(seed, 2 * n)
-    return Window(group, normals[0::2] + 1j * normals[1::2])
+    return normals[..., 0::2] + 1j * normals[..., 1::2]
 
 
 def parse_window(group: FiniteAbelianGroup, spec: str) -> Window:
@@ -87,25 +91,28 @@ def parse_window(group: FiniteAbelianGroup, spec: str) -> Window:
     raise ValueError(f"unknown window spec {spec!r}")
 
 
-def splitmix64_stream(seed: int, count: int) -> np.ndarray:
+def splitmix64_stream(seed, count: int) -> np.ndarray:
     """First ``count`` outputs of SplitMix64 seeded with ``seed``, as uint64.
 
     Output i (0-based) mixes state seed + (i+1) * 0x9E3779B97F4A7C15 mod 2^64:
     z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
     z *= 0x94D049BB133111EB; z ^= z >> 31.
+    A sequence of seeds gives one row per seed, each equal to its scalar call.
     """
     gamma = np.uint64(0x9E3779B97F4A7C15)
+    seeds = np.asarray(seed, dtype=object)  # Python ints: exact for every seed, unlike int64 or float64
+    state = np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds.ravel()], dtype=np.uint64)
     idx = np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * gamma
+        z = state.reshape(seeds.shape + (1,)) + idx * gamma
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         z = z ^ (z >> np.uint64(31))
     return z
 
 
-def gaussian_stream(seed: int, count: int) -> np.ndarray:
-    """Standard normals from SplitMix64 via Box-Muller.
+def gaussian_stream(seed, count: int) -> np.ndarray:
+    """Standard normals from SplitMix64 via Box-Muller; one row per seed for a sequence of seeds.
 
     Uniform i is ((output_i >> 11) + 1) * 2^-53, in (0, 1]. Consecutive
     uniform pairs (u1, u2) yield the normal pair
@@ -114,12 +121,12 @@ def gaussian_stream(seed: int, count: int) -> np.ndarray:
     pairs = (count + 1) // 2
     raw = splitmix64_stream(seed, 2 * pairs)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    r = np.sqrt(-2.0 * np.log(u[0::2]))
-    theta = 2.0 * np.pi * u[1::2]
-    out = np.empty(2 * pairs, dtype=np.float64)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
-    return out[:count]
+    r = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+    theta = 2.0 * np.pi * u[..., 1::2]
+    out = np.empty(u.shape, dtype=np.float64)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out[..., :count]
 
 
 def _shift(group: FiniteAbelianGroup, z: TFPoint) -> tuple[np.ndarray, np.ndarray]:

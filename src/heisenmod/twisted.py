@@ -18,8 +18,12 @@ involution identity rep(a*) = rep(a)^H holds for both flags.
 Every product, involution and representation reads the domain's integer
 tables (see groups): the add and neg index tables, the cocycle as integer
 phases mod N with kappa = roots[phase] (roots[-phase] on the conjugated
-flag), and the orbit gather. The integrated representation is one scatter
-of |Delta| * |G| entries into the |G| x |G| matrix.
+flag), and the orbit gather; all are gathers, and the kernels behind them
+take leading case axes. The integrated representation sums the orbit phases
+over each time fibre, m_x(t) = sum over (x, w) of a(x, w) roots[pairing(w, t)],
+and places m_x(t) at row t, column index(t - x) of the |G| x |G| matrix;
+applied to a vector (_act, the module actions) the same form takes
+O(|Delta| |G|) and builds no matrix.
 """
 
 from __future__ import annotations
@@ -71,30 +75,33 @@ def _require_same_algebra(a: TwistedSeq, b: TwistedSeq) -> None:
         raise ValueError("sequences belong to different twisted algebras")
 
 
-def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """out[i] = sum of the values whose index is i."""
-    out = np.empty(size, dtype=np.complex128)
-    out.real = np.bincount(index.ravel(), weights=values.real.ravel(), minlength=size)
-    out.imag = np.bincount(index.ravel(), weights=values.imag.ravel(), minlength=size)
-    return out
-
-
 def twisted_convolve(a: TwistedSeq, b: TwistedSeq) -> TwistedSeq:
     """(a * b)(z) = weight * sum over w of kappa(w, z - w) a(w) b(z - w)."""
     _require_same_algebra(a, b)
-    tables = a.domain._tables
-    phase = -tables.cocycle % tables.group.modulus if a.conjugated else tables.cocycle
-    contrib = float(a.domain.weight) * (a.coeffs[:, None] * tables.group.roots[phase] * b.coeffs[None, :])
-    return TwistedSeq(a.domain, a.conjugated, _scatter(tables.add, contrib, len(a.domain)))
+    return TwistedSeq(a.domain, a.conjugated, _convolve(a.domain, a.conjugated, a.coeffs, b.coeffs))
+
+
+def _convolve(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """twisted_convolve per case of leading axes: term [i, k] pairs w_i with z_k - w_i, summed over i."""
+    tables = domain._tables
+    sub = tables.add[tables.neg]  # sub[i, k] = position of z_k - w_i
+    phase = np.take_along_axis(tables.cocycle, sub, axis=1)
+    phase = -phase % tables.group.modulus if conjugated else phase
+    terms = float(domain.weight) * (a[..., :, None] * tables.group.roots[phase] * np.take(b, sub, axis=-1))
+    return terms.sum(axis=-2)
 
 
 def involution(a: TwistedSeq) -> TwistedSeq:
     """a*(z) = conj(kappa(z, -z)) conj(a(-z)), where c(z, -z) = character(w, x) for z = (x, w)."""
-    tables = a.domain._tables
+    return TwistedSeq(a.domain, a.conjugated, _involve(a.domain, a.conjugated, a.coeffs))
+
+
+def _involve(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np.ndarray:
+    tables = domain._tables
     phase = tables.group.pairing(tables.w, tables.x)
-    if not a.conjugated:
+    if not conjugated:
         phase = -phase % tables.group.modulus
-    return TwistedSeq(a.domain, a.conjugated, tables.group.roots[phase] * a.coeffs[tables.neg].conj())
+    return tables.group.roots[phase] * a[..., tables.neg].conj()
 
 
 def trace(a: TwistedSeq) -> complex:
@@ -107,19 +114,59 @@ def trace(a: TwistedSeq) -> complex:
 
 
 def integrated_rep(a: TwistedSeq) -> OperatorMatrix:
-    """weight * sum_z a(z) pi(z), with pi(z)* in place of pi(z) on the conjugated flag.
+    """weight * sum_z a(z) pi(z), with pi(z)* in place of pi(z) on the conjugated flag."""
+    return _rep(a.domain, a.conjugated, a.coeffs)
 
-    One scatter of the domain's orbit gather, since pi(z) holds
-    roots[phase[z, t]] at row t, column perm[z, t]. On the conjugated flag
-    the result is the conjugate transpose of the plain scatter of conj(a).
+
+def _rep(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np.ndarray:
+    """integrated_rep with leading case axes: (..., |Delta|) give (..., |G|, |G|).
+
+    Row t of the time-fibre form sum_x diag(m_x) T_x (see _act) holds m_x(t)
+    in column index(t - x), one fibre sum per entry. The conjugated flag
+    takes the conjugate transpose of the plain form of conj(a).
     """
-    tables = a.domain._tables
+    roots, gather = _fibres(domain, False)
+    n = roots.shape[-1]
+    mat = np.zeros(a.shape[:-1] + (n, n), dtype=np.complex128)
+    mat[..., np.arange(n), gather] = _fibre_sums(a.conj() if conjugated else a, roots)
+    mat *= float(domain.weight)
+    return np.swapaxes(np.conjugate(mat, out=mat), -1, -2) if conjugated else mat
+
+
+def _fibres(domain: MeasuredSubgroup, conjugated: bool) -> tuple[np.ndarray, np.ndarray]:
+    """roots[phase] as (runs, |Delta_0|, |G|), and per run the gather index(t - x), or index(t + x).
+
+    Points sorted by plane index come in equal runs, one per time shift x,
+    each a coset of Delta_0 = {w : (0, w) in Delta}. The conjugated flag takes index(t + x).
+    """
+    tables, group = domain._tables, domain._tables.group
     perm, phase = tables.orbit
-    n = tables.group.size
-    coeffs = a.coeffs.conj() if a.conjugated else a.coeffs
-    entries = _scatter(perm + n * np.arange(n), coeffs[:, None] * tables.group.roots[phase], n * n)
-    mat = float(a.domain.weight) * entries.reshape(n, n)
-    return mat.conj().T if a.conjugated else mat
+    d0 = int(np.searchsorted(tables.plane, group.size))
+    roots = group.roots[phase].reshape(-1, d0, group.size)
+    if not conjugated:
+        return roots, perm[::d0]
+    return roots, group.index(group.coords[None] + tables.x[::d0, None])
+
+
+def _fibre_sums(a: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """m_x(t) = sum over the points (x, w) of a(x, w) roots[pairing(w, t)], per case: (..., runs, |G|)."""
+    return (a.reshape(a.shape[:-1] + roots.shape[:2] + (1,)) * roots).sum(axis=-2)
+
+
+def _act(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, xi: np.ndarray, fibres=None):
+    """integrated_rep(a) @ xi per case of leading axes, in time-fibre form; fibres from _fibres.
+
+    rep(a) = weight * sum_x diag(m_x) T_x with the fibre sums m_x of a, each
+    summed first as the matrix groups its entries. The conjugated flag applies
+    its conjugate transpose, m from conj(a): weight * sum_x conj(m_x(t + x)) xi(t + x).
+    """
+    roots, gather = _fibres(domain, conjugated) if fibres is None else fibres
+    if conjugated:
+        m = _fibre_sums(a.conj(), roots).conj()
+        terms = np.take_along_axis(m * xi[..., None, :], np.broadcast_to(gather, m.shape), axis=-1)
+    else:
+        terms = _fibre_sums(a, roots) * xi[..., gather]
+    return float(domain.weight) * terms.sum(axis=-2)
 
 
 def cstar_norm(a: TwistedSeq) -> float:

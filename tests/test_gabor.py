@@ -188,3 +188,38 @@ def test_spectrum_descending_and_matches_bounds():
     b = frame_bounds(sys2)
     assert eigs[0] == pytest.approx(b.upper, abs=1e-11)
     assert eigs[-1] == pytest.approx(b.lower, abs=1e-11)
+
+
+def _old_dual_window(sys, tol=1e-9):
+    """dual_window as composed before: frame_bounds, then a second frame operator for solve."""
+    bounds = frame_bounds(sys)
+    if not bounds.lower > tol * max(bounds.upper, 1.0):
+        raise NotAFrameError(bounds)
+    stacked = np.stack([eta.values for eta in sys.windows], axis=1)
+    return np.linalg.solve(frame_operator(sys), stacked)
+
+
+@pytest.mark.parametrize("orders, gens, k", [
+    ((12,), [((2,), (0,)), ((0,), (3,))], 1),
+    ((12,), [((3,), (4,)), ((0,), (2,))], 3),
+    ((2, 4), [((1, 0), (0, 0)), ((0, 2), (1, 0)), ((0, 0), (0, 2))], 2),
+    ((8, 8), [((8, 0), (0, 0)), ((0, 1), (4, 2)), ((0, 0), (4, 0)), ((0, 0), (0, 2))], 1),
+])
+def test_dual_window_is_bit_identical_to_bounds_then_solve(orders, gens, k):
+    group = FiniteAbelianGroup(orders)
+    sys = GaborSystem(subgroup_from_generators(group, gens, 1), tuple(randn_window(group, s) for s in range(k)))
+    duals = np.stack([gamma.values for gamma in dual_window(sys)], axis=1)
+    assert duals.tobytes() == _old_dual_window(sys).tobytes()
+
+
+@pytest.mark.parametrize("order, tol", [(4, 1e-9), (8, 0.5)])
+def test_dual_window_error_bounds_are_bit_identical(order, tol):
+    # Z4: redundancy 1/2, never a frame; Z8: a frame at critical density, too ill-conditioned for tol 0.5
+    group = FiniteAbelianGroup((order,))
+    lattice = subgroup_from_generators(group, [((2,), (0,)), ((0,), (4,))], 1)
+    sys = GaborSystem(lattice, (randn_window(group, 2),))
+    with pytest.raises(NotAFrameError) as expect:
+        _old_dual_window(sys, tol)
+    with pytest.raises(NotAFrameError) as got:
+        dual_window(sys, tol)
+    assert got.value.bounds == expect.value.bounds

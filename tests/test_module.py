@@ -1,5 +1,6 @@
 """Heisenberg-module structure: inner products, actions, norms, FIGA, verification."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +11,14 @@ from heisenmod import (
     GaborSystem,
     ModuleContext,
     TFPoint,
+    Window,
     adjoint_subgroup,
     cstar_norm,
     delta_seq,
     delta_window,
     dual_lattice_norm_scaling,
     figa_check,
+    frame_bounds,
     frame_like,
     frame_operator,
     full_plane,
@@ -378,6 +381,78 @@ def test_verify_suite_passes_at_benchmark_scale(orders, gens, weight, seed, poin
     lattice = subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight)
     assert len(lattice) == points
     tf_shift_matrix.cache_clear()
-    report = verify_suite(lattice, seed=seed)
+    tracemalloc.start()
+    try:
+        report = verify_suite(lattice, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert report["pass"], [entry for entry in report["identities"] if not entry["pass"]]
     assert tf_shift_matrix.cache_info().currsize == 0
+    # chunked checks keep every temporary near 2^15 complex entries
+    assert peak <= 3 * 2**20, peak
+
+
+# The two Z8^2 jobs at critical density whose frames are ill-conditioned
+# (kappa = B/A about 1e5): valid reconstructions that an absolute residual
+# bound of 1e-9 rejected.
+CRITICAL_Z8 = [
+    ([[[8, 0], [0, 0]], [[0, 1], [4, 2]], [[0, 0], [4, 0]], [[0, 0], [0, 2]]], 639174198),
+    ([[[8, 0], [0, 0]], [[0, 1], [1, 3]], [[0, 0], [4, 0]], [[0, 0], [0, 2]]], 1294990106),
+]
+
+
+@pytest.mark.parametrize("gens, seed", CRITICAL_Z8)
+def test_reconstruction_passes_on_ill_conditioned_critical_frames(gens, seed):
+    lattice = subgroup_from_generators(FiniteAbelianGroup((8, 8)), [(tuple(x), tuple(w)) for x, w in gens], 1)
+    report = verify_suite(lattice, seed=seed)
+    recon = next(e for e in report["identities"] if e["name"] == "reconstruction")
+    assert recon["cases"] > 0 and recon["max_abs_gap"] > 1e-9  # the old absolute bound failed here
+    assert report["pass"], [e for e in report["identities"] if not e["pass"]]
+
+
+@pytest.mark.parametrize("orders, gens, seed", [((8, 8),) + CRITICAL_Z8[0], ((6,), [[[2], [0]], [[0], [3]]], 4)])
+def test_reconstruction_fails_with_a_wrong_dual(orders, gens, seed, monkeypatch):
+    # gamma = eta / B reconstructs only for tight frames; residual / (kappa |xi|) stays large
+    def wrong_dual(sys, tol=1e-9):
+        upper = frame_bounds(sys).upper
+        return [Window(eta.group, eta.values / upper) for eta in sys.windows]
+
+    lattice = subgroup_from_generators(FiniteAbelianGroup(orders), [(tuple(x), tuple(w)) for x, w in gens], 1)
+    monkeypatch.setattr(module_impl, "dual_window", wrong_dual)
+    recon = next(e for e in verify_suite(lattice, seed=seed)["identities"] if e["name"] == "reconstruction")
+    assert recon["cases"] > 0
+    assert not recon["pass"] and recon["max_rel_gap"] > 1e-6, recon
+
+
+ACTION_CONTEXTS = [CTX4, CTX6, CTX_DIAG, module_context(subgroup_from_generators(Z6, [((2,), (3,))], Fraction(1, 3)))]
+
+
+@pytest.mark.parametrize("ctx", ACTION_CONTEXTS, ids=["lat4", "lat6", "diag4", "z6-weight-1/3"])
+def test_actions_apply_the_integrated_representation(ctx):
+    g = ctx.lattice.ambient
+    xi = randn_window(g, seed=60)
+    a = left_inner(randn_window(g, 61), randn_window(g, 62), ctx)
+    b = right_inner(randn_window(g, 63), randn_window(g, 64), ctx)
+    left_bound = 1e-13 * np.abs(a.coeffs).sum() * xi.norm()
+    right_bound = 1e-13 * np.abs(b.coeffs).sum() * xi.norm()
+    assert np.abs(left_act(a, xi, ctx).values - integrated_rep(a) @ xi.values).max() <= left_bound
+    assert np.abs(right_act(xi, b, ctx).values - integrated_rep(b) @ xi.values).max() <= right_bound
+
+
+def test_public_names_are_the_imported_api():
+    import heisenmod
+
+    assert heisenmod.__all__ == sorted(
+        """FiniteAbelianGroup GroupElement MeasuredSubgroup TFPoint adjoint_subgroup all_subgroups
+        character character_vector default_measures full_plane subgroup_from_generators
+        trivial_subgroup OperatorMatrix Window const_window delta_window gaussian_stream
+        heisenberg_cocycle inner modulate parse_window randn_window splitmix64_stream tf_shift
+        tf_shift_adjoint_matrix tf_shift_matrix tf_shift_values translate TwistedSeq cstar_norm
+        delta_seq integrated_rep involution l2_localization_inner trace twisted_convolve unit_seq
+        FrameBounds GaborSystem NotAFrameError analysis dual_window frame_bounds frame_like
+        frame_operator is_frame janssen_frame_operator reconstruction_residual shift_orbit spectrum
+        synthesis ModuleContext dual_lattice_norm_scaling figa_check left_act left_inner
+        localization_check module_context module_expansion module_frame_check module_norm right_act
+        right_inner theta_matrix verify_suite""".split()
+    )

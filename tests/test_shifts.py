@@ -256,3 +256,33 @@ def test_tf_shift_matrix_cache_is_bounded():
     for z in g.tf_points():  # 64 distinct points
         tf_shift_matrix(g, z)
         assert tf_shift_matrix.cache_info().currsize <= bound
+
+
+STREAM_SEEDS = [0, 1, 2**31, 2**63, 2**63 + 12345, 2**64 - 1, 0xDEADBEEF, -3, 2**70 + 9]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 24, 191, 192])
+def test_stream_rows_are_bit_identical_to_scalar_calls(count):
+    rows = splitmix64_stream(STREAM_SEEDS, count)
+    normals = gaussian_stream(STREAM_SEEDS, count)
+    assert rows.shape == normals.shape == (len(STREAM_SEEDS), count)
+    for seed, row, normal in zip(STREAM_SEEDS, rows, normals):
+        assert np.array_equal(row, splitmix64_stream(seed, count))
+        assert gaussian_stream(seed, count).tobytes() == normal.tobytes()
+    # a uint64 seed array, as the derived seeds come, and a 2-d seed array
+    derived = splitmix64_stream(11, 6)
+    assert np.array_equal(splitmix64_stream(derived, count), splitmix64_stream([int(s) for s in derived], count))
+    grid = gaussian_stream(derived.reshape(2, 3), count)
+    assert grid.shape == (2, 3, count)
+    assert grid.reshape(6, count).tobytes() == gaussian_stream(derived, count).tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 4, 5, 96])
+def test_randn_rows_are_bit_identical_to_randn_window(order):
+    from heisenmod.shifts import _randn
+
+    group = FiniteAbelianGroup((order,))
+    rows = _randn(STREAM_SEEDS, order)
+    assert rows.shape == (len(STREAM_SEEDS), order)
+    for seed, row in zip(STREAM_SEEDS, rows):
+        assert randn_window(group, seed).values.tobytes() == row.tobytes()

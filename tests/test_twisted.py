@@ -252,3 +252,51 @@ def test_trace_is_the_coefficient_at_zero_on_every_subgroup():
             dom = MeasuredSubgroup(g, elems, 1)
             a = _random_seq(dom, bool(k % 2), 1000 + k)
             assert trace(a) == a.at(g.tf_zero())
+
+
+SMALL_GROUPS = [FiniteAbelianGroup((n,)) for n in range(1, 13)] + [FiniteAbelianGroup((2, 4))]
+
+
+@pytest.mark.parametrize("weight", [Fraction(1), Fraction(1, 3)], ids=["w1", "w1/3"])
+def test_fibre_action_matches_integrated_rep_on_every_subgroup(weight):
+    from heisenmod.twisted import _act
+
+    for g in SMALL_GROUPS:
+        for k, elems in enumerate(all_subgroups(g)):
+            dom = MeasuredSubgroup(g, elems, weight)
+            raw = splitmix64_stream(500 + k, 2 * g.order).astype(np.float64) / 2.0**63 - 1.0
+            xi = raw[0::2] + 1j * raw[1::2]
+            for flag in (False, True):
+                a = _random_seq(dom, flag, 3000 + k)
+                bound = 1e-13 * np.abs(a.coeffs).sum() * np.linalg.norm(xi)
+                got = _act(dom, flag, a.coeffs, xi)
+                assert np.abs(got - integrated_rep(a) @ xi).max() <= bound, (g.orders, elems, flag)
+
+
+def test_fibre_runs_have_equal_length_on_every_subgroup():
+    for g in SMALL_GROUPS:
+        for elems in all_subgroups(g):
+            tables = MeasuredSubgroup(g, elems, 1)._tables
+            d0 = int(np.sum(tables.plane < g.order))  # |Delta_0|: points (0, w)
+            runs = tables.x.reshape(-1, d0, g.rank)  # raises unless d0 divides |Delta|
+            assert np.all(runs == runs[:, :1])  # one time shift per run
+            assert len(np.unique(runs[:, 0], axis=0)) == len(runs)  # distinct shifts
+
+
+def test_kernels_with_a_case_axis_equal_per_case_calls_bit_for_bit():
+    from heisenmod.twisted import _act, _convolve, _involve, _rep
+
+    lat = subgroup_from_generators(FiniteAbelianGroup((12,)), [((2,), (3,)), ((0,), (4,))], Fraction(1, 3))
+    n = lat.ambient.order
+    xi = np.stack([_random_seq(lat, False, 90 + i).coeffs[:n] for i in range(3)])  # |lat| = 36 > n
+    for flag in (False, True):
+        a = np.stack([_random_seq(lat, flag, 10 + i).coeffs for i in range(3)])
+        b = np.stack([_random_seq(lat, flag, 20 + i).coeffs for i in range(3)])
+        conv, inv = _convolve(lat, flag, a, b), _involve(lat, flag, a)
+        rep, act = _rep(lat, flag, a), _act(lat, flag, a, xi)
+        for i in range(3):
+            one_a, one_b = TwistedSeq(lat, flag, a[i]), TwistedSeq(lat, flag, b[i])
+            assert conv[i].tobytes() == twisted_convolve(one_a, one_b).coeffs.tobytes()
+            assert inv[i].tobytes() == involution(one_a).coeffs.tobytes()
+            assert rep[i].tobytes() == np.ascontiguousarray(integrated_rep(one_a)).tobytes()
+            assert act[i].tobytes() == _act(lat, flag, a[i], xi[i]).tobytes()

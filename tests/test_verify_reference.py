@@ -1,0 +1,280 @@
+"""The verify checks against their per-case reference loops.
+
+Each check of verify_suite draws all its cases in one stream call and
+evaluates them as stacked arrays, in chunks. The loops below compute the same
+identities one case at a time through the per-object public functions, with
+one stream call per window; they are the reference the stacked checks must
+reproduce: the same verdicts and gaps within 1e-13.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from heisenmod import (
+    FiniteAbelianGroup,
+    GaborSystem,
+    TwistedSeq,
+    cstar_norm,
+    dual_lattice_norm_scaling,
+    dual_window,
+    figa_check,
+    frame_like,
+    frame_operator,
+    gaussian_stream,
+    integrated_rep,
+    involution,
+    is_frame,
+    janssen_frame_operator,
+    l2_localization_inner,
+    left_act,
+    left_inner,
+    localization_check,
+    module_context,
+    module_expansion,
+    module_frame_check,
+    module_norm,
+    randn_window,
+    reconstruction_residual,
+    right_act,
+    right_inner,
+    shift_orbit,
+    splitmix64_stream,
+    subgroup_from_generators,
+    theta_matrix,
+    trace,
+    twisted_convolve,
+    verify_suite,
+)
+from heisenmod import module as module_impl
+from heisenmod.module import VERIFY_TOLERANCES
+
+
+def _derived_seeds(seed, count):
+    return [int(v) for v in splitmix64_stream(seed, count)]
+
+
+def _random_seq(domain, conjugated, seed):
+    vals = gaussian_stream(seed, 2 * len(domain))
+    return TwistedSeq(domain, conjugated, vals[0::2] + 1j * vals[1::2])
+
+
+def _ref_twisted_axioms(ctx, seed, cases):
+    gap = 0.0
+    seeds = _derived_seeds(seed, 6 * cases)
+    for i in range(cases):
+        for domain, flag in ((ctx.lattice, False), (ctx.dual, True)):
+            a = _random_seq(domain, flag, seeds[6 * i])
+            b = _random_seq(domain, flag, seeds[6 * i + 1])
+            c = _random_seq(domain, flag, seeds[6 * i + 2])
+            assoc = twisted_convolve(twisted_convolve(a, b), c).coeffs - twisted_convolve(
+                a, twisted_convolve(b, c)
+            ).coeffs
+            gap = max(gap, float(np.abs(assoc).max()))
+            invol = involution(involution(a)).coeffs - a.coeffs
+            gap = max(gap, float(np.abs(invol).max()))
+            prod_star = involution(twisted_convolve(a, b)).coeffs - twisted_convolve(
+                involution(b), involution(a)
+            ).coeffs
+            gap = max(gap, float(np.abs(prod_star).max()))
+            rep_ab = integrated_rep(twisted_convolve(a, b))
+            ordered = integrated_rep(b) @ integrated_rep(a) if flag else integrated_rep(a) @ integrated_rep(b)
+            gap = max(gap, float(np.abs(rep_ab - ordered).max()))
+            rep_star = integrated_rep(involution(a)) - integrated_rep(a).conj().T
+            gap = max(gap, float(np.abs(rep_star).max()))
+            tracial = trace(twisted_convolve(a, involution(b))) - trace(
+                twisted_convolve(involution(b), a)
+            )
+            gap = max(gap, abs(tracial))
+            pairing = l2_localization_inner(a, b) - float(domain.weight) * complex(
+                np.sum(a.coeffs * b.coeffs.conj())
+            )
+            gap = max(gap, abs(pairing))
+    return {"twisted-axioms": (gap, gap)}
+
+
+def _ref_localization(ctx, seed, cases):
+    gap = 0.0
+    seeds = _derived_seeds(seed, 2 * cases)
+    group = ctx.lattice.ambient
+    for i in range(cases):
+        xi = randn_window(group, seeds[2 * i])
+        eta = randn_window(group, seeds[2 * i + 1])
+        res = localization_check(xi, eta, ctx)
+        gap = max(gap, abs(res["lhs"] - res["rhs"]), abs(res["via_right"] - res["rhs"]))
+    return {"localization": (gap, gap)}
+
+
+def _ref_norm_chain(ctx, seed, cases):
+    rel = 0.0
+    embed = 0.0
+    for s in _derived_seeds(seed, cases):
+        eta = randn_window(ctx.lattice.ambient, s)
+        via_spectrum = module_norm(eta, ctx)
+        orbit_svals = np.linalg.svd(shift_orbit(eta, ctx.lattice), compute_uv=False)
+        via_analysis = math.sqrt(float(ctx.lattice.weight)) * float(orbit_svals[0])
+        via_algebra = math.sqrt(cstar_norm(left_inner(eta, eta, ctx)))
+        scale = max(via_spectrum, 1e-30)
+        rel = max(
+            rel,
+            abs(via_spectrum - via_analysis) / scale,
+            abs(via_spectrum - via_algebra) / scale,
+        )
+        bound = math.sqrt(float(ctx.lattice.size)) * via_spectrum
+        embed = max(embed, (eta.norm() - bound) / max(bound, 1.0))
+    embed = max(embed, 0.0)
+    return {"norm-chain": (rel, rel), "embedding-bound": (embed, embed)}
+
+
+def _ref_operator_extension(ctx, seed, cases):
+    gap = 0.0
+    seeds = _derived_seeds(seed, 2 * cases)
+    group = ctx.lattice.ambient
+    for i in range(cases):
+        eta = randn_window(group, seeds[2 * i])
+        gamma = randn_window(group, seeds[2 * i + 1])
+        diff = theta_matrix(eta, gamma, ctx) - frame_like(eta, gamma, ctx.lattice)
+        gap = max(gap, float(np.abs(diff).max()))
+    return {"operator-extension": (gap, gap)}
+
+
+def _ref_janssen(ctx, seed, cases):
+    gap = 0.0
+    for s in _derived_seeds(seed, cases):
+        eta = randn_window(ctx.lattice.ambient, s)
+        diff = janssen_frame_operator(eta, ctx.lattice) - frame_operator(
+            GaborSystem(ctx.lattice, (eta,))
+        )
+        gap = max(gap, float(np.abs(diff).max()))
+    return {"janssen": (gap, gap)}
+
+
+def _ref_figa(ctx, seed, cases):
+    abs_gap = 0.0
+    rel_gap = 0.0
+    seeds = _derived_seeds(seed, 4 * cases)
+    group = ctx.lattice.ambient
+    for i in range(cases):
+        eta, gamma, xi, psi = (randn_window(group, s) for s in seeds[4 * i : 4 * i + 4])
+        res = figa_check(eta, gamma, xi, psi, ctx)
+        abs_gap = max(abs_gap, res["abs_gap"])
+        rel_gap = max(rel_gap, res["rel_gap"])
+    return {"figa": (abs_gap, rel_gap)}
+
+
+def _ref_imprimitivity(ctx, seed, cases):
+    gap = 0.0
+    seeds = _derived_seeds(seed, 3 * cases)
+    group = ctx.lattice.ambient
+    for i in range(cases):
+        xi, eta, gamma = (randn_window(group, s) for s in seeds[3 * i : 3 * i + 3])
+        lhs = left_act(left_inner(xi, eta, ctx), gamma, ctx).values
+        rhs = right_act(xi, right_inner(eta, gamma, ctx), ctx).values
+        gap = max(gap, float(np.abs(lhs - rhs).max()))
+    return {"imprimitivity": (gap, gap)}
+
+
+def _ref_generators(ctx, seed, frame_tol):
+    """The per-case loop, with each residual also divided by kappa * |xi| (the decisive value)."""
+    disagreements = 0
+    recon_gap = 0.0
+    recon_rel = 0.0
+    seeds = _derived_seeds(seed, 18)
+    group = ctx.lattice.ambient
+    pos = 0
+    for k in (1, 2, 3):
+        for rep in range(2):
+            base = seeds[pos : pos + k]
+            pos += k
+            windows = [randn_window(group, s) for s in base]
+            verdict = module_frame_check(windows, ctx, frame_tol)
+            gabor_verdict = is_frame(GaborSystem(ctx.lattice, tuple(windows)), frame_tol)
+            if verdict["generating"] != gabor_verdict:
+                disagreements += 1
+            if verdict["generating"] and gabor_verdict:
+                xi = randn_window(group, seeds[pos % len(seeds)])
+                sys = GaborSystem(ctx.lattice, tuple(windows))
+                duals = dual_window(sys, frame_tol)
+                scale = verdict["bounds"].upper / verdict["bounds"].lower * xi.norm()
+                residual = reconstruction_residual(sys, duals, xi)
+                coeffs = module_expansion(xi, windows, ctx, frame_tol)
+                rebuilt = np.zeros(group.order, dtype=np.complex128)
+                for a, eta in zip(coeffs, windows):
+                    rebuilt += left_act(a, eta, ctx).values
+                residual = max(residual, float(np.linalg.norm(rebuilt - xi.values)))
+                recon_gap = max(recon_gap, residual)
+                recon_rel = max(recon_rel, residual / scale)
+    return {
+        "generator-equivalence": (float(disagreements), float(disagreements)),
+        "reconstruction": (recon_gap, recon_rel),
+    }
+
+
+def _ref_dual_scaling(ctx, seed, cases):
+    if ctx.lattice.weight != 1:
+        return {"dual-scaling": (0.0, 0.0)}
+    ratios = []
+    for s in _derived_seeds(seed, cases):
+        eta = randn_window(ctx.lattice.ambient, s)
+        ratios.append(dual_lattice_norm_scaling(eta, ctx)["ratio"])
+    arr = np.asarray(ratios)
+    spread = float(arr.std() / arr.mean()) if arr.mean() > 0 else 0.0
+    return {"dual-scaling": (spread, spread)}
+
+
+def _reference_suite(lattice, seed, frame_tol=1e-9):
+    """Gaps (abs, rel) per identity, with verify_suite's salts and case counts."""
+    ctx = module_context(lattice)
+    salts = [int(v) for v in splitmix64_stream(seed ^ 0x5EED, 16)]
+    gaps = {}
+    gaps.update(_ref_twisted_axioms(ctx, salts[1], 8))
+    gaps.update(_ref_localization(ctx, salts[2], 40))
+    gaps.update(_ref_norm_chain(ctx, salts[3], 20))
+    gaps.update(_ref_operator_extension(ctx, salts[4], 10))
+    gaps.update(_ref_janssen(ctx, salts[5], 10))
+    gaps.update(_ref_figa(ctx, salts[6], 40))
+    gaps.update(_ref_imprimitivity(ctx, salts[7], 10))
+    gaps.update(_ref_generators(ctx, salts[8], frame_tol))
+    gaps.update(_ref_dual_scaling(ctx, salts[9], 20))
+    return gaps
+
+
+USE_REL = {"figa", "reconstruction"}
+
+REFERENCE_LATTICES = {
+    "Z6": ((6,), [((2,), (0,)), ((0,), (3,))], 1),
+    "Z8": ((8,), [((2,), (2,)), ((0,), (4,))], 1),
+    "Z2xZ4": ((2, 4), [((1, 0), (0, 0)), ((0, 2), (1, 0)), ((0, 0), (0, 2))], 1),
+    "Z4^2": ((4, 4), [((2, 0), (0, 2)), ((0, 1), (2, 1)), ((0, 0), (2, 0)), ((0, 0), (0, 2))], 1),
+    "Z8 weight 2": ((8,), [((4,), (0,)), ((0,), (2,))], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_LATTICES))
+def test_stacked_checks_match_per_case_reference(name):
+    orders, gens, weight = REFERENCE_LATTICES[name]
+    lattice = subgroup_from_generators(FiniteAbelianGroup(orders), gens, Fraction(weight))
+    for seed in (0, 7, 2**63 + 5):
+        report = {e["name"]: e for e in verify_suite(lattice, seed=seed)["identities"]}
+        reference = _reference_suite(lattice, seed)
+        assert set(reference) <= set(report)
+        for ident, (abs_gap, rel_gap) in reference.items():
+            entry = report[ident]
+            assert abs(entry["max_abs_gap"] - abs_gap) <= 1e-13, (ident, entry, abs_gap)
+            assert abs(entry["max_rel_gap"] - rel_gap) <= 1e-13, (ident, entry, rel_gap)
+            decisive = rel_gap if ident in USE_REL else abs_gap
+            assert entry["pass"] == (decisive <= VERIFY_TOLERANCES[ident]), (ident, entry)
+
+
+def test_chunk_size_does_not_change_the_report(monkeypatch):
+    # One case per chunk against the default chunks: the same verdicts and gaps within rounding.
+    lattice = subgroup_from_generators(FiniteAbelianGroup((12,)), [((2,), (3,)), ((0,), (4,))], 1)
+    full = verify_suite(lattice, seed=3)
+    monkeypatch.setattr(module_impl, "_CHUNK", 1)
+    single = verify_suite(lattice, seed=3)
+    assert [e["pass"] for e in single["identities"]] == [e["pass"] for e in full["identities"]]
+    for a, b in zip(single["identities"], full["identities"]):
+        assert a["cases"] == b["cases"]
+        assert abs(a["max_abs_gap"] - b["max_abs_gap"]) <= 1e-13, (a, b)
