@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gabor import (GaborSystem, dual_window, frame_bounds, frame_operator, is_frame,
+from .gabor import (GaborSystem, _dual_window, _frame_test, frame_bounds, frame_operator,
                     janssen_frame_operator, spectrum)
 from .groups import FiniteAbelianGroup, adjoint_subgroup, subgroup_from_generators
 from .module import figa_check, module_context, module_frame_check, verify_suite
@@ -49,7 +49,7 @@ def _load_job(path: str) -> dict:
 def _parse_group(job: dict):
     orders = job.get("group")
     if not isinstance(orders, list) or not orders or not all(
-        isinstance(n, int) and n >= 1 for n in orders
+        type(n) is int and n >= 1 for n in orders  # JSON true/false parse to bool, an int subclass
     ):
         raise SpecError('field "group" must be a nonempty list of integers >= 1')
     return FiniteAbelianGroup(tuple(orders))
@@ -65,7 +65,7 @@ def _parse_lattice(job: dict, group):
             not isinstance(g, list)
             or len(g) != 2
             or not all(isinstance(part, list) for part in g)
-            or not all(isinstance(v, int) for part in g for v in part)
+            or not all(type(v) is int for part in g for v in part)
             or any(len(part) != group.rank for part in g)
         ):
             raise SpecError(f"generator {g!r} is not a [[x...],[w...]] integer pair")
@@ -93,10 +93,10 @@ def _parse_windows(job: dict, group):
                 raise SpecError(str(exc)) from exc
         elif isinstance(item, list):
             if len(item) != group.order or not all(
-                isinstance(p, list) and len(p) == 2 for p in item
+                isinstance(p, list) and len(p) == 2 and all(map(_finite, p)) for p in item
             ):
                 raise SpecError(
-                    f"explicit window needs {group.order} [re, im] pairs, got {item!r}"
+                    f"explicit window needs {group.order} [re, im] pairs of finite numbers, got {item!r}"
                 )
             vals = np.array([complex(p[0], p[1]) for p in item])
             windows.append(Window(group, vals))
@@ -105,21 +105,22 @@ def _parse_windows(job: dict, group):
     return windows
 
 
+def _finite(v) -> bool:
+    """A finite JSON number: not a boolean, NaN or infinity, and within float range."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 def _resolve_seed(job: dict, args) -> int:
     if args.seed is not None:
         return args.seed
     seed = job.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         raise SpecError('field "seed" must be a nonnegative integer')
     return seed
 
 
 def _cpair(c: complex) -> list[float]:
     return [float(c.real), float(c.imag)]
-
-
-def _point(z) -> list[list[int]]:
-    return [list(z[0]), list(z[1])]
 
 
 def _emit(payload: dict, out: str, csv_rows=None) -> None:
@@ -139,114 +140,95 @@ def _plain(v) -> str:
     return str(v)
 
 
-def cmd_adjoint(job: dict, args) -> int:
+# Each command returns its payload and its CSV rows (None: one key,value row per payload entry).
+
+
+def cmd_adjoint(job: dict, args):
     group = _parse_group(job)
     lattice = _parse_lattice(job, group)
     adj = adjoint_subgroup(lattice)
-    payload = {
-        "elements": [_point(z) for z in adj.elements],
+    return {
+        "elements": [[list(x), list(w)] for x, w in adj.elements],
         "weight": str(adj.weight),
         "s": str(lattice.size),
         "count": len(adj),
-    }
-    _emit(payload, args.out)
-    return 0
+    }, None
 
 
-def _system(job: dict, args, need_windows: int = 1):
+def _system(job: dict) -> GaborSystem:
     group = _parse_group(job)
     lattice = _parse_lattice(job, group)
     windows = _parse_windows(job, group)
-    if len(windows) < need_windows:
-        raise SpecError(f"this command needs at least {need_windows} window(s)")
-    return group, lattice, windows, GaborSystem(lattice, tuple(windows))
+    if not windows:
+        raise SpecError("this command needs at least 1 window(s)")
+    return GaborSystem(lattice, tuple(windows))
 
 
-def cmd_frame_bounds(job: dict, args) -> int:
-    _, lattice, _, sys_ = _system(job, args)
+def cmd_frame_bounds(job: dict, args):
+    sys_ = _system(job)
     bounds = frame_bounds(sys_)
-    payload = {
+    return {
         "A": bounds.lower,
         "B": bounds.upper,
-        "frame": is_frame(sys_, args.tol),
-        "s": str(lattice.size),
-    }
-    _emit(payload, args.out)
-    return 0
+        "frame": _frame_test(bounds, args.tol),
+        "s": str(sys_.lattice.size),
+    }, None
 
 
-def cmd_dual_window(job: dict, args) -> int:
-    _, _, _, sys_ = _system(job, args)
-    duals = dual_window(sys_, args.tol)
-    bounds = frame_bounds(sys_)
-    payload = {
-        "windows": [[_cpair(v) for v in w.values] for w in duals],
-        "A": bounds.lower,
-        "B": bounds.upper,
-    }
-    rows = [",".join(str(x) for pair in w for x in pair) for w in payload["windows"]]
-    _emit(payload, args.out, csv_rows=rows)
-    return 0
+def cmd_dual_window(job: dict, args):
+    duals, bounds = _dual_window(_system(job), args.tol)
+    windows = [[_cpair(v) for v in w.values] for w in duals]
+    rows = [",".join(str(x) for pair in w for x in pair) for w in windows]
+    return {"windows": windows, "A": bounds.lower, "B": bounds.upper}, rows
 
 
-def cmd_figa(job: dict, args) -> int:
-    group, lattice, windows, _ = _system(job, args)
-    four = [windows[i % len(windows)] for i in range(4)]
-    res = figa_check(four[0], four[1], four[2], four[3], module_context(lattice))
-    payload = {
+def cmd_figa(job: dict, args):
+    sys_ = _system(job)
+    four = [sys_.windows[i % len(sys_.windows)] for i in range(4)]
+    res = figa_check(*four, module_context(sys_.lattice))
+    return {
         "lhs": _cpair(res["lhs"]),
         "rhs": _cpair(res["rhs"]),
         "abs_gap": res["abs_gap"],
         "rel_gap": res["rel_gap"],
-    }
-    _emit(payload, args.out)
-    return 0
+    }, None
 
 
-def cmd_gen_check(job: dict, args) -> int:
-    _, lattice, windows, sys_ = _system(job, args)
-    res = module_frame_check(windows, module_context(lattice), args.tol)
-    frame = is_frame(sys_, args.tol)
-    payload = {
+def cmd_gen_check(job: dict, args):
+    sys_ = _system(job)
+    res = module_frame_check(sys_.windows, module_context(sys_.lattice), args.tol)
+    frame = _frame_test(res["bounds"], args.tol)
+    return {
         "generating": res["generating"],
         "frame": frame,
         "agree": res["generating"] == frame,
         "A": res["bounds"].lower,
         "B": res["bounds"].upper,
-    }
-    _emit(payload, args.out)
-    return 0
+    }, None
 
 
-def cmd_janssen(job: dict, args) -> int:
-    _, lattice, windows, _ = _system(job, args)
-    eta = windows[0]
+def cmd_janssen(job: dict, args):
+    sys_ = _system(job)
+    eta, lattice = sys_.windows[0], sys_.lattice
     diff = janssen_frame_operator(eta, lattice) - frame_operator(GaborSystem(lattice, (eta,)))
     gap = float(np.abs(diff).max())
-    payload = {"max_abs_gap": gap, "pass": gap <= 1e-10, "s": str(lattice.size)}
-    _emit(payload, args.out)
-    return 0
+    return {"max_abs_gap": gap, "pass": gap <= 1e-10, "s": str(lattice.size)}, None
 
 
-def cmd_spectrum(job: dict, args) -> int:
-    _, _, _, sys_ = _system(job, args)
-    eigs = [float(v) for v in spectrum(sys_)]
-    payload = {"spectrum": eigs}
-    _emit(payload, args.out, csv_rows=[str(v) for v in eigs])
-    return 0
+def cmd_spectrum(job: dict, args):
+    eigs = [float(v) for v in spectrum(_system(job))]
+    return {"spectrum": eigs}, [str(v) for v in eigs]
 
 
-def cmd_verify(job: dict, args) -> int:
+def cmd_verify(job: dict, args):
     group = _parse_group(job)
     lattice = _parse_lattice(job, group)
-    seed = _resolve_seed(job, args)
-    report = verify_suite(lattice, seed=seed, frame_tol=args.tol)
+    report = verify_suite(lattice, seed=_resolve_seed(job, args), frame_tol=args.tol)
     rows = ["name,cases,max_abs_gap,max_rel_gap,pass"] + [
         f'{e["name"]},{e["cases"]},{e["max_abs_gap"]},{e["max_rel_gap"]},{_plain(e["pass"])}'
         for e in report["identities"]
     ]
-    _emit(report, args.out, csv_rows=rows)
-    return 0 if report["pass"] else 1
+    return report, rows
 
 
 _COMMANDS = {
@@ -277,14 +259,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        job = _load_job(args.spec)
-        return _COMMANDS[args.command](job, args)
+        payload, rows = _COMMANDS[args.command](_load_job(args.spec), args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    _emit(payload, args.out, rows)
+    return 1 if args.command == "verify" and not payload["pass"] else 0
 
 
 if __name__ == "__main__":

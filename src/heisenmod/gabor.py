@@ -115,24 +115,33 @@ def frame_bounds(sys: GaborSystem) -> FrameBounds:
     return _bounds(frame_operator(sys))
 
 
+def _frame_test(bounds: FrameBounds, tol: float) -> bool:
+    """The frame rule: the lower bound clears tol * max(B, 1), for a positive finite tol."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    return bounds.lower > tol * max(bounds.upper, 1.0)
+
+
 def is_frame(sys: GaborSystem, tol: float = 1e-9) -> bool:
     """True when the lower bound clears tol * max(B, 1)."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    bounds = frame_bounds(sys)
-    return bounds.lower > tol * max(bounds.upper, 1.0)
+    return _frame_test(frame_bounds(sys), tol)
 
 
 def dual_window(sys: GaborSystem, tol: float = 1e-9) -> list[Window]:
     """Canonical dual windows S^{-1} eta_j; NotAFrameError when S is singular. S is built once."""
+    return _dual_window(sys, tol)[0]
+
+
+def _dual_window(sys: GaborSystem, tol: float) -> tuple[list[Window], FrameBounds]:
+    """dual_window and the frame bounds, from one frame operator and one eigvalsh."""
     op = frame_operator(sys)
     bounds = _bounds(op)
-    if not bounds.lower > tol * max(bounds.upper, 1.0):
+    if not _frame_test(bounds, tol):
         raise NotAFrameError(bounds)
     group = sys.lattice.ambient
     stacked = np.stack([eta.values for eta in sys.windows], axis=1)
     duals = np.linalg.solve(op, stacked)
-    return [Window(group, duals[:, j]) for j in range(len(sys.windows))]
+    return [Window(group, duals[:, j]) for j in range(len(sys.windows))], bounds
 
 
 def reconstruction_residual(sys: GaborSystem, duals: list[Window], xi: Window) -> float:

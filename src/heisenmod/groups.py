@@ -11,9 +11,11 @@ so points of the time-frequency plane G x G^ are pairs of coordinate tuples.
 Phase convention: a phase is an integer m mod N, N the lcm of the factor
 orders, made complex only by the root table roots[m] = exp(2 pi i m / N); the
 pairing is m = sum_j (w_j x_j mod n_j) N / n_j mod N. Each group builds one
-integer table on first use (coordinates, mixed-radix weights, N, roots), and
-each measured subgroup one of its own (sorted plane indices, orbit gather,
-twisted-algebra tables).
+integer table on first use (coordinates, mixed-radix weights, N, roots). A
+measured subgroup is stored as the sorted int64 plane indices
+index(x) * |G| + index(w) of its points; its coordinates, orbit gather and
+twisted-algebra tables are built from them on first use, and its points as
+TFPoint tuples only when read.
 
 Measure conventions: counting measure (weight 1) on G, weight 1/|G| per point
 on the dual, hence weight 1/|G| per point of the plane. A subgroup carries an
@@ -23,7 +25,6 @@ so that size * weight * |Delta| = |G| always holds exactly.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -183,18 +184,36 @@ def _span(table: _GroupTable, points: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 class _LatticeTable:
-    """Integer tables of one measured subgroup; the gather and the twisted tables are built on first use.
+    """Integer tables of one measured subgroup; all but ``plane`` are built on first use.
 
-    Position k everywhere is elements[k]: ``plane`` holds the sorted plane
-    indices, ``x`` and ``w`` the coordinates, and ``gens`` the generators the
-    closure span kept.
+    Position k everywhere is the point with the k-th smallest plane index:
+    ``plane`` holds the sorted read-only plane indices, ``x`` and ``w`` the
+    coordinates, and ``gens`` generators of the subgroup: the points a
+    closure span kept, supplied by a build that ran one.
     """
 
-    def __init__(self, group: _GroupTable, plane: np.ndarray, gens: np.ndarray) -> None:
+    def __init__(self, group: _GroupTable, plane: np.ndarray, gens: np.ndarray | None = None) -> None:
+        plane.setflags(write=False)
         self.group = group
         self.plane = plane
-        self.gens = gens
-        self.x, self.w = group.split(plane)
+        if gens is not None:
+            self.gens = gens
+
+    @cached_property
+    def gens(self) -> np.ndarray:
+        return _span(self.group, self.plane)[1]
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return self.group.coords[self.plane // self.group.size]
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return self.group.coords[self.plane % self.group.size]
+
+    @cached_property
+    def key(self) -> int:
+        return hash(self.plane.tobytes())
 
     @cached_property
     def orbit(self) -> tuple[np.ndarray, np.ndarray]:
@@ -229,27 +248,22 @@ def character_vector(group: FiniteAbelianGroup, w: GroupElement) -> np.ndarray:
     return table.roots[table.pairing(group.reduce(w), table.coords)]
 
 
-@dataclass(frozen=True)
 class MeasuredSubgroup:
-    """A subgroup of the time-frequency plane with a per-point measure weight.
+    """A subgroup of the time-frequency plane with a per-point measure weight; immutable.
 
-    ``elements`` is the full sorted point list, ``weight`` the exact rational
-    mass of each point, and ``size`` the derived covolume |G|/(weight*|Delta|).
-    Construction checks that the points form a subgroup.
+    ``plane`` holds the sorted read-only plane indices of its points,
+    ``weight`` the exact rational mass of each point, and ``size`` the derived
+    covolume |G|/(weight*|Delta|). The constructor takes a point list and checks
+    that it forms a subgroup; the builders below run no check but the weight's.
     """
 
-    ambient: FiniteAbelianGroup
-    elements: tuple[TFPoint, ...]
-    weight: Fraction
-    size: Fraction = field(init=False)
-    _tables: _LatticeTable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        table = self.ambient._table
-        coords = np.array(self.elements, dtype=np.int64)
-        if coords.size and coords.shape[1:] != (2, self.ambient.rank):
-            raise ValueError(f"subgroup points must be pairs of {self.ambient.rank}-coordinate tuples")
-        coords = coords.reshape(-1, 2, self.ambient.rank)
+    def __init__(self, ambient: FiniteAbelianGroup, elements: Iterable[TFPoint],
+                 weight: Fraction | int | str) -> None:
+        table = ambient._table
+        coords = np.array(elements, dtype=np.int64)
+        if coords.size and coords.shape[1:] != (2, ambient.rank):
+            raise ValueError(f"subgroup points must be pairs of {ambient.rank}-coordinate tuples")
+        coords = coords.reshape(-1, 2, ambient.rank)
         plane = np.sort(table.plane_index(coords[:, 0], coords[:, 1]))
         if np.any(plane[1:] == plane[:-1]):
             raise ValueError("subgroup element list contains duplicates")
@@ -257,42 +271,61 @@ class MeasuredSubgroup:
         if len(span) != len(plane):
             outside = table.points(np.setdiff1d(span, plane)[:1])[0]
             raise ValueError(f"points do not form a subgroup: they generate {outside}, not among them")
-        object.__setattr__(self, "elements", table.points(plane))
-        object.__setattr__(self, "_tables", _LatticeTable(table, plane, gens))
-        self._set_weight(self.weight)
+        self._set(ambient, _LatticeTable(table, span, gens), weight)
 
-    def _set_weight(self, weight: Fraction | int | str) -> None:
+    @classmethod
+    def _from_plane(cls, ambient: FiniteAbelianGroup, plane: np.ndarray, weight, gens=None):
+        """The subgroup whose sorted int64 plane indices are ``plane``, taken on trust: no closure check."""
+        sub = cls.__new__(cls)
+        sub._set(ambient, _LatticeTable(ambient._table, plane, gens), weight)
+        return sub
+
+    def _set(self, ambient: FiniteAbelianGroup, tables: _LatticeTable, weight: Fraction | int | str) -> None:
         weight = Fraction(weight)
         if weight <= 0:
             raise ValueError(f"subgroup weight must be positive, got {weight}")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "size", Fraction(self.ambient.order, 1) / (weight * len(self.elements)))
+        size = Fraction(ambient.order, 1) / (weight * len(tables.plane))
+        self.__dict__.update(ambient=ambient, plane=tables.plane, _tables=tables, weight=weight, size=size)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("MeasuredSubgroup is immutable; with_weight gives a re-measured copy")
+
+    @cached_property
+    def elements(self) -> tuple[TFPoint, ...]:
+        """The points as TFPoints, sorted by plane index; built on first read."""
+        return self._tables.group.points(self.plane)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.plane)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MeasuredSubgroup):
+            return NotImplemented
+        return (self.ambient == other.ambient and self.weight == other.weight
+                and (self._tables is other._tables or np.array_equal(self.plane, other.plane)))
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self._tables.key, self.weight))
+
+    def __repr__(self) -> str:
+        return f"MeasuredSubgroup({self.ambient!r}, <{len(self)} points>, weight={self.weight})"
 
     def _plane_index(self, z: TFPoint) -> int:
         return self.ambient.index(z[0]) * self.ambient.order + self.ambient.index(z[1])
 
     def __contains__(self, z: TFPoint) -> bool:
-        return bool(_member(self._tables.plane, self._plane_index(z)))
+        return bool(_member(self.plane, self._plane_index(z)))
 
     def index(self, z: TFPoint) -> int:
         if z not in self:
             raise KeyError(z)
-        return int(np.searchsorted(self._tables.plane, self._plane_index(z)))
+        return int(np.searchsorted(self.plane, self._plane_index(z)))
 
-    def with_weight(self, weight: Fraction | int | str) -> "MeasuredSubgroup":
-        """Same point set under a different measure.
-
-        The point set, and so every integer table, is independent of the
-        weight: the copy shares ``elements`` and ``_tables`` with this
-        subgroup (no sort, no closure check, no rebuilt gather); only
-        ``weight`` and ``size`` are set anew.
-        """
-        new = copy.copy(self)
-        new._set_weight(weight)
-        return new
+    def with_weight(self, weight: Fraction | int | str) -> MeasuredSubgroup:
+        """Same point set under a different measure, sharing every integer table with this subgroup."""
+        sub = MeasuredSubgroup.__new__(MeasuredSubgroup)
+        sub._set(self.ambient, self._tables, weight)
+        return sub
 
 
 def subgroup_from_generators(
@@ -302,17 +335,17 @@ def subgroup_from_generators(
 ) -> MeasuredSubgroup:
     """Smallest subgroup of G x G^ containing the generators, with the given weight."""
     points = [group.index(x) * group.order + group.index(w) for x, w in gens]
-    span, _ = _span(group._table, np.array(points, dtype=np.int64))
-    return MeasuredSubgroup(group, group._table.points(span), Fraction(weight))
+    span, kept = _span(group._table, np.array(points, dtype=np.int64))
+    return MeasuredSubgroup._from_plane(group, span, weight, kept)
 
 
 def full_plane(group: FiniteAbelianGroup, weight: Fraction | int | str = 1) -> MeasuredSubgroup:
     """The whole time-frequency plane as a measured subgroup."""
-    return MeasuredSubgroup(group, tuple(group.tf_points()), Fraction(weight))
+    return MeasuredSubgroup._from_plane(group, np.arange(group.order**2, dtype=np.int64), weight)
 
 
 def trivial_subgroup(group: FiniteAbelianGroup, weight: Fraction | int | str = 1) -> MeasuredSubgroup:
-    return MeasuredSubgroup(group, (group.tf_zero(),), Fraction(weight))
+    return MeasuredSubgroup._from_plane(group, np.zeros(1, dtype=np.int64), weight)
 
 
 @lru_cache(maxsize=32)
@@ -333,7 +366,7 @@ def adjoint_subgroup(sub: MeasuredSubgroup) -> MeasuredSubgroup:
     member = np.ones((table.size, table.size), dtype=bool)  # member[index(y), index(tau)]
     for x, w in zip(gx, gw):
         member &= table.pairing(w, table.coords)[:, None] == table.pairing(table.coords, x)[None, :]
-    return MeasuredSubgroup(sub.ambient, table.points(np.flatnonzero(member)), 1 / sub.size)
+    return MeasuredSubgroup._from_plane(sub.ambient, np.flatnonzero(member), 1 / sub.size)
 
 
 def default_measures(group: FiniteAbelianGroup) -> dict[str, Fraction]:

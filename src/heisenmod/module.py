@@ -26,8 +26,9 @@ from functools import partial
 
 import numpy as np
 
-from .gabor import (GaborSystem, _analyze, _gram, _orbit, analysis, dual_window, frame_bounds,
-                    frame_like, is_frame, reconstruction_residual, shift_orbit)
+from .gabor import (FrameBounds, GaborSystem, NotAFrameError, _analyze, _dual_window, _frame_test, _gram,
+                    _orbit, analysis, dual_window, frame_bounds, frame_like, reconstruction_residual,
+                    shift_orbit)
 from .groups import FiniteAbelianGroup, MeasuredSubgroup, adjoint_subgroup
 from .shifts import Window, _randn, splitmix64_stream
 from .twisted import TwistedSeq, _act, _convolve, _fibres, _involve, _rep
@@ -102,20 +103,21 @@ def module_frame_check(
 ) -> dict:
     """Generating-set verdict and frame bounds for a finite window family.
 
-    The verdict comes from the algebraic route: the family generates the
-    module exactly when the stacked lattice orbits span C^G, decided here by
-    singular values. The bounds come from the frame-operator spectrum, so the
-    two answers are computed independently and must agree.
+    The verdict comes from the algebraic route (_generates); the bounds come
+    from the frame-operator spectrum, so the two answers are computed
+    independently and must agree.
     """
-    windows = tuple(windows)
-    sys = GaborSystem(ctx.lattice, windows)
-    stacked = np.vstack([shift_orbit(eta, ctx.lattice) for eta in windows])
+    sys = GaborSystem(ctx.lattice, tuple(windows))
+    return {"generating": _generates(sys, tol), "bounds": frame_bounds(sys)}
+
+
+def _generates(sys: GaborSystem, tol: float) -> bool:
+    """True when the stacked lattice orbits span C^G, decided by their singular values and the frame rule."""
+    stacked = np.vstack([shift_orbit(eta, sys.lattice) for eta in sys.windows])
     svals = np.linalg.svd(stacked, compute_uv=False)
-    weight = float(ctx.lattice.weight)
+    weight = float(sys.lattice.weight)
     low = weight * float(svals[-1]) ** 2 if stacked.shape[0] >= stacked.shape[1] else 0.0
-    high = weight * float(svals[0]) ** 2
-    generating = low > tol * max(high, 1.0)
-    return {"generating": generating, "bounds": frame_bounds(sys)}
+    return _frame_test(FrameBounds(low, weight * float(svals[0]) ** 2), tol)
 
 
 def module_expansion(
@@ -125,12 +127,10 @@ def module_expansion(
     tol: float = 1e-9,
 ) -> list[TwistedSeq]:
     """Expansion coefficients a_j = left_inner(xi, S^{-1} eta_j); error when not generating."""
-    windows = tuple(windows)
-    check = module_frame_check(windows, ctx, tol)
-    if not check["generating"]:
+    sys = GaborSystem(ctx.lattice, tuple(windows))
+    if not _generates(sys, tol):
         raise ValueError("window family does not generate the module; no expansion exists")
-    duals = dual_window(GaborSystem(ctx.lattice, windows), tol)
-    return [left_inner(xi, gamma, ctx) for gamma in duals]
+    return [left_inner(xi, gamma, ctx) for gamma in dual_window(sys, tol)]
 
 
 def localization_check(xi: Window, eta: Window, ctx: ModuleContext) -> dict:
@@ -324,36 +324,44 @@ def _check_cocycle(ctx: ModuleContext, seed: int, cases: int) -> tuple[dict, dic
     )
 
 
-def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c) -> tuple[np.ndarray]:
-    """Per-case max gap of the algebra axioms, the trace identities and the representation identities."""
+def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Per-case max gap of the algebra axioms, the trace and the representation identities: raw and scaled.
+
+    Error model: every term of an identity carries the domain weight w to a
+    fixed degree (a product of n convolutions or representations, w^n), so
+    its rounding error is homogeneous of that degree in w. The scaled gap
+    divides each sub-gap by max(1, w)^degree, which leaves it as it is for
+    w <= 1 and makes the bound weight-free above.
+    """
     conv, rep = partial(_convolve, domain, flag), partial(_rep, domain, flag)
     ab, inv_a, inv_b = conv(a, b), _involve(domain, flag, a), _involve(domain, flag, b)
     trace_a_inv_b = conv(a, inv_b)[:, 0]
-    gaps = [
-        _case_max(conv(ab, c) - conv(a, conv(b, c))),
-        _case_max(_involve(domain, flag, inv_a) - a),
-        _case_max(_involve(domain, flag, ab) - conv(inv_b, inv_a)),
-        np.abs(trace_a_inv_b - conv(inv_b, a)[:, 0]),
-        np.abs(trace_a_inv_b - float(domain.weight) * (a * b.conj()).sum(axis=-1)),
+    gaps = [  # (degree, gaps)
+        (2, _case_max(conv(ab, c) - conv(a, conv(b, c)))),
+        (0, _case_max(_involve(domain, flag, inv_a) - a)),
+        (1, _case_max(_involve(domain, flag, ab) - conv(inv_b, inv_a))),
+        (1, np.abs(trace_a_inv_b - conv(inv_b, a)[:, 0])),
+        (1, np.abs(trace_a_inv_b - float(domain.weight) * (a * b.conj()).sum(axis=-1))),
     ]
     # The |G| x |G| stacks last, at most three alive at once.
     rep_a = rep(a)
     ordered = rep(b) @ rep_a if flag else rep_a @ rep(b)
     ordered -= rep(ab)
-    gaps += [_case_max(ordered), _case_max(rep(inv_a) - np.swapaxes(rep_a, -1, -2).conj())]
-    return (np.max(gaps, axis=0),)
+    gaps += [(2, _case_max(ordered)), (1, _case_max(rep(inv_a) - np.swapaxes(rep_a, -1, -2).conj()))]
+    scale = max(1.0, float(domain.weight))
+    return np.max([g for _, g in gaps], axis=0), np.max([g / scale**d for d, g in gaps], axis=0)
 
 
 def _check_twisted_axioms(ctx: ModuleContext, seed: int, cases: int) -> dict:
+    """Decided on the weight-scaled gap (see _twisted_gaps); max_abs_gap reports the raw one."""
     seeds = splitmix64_stream(seed, 6 * cases).reshape(cases, 6)[:, :3]
-    gap = 0.0
+    raw = scaled = 0.0
     for domain, flag in ((ctx.lattice, False), (ctx.dual, True)):
         size = 3 * max(len(domain), ctx.lattice.ambient.order) ** 2  # three stacks alive at once
         draws = _randn(seeds, len(domain)).swapaxes(0, 1)
-        (gaps,) = _per_case(lambda a, b, c, _: _twisted_gaps(domain, flag, a, b, c), ctx, *draws,
-                            per_case=size)
-        gap = max(gap, float(gaps.max()))
-    return _entry("twisted-axioms", cases, gap, gap)
+        gaps = _per_case(lambda a, b, c, _: _twisted_gaps(domain, flag, a, b, c), ctx, *draws, per_case=size)
+        raw, scaled = max(raw, float(gaps[0].max())), max(scaled, float(gaps[1].max()))
+    return _entry("twisted-axioms", cases, raw, scaled, use_rel=True)
 
 
 def _check_localization(ctx: ModuleContext, seed: int, cases: int) -> dict:
@@ -435,26 +443,25 @@ def _check_generators(ctx: ModuleContext, seed: int, frame_tol: float) -> tuple[
     draws = [Window(group, v) for v in _randn(splitmix64_stream(seed, 18), group.order)]
     pos = 0
     for k in (1, 1, 2, 2, 3, 3):
-        windows = draws[pos : pos + k]
+        sys = GaborSystem(ctx.lattice, tuple(draws[pos : pos + k]))
         pos += k
-        verdict = module_frame_check(windows, ctx, frame_tol)
-        gabor_verdict = is_frame(GaborSystem(ctx.lattice, tuple(windows)), frame_tol)
-        disagreements += verdict["generating"] != gabor_verdict
-        if verdict["generating"] and gabor_verdict:
+        generating = _generates(sys, frame_tol)
+        try:  # one frame operator gives the frame verdict, the bounds and the duals
+            duals, bounds = _dual_window(sys, frame_tol)
+        except NotAFrameError:
+            duals = None
+        disagreements += generating != (duals is not None)
+        if generating and duals is not None:
             recon_cases += 1
             xi = draws[pos % len(draws)]
-            sys = GaborSystem(ctx.lattice, tuple(windows))
-            duals = dual_window(sys, frame_tol)
             # module_expansion(xi, windows) is left_inner(xi, gamma_j) on these duals
             coeffs = [left_inner(xi, gamma, ctx) for gamma in duals]
-            error = sum(left_act(a, eta, ctx).values for a, eta in zip(coeffs, windows)) - xi.values
+            error = sum(left_act(a, eta, ctx).values for a, eta in zip(coeffs, sys.windows)) - xi.values
             residual = max(reconstruction_residual(sys, duals, xi), float(np.linalg.norm(error)))
-            bounds = verdict["bounds"]
             recon_gap = max(recon_gap, residual)
             recon_rel = max(recon_rel, residual / (bounds.upper / bounds.lower * xi.norm()))
-    gen_entry = _entry("generator-equivalence", 6, float(disagreements), float(disagreements))
-    recon_entry = _entry("reconstruction", recon_cases, recon_gap, recon_rel, use_rel=True)
-    return gen_entry, recon_entry
+    return (_entry("generator-equivalence", 6, float(disagreements), float(disagreements)),
+            _entry("reconstruction", recon_cases, recon_gap, recon_rel, use_rel=True))
 
 
 def _check_dual_scaling(ctx: ModuleContext, seed: int, cases: int) -> dict:
@@ -476,20 +483,18 @@ def verify_suite(lattice: MeasuredSubgroup, seed: int = 0, frame_tol: float = 1e
     """
     ctx = module_context(lattice)
     salts = [int(v) for v in splitmix64_stream(seed ^ 0x5EED, 16)]
-    identities: list[dict] = []
-    coc, proj = _check_cocycle(ctx, salts[0], 60)
-    identities += [coc, proj]
-    identities.append(_check_twisted_axioms(ctx, salts[1], 8))
-    identities.append(_check_localization(ctx, salts[2], 40))
-    chain, embed = _check_norm_chain(ctx, salts[3], 20)
-    identities += [chain, embed]
-    identities.append(_check_operator_extension(ctx, salts[4], 10))
-    identities.append(_check_janssen(ctx, salts[5], 10))
-    identities.append(_check_figa(ctx, salts[6], 40))
-    identities.append(_check_imprimitivity(ctx, salts[7], 10))
-    gen_entry, recon_entry = _check_generators(ctx, salts[8], frame_tol)
-    identities += [gen_entry, recon_entry]
-    identities.append(_check_dual_scaling(ctx, salts[9], 20))
+    identities = [
+        *_check_cocycle(ctx, salts[0], 60),
+        _check_twisted_axioms(ctx, salts[1], 8),
+        _check_localization(ctx, salts[2], 40),
+        *_check_norm_chain(ctx, salts[3], 20),
+        _check_operator_extension(ctx, salts[4], 10),
+        _check_janssen(ctx, salts[5], 10),
+        _check_figa(ctx, salts[6], 40),
+        _check_imprimitivity(ctx, salts[7], 10),
+        *_check_generators(ctx, salts[8], frame_tol),
+        _check_dual_scaling(ctx, salts[9], 20),
+    ]
     return {
         "group": list(lattice.ambient.orders),
         "lattice_points": len(lattice),

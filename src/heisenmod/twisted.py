@@ -64,9 +64,9 @@ def delta_seq(domain: MeasuredSubgroup, z: TFPoint, conjugated: bool = False) ->
 
 
 def unit_seq(domain: MeasuredSubgroup, conjugated: bool = False) -> TwistedSeq:
-    """Multiplicative unit: (1/weight) delta_0."""
+    """Multiplicative unit: (1/weight) delta_0; zero is position 0 of every domain (see trace)."""
     coeffs = np.zeros(len(domain), dtype=np.complex128)
-    coeffs[domain.index(domain.ambient.tf_zero())] = 1.0 / float(domain.weight)
+    coeffs[0] = 1.0 / float(domain.weight)
     return TwistedSeq(domain, conjugated, coeffs)
 
 

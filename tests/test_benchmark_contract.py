@@ -1,0 +1,26 @@
+"""What the benchmark harness in perfbench/ needs from the package, read from the harness itself."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cached_names_are_package_caches():
+    # perfbench/run.py --trace 1 calls cache_info() on each of these after every op and
+    # cache_clear() on every package cache; a missing cache crashes the traced run.
+    spans = _load_spans()
+    assert spans.CACHED
+    for qual in spans.CACHED:
+        layer, name = qual.split(".")
+        fn = getattr(importlib.import_module(f"heisenmod.{layer}"), name)
+        assert callable(getattr(fn, "cache_info", None)), qual
+        assert callable(getattr(fn, "cache_clear", None)), qual

@@ -224,6 +224,14 @@ def test_malformed_inputs_exit_2(tmp_path):
         {"group": [4], "windows": [[[1, 0]]]},
         {"group": [4], "windows": [42]},
         {"group": [4], "seed": -1},
+        {"group": [4], "seed": True},
+        {"group": [True, 4], "windows": ["const"]},
+        {"group": [4], "generators": [[[True], [0]]], "windows": ["const"]},
+        {"group": [4], "windows": [[["a", 0], [0, 0], [0, 0], [0, 0]]]},
+        {"group": [4], "windows": [[[True, 0], [0, 0], [0, 0], [0, 0]]]},
+        {"group": [4], "windows": [[[float("nan"), 0], [0, 0], [0, 0], [0, 0]]]},
+        {"group": [4], "windows": [[[0, float("-inf")], [0, 0], [0, 0], [0, 0]]]},
+        {"group": [4], "windows": [[[10**400, 0], [0, 0], [0, 0], [0, 0]]]},
     ):
         spec = write_job(tmp_path, job, "case.json")
         cmd = "verify" if "seed" in job else "frame-bounds"

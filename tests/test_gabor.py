@@ -131,10 +131,11 @@ def test_frame_like_mixed_operator():
 
 def test_is_frame_tolerance_validation():
     sys2 = GaborSystem(LAT4, (delta_window(Z4, 0), delta_window(Z4, 1)))
-    with pytest.raises(ValueError):
-        is_frame(sys2, tol=0.0)
-    with pytest.raises(ValueError):
-        is_frame(sys2, tol=-1.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            is_frame(sys2, tol=tol)
+        with pytest.raises(ValueError):
+            dual_window(sys2, tol=tol)
 
 
 def test_dual_window_tight_frame_scales():

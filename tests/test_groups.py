@@ -1,6 +1,7 @@
 """Group arithmetic, characters, subgroup closure, adjoints, and measures."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from heisenmod import (
     subgroup_from_generators,
     trivial_subgroup,
 )
+from heisenmod import groups as groups_impl
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -245,3 +247,51 @@ def test_adjoint_cache_is_bounded():
     for elems in all_subgroups(g):  # 90 distinct lattices
         adjoint_subgroup(MeasuredSubgroup(g, elems, 1))
         assert adjoint_subgroup.cache_info().currsize <= bound
+
+
+def test_public_and_private_constructors_agree_on_every_small_subgroup():
+    # The private constructor takes sorted plane indices on trust; the builders use it.
+    for g in SMALL_GROUPS:
+        for elems in all_subgroups(g):
+            public = MeasuredSubgroup(g, elems, 1)
+            plane = np.array(sorted(g.index(x) * g.order + g.index(w) for x, w in elems), dtype=np.int64)
+            private = MeasuredSubgroup._from_plane(g, plane, 1)
+            spanned = subgroup_from_generators(g, [(z.x, z.w) for z in elems], 1)
+            for sub in (private, spanned):
+                assert np.array_equal(sub.plane, public.plane) and not sub.plane.flags.writeable
+                assert sub.elements == public.elements == elems
+                assert sub == public and hash(sub) == hash(public)
+                assert adjoint_subgroup.__wrapped__(sub) == adjoint_subgroup.__wrapped__(public)
+
+
+def test_builds_run_the_closure_span_once_or_not_at_all(monkeypatch):
+    calls = []
+    span = groups_impl._span
+
+    def counted(table, points):
+        calls.append(len(points))
+        return span(table, points)
+
+    monkeypatch.setattr(groups_impl, "_span", counted)
+    g = FiniteAbelianGroup((12,))
+    sub = subgroup_from_generators(g, [((2,), (3,)), ((0,), (4,))], 1)
+    assert len(calls) == 1
+    adjoint_subgroup.__wrapped__(sub)
+    sub.with_weight(3)
+    full_plane(g)
+    trivial_subgroup(g)
+    assert len(calls) == 1
+
+
+def test_a_large_lattice_holds_about_one_int64_per_point():
+    g = FiniteAbelianGroup((64, 64))
+    assert g._table.size == 4096  # the group's own table is built outside the measurement
+    gens = [((2, 0), (0, 0)), ((0, 2), (0, 0)), ((0, 0), (4, 0)), ((0, 0), (0, 4))]
+    tracemalloc.start()
+    try:
+        sub = subgroup_from_generators(g, gens, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(sub) == 262144
+    assert held < 5 * 2**20, held

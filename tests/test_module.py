@@ -18,7 +18,6 @@ from heisenmod import (
     delta_window,
     dual_lattice_norm_scaling,
     figa_check,
-    frame_bounds,
     frame_like,
     frame_operator,
     full_plane,
@@ -47,6 +46,7 @@ from heisenmod import (
     verify_suite,
 )
 from heisenmod import module as module_impl
+from heisenmod.module import VERIFY_TOLERANCES
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -393,6 +393,51 @@ def test_verify_suite_passes_at_benchmark_scale(orders, gens, weight, seed, poin
     assert peak <= 3 * 2**20, peak
 
 
+def _bench_rung(rung, weight):
+    """A BENCH_SCALE lattice at the given weight, and the twisted-axioms salt of its seed.
+
+    Rung 1 is the Z96 weight-3 rung. Its lattice is its own adjoint, so the
+    cocycle is 1 on it; on the Z80 rung 2 the cocycle takes non-real values.
+    """
+    orders, gens, _, seed, _ = BENCH_SCALE[rung]
+    lattice = subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight)
+    return module_context(lattice), int(splitmix64_stream(seed ^ 0x5EED, 2)[1])
+
+
+@pytest.mark.parametrize("weight", [3, Fraction(1, 3)], ids=["w3", "w1/3"])
+def test_twisted_axioms_are_decided_on_the_weight_scaled_gap(weight):
+    # Sub-gaps of degree d in the domain weight w are divided by max(1, w)^d, with d <= 2.
+    ctx, salt = _bench_rung(1, weight)
+    assert ctx.lattice.weight == ctx.dual.weight == weight
+    entry = module_impl._check_twisted_axioms(ctx, salt, 8)
+    raw, scaled = entry["max_abs_gap"], entry["max_rel_gap"]
+    assert entry["pass"] and scaled <= 0.2 * VERIFY_TOLERANCES["twisted-axioms"], entry
+    if weight > 1:
+        assert raw / weight**2 <= scaled < raw
+    else:
+        assert scaled == raw
+
+
+# Each mutation breaks an identity of the twisted algebra: the involution's phase with the wrong sign,
+# the product twisted by conj(c) while the representation keeps pi, the product without its weight.
+TWISTED_MUTATIONS = {
+    "sign": ("_involve", lambda real: lambda domain, flag, a: real(domain, not flag, a)),
+    "conjugated-cocycle": ("_convolve", lambda real: lambda domain, flag, a, b: real(domain, not flag, a, b)),
+    "dropped-weight": ("_convolve", lambda real: lambda domain, flag, a, b: real(domain, flag, a, b)
+                       / float(domain.weight)),
+}
+
+
+@pytest.mark.parametrize("weight", [3, Fraction(1, 3)], ids=["w3", "w1/3"])
+@pytest.mark.parametrize("mutation", sorted(TWISTED_MUTATIONS))
+def test_twisted_axioms_catch_mutations_at_any_weight(mutation, weight, monkeypatch):
+    name, mutate = TWISTED_MUTATIONS[mutation]
+    monkeypatch.setattr(module_impl, name, mutate(getattr(module_impl, name)))
+    ctx, salt = _bench_rung(2, weight)
+    entry = module_impl._check_twisted_axioms(ctx, salt, 8)
+    assert not entry["pass"] and entry["max_rel_gap"] > 1e-3, entry
+
+
 # The two Z8^2 jobs at critical density whose frames are ill-conditioned
 # (kappa = B/A about 1e5): valid reconstructions that an absolute residual
 # bound of 1e-9 rejected.
@@ -413,13 +458,16 @@ def test_reconstruction_passes_on_ill_conditioned_critical_frames(gens, seed):
 
 @pytest.mark.parametrize("orders, gens, seed", [((8, 8),) + CRITICAL_Z8[0], ((6,), [[[2], [0]], [[0], [3]]], 4)])
 def test_reconstruction_fails_with_a_wrong_dual(orders, gens, seed, monkeypatch):
-    # gamma = eta / B reconstructs only for tight frames; residual / (kappa |xi|) stays large
+    # gamma = eta / B reconstructs only for tight frames; residual / (kappa |xi|) stays large.
+    # The check takes its duals, with the frame verdict and bounds, from gabor._dual_window.
+    true_dual = module_impl._dual_window
+
     def wrong_dual(sys, tol=1e-9):
-        upper = frame_bounds(sys).upper
-        return [Window(eta.group, eta.values / upper) for eta in sys.windows]
+        _, bounds = true_dual(sys, tol)
+        return [Window(eta.group, eta.values / bounds.upper) for eta in sys.windows], bounds
 
     lattice = subgroup_from_generators(FiniteAbelianGroup(orders), [(tuple(x), tuple(w)) for x, w in gens], 1)
-    monkeypatch.setattr(module_impl, "dual_window", wrong_dual)
+    monkeypatch.setattr(module_impl, "_dual_window", wrong_dual)
     recon = next(e for e in verify_suite(lattice, seed=seed)["identities"] if e["name"] == "reconstruction")
     assert recon["cases"] > 0
     assert not recon["pass"] and recon["max_rel_gap"] > 1e-6, recon

@@ -62,7 +62,8 @@ def _random_seq(domain, conjugated, seed):
 
 
 def _ref_twisted_axioms(ctx, seed, cases):
-    gap = 0.0
+    """Raw max gap, and the max of each sub-gap over max(1, w)^degree, w the domain weight."""
+    gap = scaled = 0.0
     seeds = _derived_seeds(seed, 6 * cases)
     for i in range(cases):
         for domain, flag in ((ctx.lattice, False), (ctx.dual, True)):
@@ -72,27 +73,25 @@ def _ref_twisted_axioms(ctx, seed, cases):
             assoc = twisted_convolve(twisted_convolve(a, b), c).coeffs - twisted_convolve(
                 a, twisted_convolve(b, c)
             ).coeffs
-            gap = max(gap, float(np.abs(assoc).max()))
             invol = involution(involution(a)).coeffs - a.coeffs
-            gap = max(gap, float(np.abs(invol).max()))
             prod_star = involution(twisted_convolve(a, b)).coeffs - twisted_convolve(
                 involution(b), involution(a)
             ).coeffs
-            gap = max(gap, float(np.abs(prod_star).max()))
             rep_ab = integrated_rep(twisted_convolve(a, b))
             ordered = integrated_rep(b) @ integrated_rep(a) if flag else integrated_rep(a) @ integrated_rep(b)
-            gap = max(gap, float(np.abs(rep_ab - ordered).max()))
             rep_star = integrated_rep(involution(a)) - integrated_rep(a).conj().T
-            gap = max(gap, float(np.abs(rep_star).max()))
             tracial = trace(twisted_convolve(a, involution(b))) - trace(
                 twisted_convolve(involution(b), a)
             )
-            gap = max(gap, abs(tracial))
             pairing = l2_localization_inner(a, b) - float(domain.weight) * complex(
                 np.sum(a.coeffs * b.coeffs.conj())
             )
-            gap = max(gap, abs(pairing))
-    return {"twisted-axioms": (gap, gap)}
+            scale = max(1.0, float(domain.weight))
+            for degree, diff in ((2, assoc), (0, invol), (1, prod_star), (2, rep_ab - ordered), (1, rep_star),
+                                 (1, tracial), (1, pairing)):
+                gap = max(gap, float(np.abs(diff).max()))
+                scaled = max(scaled, float(np.abs(diff).max()) / scale**degree)
+    return {"twisted-axioms": (gap, scaled)}
 
 
 def _ref_localization(ctx, seed, cases):
@@ -241,7 +240,7 @@ def _reference_suite(lattice, seed, frame_tol=1e-9):
     return gaps
 
 
-USE_REL = {"figa", "reconstruction"}
+USE_REL = {"figa", "reconstruction", "twisted-axioms"}
 
 REFERENCE_LATTICES = {
     "Z6": ((6,), [((2,), (0,)), ((0,), (3,))], 1),
