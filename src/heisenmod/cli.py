@@ -243,6 +243,14 @@ _COMMANDS = {
 }
 
 
+def _tolerance(text: str) -> float:
+    """--tol: a positive finite float; anything else is a malformed argument (exit 2)."""
+    tol = float(text)
+    if not 0 < tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heisenmod",
@@ -251,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--spec", required=True, help="path to the JSON job file")
     parser.add_argument("--seed", type=int, default=None, help="override the job file seed")
-    parser.add_argument("--tol", type=float, default=1e-9, help="frame invertibility tolerance")
+    parser.add_argument("--tol", type=_tolerance, default=1e-9, help="frame invertibility tolerance")
     parser.add_argument("--out", choices=("json", "csv"), default="json")
     return parser
 

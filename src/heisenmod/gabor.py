@@ -98,21 +98,27 @@ def frame_like(eta: Window, gamma: Window, sub: MeasuredSubgroup) -> OperatorMat
 
 def frame_operator(sys: GaborSystem) -> OperatorMatrix:
     """Sum of the per-window frame operators, as a |G| x |G| matrix."""
-    n = sys.lattice.ambient.order
-    total = np.zeros((n, n), dtype=np.complex128)
-    for eta in sys.windows:
-        total += _gram(shift_orbit(eta, sys.lattice), sys.lattice.weight)
+    return _frame_sum(np.stack([eta.values for eta in sys.windows]), sys.lattice)
+
+
+def _frame_sum(windows: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
+    """frame_operator per case of (..., k, |G|) windows: one orbit at a time, added in window order."""
+    n = windows.shape[-1]
+    total = np.zeros(windows.shape[:-2] + (n, n), dtype=np.complex128)
+    for j in range(windows.shape[-2]):
+        total += _gram(_orbit(windows[..., j, :], sub), sub.weight)
     return total
 
 
-def _bounds(op: OperatorMatrix) -> FrameBounds:
-    eigs = np.linalg.eigvalsh(op)
-    return FrameBounds(max(float(eigs[0]), 0.0), max(float(eigs[-1]), 0.0))
+def _bounds(ops: np.ndarray) -> np.ndarray:
+    """Extreme eigenvalues (..., 2) of stacked frame operators; negative noise clamps to zero."""
+    eigs = np.linalg.eigvalsh(ops)[..., [0, -1]]
+    return np.where(eigs < 0.0, 0.0, eigs)
 
 
 def frame_bounds(sys: GaborSystem) -> FrameBounds:
     """Extreme eigenvalues of the frame operator; tiny negative noise clamps to zero."""
-    return _bounds(frame_operator(sys))
+    return FrameBounds(*_bounds(frame_operator(sys)).tolist())
 
 
 def _frame_test(bounds: FrameBounds, tol: float) -> bool:
@@ -133,15 +139,40 @@ def dual_window(sys: GaborSystem, tol: float = 1e-9) -> list[Window]:
 
 
 def _dual_window(sys: GaborSystem, tol: float) -> tuple[list[Window], FrameBounds]:
-    """dual_window and the frame bounds, from one frame operator and one eigvalsh."""
-    op = frame_operator(sys)
-    bounds = _bounds(op)
-    if not _frame_test(bounds, tol):
+    """dual_window and the frame bounds: _duals with one case."""
+    windows = np.stack([eta.values for eta in sys.windows])
+    (bounds,), (frame,), duals = _duals(frame_operator(sys)[None], windows[None], tol)
+    bounds = FrameBounds(*bounds.tolist())
+    if not frame:
         raise NotAFrameError(bounds)
-    group = sys.lattice.ambient
-    stacked = np.stack([eta.values for eta in sys.windows], axis=1)
-    duals = np.linalg.solve(op, stacked)
-    return [Window(group, duals[:, j]) for j in range(len(sys.windows))], bounds
+    return [Window(sys.lattice.ambient, gamma) for gamma in duals[0]], bounds
+
+
+def _duals(ops: np.ndarray, windows: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """Per case of (cases, |G|, |G|) frame operators and their (cases, k, |G|) windows, from one eigvalsh
+    and one solve: the bounds (cases, 2), the frame verdicts, and the duals (frames, k, |G|) of the frames."""
+    bounds = _bounds(ops)
+    frames = np.array([_frame_test(FrameBounds(*b), tol) for b in bounds.tolist()], dtype=bool)
+    duals = np.linalg.solve(ops[frames], np.swapaxes(windows[frames], -1, -2))
+    return bounds, frames, np.swapaxes(duals, -1, -2)
+
+
+def _svd_frames(windows: np.ndarray, sub: MeasuredSubgroup, tol: float) -> np.ndarray:
+    """The frame rule per case of (cases, k, |G|) windows, on bounds from the singular values of the
+    stacked orbits (cases, k |Delta|, |G|), which are written window by window into one array.
+
+    The bounds are weight * s^2 of the extreme singular values s; the lower one is 0 with fewer rows than |G|.
+    """
+    cases, k, n = windows.shape
+    perm, phase = sub._tables.orbit
+    orbits = np.empty((cases, k * len(sub), n), dtype=np.complex128)
+    for j in range(k):  # _orbit of window j, multiplied straight into the stack: no orbit-sized temporary
+        rows = orbits[:, j * len(sub) : (j + 1) * len(sub)]
+        np.multiply(sub._tables.group.roots[phase], np.take(windows[:, j], perm, axis=-1), out=rows)
+    bounds = float(sub.weight) * np.linalg.svd(orbits, compute_uv=False)[:, [-1, 0]] ** 2
+    if k * len(sub) < n:
+        bounds[:, 0] = 0.0
+    return np.array([_frame_test(FrameBounds(*b), tol) for b in bounds.tolist()], dtype=bool)
 
 
 def reconstruction_residual(sys: GaborSystem, duals: list[Window], xi: Window) -> float:

@@ -221,19 +221,20 @@ class _LatticeTable:
         return self.group.gather(self.x, self.w)
 
     @cached_property
-    def add(self) -> np.ndarray:
-        """add[i, j] = position of z_i + z_j."""
-        x, w = self.x[:, None] + self.x[None], self.w[:, None] + self.w[None]
-        return np.searchsorted(self.plane, self.group.plane_index(x, w))
-
-    @cached_property
     def neg(self) -> np.ndarray:
         return np.searchsorted(self.plane, self.group.plane_index(-self.x, -self.w))
 
     @cached_property
-    def cocycle(self) -> np.ndarray:
-        """Integer phase of c(z_i, z_j) = conj(character(tau_j, x_i))."""
-        return -self.group.pairing(self.w[None], self.x[:, None]) % self.group.modulus
+    def sub(self) -> np.ndarray:
+        """sub[i, k] = position of z_k - z_i."""
+        x, w = self.x[None] - self.x[:, None], self.w[None] - self.w[:, None]
+        return np.searchsorted(self.plane, self.group.plane_index(x, w))
+
+    @cached_property
+    def sub_phase(self) -> np.ndarray:
+        """Integer phase of c(z_i, z_k - z_i) = conj(character(tau_k, x_i)) character(tau_i, x_i)."""
+        pairing = self.group.pairing(self.w[None], self.x[:, None])  # [i, k]: pairing(tau_k, x_i)
+        return (np.diag(pairing)[:, None] - pairing) % self.group.modulus
 
 
 def character(group: FiniteAbelianGroup, w: GroupElement, x: GroupElement) -> complex:

@@ -26,9 +26,8 @@ from functools import partial
 
 import numpy as np
 
-from .gabor import (FrameBounds, GaborSystem, NotAFrameError, _analyze, _dual_window, _frame_test, _gram,
-                    _orbit, analysis, dual_window, frame_bounds, frame_like, reconstruction_residual,
-                    shift_orbit)
+from .gabor import (GaborSystem, _analyze, _duals, _frame_sum, _gram, _orbit, _svd_frames, analysis,
+                    dual_window, frame_bounds, frame_like)
 from .groups import FiniteAbelianGroup, MeasuredSubgroup, adjoint_subgroup
 from .shifts import Window, _randn, splitmix64_stream
 from .twisted import TwistedSeq, _act, _convolve, _fibres, _involve, _rep
@@ -91,9 +90,15 @@ def module_norm(eta: Window, ctx: ModuleContext) -> float:
 
 
 def _norms(eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
-    """module_norm per case of (..., |G|) windows, from the stacked frame-operator spectra."""
-    eigs = np.linalg.eigvalsh(_gram(_orbit(eta, sub), sub.weight))
-    return np.sqrt(np.maximum(eigs[..., -1], 0.0))
+    """module_norm per case of (..., |G|) windows, from the stacked frame-operator spectra.
+
+    The frame operator is weight * X^H X, X = conj(orbit); with |Delta| < |G| the smaller weight * X X^H,
+    which has the same nonzero spectrum, stands in.
+    """
+    orbit = _orbit(eta, sub)
+    if len(sub) < orbit.shape[-1]:
+        orbit = np.swapaxes(orbit, -1, -2).conj()  # _gram of conj(orbit)^T is weight * X X^H
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(_gram(orbit, sub.weight))[..., -1], 0.0))
 
 
 def module_frame_check(
@@ -112,12 +117,8 @@ def module_frame_check(
 
 
 def _generates(sys: GaborSystem, tol: float) -> bool:
-    """True when the stacked lattice orbits span C^G, decided by their singular values and the frame rule."""
-    stacked = np.vstack([shift_orbit(eta, sys.lattice) for eta in sys.windows])
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    weight = float(sys.lattice.weight)
-    low = weight * float(svals[-1]) ** 2 if stacked.shape[0] >= stacked.shape[1] else 0.0
-    return _frame_test(FrameBounds(low, weight * float(svals[0]) ** 2), tol)
+    """True when the stacked lattice orbits span C^G."""
+    return bool(_svd_frames(np.stack([eta.values for eta in sys.windows])[None], sys.lattice, tol)[0])
 
 
 def module_expansion(
@@ -174,13 +175,15 @@ def theta_matrix(eta: Window, gamma: Window, ctx: ModuleContext) -> np.ndarray:
 
     left_inner(delta_t, eta) is analysis(eta, lattice) @ delta_t, which is
     column t of the analysis matrix, so that matrix is built once, and so is
-    the fibre table of left_act. Each column still goes through its own
-    left_act, the integrated-representation route that frame_like does not
-    take, and equals a lone left_act call bit for bit.
+    the fibre table of left_act. The columns go through left_act's kernel,
+    the integrated-representation route that frame_like does not take, as
+    its case axis, in batches whose temporaries hold about _CHUNK entries;
+    each equals a lone left_act call bit for bit.
     """
-    fibres = _fibres(ctx.lattice, False)
-    cols = analysis(eta, ctx.lattice).T
-    return np.stack([_act(ctx.lattice, False, col, gamma.values, fibres) for col in cols], axis=1)
+    lat, cols = ctx.lattice, analysis(eta, ctx.lattice).T
+    step, fibres = max(1, _CHUNK // cols.size), _fibres(lat, False)
+    batches = [_act(lat, False, cols[t : t + step], gamma.values, fibres) for t in range(0, len(cols), step)]
+    return np.concatenate(batches).T
 
 
 def dual_lattice_norm_scaling(eta: Window, ctx: ModuleContext) -> dict:
@@ -388,12 +391,8 @@ def _check_norm_chain(ctx: ModuleContext, seed: int, cases: int) -> tuple[dict, 
 
 
 def _check_operator_extension(ctx: ModuleContext, seed: int, cases: int) -> dict:
-    group = ctx.lattice.ambient
-    gap = 0.0
-    for eta_values, gamma_values in zip(*_draw(ctx, seed, cases, 2)):
-        eta, gamma = Window(group, eta_values), Window(group, gamma_values)
-        diff = theta_matrix(eta, gamma, ctx) - frame_like(eta, gamma, ctx.lattice)
-        gap = max(gap, float(np.abs(diff).max()))
+    pairs = [[Window(ctx.lattice.ambient, v) for v in pair] for pair in zip(*_draw(ctx, seed, cases, 2))]
+    gap = max(np.abs(theta_matrix(*pair, ctx) - frame_like(*pair, ctx.lattice)).max() for pair in pairs)
     return _entry("operator-extension", cases, gap, gap)
 
 
@@ -425,8 +424,33 @@ def _check_imprimitivity(ctx: ModuleContext, seed: int, cases: int) -> dict:
     return _entry("imprimitivity", cases, gaps.max(), gaps.max())
 
 
+def _generator_cases(windows: np.ndarray, xi: np.ndarray, ctx: ModuleContext, tol: float):
+    """Per family of (cases, k, |G|) windows: verdict split, reconstructed, residual, residual / (kappa |xi|).
+
+    A family that is generating (_svd_frames) and a frame (_duals) is reconstructed from xi by frame
+    synthesis and by left_act of left_inner(xi, gamma_j); the larger residual is kept.
+    """
+    lat, (cases, k, n) = ctx.lattice, windows.shape
+    generating = _svd_frames(windows, lat, tol)
+    bounds, frames, duals = _duals(_frame_sum(windows, lat), windows, tol)
+    synthesis, via_module = np.zeros((2, cases, n), dtype=np.complex128)
+    for j in range(k):
+        coeffs = np.zeros((cases, len(lat)), dtype=np.complex128)
+        coeffs[frames] = _analyze(xi[frames], duals[:, j], lat)  # left_inner(xi, gamma_j)
+        synthesis += float(lat.weight) * (coeffs[:, None] @ _orbit(windows[:, j], lat))[:, 0]
+        via_module += _act(lat, False, coeffs, windows[:, j])
+    recon = generating & frames
+    residual = recon * np.maximum(*(np.linalg.norm(v - xi, axis=-1) for v in (synthesis, via_module)))
+    kappa = np.divide(bounds[:, 1], bounds[:, 0], out=np.ones(cases), where=recon)
+    return generating != frames, recon, residual, residual / (kappa * np.linalg.norm(xi, axis=-1))
+
+
 def _check_generators(ctx: ModuleContext, seed: int, frame_tol: float) -> tuple[dict, dict]:
     """Generating verdict (orbit SVD) against the frame verdict (eigenvalues), and reconstruction.
+
+    Two families of k = 1, 2, 3 windows: with b = k (k - 1), family r takes the k draws from b + r k on
+    and reconstructs draw b + (r + 1) k. Both families of one k run stacked, one per chunk when their
+    orbits exceed _CHUNK entries.
 
     Reconstruction is decided on residual / (kappa * |xi|), kappa = B/A the
     condition number of the frame operator. Its error model: applying the
@@ -437,31 +461,14 @@ def _check_generators(ctx: ModuleContext, seed: int, frame_tol: float) -> tuple[
     absolute bound instead rejects valid frames near critical density,
     whose kappa reaches 1e5 while frame_tol accepts kappa up to 1e9.
     """
-    disagreements = recon_cases = 0
-    recon_gap = recon_rel = 0.0
-    group = ctx.lattice.ambient
-    draws = [Window(group, v) for v in _randn(splitmix64_stream(seed, 18), group.order)]
-    pos = 0
-    for k in (1, 1, 2, 2, 3, 3):
-        sys = GaborSystem(ctx.lattice, tuple(draws[pos : pos + k]))
-        pos += k
-        generating = _generates(sys, frame_tol)
-        try:  # one frame operator gives the frame verdict, the bounds and the duals
-            duals, bounds = _dual_window(sys, frame_tol)
-        except NotAFrameError:
-            duals = None
-        disagreements += generating != (duals is not None)
-        if generating and duals is not None:
-            recon_cases += 1
-            xi = draws[pos % len(draws)]
-            # module_expansion(xi, windows) is left_inner(xi, gamma_j) on these duals
-            coeffs = [left_inner(xi, gamma, ctx) for gamma in duals]
-            error = sum(left_act(a, eta, ctx).values for a, eta in zip(coeffs, sys.windows)) - xi.values
-            residual = max(reconstruction_residual(sys, duals, xi), float(np.linalg.norm(error)))
-            recon_gap = max(recon_gap, residual)
-            recon_rel = max(recon_rel, residual / (bounds.upper / bounds.lower * xi.norm()))
-    return (_entry("generator-equivalence", 6, float(disagreements), float(disagreements)),
-            _entry("reconstruction", recon_cases, recon_gap, recon_rel, use_rel=True))
+    n = ctx.lattice.ambient.order
+    draws = _randn(splitmix64_stream(seed, 18), n)
+    parts = [_per_case(partial(_generator_cases, tol=frame_tol), ctx, draws[b : b + 2 * k].reshape(2, k, n),
+                       draws[b + k : b + 3 * k : k], per_case=k * len(ctx.lattice) * n)
+             for k, b in ((1, 0), (2, 2), (3, 6))]
+    split, recon, residual, rel = (np.concatenate(col) for col in zip(*parts))
+    return (_entry("generator-equivalence", 6, split.sum(), split.sum()),
+            _entry("reconstruction", int(recon.sum()), residual.max(), rel.max(), use_rel=True))
 
 
 def _check_dual_scaling(ctx: ModuleContext, seed: int, cases: int) -> dict:

@@ -97,14 +97,17 @@ def splitmix64_stream(seed, count: int) -> np.ndarray:
     Output i (0-based) mixes state seed + (i+1) * 0x9E3779B97F4A7C15 mod 2^64:
     z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
     z *= 0x94D049BB133111EB; z ^= z >> 31.
-    A sequence of seeds gives one row per seed, each equal to its scalar call.
+    A sequence of seeds gives one row per seed, each equal to its scalar call;
+    a uint64 array of seeds is taken as it is.
     """
     gamma = np.uint64(0x9E3779B97F4A7C15)
-    seeds = np.asarray(seed, dtype=object)  # Python ints: exact for every seed, unlike int64 or float64
-    state = np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds.ravel()], dtype=np.uint64)
+    if not (isinstance(seed, np.ndarray) and seed.dtype == np.uint64):
+        seeds = np.asarray(seed, dtype=object)  # Python ints: exact for every seed, unlike int64 or float64
+        state = [int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds.ravel()]
+        seed = np.array(state, dtype=np.uint64).reshape(seeds.shape)
     idx = np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = state.reshape(seeds.shape + (1,)) + idx * gamma
+        z = seed[..., None] + idx * gamma
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         z = z ^ (z >> np.uint64(31))

@@ -16,14 +16,15 @@ rep(a * b) = rep(b) rep(a), exactly what a right module action requires; the
 involution identity rep(a*) = rep(a)^H holds for both flags.
 
 Every product, involution and representation reads the domain's integer
-tables (see groups): the add and neg index tables, the cocycle as integer
-phases mod N with kappa = roots[phase] (roots[-phase] on the conjugated
-flag), and the orbit gather; all are gathers, and the kernels behind them
-take leading case axes. The integrated representation sums the orbit phases
-over each time fibre, m_x(t) = sum over (x, w) of a(x, w) roots[pairing(w, t)],
-and places m_x(t) at row t, column index(t - x) of the |G| x |G| matrix;
-applied to a vector (_act, the module actions) the same form takes
-O(|Delta| |G|) and builds no matrix.
+tables (see groups): the neg index table, the sub table of differences
+z_k - z_i with the integer phases mod N of c(z_i, z_k - z_i), so that
+kappa = roots[phase] (roots[-phase] on the conjugated flag), and the orbit
+gather; all are gathers, and the kernels behind them take leading case axes.
+The integrated representation sums the orbit phases over each time fibre,
+m_x(t) = sum over (x, w) of a(x, w) roots[pairing(w, t)], and places m_x(t)
+at row t, column index(t - x) of the |G| x |G| matrix; applied to a vector
+(_act, the module actions) the same form takes O(|Delta| |G|) and builds no
+matrix.
 """
 
 from __future__ import annotations
@@ -82,12 +83,11 @@ def twisted_convolve(a: TwistedSeq, b: TwistedSeq) -> TwistedSeq:
 
 
 def _convolve(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """twisted_convolve per case of leading axes: term [i, k] pairs w_i with z_k - w_i, summed over i."""
+    """twisted_convolve per case of leading axes: term [i, k] pairs z_i with z_k - z_i, summed over i."""
     tables = domain._tables
-    sub = tables.add[tables.neg]  # sub[i, k] = position of z_k - w_i
-    phase = np.take_along_axis(tables.cocycle, sub, axis=1)
-    phase = -phase % tables.group.modulus if conjugated else phase
-    terms = float(domain.weight) * (a[..., :, None] * tables.group.roots[phase] * np.take(b, sub, axis=-1))
+    sub, phase = tables.sub, tables.sub_phase  # built, on first use, before any product temporary
+    kappa = tables.group.roots[-phase if conjugated else phase]
+    terms = float(domain.weight) * (a[..., :, None] * kappa * np.take(b, sub, axis=-1))
     return terms.sum(axis=-2)
 
 

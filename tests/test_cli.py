@@ -238,6 +238,12 @@ def test_malformed_inputs_exit_2(tmp_path):
         res = run_cli(cmd, "--spec", spec)
         assert res.returncode == 2, (job, res.stderr)
         assert "error:" in res.stderr
+    # --tol must be positive and finite; argparse rejects it before any command runs
+    tight = write_job(tmp_path, TIGHT_JOB, "tight.json")
+    for tol, cmd in zip(("0", "-1", "nan", "inf"), ("frame-bounds", "dual-window", "gen-check", "verify")):
+        res = run_cli(cmd, "--spec", tight, "--tol", tol)
+        assert res.returncode == 2, (tol, cmd, res.stderr)
+        assert "tolerance must be positive and finite" in res.stderr
 
 
 def test_missing_window_exit_2(tmp_path):

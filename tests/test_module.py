@@ -9,15 +9,17 @@ import pytest
 from heisenmod import (
     FiniteAbelianGroup,
     GaborSystem,
+    MeasuredSubgroup,
     ModuleContext,
     TFPoint,
-    Window,
     adjoint_subgroup,
+    all_subgroups,
     cstar_norm,
     delta_seq,
     delta_window,
     dual_lattice_norm_scaling,
     figa_check,
+    frame_bounds,
     frame_like,
     frame_operator,
     full_plane,
@@ -302,13 +304,38 @@ def test_verify_suite_passes_and_is_deterministic():
     assert again == report
 
 
-def test_theta_matrix_matches_per_basis_vector_construction_exactly():
-    for ctx in (CTX4, CTX6, CTX_DIAG):
-        g = ctx.lattice.ambient
-        eta = randn_window(g, seed=50)
-        gamma = randn_window(g, seed=51)
-        cols = [left_act(left_inner(delta_window(g, t), eta, ctx), gamma, ctx).values for t in range(g.order)]
-        assert np.array_equal(theta_matrix(eta, gamma, ctx), np.stack(cols, axis=1))
+Z48_R2 = module_context(subgroup_from_generators(FiniteAbelianGroup((48,)), [((4,), (0,)), ((0,), (6,))], 1))
+Z12_W3 = module_context(subgroup_from_generators(FiniteAbelianGroup((12,)), [((2,), (3,)), ((0,), (4,))], 3))
+
+
+def test_theta_matrix_matches_per_basis_vector_construction_exactly(monkeypatch):
+    # Z48 at |Delta| = 96 runs batches of 7 columns, which do not divide 48; chunk 1 runs one column per batch
+    assert len(Z48_R2.lattice) == 96 and module_impl._CHUNK // (96 * 48) == 7
+    for ctx, chunk in [(CTX4, None), (CTX6, None), (CTX_DIAG, None), (Z48_R2, None), (Z12_W3, None),
+                       (CTX6, 1), (Z48_R2, 1)]:
+        with monkeypatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(module_impl, "_CHUNK", chunk)
+            g = ctx.lattice.ambient
+            eta = randn_window(g, seed=50)
+            gamma = randn_window(g, seed=51)
+            cols = [left_act(left_inner(delta_window(g, t), eta, ctx), gamma, ctx).values for t in range(g.order)]
+            assert np.array_equal(theta_matrix(eta, gamma, ctx), np.stack(cols, axis=1)), (g.orders, chunk)
+
+
+def test_norms_from_the_smaller_gram_match_the_frame_operator_route():
+    # With |Delta| < |G| the norms come from the |Delta| x |Delta| Gram; the reference is frame_bounds'
+    # eigvalsh of the |G| x |G| frame operator.
+    smaller = 0
+    for g in [FiniteAbelianGroup((n,)) for n in range(1, 13)]:
+        etas = [randn_window(g, seed=70 + i) for i in range(3)]
+        for k, elems in enumerate(all_subgroups(g)):
+            sub = MeasuredSubgroup(g, elems, Fraction(1, 1 + k % 3))
+            smaller += len(sub) < g.order
+            expect = np.sqrt([frame_bounds(GaborSystem(sub, (eta,))).upper for eta in etas])
+            got = module_impl._norms(np.stack([eta.values for eta in etas]), sub)
+            assert np.all(np.abs(got - expect) <= 1e-13 * expect), (g.orders, elems, got, expect)
+    assert smaller > 50
 
 
 def test_monomial_gap_is_the_dense_max_difference():
@@ -393,6 +420,38 @@ def test_verify_suite_passes_at_benchmark_scale(orders, gens, weight, seed, poin
     assert peak <= 3 * 2**20, peak
 
 
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("rung", [0, 1], ids=["z96-192", "z96-weight-3"])
+def test_theta_matrix_runs_one_act_per_batch(rung, monkeypatch):
+    orders, gens, weight, _, _ = BENCH_SCALE[rung]
+    ctx = module_context(subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight))
+    n = ctx.lattice.ambient.order
+    batch = max(1, module_impl._CHUNK // (len(ctx.lattice) * n))
+    calls = {"_act": 0}
+    monkeypatch.setattr(module_impl, "_act", _counting(calls, "_act", module_impl._act))
+    theta_matrix(randn_window(ctx.lattice.ambient, 1), randn_window(ctx.lattice.ambient, 2), ctx)
+    assert calls["_act"] <= -(-n // batch), (calls, batch)
+
+
+def test_generator_check_runs_one_decomposition_per_window_count(monkeypatch):
+    # Z24 at |Delta| = 24: both families of each window count k = 1, 2, 3 fit one chunk.
+    ctx = module_context(subgroup_from_generators(FiniteAbelianGroup((24,)), [((4,), (0,)), ((0,), (6,))], 1))
+    assert len(ctx.lattice) == 24
+    calls = {"svd": 0, "eigvalsh": 0, "solve": 0}
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, _counting(calls, name, getattr(np.linalg, name)))
+    gen, recon = module_impl._check_generators(ctx, 5, 1e-9)
+    assert gen["pass"] and recon["cases"] > 0
+    assert max(calls.values()) <= 3, calls
+
+
 def _bench_rung(rung, weight):
     """A BENCH_SCALE lattice at the given weight, and the twisted-axioms salt of its seed.
 
@@ -459,15 +518,15 @@ def test_reconstruction_passes_on_ill_conditioned_critical_frames(gens, seed):
 @pytest.mark.parametrize("orders, gens, seed", [((8, 8),) + CRITICAL_Z8[0], ((6,), [[[2], [0]], [[0], [3]]], 4)])
 def test_reconstruction_fails_with_a_wrong_dual(orders, gens, seed, monkeypatch):
     # gamma = eta / B reconstructs only for tight frames; residual / (kappa |xi|) stays large.
-    # The check takes its duals, with the frame verdict and bounds, from gabor._dual_window.
-    true_dual = module_impl._dual_window
+    # The check takes its duals, with the frame verdicts and the bounds, from gabor._duals.
+    true_duals = module_impl._duals
 
-    def wrong_dual(sys, tol=1e-9):
-        _, bounds = true_dual(sys, tol)
-        return [Window(eta.group, eta.values / bounds.upper) for eta in sys.windows], bounds
+    def wrong_dual(ops, windows, tol):
+        bounds, frames, _ = true_duals(ops, windows, tol)
+        return bounds, frames, windows[frames] / bounds[frames, 1, None, None]
 
     lattice = subgroup_from_generators(FiniteAbelianGroup(orders), [(tuple(x), tuple(w)) for x, w in gens], 1)
-    monkeypatch.setattr(module_impl, "_dual_window", wrong_dual)
+    monkeypatch.setattr(module_impl, "_duals", wrong_dual)
     recon = next(e for e in verify_suite(lattice, seed=seed)["identities"] if e["name"] == "reconstruction")
     assert recon["cases"] > 0
     assert not recon["pass"] and recon["max_rel_gap"] > 1e-6, recon

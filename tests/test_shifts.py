@@ -277,6 +277,19 @@ def test_stream_rows_are_bit_identical_to_scalar_calls(count):
     assert grid.reshape(6, count).tobytes() == gaussian_stream(derived, count).tobytes()
 
 
+def test_uint64_seed_arrays_are_taken_as_they_are():
+    # every value of the array, those >= 2^63 included, seeds the same row as its Python int
+    seeds = np.array([0, 1, 2**63 - 1, 2**63, 2**63 + 12345, 2**64 - 1, 0xDEADBEEF], dtype=np.uint64)
+    assert (seeds >= np.uint64(2**63)).sum() == 3
+    for shape in [(7,), (7, 1), (1, 7)]:
+        grid = seeds.reshape(shape)
+        rows = splitmix64_stream(grid, 5)
+        assert rows.dtype == np.uint64 and rows.shape == shape + (5,)
+        assert rows.tobytes() == splitmix64_stream(grid.tolist(), 5).tobytes()
+    for seed in seeds:
+        assert splitmix64_stream(np.array(seed), 5).tobytes() == splitmix64_stream(int(seed), 5).tobytes()
+
+
 @pytest.mark.parametrize("order", [1, 4, 5, 96])
 def test_randn_rows_are_bit_identical_to_randn_window(order):
     from heisenmod.shifts import _randn

@@ -300,3 +300,18 @@ def test_kernels_with_a_case_axis_equal_per_case_calls_bit_for_bit():
             assert inv[i].tobytes() == involution(one_a).coeffs.tobytes()
             assert rep[i].tobytes() == np.ascontiguousarray(integrated_rep(one_a)).tobytes()
             assert act[i].tobytes() == _act(lat, flag, a[i], xi[i]).tobytes()
+
+
+def test_difference_tables_equal_the_add_neg_construction_on_every_subgroup():
+    # The reference is the construction _convolve gathered on every call before the tables held sub and
+    # its phase: add[i, j] = position of z_i + z_j, cocycle[i, j] = phase of c(z_i, z_j).
+    for g in SMALL_GROUPS:
+        for elems in all_subgroups(g):
+            tables = MeasuredSubgroup(g, elems, 1)._tables
+            grp, x, w = tables.group, tables.x, tables.w
+            add = np.searchsorted(tables.plane, grp.plane_index(x[:, None] + x[None], w[:, None] + w[None]))
+            cocycle = -grp.pairing(w[None], x[:, None]) % grp.modulus
+            sub = add[tables.neg]
+            phase = np.take_along_axis(cocycle, sub, axis=1)
+            assert np.array_equal(tables.sub, sub), (g.orders, elems)
+            assert np.array_equal(tables.sub_phase, phase), (g.orders, elems)
