@@ -5,8 +5,8 @@ run the corresponding computation, and print JSON (default) or CSV. Output is
 deterministic: identical job file and seed give byte-identical stdout.
 
 Exit codes: 0 success, 1 failed identity in ``verify``, 2 malformed job file
-or arguments, 3 mathematical domain error (for example, asking for dual
-windows of a system that is not a frame).
+or arguments, 3 a system that is not a frame where a command needs one (dual
+windows). Any other exception is a bug and ends in a traceback.
 
 The environment variable HEISENMOD_THREADS caps the linear-algebra thread
 pools. The package applies it on import, before numpy loads, so it holds for
@@ -22,10 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gabor import (GaborSystem, _dual_window, _frame_test, frame_bounds, frame_operator,
+from .gabor import (GaborSystem, NotAFrameError, _dual_window, _frame_test, frame_bounds, frame_operator,
                     janssen_frame_operator, spectrum)
 from .groups import FiniteAbelianGroup, adjoint_subgroup, subgroup_from_generators
-from .module import figa_check, module_context, module_frame_check, verify_suite
+from .module import VERIFY_TOLERANCES, figa_check, module_context, module_frame_check, verify_suite
 from .shifts import Window, parse_window
 
 
@@ -78,6 +78,14 @@ def _parse_lattice(job: dict, group):
     if weight <= 0:
         raise SpecError(f'field "weight" must be positive, got {weight}')
     return subgroup_from_generators(group, parsed, weight)
+
+
+def _float_lattice(job: dict):
+    """The lattice of a floating-point command: its weight must convert to a finite positive float."""
+    lattice = _parse_lattice(job, _parse_group(job))
+    if not (lattice.weight <= sys.float_info.max and float(lattice.weight) > 0):
+        raise SpecError(f'field "weight" {job.get("weight")!r} does not convert to a finite positive float')
+    return lattice
 
 
 def _parse_windows(job: dict, group):
@@ -156,11 +164,14 @@ def cmd_adjoint(job: dict, args):
 
 
 def _system(job: dict) -> GaborSystem:
-    group = _parse_group(job)
-    lattice = _parse_lattice(job, group)
-    windows = _parse_windows(job, group)
+    """The job's Gabor system; max(1, w) |G|^2 sum_j |eta_j|^2 <= 1e150 keeps S and FIGA's products finite."""
+    lattice = _float_lattice(job)
+    windows = _parse_windows(job, lattice.ambient)
     if not windows:
         raise SpecError("this command needs at least 1 window(s)")
+    energy = sum(float(np.vdot(e.values, e.values).real) for e in windows)  # Python floats: inf on overflow
+    if not max(1.0, float(lattice.weight)) * lattice.ambient.order**2 * energy <= 1e150:
+        raise SpecError("windows too large: max(1, w) |G|^2 sum_j |eta_j|^2 exceeds 1e150")
     return GaborSystem(lattice, tuple(windows))
 
 
@@ -170,7 +181,7 @@ def cmd_frame_bounds(job: dict, args):
     return {
         "A": bounds.lower,
         "B": bounds.upper,
-        "frame": _frame_test(bounds, args.tol),
+        "frame": bool(_frame_test(bounds.lower, bounds.upper, args.tol)),
         "s": str(sys_.lattice.size),
     }, None
 
@@ -197,7 +208,7 @@ def cmd_figa(job: dict, args):
 def cmd_gen_check(job: dict, args):
     sys_ = _system(job)
     res = module_frame_check(sys_.windows, module_context(sys_.lattice), args.tol)
-    frame = _frame_test(res["bounds"], args.tol)
+    frame = bool(_frame_test(res["bounds"].lower, res["bounds"].upper, args.tol))
     return {
         "generating": res["generating"],
         "frame": frame,
@@ -212,7 +223,7 @@ def cmd_janssen(job: dict, args):
     eta, lattice = sys_.windows[0], sys_.lattice
     diff = janssen_frame_operator(eta, lattice) - frame_operator(GaborSystem(lattice, (eta,)))
     gap = float(np.abs(diff).max())
-    return {"max_abs_gap": gap, "pass": gap <= 1e-10, "s": str(lattice.size)}, None
+    return {"max_abs_gap": gap, "pass": gap <= VERIFY_TOLERANCES["janssen"], "s": str(lattice.size)}, None
 
 
 def cmd_spectrum(job: dict, args):
@@ -221,8 +232,7 @@ def cmd_spectrum(job: dict, args):
 
 
 def cmd_verify(job: dict, args):
-    group = _parse_group(job)
-    lattice = _parse_lattice(job, group)
+    lattice = _float_lattice(job)
     report = verify_suite(lattice, seed=_resolve_seed(job, args), frame_tol=args.tol)
     rows = ["name,cases,max_abs_gap,max_rel_gap,pass"] + [
         f'{e["name"]},{e["cases"]},{e["max_abs_gap"]},{e["max_rel_gap"]},{_plain(e["pass"])}'
@@ -268,12 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, rows = _COMMANDS[args.command](_load_job(args.spec), args)
-    except SpecError as exc:
+    except (SpecError, NotAFrameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, SpecError) else 3
     _emit(payload, args.out, rows)
     return 1 if args.command == "verify" and not payload["pass"] else 0
 

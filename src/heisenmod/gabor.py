@@ -66,7 +66,8 @@ def shift_orbit(eta: Window, sub: MeasuredSubgroup) -> np.ndarray:
 def _orbit(values: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
     """shift_orbit with leading case axes: values (..., |G|) give orbits (..., |Delta|, |G|)."""
     perm, phase = sub._tables.orbit
-    return sub._tables.group.roots[phase] * np.take(values, perm, axis=-1)
+    roots, out = sub._tables.group.roots[phase], np.take(values, perm, axis=-1)
+    return np.multiply(roots, out, out=out)  # reuses the gather's buffer: no third array
 
 
 def _analyze(xi: np.ndarray, eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
@@ -121,16 +122,16 @@ def frame_bounds(sys: GaborSystem) -> FrameBounds:
     return FrameBounds(*_bounds(frame_operator(sys)).tolist())
 
 
-def _frame_test(bounds: FrameBounds, tol: float) -> bool:
-    """The frame rule: the lower bound clears tol * max(B, 1), for a positive finite tol."""
+def _frame_test(lower, upper, tol: float) -> np.ndarray:
+    """The frame rule, elementwise on bound arrays: A clears tol * max(B, 1), for a positive finite tol."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    return bounds.lower > tol * max(bounds.upper, 1.0)
+    return np.greater(lower, tol * np.maximum(upper, 1.0))
 
 
 def is_frame(sys: GaborSystem, tol: float = 1e-9) -> bool:
     """True when the lower bound clears tol * max(B, 1)."""
-    return _frame_test(frame_bounds(sys), tol)
+    return bool(_frame_test(*_bounds(frame_operator(sys)), tol))
 
 
 def dual_window(sys: GaborSystem, tol: float = 1e-9) -> list[Window]:
@@ -152,27 +153,23 @@ def _duals(ops: np.ndarray, windows: np.ndarray, tol: float) -> tuple[np.ndarray
     """Per case of (cases, |G|, |G|) frame operators and their (cases, k, |G|) windows, from one eigvalsh
     and one solve: the bounds (cases, 2), the frame verdicts, and the duals (frames, k, |G|) of the frames."""
     bounds = _bounds(ops)
-    frames = np.array([_frame_test(FrameBounds(*b), tol) for b in bounds.tolist()], dtype=bool)
+    frames = _frame_test(bounds[:, 0], bounds[:, 1], tol)
     duals = np.linalg.solve(ops[frames], np.swapaxes(windows[frames], -1, -2))
     return bounds, frames, np.swapaxes(duals, -1, -2)
 
 
 def _svd_frames(windows: np.ndarray, sub: MeasuredSubgroup, tol: float) -> np.ndarray:
     """The frame rule per case of (cases, k, |G|) windows, on bounds from the singular values of the
-    stacked orbits (cases, k |Delta|, |G|), which are written window by window into one array.
+    stacked orbits (cases, k |Delta|, |G|).
 
     The bounds are weight * s^2 of the extreme singular values s; the lower one is 0 with fewer rows than |G|.
     """
     cases, k, n = windows.shape
-    perm, phase = sub._tables.orbit
-    orbits = np.empty((cases, k * len(sub), n), dtype=np.complex128)
-    for j in range(k):  # _orbit of window j, multiplied straight into the stack: no orbit-sized temporary
-        rows = orbits[:, j * len(sub) : (j + 1) * len(sub)]
-        np.multiply(sub._tables.group.roots[phase], np.take(windows[:, j], perm, axis=-1), out=rows)
+    orbits = _orbit(windows, sub).reshape(cases, k * len(sub), n)
     bounds = float(sub.weight) * np.linalg.svd(orbits, compute_uv=False)[:, [-1, 0]] ** 2
     if k * len(sub) < n:
         bounds[:, 0] = 0.0
-    return np.array([_frame_test(FrameBounds(*b), tol) for b in bounds.tolist()], dtype=bool)
+    return _frame_test(bounds[:, 0], bounds[:, 1], tol)
 
 
 def reconstruction_residual(sys: GaborSystem, duals: list[Window], xi: Window) -> float:

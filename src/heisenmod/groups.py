@@ -221,14 +221,26 @@ class _LatticeTable:
         return self.group.gather(self.x, self.w)
 
     @cached_property
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The orbit table per time shift x: sorted points come in runs, one per x, each a coset of
+        Delta_0 = {w : (0, w) in Delta}. Phases (runs, |Delta_0|, |G|), index(t - x), index(t + x)."""
+        perm, phase = self.orbit
+        d0 = int(np.searchsorted(self.plane, self.group.size))
+        return phase.reshape(-1, d0, self.group.size), perm[::d0], np.argsort(perm[::d0], axis=-1)
+
+    @cached_property
     def neg(self) -> np.ndarray:
         return np.searchsorted(self.plane, self.group.plane_index(-self.x, -self.w))
 
     @cached_property
     def sub(self) -> np.ndarray:
-        """sub[i, k] = position of z_k - z_i."""
-        x, w = self.x[None] - self.x[:, None], self.w[None] - self.w[:, None]
-        return np.searchsorted(self.plane, self.group.plane_index(x, w))
+        """sub[i, k] = position of z_k - z_i; its plane index is built one coordinate at a time, in place."""
+        plane = np.zeros((len(self.plane),) * 2, dtype=np.int64)
+        digit = np.empty_like(plane)
+        for c, n in zip(np.hstack([self.x, self.w]).T, np.tile(self.group.orders, 2)):
+            plane *= n
+            plane += np.remainder(np.subtract(c[None], c[:, None], out=digit), n, out=digit)
+        return np.searchsorted(self.plane, plane)
 
     @cached_property
     def sub_phase(self) -> np.ndarray:

@@ -62,12 +62,7 @@ def left_inner(xi: Window, eta: Window, ctx: ModuleContext) -> TwistedSeq:
 
 def right_inner(xi: Window, eta: Window, ctx: ModuleContext) -> TwistedSeq:
     """Adjoint-side inner product: coefficient at w is <pi(w) eta, xi>."""
-    return TwistedSeq(ctx.dual, True, _right_coeffs(xi.values, eta.values, ctx.dual))
-
-
-def _right_coeffs(xi: np.ndarray, eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
-    """Coefficients <pi(w) eta, xi> per case: (..., |G|) arrays give (..., |Delta|)."""
-    return (_orbit(eta, sub) @ xi.conj()[..., None])[..., 0]
+    return TwistedSeq(ctx.dual, True, _analyze(xi.values, eta.values, ctx.dual).conj())
 
 
 def left_act(a: TwistedSeq, xi: Window, ctx: ModuleContext) -> Window:
@@ -147,7 +142,7 @@ def localization_check(xi: Window, eta: Window, ctx: ModuleContext) -> dict:
 def _localization(xi: np.ndarray, eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, ...]:
     """trace(left_inner(xi, eta)), <xi, eta> and trace(right_inner(eta, xi)) per case."""
     lhs = _analyze(xi, eta, ctx.lattice)[..., 0]
-    via_right = _right_coeffs(eta, xi, ctx.dual)[..., 0]
+    via_right = _analyze(eta, xi, ctx.dual)[..., 0].conj()
     return lhs, (xi * eta.conj()).sum(axis=-1), via_right
 
 
@@ -165,8 +160,8 @@ def figa_check(eta: Window, gamma: Window, xi: Window, psi: Window, ctx: ModuleC
 def _figa(eta, gamma, xi, psi, ctx: ModuleContext) -> tuple[np.ndarray, np.ndarray]:
     """Lattice and adjoint sides of FIGA per case of (..., |G|) windows."""
     lat, adj = ctx.lattice, ctx.dual
-    lhs = float(lat.weight) * (_analyze(eta, gamma, lat) * _right_coeffs(psi, xi, lat)).sum(axis=-1)
-    rhs = float(1 / lat.size) * (_analyze(xi, gamma, adj) * _right_coeffs(psi, eta, adj)).sum(axis=-1)
+    lhs = float(lat.weight) * (_analyze(eta, gamma, lat) * _analyze(psi, xi, lat).conj()).sum(axis=-1)
+    rhs = float(1 / lat.size) * (_analyze(xi, gamma, adj) * _analyze(psi, eta, adj).conj()).sum(axis=-1)
     return lhs, rhs
 
 
@@ -177,13 +172,13 @@ def theta_matrix(eta: Window, gamma: Window, ctx: ModuleContext) -> np.ndarray:
     column t of the analysis matrix, so that matrix is built once, and so is
     the fibre table of left_act. The columns go through left_act's kernel,
     the integrated-representation route that frame_like does not take, as
-    its case axis, in batches whose temporaries hold about _CHUNK entries;
+    its case axis, in _per_case chunks of |Delta| |G| entries per column;
     each equals a lone left_act call bit for bit.
     """
-    lat, cols = ctx.lattice, analysis(eta, ctx.lattice).T
-    step, fibres = max(1, _CHUNK // cols.size), _fibres(lat, False)
-    batches = [_act(lat, False, cols[t : t + step], gamma.values, fibres) for t in range(0, len(cols), step)]
-    return np.concatenate(batches).T
+    lat, cols, fibres = ctx.lattice, analysis(eta, ctx.lattice).T, _fibres(ctx.lattice, False)
+    (theta,) = _per_case(lambda c, _: (_act(lat, False, c, gamma.values, fibres),), ctx, cols,
+                         per_case=cols.size)
+    return theta.T
 
 
 def dual_lattice_norm_scaling(eta: Window, ctx: ModuleContext) -> dict:
@@ -416,7 +411,7 @@ def _check_figa(ctx: ModuleContext, seed: int, cases: int) -> dict:
 def _imprimitivity_gaps(xi, eta, gamma, ctx: ModuleContext) -> tuple[np.ndarray]:
     """Per case: left_act(left_inner(xi, eta), gamma) against right_act(xi, right_inner(eta, gamma))."""
     lhs = _act(ctx.lattice, False, _analyze(xi, eta, ctx.lattice), gamma)
-    return (_case_max(lhs - _act(ctx.dual, True, _right_coeffs(eta, gamma, ctx.dual), xi)),)
+    return (_case_max(lhs - _act(ctx.dual, True, _analyze(eta, gamma, ctx.dual).conj(), xi)),)
 
 
 def _check_imprimitivity(ctx: ModuleContext, seed: int, cases: int) -> dict:

@@ -24,7 +24,8 @@ The integrated representation sums the orbit phases over each time fibre,
 m_x(t) = sum over (x, w) of a(x, w) roots[pairing(w, t)], and places m_x(t)
 at row t, column index(t - x) of the |G| x |G| matrix; applied to a vector
 (_act, the module actions) the same form takes O(|Delta| |G|) and builds no
-matrix.
+matrix. The fibre form reads the lattice's run table (groups): the orbit
+phases grouped by time shift x, and per x the gathers index(t -/+ x).
 """
 
 from __future__ import annotations
@@ -134,18 +135,9 @@ def _rep(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np.ndarra
 
 
 def _fibres(domain: MeasuredSubgroup, conjugated: bool) -> tuple[np.ndarray, np.ndarray]:
-    """roots[phase] as (runs, |Delta_0|, |G|), and per run the gather index(t - x), or index(t + x).
-
-    Points sorted by plane index come in equal runs, one per time shift x,
-    each a coset of Delta_0 = {w : (0, w) in Delta}. The conjugated flag takes index(t + x).
-    """
-    tables, group = domain._tables, domain._tables.group
-    perm, phase = tables.orbit
-    d0 = int(np.searchsorted(tables.plane, group.size))
-    roots = group.roots[phase].reshape(-1, d0, group.size)
-    if not conjugated:
-        return roots, perm[::d0]
-    return roots, group.index(group.coords[None] + tables.x[::d0, None])
+    """roots[phase] per run and the run gathers index(t - x), or index(t + x) on the conjugated flag."""
+    phase, minus, plus = domain._tables.runs
+    return domain._tables.group.roots[phase], plus if conjugated else minus
 
 
 def _fibre_sums(a: np.ndarray, roots: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from heisenmod import cli
+
 CLI = [sys.executable, "-m", "heisenmod.cli"]
 
 TIGHT_JOB = {
@@ -207,6 +209,9 @@ def test_determinism_byte_identical(tmp_path):
     assert s1.stdout == s2.stdout
 
 
+OVERFLOW_LATTICE = {"group": [4], "generators": [[[1], [0]], [[0], [2]]]}
+
+
 def test_malformed_inputs_exit_2(tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -232,18 +237,44 @@ def test_malformed_inputs_exit_2(tmp_path):
         {"group": [4], "windows": [[[float("nan"), 0], [0, 0], [0, 0], [0, 0]]]},
         {"group": [4], "windows": [[[0, float("-inf")], [0, 0], [0, 0], [0, 0]]]},
         {"group": [4], "windows": [[[10**400, 0], [0, 0], [0, 0], [0, 0]]]},
+        dict(OVERFLOW_LATTICE, weight="1e400", windows=["const"]),
+        dict(OVERFLOW_LATTICE, weight="1e-400", windows=["const"]),
+        dict(OVERFLOW_LATTICE, weight="1e400", seed=1),
+        dict(OVERFLOW_LATTICE, windows=[[[1e300, 0]] * 4]),
     ):
         spec = write_job(tmp_path, job, "case.json")
         cmd = "verify" if "seed" in job else "frame-bounds"
         res = run_cli(cmd, "--spec", spec)
         assert res.returncode == 2, (job, res.stderr)
         assert "error:" in res.stderr
+    # numbers that overflow floats, in every floating-point command (in process); adjoint computes exactly
+    huge = write_job(tmp_path, dict(OVERFLOW_LATTICE, windows=[[[1e300, 0]] * 4]), "huge.json")
+    heavy = write_job(tmp_path, dict(OVERFLOW_LATTICE, weight="1e400", windows=["const"]), "heavy.json")
+    for cmd in ("dual-window", "spectrum", "gen-check", "figa", "janssen"):
+        assert cli.main([cmd, "--spec", huge]) == 2, cmd
+    assert cli.main(["figa", "--spec", heavy]) == 2
+    for weight in ("1e400", "1e-400"):
+        assert cli.main(["adjoint", "--spec", write_job(tmp_path, dict(OVERFLOW_LATTICE, weight=weight))]) == 0
     # --tol must be positive and finite; argparse rejects it before any command runs
     tight = write_job(tmp_path, TIGHT_JOB, "tight.json")
     for tol, cmd in zip(("0", "-1", "nan", "inf"), ("frame-bounds", "dual-window", "gen-check", "verify")):
         res = run_cli(cmd, "--spec", tight, "--tol", tol)
         assert res.returncode == 2, (tol, cmd, res.stderr)
         assert "tolerance must be positive and finite" in res.stderr
+
+
+def test_only_a_non_frame_exits_3(tmp_path, monkeypatch):
+    def buggy(job, args):
+        raise ValueError("a bug, not a domain error")
+
+    monkeypatch.setitem(cli._COMMANDS, "frame-bounds", buggy)
+    with pytest.raises(ValueError, match="a bug"):
+        cli.main(["frame-bounds", "--spec", write_job(tmp_path, TIGHT_JOB)])
+    # redundancy 1/2: |Delta| = 12 on Z24 is never a frame
+    job = {"group": [24], "generators": [[[4], [0]], [[0], [12]]], "windows": ["randn:5"]}
+    res = run_cli("dual-window", "--spec", write_job(tmp_path, job, "half.json"))
+    assert res.returncode == 3
+    assert "not a frame" in res.stderr
 
 
 def test_missing_window_exit_2(tmp_path):

@@ -1,5 +1,6 @@
 """Gabor frame operators, bounds, dual windows, and the Janssen form."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,10 @@ from heisenmod import (
     FiniteAbelianGroup,
     FrameBounds,
     GaborSystem,
+    MeasuredSubgroup,
     NotAFrameError,
     adjoint_subgroup,
+    all_subgroups,
     analysis,
     delta_window,
     dual_window,
@@ -30,6 +33,7 @@ from heisenmod import (
     tf_shift,
     tf_shift_matrix,
 )
+from heisenmod import gabor as gabor_impl
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -224,3 +228,63 @@ def test_dual_window_error_bounds_are_bit_identical(order, tol):
     with pytest.raises(NotAFrameError) as got:
         dual_window(sys, tol)
     assert got.value.bounds == expect.value.bounds
+
+
+SMALL_GROUPS = [FiniteAbelianGroup((n,)) for n in range(1, 13)] + [FiniteAbelianGroup((2, 4))]
+# The largest verify-ladder rungs: Z6^2 at |Delta| = 72, Z8^2 at 64, Z80 at 160 and Z96 at 96 (weight 3) and 192.
+BIG_RUNGS = [
+    ((6, 6), [((1, 0), (3, 3)), ((0, 1), (3, 4)), ((0, 0), (6, 0)), ((0, 0), (0, 3))], 1),
+    ((8, 8), [((8, 0), (0, 0)), ((0, 1), (0, 1)), ((0, 0), (4, 0)), ((0, 0), (0, 2))], 1),
+    ((80,), [((5,), (30,)), ((0,), (8,))], 1),
+    ((96,), [((24,), (72,)), ((0,), (4,))], 3),
+    ((96,), [((8,), (0,)), ((0,), (6,))], 1),
+]
+
+
+def _every_lattice():
+    for g in SMALL_GROUPS:
+        for elems in all_subgroups(g):
+            yield MeasuredSubgroup(g, elems, 1)
+    for orders, gens, weight in BIG_RUNGS:
+        yield subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight)
+
+
+def test_orbit_multiplies_into_its_gather_bit_for_bit():
+    # The reference allocates the phases, the gather and their product separately.
+    for sub in _every_lattice():
+        n = sub.ambient.order
+        perm, phase = sub._tables.orbit
+        raw = np.stack([randn_window(sub.ambient, 80 + i).values for i in range(6)])
+        for values in (raw[0], raw[:3], raw.reshape(2, 3, n)):
+            expect = sub._tables.group.roots[phase] * np.take(values, perm, axis=-1)
+            got = gabor_impl._orbit(values, sub)
+            assert got.shape == values.shape[:-1] + (len(sub), n)
+            assert got.tobytes() == expect.tobytes(), (sub.ambient.orders, len(sub), values.ndim)
+
+
+def test_frame_rule_on_arrays_equals_the_scalar_rule():
+    tol = 1e-9
+    upper = np.array([0.0, 0.25, 0.5, 1.0, 1.0, 3.0, 3.0, 3.0, 1e12, 1e12])
+    lower = np.array([0.0, tol, tol / 2, tol, 0.0, 3 * tol, np.nextafter(3 * tol, 1.0), 0.0, 1e3, 1e3 + 1e-6])
+    expect = [a > tol * max(b, 1.0) for a, b in zip(lower.tolist(), upper.tolist())]
+    assert expect == [False, False, False, False, False, False, True, False, False, True]
+    assert gabor_impl._frame_test(lower, upper, tol).tolist() == expect
+    assert [bool(gabor_impl._frame_test(a, b, tol)) for a, b in zip(lower.tolist(), upper.tolist())] == expect
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            gabor_impl._frame_test(lower, upper, bad)
+
+
+def test_generating_stack_holds_one_orbit_sized_array():
+    # Z80 at |Delta| = 160: two families of three windows stack 2 x 480 x 80 complex entries, 1.17 MiB
+    sub = subgroup_from_generators(FiniteAbelianGroup((80,)), BIG_RUNGS[2][1], 1)
+    windows = np.stack([randn_window(sub.ambient, s).values for s in range(6)]).reshape(2, 3, 80)
+    gabor_impl._svd_frames(windows, sub, 1e-9)  # builds the orbit table outside the measurement
+    tracemalloc.start()
+    try:
+        verdicts = gabor_impl._svd_frames(windows, sub, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts.tolist() == [True, True]
+    assert peak < 1.5 * 2**20, peak

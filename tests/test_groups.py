@@ -295,3 +295,17 @@ def test_a_large_lattice_holds_about_one_int64_per_point():
         tracemalloc.stop()
     assert len(sub) == 262144
     assert held < 5 * 2**20, held
+
+
+def test_difference_table_builds_in_about_three_tables():
+    # Z80 at |Delta| = 160, a verify-ladder rung: the table holds 160^2 int64 entries, 0.195 MiB
+    sub = subgroup_from_generators(FiniteAbelianGroup((80,)), [((5,), (30,)), ((0,), (8,))], 1)
+    tables = sub._tables
+    assert len(sub) == 160 and tables.x.size and tables.w.size  # coordinates built outside the measurement
+    tracemalloc.start()
+    try:
+        table = tables.sub
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * table.nbytes, (peak, table.nbytes)

@@ -338,6 +338,24 @@ def test_norms_from_the_smaller_gram_match_the_frame_operator_route():
     assert smaller > 50
 
 
+def test_conjugated_analysis_equals_the_orbit_against_the_conjugate_bit_for_bit():
+    # The adjoint-side coefficients <pi(w) eta, xi> were computed as orbit(eta) @ conj(xi) before they
+    # became conj(<xi, pi(w) eta>); the reference keeps that product, on each lattice and on its adjoint.
+    from heisenmod.gabor import _analyze, _orbit
+
+    cases = 0
+    for g in [FiniteAbelianGroup((n,)) for n in range(1, 13)] + [FiniteAbelianGroup((2, 4))]:
+        xi = np.stack([randn_window(g, 90 + i).values for i in range(3)])
+        eta = np.stack([randn_window(g, 95 + i).values for i in range(3)])
+        for elems in all_subgroups(g):
+            lattice = MeasuredSubgroup(g, elems, 1)
+            for sub in (lattice, adjoint_subgroup(lattice)):
+                expect = (_orbit(eta, sub) @ xi.conj()[..., None])[..., 0]
+                assert _analyze(xi, eta, sub).conj().tobytes() == expect.tobytes(), (g.orders, elems)
+                cases += 1
+    assert cases > 200
+
+
 def test_monomial_gap_is_the_dense_max_difference():
     rng = np.random.default_rng(3)
     n = 6
