@@ -9,6 +9,12 @@ the coefficient side weights each point by Delta's measure. The frame operator
 is Hermitian positive semidefinite and commutes with every lattice shift. Its
 extreme eigenvalues are the optimal frame bounds. The Janssen form rewrites S
 as an adjoint-lattice sum s(Delta)^{-1} sum_{w} <eta, pi(w) eta> pi(w).
+
+So S is the integrated representation of a sequence on the adjoint, block
+diagonal over the cosets of the adjoint's time shifts X(adjoint) =
+Delta_0^perp, Delta_0 = {w : (0, w) in Delta} (the frame cosets, groups).
+Bounds, spectra, duals and the generating-set SVD run per block: a Gram of
+the orbit's columns on each coset. frame_operator builds all of S.
 """
 
 from __future__ import annotations
@@ -63,11 +69,22 @@ def shift_orbit(eta: Window, sub: MeasuredSubgroup) -> np.ndarray:
     return _orbit(eta.values, sub)
 
 
-def _orbit(values: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
-    """shift_orbit with leading case axes: values (..., |G|) give orbits (..., |Delta|, |G|)."""
+def _orbit(values: np.ndarray, sub: MeasuredSubgroup, cols: np.ndarray | None = None) -> np.ndarray:
+    """shift_orbit with leading case axes: values (..., |G|) give orbits (..., |Delta|, |G|), or only the
+    columns cols of G in their order, (..., |Delta|, |cols|)."""
     perm, phase = sub._tables.orbit
-    roots, out = sub._tables.group.roots[phase], np.take(values, perm, axis=-1)
+    if cols is not None:  # contiguous index tables, one alive at a time: the gathers copy neither
+        roots = sub._tables.group.roots[np.take(phase, cols, axis=1)]
+        out = np.take(values, np.take(perm, cols, axis=1), axis=-1)
+    else:
+        roots, out = sub._tables.group.roots[phase], np.take(values, perm, axis=-1)
     return np.multiply(roots, out, out=out)  # reuses the gather's buffer: no third array
+
+
+def _column_blocks(orbit: np.ndarray, cosets: np.ndarray) -> np.ndarray:
+    """Orbits (..., rows, |G|) gathered at the columns cosets.ravel(), split into one block per coset:
+    a view (..., blocks, rows, size) for cosets (blocks, size)."""
+    return np.moveaxis(orbit.reshape(orbit.shape[:-1] + cosets.shape), -2, -3)
 
 
 def _analyze(xi: np.ndarray, eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
@@ -98,28 +115,48 @@ def frame_like(eta: Window, gamma: Window, sub: MeasuredSubgroup) -> OperatorMat
 
 
 def frame_operator(sys: GaborSystem) -> OperatorMatrix:
-    """Sum of the per-window frame operators, as a |G| x |G| matrix."""
-    return _frame_sum(np.stack([eta.values for eta in sys.windows]), sys.lattice)
+    """Sum of the per-window frame operators, as a |G| x |G| matrix: one block holding all of G."""
+    return _frame_sum(_windows(sys), sys.lattice, np.arange(sys.lattice.ambient.order)[None])[0]
 
 
-def _frame_sum(windows: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
-    """frame_operator per case of (..., k, |G|) windows: one orbit at a time, added in window order."""
-    n = windows.shape[-1]
-    total = np.zeros(windows.shape[:-2] + (n, n), dtype=np.complex128)
+def _windows(sys: GaborSystem) -> np.ndarray:
+    return np.stack([eta.values for eta in sys.windows])
+
+
+def _frame_blocks(sys: GaborSystem) -> np.ndarray:
+    """The frame operator's blocks over the lattice's frame cosets (groups): (blocks, size, size)."""
+    return _frame_sum(_windows(sys), sys.lattice, sys.lattice._tables.cosets[1])
+
+
+def _frame_sum(windows: np.ndarray, sub: MeasuredSubgroup, cosets: np.ndarray) -> np.ndarray:
+    """Frame-operator blocks per case of (..., k, |G|) windows, (..., blocks, size, size) for cosets
+    (blocks, size): the Gram of each coset's orbit columns, one orbit at a time, added in window order.
+
+    Over the frame cosets these are all of S: it commutes with every lattice
+    shift and is rep(adjoint) of its Janssen coefficients, so its entries
+    between two cosets vanish.
+    """
+    total = np.zeros(windows.shape[:-2] + cosets.shape + cosets.shape[-1:], dtype=np.complex128)
     for j in range(windows.shape[-2]):
-        total += _gram(_orbit(windows[..., j, :], sub), sub.weight)
+        total += _gram(_column_blocks(_orbit(windows[..., j, :], sub, cosets.ravel()), cosets), sub.weight)
     return total
 
 
+def _extremes(values: np.ndarray) -> np.ndarray:
+    """Least and greatest over the last two axes, (..., 2): extreme eigen- or singular values of blocks."""
+    return np.stack([values.min(axis=(-2, -1)), values.max(axis=(-2, -1))], axis=-1)
+
+
 def _bounds(ops: np.ndarray) -> np.ndarray:
-    """Extreme eigenvalues (..., 2) of stacked frame operators; negative noise clamps to zero."""
-    eigs = np.linalg.eigvalsh(ops)[..., [0, -1]]
+    """Extreme eigenvalues (..., 2) of stacked frame-operator blocks (..., blocks, size, size); negative
+    noise clamps to zero."""
+    eigs = _extremes(np.linalg.eigvalsh(ops))
     return np.where(eigs < 0.0, 0.0, eigs)
 
 
 def frame_bounds(sys: GaborSystem) -> FrameBounds:
     """Extreme eigenvalues of the frame operator; tiny negative noise clamps to zero."""
-    return FrameBounds(*_bounds(frame_operator(sys)).tolist())
+    return FrameBounds(*_bounds(_frame_blocks(sys)).tolist())
 
 
 def _frame_test(lower, upper, tol: float) -> np.ndarray:
@@ -131,7 +168,7 @@ def _frame_test(lower, upper, tol: float) -> np.ndarray:
 
 def is_frame(sys: GaborSystem, tol: float = 1e-9) -> bool:
     """True when the lower bound clears tol * max(B, 1)."""
-    return bool(_frame_test(*_bounds(frame_operator(sys)), tol))
+    return bool(_frame_test(*_bounds(_frame_blocks(sys)), tol))
 
 
 def dual_window(sys: GaborSystem, tol: float = 1e-9) -> list[Window]:
@@ -141,32 +178,46 @@ def dual_window(sys: GaborSystem, tol: float = 1e-9) -> list[Window]:
 
 def _dual_window(sys: GaborSystem, tol: float) -> tuple[list[Window], FrameBounds]:
     """dual_window and the frame bounds: _duals with one case."""
-    windows = np.stack([eta.values for eta in sys.windows])
-    (bounds,), (frame,), duals = _duals(frame_operator(sys)[None], windows[None], tol)
+    cosets, windows = sys.lattice._tables.cosets[1], _windows(sys)
+    ops = _frame_sum(windows, sys.lattice, cosets)
+    (bounds,), (frame,), duals = _duals(ops[None], windows[None][..., cosets.ravel()], tol)
     bounds = FrameBounds(*bounds.tolist())
     if not frame:
         raise NotAFrameError(bounds)
-    return [Window(sys.lattice.ambient, gamma) for gamma in duals[0]], bounds
+    return [Window(sys.lattice.ambient, gamma) for gamma in _uncoset(duals[0], cosets)], bounds
 
 
 def _duals(ops: np.ndarray, windows: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-    """Per case of (cases, |G|, |G|) frame operators and their (cases, k, |G|) windows, from one eigvalsh
-    and one solve: the bounds (cases, 2), the frame verdicts, and the duals (frames, k, |G|) of the frames."""
+    """Per case of (cases, blocks, size, size) frame-operator blocks and their (cases, k, |G|) windows in
+    coset order (the entries of coset b at b size to (b + 1) size), from one eigvalsh and one solve: the
+    bounds (cases, 2), the frame verdicts, and the duals (frames, k, |G|) of the frames, in coset order."""
     bounds = _bounds(ops)
     frames = _frame_test(bounds[:, 0], bounds[:, 1], tol)
-    duals = np.linalg.solve(ops[frames], np.swapaxes(windows[frames], -1, -2))
-    return bounds, frames, np.swapaxes(duals, -1, -2)
+    ops, windows = ops[frames], windows[frames]
+    rhs = np.moveaxis(windows.reshape(windows.shape[:2] + ops.shape[1:3]), 1, -1)
+    return bounds, frames, np.moveaxis(np.linalg.solve(ops, rhs), -1, 1).reshape(windows.shape)
+
+
+def _uncoset(values: np.ndarray, cosets: np.ndarray) -> np.ndarray:
+    """Vectors (..., |G|) in coset order back in the order of G."""
+    out = np.empty_like(values)
+    out[..., cosets.ravel()] = values
+    return out
 
 
 def _svd_frames(windows: np.ndarray, sub: MeasuredSubgroup, tol: float) -> np.ndarray:
     """The frame rule per case of (cases, k, |G|) windows, on bounds from the singular values of the
-    stacked orbits (cases, k |Delta|, |G|).
+    stacked orbits (cases, k |Delta|, |G|), taken block by block over the frame cosets.
 
-    The bounds are weight * s^2 of the extreme singular values s; the lower one is 0 with fewer rows than |G|.
+    The columns of different blocks are orthogonal (their Gram is the block-diagonal
+    frame operator), so the singular values are those of the blocks together. The
+    bounds are weight * s^2 of the extreme ones; the lower one is 0 with fewer rows than |G|.
     """
     cases, k, n = windows.shape
-    orbits = _orbit(windows, sub).reshape(cases, k * len(sub), n)
-    bounds = float(sub.weight) * np.linalg.svd(orbits, compute_uv=False)[:, [-1, 0]] ** 2
+    cosets = sub._tables.cosets[1]
+    orbits = _orbit(windows, sub, cosets.ravel()).reshape(cases, k * len(sub), n)
+    svals = np.linalg.svd(_column_blocks(orbits, cosets), compute_uv=False)
+    bounds = float(sub.weight) * _extremes(svals) ** 2
     if k * len(sub) < n:
         bounds[:, 0] = 0.0
     return _frame_test(bounds[:, 0], bounds[:, 1], tol)
@@ -193,6 +244,5 @@ def janssen_frame_operator(eta: Window, sub: MeasuredSubgroup) -> OperatorMatrix
 
 
 def spectrum(sys: GaborSystem) -> np.ndarray:
-    """Frame-operator eigenvalues, descending."""
-    eigs = np.linalg.eigvalsh(frame_operator(sys))
-    return eigs[::-1].copy()
+    """Frame-operator eigenvalues, descending: those of its blocks, together."""
+    return np.sort(np.linalg.eigvalsh(_frame_blocks(sys)), axis=None)[::-1].copy()

@@ -229,6 +229,36 @@ class _LatticeTable:
         return phase.reshape(-1, d0, self.group.size), perm[::d0], np.argsort(perm[::d0], axis=-1)
 
     @cached_property
+    def cosets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cosets of G over which this lattice's operators are block diagonal, one sorted coset per row.
+
+        rep: cosets of X(Delta), the time shifts of the runs, (|G| / runs, runs). Row t of rep(a) is
+        nonzero only at the columns index(t - x), x in X(Delta) (column t of the run gather): the coset of t.
+        frame: cosets of X(adjoint) = Delta_0^perp, (|Delta_0|, |G| / |Delta_0|). The frame operator is
+        rep(adjoint) of its Janssen coefficients, so block diagonal over them. t and u share a coset
+        exactly when pairing(w, t) = pairing(w, u) for every w in Delta_0: the phases of the first run.
+
+        Both group t by a column of keys, equal exactly on a coset: a stable sort of the columns lists
+        each coset in one run of equal keys, in ascending order.
+        """
+        phase, minus, _ = self.runs
+        rep = np.lexsort(np.sort(minus, axis=0)).reshape(-1, len(minus))
+        return rep, np.lexsort(phase[0]).reshape(len(phase[0]), -1)
+
+    @cached_property
+    def rep_gather(self) -> np.ndarray:
+        """Flat index r |G| + t into the fibre sums (runs, |G|) at entry (i, j) of rep block b: row t =
+        rep[b, i] holds m_r(t) at column index(t - x_r) = rep[b, j]. Shape (|G| / runs, runs, runs)."""
+        rep, minus = self.cosets[0], self.runs[1]
+        blocks, size = rep.shape
+        pos = np.empty(self.group.size, dtype=np.int64)
+        pos[rep] = np.arange(size)
+        gather = np.empty((blocks, size, size), dtype=np.int64)
+        runs = np.arange(size)[:, None, None]
+        gather[np.arange(blocks)[:, None], np.arange(size), pos[minus[:, rep]]] = runs * self.group.size + rep
+        return gather
+
+    @cached_property
     def neg(self) -> np.ndarray:
         return np.searchsorted(self.plane, self.group.plane_index(-self.x, -self.w))
 

@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
-from .gabor import (GaborSystem, _analyze, _duals, _frame_sum, _gram, _orbit, _svd_frames, analysis,
-                    dual_window, frame_bounds, frame_like)
+from .gabor import (GaborSystem, _analyze, _column_blocks, _duals, _frame_sum, _gram, _orbit,
+                    _svd_frames, _uncoset, analysis, dual_window, frame_bounds, frame_like)
 from .groups import FiniteAbelianGroup, MeasuredSubgroup, adjoint_subgroup
 from .shifts import Window, _randn, splitmix64_stream
-from .twisted import TwistedSeq, _act, _convolve, _fibres, _involve, _rep
+from .twisted import TwistedSeq, _act, _convolve, _fibres, _involve, _rep, _rep_blocks
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,17 @@ def module_norm(eta: Window, ctx: ModuleContext) -> float:
 
 
 def _norms(eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
-    """module_norm per case of (..., |G|) windows, from the stacked frame-operator spectra.
+    """module_norm per case of (..., |G|) windows, from the stacked spectra of the frame-operator blocks.
 
-    The frame operator is weight * X^H X, X = conj(orbit); with |Delta| < |G| the smaller weight * X X^H,
-    which has the same nonzero spectrum, stands in.
+    Block b of the frame operator is weight * X_b^H X_b, X_b = conj(orbit) at the columns of frame
+    coset b; with |Delta| < size the smaller weight * X_b X_b^H, which has the same nonzero spectrum,
+    stands in.
     """
-    orbit = _orbit(eta, sub)
-    if len(sub) < orbit.shape[-1]:
-        orbit = np.swapaxes(orbit, -1, -2).conj()  # _gram of conj(orbit)^T is weight * X X^H
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(_gram(orbit, sub.weight))[..., -1], 0.0))
+    cosets = sub._tables.cosets[1]
+    blocks = _column_blocks(_orbit(eta, sub, cosets.ravel()), cosets)
+    if len(sub) < cosets.shape[1]:
+        blocks = np.swapaxes(blocks, -1, -2).conj()  # _gram of conj(X_b)^T is weight * X_b X_b^H
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(_gram(blocks, sub.weight))[..., -1].max(axis=-1), 0.0))
 
 
 def module_frame_check(
@@ -329,9 +331,13 @@ def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c) -> tuple[np.nda
     fixed degree (a product of n convolutions or representations, w^n), so
     its rounding error is homogeneous of that degree in w. The scaled gap
     divides each sub-gap by max(1, w)^degree, which leaves it as it is for
-    w <= 1 and makes the bound weight-free above.
+    w <= 1 and makes the bound weight-free above; it divides d times, as
+    w^d overflows a float for w above about 1e154.
+
+    The representation identities compare the rep blocks (twisted): every
+    entry off them is a structural zero on both sides.
     """
-    conv, rep = partial(_convolve, domain, flag), partial(_rep, domain, flag)
+    conv, rep = partial(_convolve, domain, flag), partial(_rep_blocks, domain, flag)
     ab, inv_a, inv_b = conv(a, b), _involve(domain, flag, a), _involve(domain, flag, b)
     trace_a_inv_b = conv(a, inv_b)[:, 0]
     gaps = [  # (degree, gaps)
@@ -341,24 +347,26 @@ def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c) -> tuple[np.nda
         (1, np.abs(trace_a_inv_b - conv(inv_b, a)[:, 0])),
         (1, np.abs(trace_a_inv_b - float(domain.weight) * (a * b.conj()).sum(axis=-1))),
     ]
-    # The |G| x |G| stacks last, at most three alive at once.
+    # The rep block stacks last, at most three alive at once.
     rep_a = rep(a)
     ordered = rep(b) @ rep_a if flag else rep_a @ rep(b)
     ordered -= rep(ab)
     gaps += [(2, _case_max(ordered)), (1, _case_max(rep(inv_a) - np.swapaxes(rep_a, -1, -2).conj()))]
     scale = max(1.0, float(domain.weight))
-    return np.max([g for _, g in gaps], axis=0), np.max([g / scale**d for d, g in gaps], axis=0)
+    scaled = [reduce(np.divide, d * [scale], g) for d, g in gaps]
+    return np.max([g for _, g in gaps], axis=0), np.max(scaled, axis=0)
 
 
 def _check_twisted_axioms(ctx: ModuleContext, seed: int, cases: int) -> dict:
     """Decided on the weight-scaled gap (see _twisted_gaps); max_abs_gap reports the raw one."""
     seeds = splitmix64_stream(seed, 6 * cases).reshape(cases, 6)[:, :3]
-    raw = scaled = 0.0
+    gaps = []
     for domain, flag in ((ctx.lattice, False), (ctx.dual, True)):
-        size = 3 * max(len(domain), ctx.lattice.ambient.order) ** 2  # three stacks alive at once
+        size = 3 * max(len(domain) ** 2, domain._tables.rep_gather.size)  # three stacks alive at once
         draws = _randn(seeds, len(domain)).swapaxes(0, 1)
-        gaps = _per_case(lambda a, b, c, _: _twisted_gaps(domain, flag, a, b, c), ctx, *draws, per_case=size)
-        raw, scaled = max(raw, float(gaps[0].max())), max(scaled, float(gaps[1].max()))
+        gaps.append(_per_case(lambda a, b, c, _: _twisted_gaps(domain, flag, a, b, c), ctx, *draws,
+                              per_case=size))
+    raw, scaled = np.max(gaps, axis=(0, 2))  # NaN, from sums that overflow, propagates and fails
     return _entry("twisted-axioms", cases, raw, scaled, use_rel=True)
 
 
@@ -369,10 +377,16 @@ def _check_localization(ctx: ModuleContext, seed: int, cases: int) -> dict:
 
 
 def _norm_routes(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, ...]:
-    """Module norm per case via the frame-operator spectrum, the top orbit singular value, the C*-norm."""
-    lat = ctx.lattice
-    via_analysis = math.sqrt(float(lat.weight)) * np.linalg.svd(_orbit(eta, lat), compute_uv=False)[:, 0]
-    via_algebra = np.sqrt(np.linalg.svd(_rep(lat, False, _analyze(eta, eta, lat)), compute_uv=False)[:, 0])
+    """Module norm per case via the frame-operator spectrum, the top orbit singular value, the C*-norm.
+
+    The orbit's singular values are those of its column blocks over the frame cosets, the C*-norm the
+    largest singular value of the rep blocks.
+    """
+    lat, cosets = ctx.lattice, ctx.lattice._tables.cosets[1]
+    svals = np.linalg.svd(_column_blocks(_orbit(eta, lat, cosets.ravel()), cosets), compute_uv=False)
+    via_analysis = math.sqrt(float(lat.weight)) * svals.max(axis=(-2, -1))
+    svals = np.linalg.svd(_rep_blocks(lat, False, _analyze(eta, eta, lat)), compute_uv=False)
+    via_algebra = np.sqrt(svals.max(axis=(-2, -1)))
     return _norms(eta, lat), via_analysis, via_algebra
 
 
@@ -387,19 +401,29 @@ def _check_norm_chain(ctx: ModuleContext, seed: int, cases: int) -> tuple[dict, 
 
 def _check_operator_extension(ctx: ModuleContext, seed: int, cases: int) -> dict:
     pairs = [[Window(ctx.lattice.ambient, v) for v in pair] for pair in zip(*_draw(ctx, seed, cases, 2))]
-    gap = max(np.abs(theta_matrix(*pair, ctx) - frame_like(*pair, ctx.lattice)).max() for pair in pairs)
+    gap = np.max([np.abs(theta_matrix(*pair, ctx) - frame_like(*pair, ctx.lattice)).max() for pair in pairs])
     return _entry("operator-extension", cases, gap, gap)
 
 
-def _janssen_gaps(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray]:
-    """Per case: janssen_frame_operator against the frame operator of the one-window system."""
-    janssen = _rep(ctx.dual, False, _analyze(eta, eta, ctx.dual))
-    return (_case_max(janssen - _gram(_orbit(eta, ctx.lattice), ctx.lattice.weight)),)
+def _janssen_gaps(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, np.ndarray]:
+    """Per case: janssen_frame_operator against the frame operator S of the one-window system, both
+    dense, so that every entry between two frame cosets is compared too; raw and scaled.
+
+    Error model: both sides are weighted sums of products of two window
+    entries, so their rounding errors grow with the entries of S itself
+    (S is positive semidefinite: max|S| is its largest diagonal entry,
+    weight * sum_z |pi(z) eta(t)|^2). The scaled gap divides by max(1, max|S|):
+    the absolute gap for small operators, the relative one above.
+    """
+    frame = _gram(_orbit(eta, ctx.lattice), ctx.lattice.weight)
+    gap = _case_max(_rep(ctx.dual, False, _analyze(eta, eta, ctx.dual)) - frame)
+    return gap, gap / np.maximum(1.0, _case_max(frame))
 
 
 def _check_janssen(ctx: ModuleContext, seed: int, cases: int) -> dict:
-    gap = _per_case(_janssen_gaps, ctx, *_draw(ctx, seed, cases, 1))[0].max()
-    return _entry("janssen", cases, gap, gap)
+    """Decided on the scaled gap (see _janssen_gaps); max_abs_gap reports the raw one."""
+    gaps, scaled = _per_case(_janssen_gaps, ctx, *_draw(ctx, seed, cases, 1))
+    return _entry("janssen", cases, gaps.max(), scaled.max(), use_rel=True)
 
 
 def _check_figa(ctx: ModuleContext, seed: int, cases: int) -> dict:
@@ -425,9 +449,10 @@ def _generator_cases(windows: np.ndarray, xi: np.ndarray, ctx: ModuleContext, to
     A family that is generating (_svd_frames) and a frame (_duals) is reconstructed from xi by frame
     synthesis and by left_act of left_inner(xi, gamma_j); the larger residual is kept.
     """
-    lat, (cases, k, n) = ctx.lattice, windows.shape
+    lat, (cases, k, n), cosets = ctx.lattice, windows.shape, ctx.lattice._tables.cosets[1]
     generating = _svd_frames(windows, lat, tol)
-    bounds, frames, duals = _duals(_frame_sum(windows, lat), windows, tol)
+    bounds, frames, duals = _duals(_frame_sum(windows, lat, cosets), windows[..., cosets.ravel()], tol)
+    duals = _uncoset(duals, cosets)
     synthesis, via_module = np.zeros((2, cases, n), dtype=np.complex128)
     for j in range(k):
         coeffs = np.zeros((cases, len(lat)), dtype=np.complex128)

@@ -26,6 +26,10 @@ at row t, column index(t - x) of the |G| x |G| matrix; applied to a vector
 (_act, the module actions) the same form takes O(|Delta| |G|) and builds no
 matrix. The fibre form reads the lattice's run table (groups): the orbit
 phases grouped by time shift x, and per x the gathers index(t -/+ x).
+Row t has its entries at the columns of t + X(Delta), X(Delta) the time
+shifts, so the matrix is block diagonal over the cosets of X(Delta);
+_rep_blocks gathers only those blocks, |G| runs entries, for the C*-norm and
+the representation identities of verify.
 """
 
 from __future__ import annotations
@@ -134,6 +138,20 @@ def _rep(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np.ndarra
     return np.swapaxes(np.conjugate(mat, out=mat), -1, -2) if conjugated else mat
 
 
+def _rep_blocks(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np.ndarray:
+    """_rep per rep coset (groups), with no |G| x |G| matrix: (..., |Delta|) give (..., |G| / runs, runs,
+    runs), block b the entries of _rep at the rows and columns cosets[b]; every other entry is zero.
+
+    The columns index(t - x) of row t are the coset of t, so each block entry
+    is one fibre sum, gathered.
+    """
+    roots, _ = _fibres(domain, False)
+    m = _fibre_sums(a.conj() if conjugated else a, roots)
+    blocks = np.take(m.reshape(m.shape[:-2] + (-1,)), domain._tables.rep_gather, axis=-1)
+    blocks *= float(domain.weight)
+    return np.swapaxes(np.conjugate(blocks, out=blocks), -1, -2) if conjugated else blocks
+
+
 def _fibres(domain: MeasuredSubgroup, conjugated: bool) -> tuple[np.ndarray, np.ndarray]:
     """roots[phase] per run and the run gathers index(t - x), or index(t + x) on the conjugated flag."""
     phase, minus, plus = domain._tables.runs
@@ -162,8 +180,8 @@ def _act(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, xi: np.ndarr
 
 
 def cstar_norm(a: TwistedSeq) -> float:
-    """C*-norm, computed as the spectral norm of the faithful integrated representation."""
-    return float(np.linalg.norm(integrated_rep(a), 2))
+    """C*-norm: the spectral norm of the faithful integrated representation, the largest over its blocks."""
+    return float(np.linalg.svd(_rep_blocks(a.domain, a.conjugated, a.coeffs), compute_uv=False)[:, 0].max())
 
 
 def l2_localization_inner(a: TwistedSeq, b: TwistedSeq) -> complex:

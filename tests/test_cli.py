@@ -161,6 +161,28 @@ def test_janssen_agreement(tmp_path):
     assert payload["max_abs_gap"] < 1e-10
 
 
+def test_janssen_decides_on_the_gap_scaled_by_the_operator(tmp_path):
+    # Window entries of 100-200 give |S| entries near 1e6: the absolute gap exceeds 1e-10 on rounding
+    # alone, the gap over max(1, max|S|) stays near eps.
+    window = [[100 + (37 * t) % 101, 100 + (53 * t + 11) % 101] for t in range(12)]
+    job = {"group": [12], "generators": [[[2], [3]], [[0], [4]]], "windows": [window]}
+    res = run_cli("janssen", "--spec", write_job(tmp_path, job))
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["max_abs_gap"] > 1e-10
+    assert payload["max_rel_gap"] <= 1e-14 and payload["pass"] is True, payload
+
+
+def test_verify_at_a_weight_whose_square_overflows_prints_its_report(tmp_path):
+    job = {"group": [4], "generators": [[[1], [0]], [[0], [2]]], "weight": "1e160", "seed": 3}
+    res = run_cli("verify", "--spec", write_job(tmp_path, job))
+    assert res.returncode in (0, 1), res.stderr
+    assert "Traceback" not in res.stderr
+    report = json.loads(res.stdout)
+    assert report["pass"] is (res.returncode == 0)
+    assert len(report["identities"]) >= 13
+
+
 def test_spectrum_json_and_csv(tmp_path):
     spec = write_job(tmp_path, TIGHT_JOB)
     res = run_cli("spectrum", "--spec", spec)

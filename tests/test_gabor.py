@@ -196,25 +196,47 @@ def test_spectrum_descending_and_matches_bounds():
 
 
 def _old_dual_window(sys, tol=1e-9):
-    """dual_window as composed before: frame_bounds, then a second frame operator for solve."""
+    """dual_window as composed from parts: frame_bounds, then a second block frame operator, then a block
+    solve per frame coset, scattered back to G."""
     bounds = frame_bounds(sys)
     if not bounds.lower > tol * max(bounds.upper, 1.0):
         raise NotAFrameError(bounds)
-    stacked = np.stack([eta.values for eta in sys.windows], axis=1)
-    return np.linalg.solve(frame_operator(sys), stacked)
+    cosets = sys.lattice._tables.cosets[1]
+    stacked = np.stack([eta.values for eta in sys.windows])
+    blocks = gabor_impl._frame_sum(stacked, sys.lattice, cosets)
+    duals = np.empty(stacked.shape[::-1], dtype=np.complex128)
+    duals[cosets] = np.linalg.solve(blocks, np.moveaxis(stacked[:, cosets], 0, -1))
+    return duals
 
 
-@pytest.mark.parametrize("orders, gens, k", [
+DUAL_CASES = [
     ((12,), [((2,), (0,)), ((0,), (3,))], 1),
     ((12,), [((3,), (4,)), ((0,), (2,))], 3),
     ((2, 4), [((1, 0), (0, 0)), ((0, 2), (1, 0)), ((0, 0), (0, 2))], 2),
     ((8, 8), [((8, 0), (0, 0)), ((0, 1), (4, 2)), ((0, 0), (4, 0)), ((0, 0), (0, 2))], 1),
-])
+]
+
+
+@pytest.mark.parametrize("orders, gens, k", DUAL_CASES)
 def test_dual_window_is_bit_identical_to_bounds_then_solve(orders, gens, k):
     group = FiniteAbelianGroup(orders)
     sys = GaborSystem(subgroup_from_generators(group, gens, 1), tuple(randn_window(group, s) for s in range(k)))
     duals = np.stack([gamma.values for gamma in dual_window(sys)], axis=1)
     assert duals.tobytes() == _old_dual_window(sys).tobytes()
+
+
+@pytest.mark.parametrize("orders, gens, k", DUAL_CASES)
+def test_block_duals_agree_with_the_dense_solve(orders, gens, k):
+    # Error model of _check_generators: a backward-stable solve has relative error about
+    # c * eps * sqrt(|G|) * kappa, kappa = B/A; here c = 4.
+    group = FiniteAbelianGroup(orders)
+    sys = GaborSystem(subgroup_from_generators(group, gens, 1), tuple(randn_window(group, s) for s in range(k)))
+    stacked = np.stack([eta.values for eta in sys.windows], axis=1)
+    dense = np.linalg.solve(frame_operator(sys), stacked)
+    duals = np.stack([gamma.values for gamma in dual_window(sys)], axis=1)
+    bounds = frame_bounds(sys)
+    bound = 4 * np.finfo(float).eps * np.sqrt(group.order) * bounds.upper / bounds.lower
+    assert np.linalg.norm(duals - dense) <= bound * np.linalg.norm(dense)
 
 
 @pytest.mark.parametrize("order, tol", [(4, 1e-9), (8, 0.5)])

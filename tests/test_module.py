@@ -515,6 +515,20 @@ def test_twisted_axioms_catch_mutations_at_any_weight(mutation, weight, monkeypa
     assert not entry["pass"] and entry["max_rel_gap"] > 1e-3, entry
 
 
+def test_janssen_is_decided_on_the_gap_over_the_operator_scale(monkeypatch):
+    # Weight 1e6 scales S, and so the rounding of both sides, by 1e6; the decisive gap does not move.
+    lattice = subgroup_from_generators(Z4, [((1,), (0,)), ((0,), (2,))], 10**6)
+    entry = module_impl._check_janssen(module_context(lattice), 5, 10)
+    assert entry["max_abs_gap"] > VERIFY_TOLERANCES["janssen"] >= 1e3 * entry["max_rel_gap"], entry
+    assert entry["pass"]
+    # The Janssen form without the adjoint's weight (2 / lattice weight here) is off by that factor.
+    real = module_impl._rep
+    monkeypatch.setattr(module_impl, "_rep", lambda dom, flag, a: real(dom, flag, a) / float(dom.weight))
+    for weight in (10**6, 1, Fraction(1, 3)):
+        entry = module_impl._check_janssen(module_context(lattice.with_weight(weight)), 5, 10)
+        assert not entry["pass"] and entry["max_rel_gap"] > 1e-3, entry
+
+
 # The two Z8^2 jobs at critical density whose frames are ill-conditioned
 # (kappa = B/A about 1e5): valid reconstructions that an absolute residual
 # bound of 1e-9 rejected.

@@ -140,14 +140,15 @@ def _ref_operator_extension(ctx, seed, cases):
 
 
 def _ref_janssen(ctx, seed, cases):
-    gap = 0.0
+    """Raw max gap, and the max of each gap over max(1, max|S|), S the frame operator."""
+    gap = scaled = 0.0
     for s in _derived_seeds(seed, cases):
         eta = randn_window(ctx.lattice.ambient, s)
-        diff = janssen_frame_operator(eta, ctx.lattice) - frame_operator(
-            GaborSystem(ctx.lattice, (eta,))
-        )
-        gap = max(gap, float(np.abs(diff).max()))
-    return {"janssen": (gap, gap)}
+        frame = frame_operator(GaborSystem(ctx.lattice, (eta,)))
+        diff = float(np.abs(janssen_frame_operator(eta, ctx.lattice) - frame).max())
+        gap = max(gap, diff)
+        scaled = max(scaled, diff / max(1.0, float(np.abs(frame).max())))
+    return {"janssen": (gap, scaled)}
 
 
 def _ref_figa(ctx, seed, cases):
@@ -240,7 +241,7 @@ def _reference_suite(lattice, seed, frame_tol=1e-9):
     return gaps
 
 
-USE_REL = {"figa", "reconstruction", "twisted-axioms"}
+USE_REL = {"figa", "janssen", "reconstruction", "twisted-axioms"}
 
 REFERENCE_LATTICES = {
     "Z6": ((6,), [((2,), (0,)), ((0,), (3,))], 1),
