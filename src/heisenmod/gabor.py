@@ -13,8 +13,11 @@ as an adjoint-lattice sum s(Delta)^{-1} sum_{w} <eta, pi(w) eta> pi(w).
 So S is the integrated representation of a sequence on the adjoint, block
 diagonal over the cosets of the adjoint's time shifts X(adjoint) =
 Delta_0^perp, Delta_0 = {w : (0, w) in Delta} (the frame cosets, groups).
-Bounds, spectra, duals and the generating-set SVD run per block: a Gram of
-the orbit's columns on each coset. frame_operator builds all of S.
+On one such coset the |Delta_0| orbit rows of a time-shift run are one base
+row times unit phases (the Zak form, _factor), so bounds, spectra, duals,
+the generating-set SVD and the analysis coefficients read runs x |G| base
+rows. shift_orbit, analysis, synthesis, frame_like and frame_operator build
+the dense |Delta| x |G| orbit per call from the group's gather.
 """
 
 from __future__ import annotations
@@ -65,36 +68,43 @@ class NotAFrameError(ValueError):
 
 
 def shift_orbit(eta: Window, sub: MeasuredSubgroup) -> np.ndarray:
-    """|Delta| x |G| matrix whose row for z is pi(z) eta: one gather over the lattice's orbit table."""
+    """|Delta| x |G| matrix whose row for z is pi(z) eta: the group's gather of every lattice point."""
     return _orbit(eta.values, sub)
 
 
-def _orbit(values: np.ndarray, sub: MeasuredSubgroup, cols: np.ndarray | None = None) -> np.ndarray:
-    """shift_orbit with leading case axes: values (..., |G|) give orbits (..., |Delta|, |G|), or only the
-    columns cols of G in their order, (..., |Delta|, |cols|)."""
-    perm, phase = sub._tables.orbit
-    if cols is not None:  # contiguous index tables, one alive at a time: the gathers copy neither
-        roots = sub._tables.group.roots[np.take(phase, cols, axis=1)]
-        out = np.take(values, np.take(perm, cols, axis=1), axis=-1)
-    else:
-        roots, out = sub._tables.group.roots[phase], np.take(values, perm, axis=-1)
+def _orbit(values: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
+    """shift_orbit with leading case axes: values (..., |G|) give orbits (..., |Delta|, |G|)."""
+    tables = sub._tables
+    perm, phase = tables.group.gather(tables.x, tables.w)
+    roots, out = tables.group.roots[phase], np.take(values, perm, axis=-1)
     return np.multiply(roots, out, out=out)  # reuses the gather's buffer: no third array
 
 
-def _column_blocks(orbit: np.ndarray, cosets: np.ndarray) -> np.ndarray:
-    """Orbits (..., rows, |G|) gathered at the columns cosets.ravel(), split into one block per coset:
-    a view (..., blocks, rows, size) for cosets (blocks, size)."""
-    return np.moveaxis(orbit.reshape(orbit.shape[:-1] + cosets.shape), -2, -3)
+def _factor(windows: np.ndarray, sub: MeasuredSubgroup) -> tuple[np.ndarray, float]:
+    """Zak-form factor of the frame blocks per case of (..., k, |G|) windows: F (..., blocks, k runs, size)
+    and the scale weight |Delta_0|, with frame block b = _gram(F_b, scale). Row r of F_b is the base row
+    pi(x_r, omega_r) eta on frame coset b, where each v in Delta_0 has one phase pairing(v, t), so the
+    |Delta_0| orbit rows of run r are the base row times unit phases: their Gram is |Delta_0| times its."""
+    (base, _, _, minus, _), cosets = sub._tables.runs, sub._tables.cosets[1]
+    blocks, size = cosets.shape
+    rows = np.take(windows, np.take(minus, cosets.ravel(), axis=1), axis=-1)  # (..., k, runs, |G|)
+    rows *= sub._tables.group.roots[np.take(base, cosets.ravel(), axis=1)]
+    rows = np.moveaxis(rows.reshape(rows.shape[:-1] + cosets.shape), -2, -4)  # (..., blocks, k, runs, size)
+    return rows.reshape(rows.shape[:-3] + (windows.shape[-2] * len(base), size)), float(sub.weight) * blocks
 
 
 def _analyze(xi: np.ndarray, eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
-    """Analysis coefficients <xi, pi(z) eta> per case: (..., |G|) arrays give (..., |Delta|)."""
-    return (_orbit(eta, sub).conj() @ xi[..., None])[..., 0]
+    """Analysis coefficients <xi, pi(z) eta> per case: (..., |G|) arrays give (..., |Delta|): each base row
+    against xi on each frame coset (_factor), then against the Delta_0 phases there; pos places them."""
+    (_, zero, pos, _, _), cosets = sub._tables.runs, sub._tables.cosets[1]
+    sums = (_factor(eta[..., None, :], sub)[0].conj() @ np.take(xi, cosets, axis=-1)[..., None])[..., 0]
+    coeffs = np.swapaxes(sums, -1, -2) @ sub._tables.group.roots[zero[:, cosets[:, 0]]].conj().T
+    return np.take(coeffs.reshape(coeffs.shape[:-2] + pos.shape), pos, axis=-1)
 
 
-def _gram(orbit: np.ndarray, weight) -> np.ndarray:
-    """Frame-operator product weight * orbit^T conj(orbit), per case of an (..., |Delta|, |G|) stack."""
-    return float(weight) * (np.swapaxes(orbit, -1, -2) @ orbit.conj())
+def _gram(rows: np.ndarray, weight) -> np.ndarray:
+    """Frame-operator product weight * rows^T conj(rows), per case of an (..., rows, columns) stack."""
+    return float(weight) * (np.swapaxes(rows, -1, -2) @ rows.conj())
 
 
 def analysis(eta: Window, sub: MeasuredSubgroup) -> np.ndarray:
@@ -115,8 +125,8 @@ def frame_like(eta: Window, gamma: Window, sub: MeasuredSubgroup) -> OperatorMat
 
 
 def frame_operator(sys: GaborSystem) -> OperatorMatrix:
-    """Sum of the per-window frame operators, as a |G| x |G| matrix: one block holding all of G."""
-    return _frame_sum(_windows(sys), sys.lattice, np.arange(sys.lattice.ambient.order)[None])[0]
+    """Sum of the per-window frame operators, as a |G| x |G| matrix: the Gram of the stacked dense orbits."""
+    return _gram(_orbit(_windows(sys), sys.lattice).reshape(-1, sys.lattice.ambient.order), sys.lattice.weight)
 
 
 def _windows(sys: GaborSystem) -> np.ndarray:
@@ -124,22 +134,13 @@ def _windows(sys: GaborSystem) -> np.ndarray:
 
 
 def _frame_blocks(sys: GaborSystem) -> np.ndarray:
-    """The frame operator's blocks over the lattice's frame cosets (groups): (blocks, size, size)."""
-    return _frame_sum(_windows(sys), sys.lattice, sys.lattice._tables.cosets[1])
-
-
-def _frame_sum(windows: np.ndarray, sub: MeasuredSubgroup, cosets: np.ndarray) -> np.ndarray:
-    """Frame-operator blocks per case of (..., k, |G|) windows, (..., blocks, size, size) for cosets
-    (blocks, size): the Gram of each coset's orbit columns, one orbit at a time, added in window order.
+    """The frame operator's blocks over the lattice's frame cosets (groups): (blocks, size, size).
 
     Over the frame cosets these are all of S: it commutes with every lattice
     shift and is rep(adjoint) of its Janssen coefficients, so its entries
     between two cosets vanish.
     """
-    total = np.zeros(windows.shape[:-2] + cosets.shape + cosets.shape[-1:], dtype=np.complex128)
-    for j in range(windows.shape[-2]):
-        total += _gram(_column_blocks(_orbit(windows[..., j, :], sub, cosets.ravel()), cosets), sub.weight)
-    return total
+    return _gram(*_factor(_windows(sys), sys.lattice))
 
 
 def _extremes(values: np.ndarray) -> np.ndarray:
@@ -179,7 +180,7 @@ def dual_window(sys: GaborSystem, tol: float = 1e-9) -> list[Window]:
 def _dual_window(sys: GaborSystem, tol: float) -> tuple[list[Window], FrameBounds]:
     """dual_window and the frame bounds: _duals with one case."""
     cosets, windows = sys.lattice._tables.cosets[1], _windows(sys)
-    ops = _frame_sum(windows, sys.lattice, cosets)
+    ops = _gram(*_factor(windows, sys.lattice))
     (bounds,), (frame,), duals = _duals(ops[None], windows[None][..., cosets.ravel()], tol)
     bounds = FrameBounds(*bounds.tolist())
     if not frame:
@@ -207,17 +208,15 @@ def _uncoset(values: np.ndarray, cosets: np.ndarray) -> np.ndarray:
 
 def _svd_frames(windows: np.ndarray, sub: MeasuredSubgroup, tol: float) -> np.ndarray:
     """The frame rule per case of (cases, k, |G|) windows, on bounds from the singular values of the
-    stacked orbits (cases, k |Delta|, |G|), taken block by block over the frame cosets.
+    stacked orbits (cases, k |Delta|, |G|): scale s^2 of the extreme ones of the factor blocks (_factor).
 
-    The columns of different blocks are orthogonal (their Gram is the block-diagonal
-    frame operator), so the singular values are those of the blocks together. The
-    bounds are weight * s^2 of the extreme ones; the lower one is 0 with fewer rows than |G|.
+    Columns of different blocks are orthogonal (their Gram is the block-diagonal
+    frame operator), and on one block the orbit is the factor block with each row
+    repeated |Delta_0| times at unit phases. The lower bound is 0 with fewer rows than |G|.
     """
     cases, k, n = windows.shape
-    cosets = sub._tables.cosets[1]
-    orbits = _orbit(windows, sub, cosets.ravel()).reshape(cases, k * len(sub), n)
-    svals = np.linalg.svd(_column_blocks(orbits, cosets), compute_uv=False)
-    bounds = float(sub.weight) * _extremes(svals) ** 2
+    factor, scale = _factor(windows, sub)
+    bounds = scale * _extremes(np.linalg.svd(factor, compute_uv=False)) ** 2
     if k * len(sub) < n:
         bounds[:, 0] = 0.0
     return _frame_test(bounds[:, 0], bounds[:, 1], tol)

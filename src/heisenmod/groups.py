@@ -13,9 +13,10 @@ orders, made complex only by the root table roots[m] = exp(2 pi i m / N); the
 pairing is m = sum_j (w_j x_j mod n_j) N / n_j mod N. Each group builds one
 integer table on first use (coordinates, mixed-radix weights, N, roots). A
 measured subgroup is stored as the sorted int64 plane indices
-index(x) * |G| + index(w) of its points; its coordinates, orbit gather and
-twisted-algebra tables are built from them on first use, and its points as
-TFPoint tuples only when read.
+index(x) * |G| + index(w) of its points; its coordinates, run table (its
+shifts in Zak form: runs x |G| and |Delta_0| x |G| integers, no |Delta| x |G|
+table) and twisted-algebra tables are built from them on first use, and its
+points as TFPoint tuples only when read.
 
 Measure conventions: counting measure (weight 1) on G, weight 1/|G| per point
 on the dual, hence weight 1/|G| per point of the plane. A subgroup carries an
@@ -147,10 +148,10 @@ class _GroupTable:
     def gather(self, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Shifts of the points (x_k, w_k): perm[k, t] = index(t - x_k), phase[k, t] = pairing(w_k, t).
 
-        (pi(z_k) xi)(t) = roots[phase[k, t]] * xi[perm[k, t]].
+        (pi(z_k) xi)(t) = roots[phase[k, t]] * xi[perm[k, t]]. The phase is the pairing's sum taken mod N
+        once, as one integer product of (points, rank) and (rank, |G|) arrays.
         """
-        t = self.coords[None]
-        return self.index(t - x[:, None]), self.pairing(w[:, None], t)
+        return self.index(self.coords[None] - x[:, None]), (w * self.scale) @ self.coords.T % self.modulus
 
 
 def _member(sorted_values: np.ndarray, values) -> np.ndarray:
@@ -216,17 +217,17 @@ class _LatticeTable:
         return hash(self.plane.tobytes())
 
     @cached_property
-    def orbit(self) -> tuple[np.ndarray, np.ndarray]:
-        """The group's gather of every point: perm[k, t] = index(t - x_k) and its phase table."""
-        return self.group.gather(self.x, self.w)
-
-    @cached_property
-    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The orbit table per time shift x: sorted points come in runs, one per x, each a coset of
-        Delta_0 = {w : (0, w) in Delta}. Phases (runs, |Delta_0|, |G|), index(t - x), index(t + x)."""
-        perm, phase = self.orbit
-        d0 = int(np.searchsorted(self.plane, self.group.size))
-        return phase.reshape(-1, d0, self.group.size), perm[::d0], np.argsort(perm[::d0], axis=-1)
+    def runs(self) -> tuple[np.ndarray, ...]:
+        """Sorted points come in runs, one per time shift x_r, each a coset omega_r + Delta_0 of
+        Delta_0 = {w : (0, w) in Delta}, omega_r the run's first w. The tables: base phases
+        pairing(omega_r, t) (runs, |G|); Delta_0 phases pairing(v, t) (|Delta_0|, |G|); pos, which puts
+        point (x_r, omega_r + v) at r |Delta_0| + position of v in Delta_0; index(t - x_r) and index(t + x_r).
+        The pairing is additive in w, so the point's phase at t is base[r, t] + zero[v, t] mod N."""
+        g, d0 = self.group, int(np.searchsorted(self.plane, self.group.size))
+        x, w, t = self.x[::d0, None], self.w[::d0], g.coords[None]
+        v = g.index(self.w - np.repeat(w, d0, axis=0))
+        pos = np.arange(len(self.plane)) // d0 * d0 + np.searchsorted(self.plane[:d0], v)
+        return g.pairing(w[:, None], t), g.pairing(self.w[:d0, None], t), pos, g.index(t - x), g.index(t + x)
 
     @cached_property
     def cosets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -236,20 +237,20 @@ class _LatticeTable:
         nonzero only at the columns index(t - x), x in X(Delta) (column t of the run gather): the coset of t.
         frame: cosets of X(adjoint) = Delta_0^perp, (|Delta_0|, |G| / |Delta_0|). The frame operator is
         rep(adjoint) of its Janssen coefficients, so block diagonal over them. t and u share a coset
-        exactly when pairing(w, t) = pairing(w, u) for every w in Delta_0: the phases of the first run.
+        exactly when pairing(w, t) = pairing(w, u) for every w in Delta_0: the Delta_0 phases of the runs.
 
         Both group t by a column of keys, equal exactly on a coset: a stable sort of the columns lists
         each coset in one run of equal keys, in ascending order.
         """
-        phase, minus, _ = self.runs
+        _, zero, _, minus, _ = self.runs
         rep = np.lexsort(np.sort(minus, axis=0)).reshape(-1, len(minus))
-        return rep, np.lexsort(phase[0]).reshape(len(phase[0]), -1)
+        return rep, np.lexsort(zero).reshape(len(zero), -1)
 
     @cached_property
     def rep_gather(self) -> np.ndarray:
         """Flat index r |G| + t into the fibre sums (runs, |G|) at entry (i, j) of rep block b: row t =
         rep[b, i] holds m_r(t) at column index(t - x_r) = rep[b, j]. Shape (|G| / runs, runs, runs)."""
-        rep, minus = self.cosets[0], self.runs[1]
+        rep, minus = self.cosets[0], self.runs[3]
         blocks, size = rep.shape
         pos = np.empty(self.group.size, dtype=np.int64)
         pos[rep] = np.arange(size)

@@ -26,11 +26,11 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .gabor import (GaborSystem, _analyze, _column_blocks, _duals, _frame_sum, _gram, _orbit,
-                    _svd_frames, _uncoset, analysis, dual_window, frame_bounds, frame_like)
+from .gabor import (GaborSystem, _analyze, _duals, _factor, _gram, _orbit, _svd_frames, _uncoset, analysis,
+                    dual_window, frame_bounds, frame_like)
 from .groups import FiniteAbelianGroup, MeasuredSubgroup, adjoint_subgroup
 from .shifts import Window, _randn, splitmix64_stream
-from .twisted import TwistedSeq, _act, _convolve, _fibres, _involve, _rep, _rep_blocks
+from .twisted import TwistedSeq, _act, _convolve, _involve, _rep, _rep_blocks
 
 
 @dataclass(frozen=True)
@@ -87,15 +87,14 @@ def module_norm(eta: Window, ctx: ModuleContext) -> float:
 def _norms(eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
     """module_norm per case of (..., |G|) windows, from the stacked spectra of the frame-operator blocks.
 
-    Block b of the frame operator is weight * X_b^H X_b, X_b = conj(orbit) at the columns of frame
-    coset b; with |Delta| < size the smaller weight * X_b X_b^H, which has the same nonzero spectrum,
-    stands in.
+    Block b of the frame operator is scale * F_b^T conj(F_b), F_b the Zak-form factor block (gabor
+    _factor); with fewer runs than columns the smaller scale * conj(F_b) F_b^T, which has the same
+    nonzero spectrum, stands in.
     """
-    cosets = sub._tables.cosets[1]
-    blocks = _column_blocks(_orbit(eta, sub, cosets.ravel()), cosets)
-    if len(sub) < cosets.shape[1]:
-        blocks = np.swapaxes(blocks, -1, -2).conj()  # _gram of conj(X_b)^T is weight * X_b X_b^H
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(_gram(blocks, sub.weight))[..., -1].max(axis=-1), 0.0))
+    factor, scale = _factor(eta[..., None, :], sub)
+    if factor.shape[-2] < factor.shape[-1]:
+        factor = np.swapaxes(factor, -1, -2).conj()  # _gram of F_b^H is scale * conj(F_b) F_b^T
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(_gram(factor, scale))[..., -1].max(axis=-1), 0.0))
 
 
 def module_frame_check(
@@ -171,15 +170,13 @@ def theta_matrix(eta: Window, gamma: Window, ctx: ModuleContext) -> np.ndarray:
     """Matrix of xi -> left_act(left_inner(xi, eta), gamma), column by column.
 
     left_inner(delta_t, eta) is analysis(eta, lattice) @ delta_t, which is
-    column t of the analysis matrix, so that matrix is built once, and so is
-    the fibre table of left_act. The columns go through left_act's kernel,
-    the integrated-representation route that frame_like does not take, as
-    its case axis, in _per_case chunks of |Delta| |G| entries per column;
-    each equals a lone left_act call bit for bit.
+    column t of the dense analysis matrix, so that matrix is built once. The
+    columns go through left_act's kernel, the integrated-representation route
+    that frame_like does not take, as its case axis, in _per_case chunks of
+    |Delta| |G| entries per column; each equals a lone _act call bit for bit.
     """
-    lat, cols, fibres = ctx.lattice, analysis(eta, ctx.lattice).T, _fibres(ctx.lattice, False)
-    (theta,) = _per_case(lambda c, _: (_act(lat, False, c, gamma.values, fibres),), ctx, cols,
-                         per_case=cols.size)
+    lat, cols = ctx.lattice, analysis(eta, ctx.lattice).T
+    (theta,) = _per_case(lambda c, _: (_act(lat, False, c, gamma.values),), ctx, cols, per_case=cols.size)
     return theta.T
 
 
@@ -324,7 +321,7 @@ def _check_cocycle(ctx: ModuleContext, seed: int, cases: int) -> tuple[dict, dic
     )
 
 
-def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c) -> tuple[np.ndarray, np.ndarray]:
+def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c, xi) -> tuple[np.ndarray, np.ndarray]:
     """Per-case max gap of the algebra axioms, the trace and the representation identities: raw and scaled.
 
     Error model: every term of an identity carries the domain weight w to a
@@ -335,7 +332,8 @@ def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c) -> tuple[np.nda
     w^d overflows a float for w above about 1e154.
 
     The representation identities compare the rep blocks (twisted): every
-    entry off them is a structural zero on both sides.
+    entry off them is a structural zero on both sides. The blocks applied to
+    xi per rep coset are held against _act, which does not read the block table.
     """
     conv, rep = partial(_convolve, domain, flag), partial(_rep_blocks, domain, flag)
     ab, inv_a, inv_b = conv(a, b), _involve(domain, flag, a), _involve(domain, flag, b)
@@ -348,7 +346,9 @@ def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c) -> tuple[np.nda
         (1, np.abs(trace_a_inv_b - float(domain.weight) * (a * b.conj()).sum(axis=-1))),
     ]
     # The rep block stacks last, at most three alive at once.
-    rep_a = rep(a)
+    rep_a, cosets = rep(a), domain._tables.cosets[0]
+    applied = (rep_a @ np.take(xi, cosets, axis=-1)[..., None])[..., 0]
+    gaps.append((1, _case_max(applied - np.take(_act(domain, flag, a, xi), cosets, axis=-1))))
     ordered = rep(b) @ rep_a if flag else rep_a @ rep(b)
     ordered -= rep(ab)
     gaps += [(2, _case_max(ordered)), (1, _case_max(rep(inv_a) - np.swapaxes(rep_a, -1, -2).conj()))]
@@ -359,12 +359,13 @@ def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c) -> tuple[np.nda
 
 def _check_twisted_axioms(ctx: ModuleContext, seed: int, cases: int) -> dict:
     """Decided on the weight-scaled gap (see _twisted_gaps); max_abs_gap reports the raw one."""
-    seeds = splitmix64_stream(seed, 6 * cases).reshape(cases, 6)[:, :3]
+    seeds = splitmix64_stream(seed, 6 * cases).reshape(cases, 6)
     gaps = []
-    for domain, flag in ((ctx.lattice, False), (ctx.dual, True)):
+    for domain, flag, col in ((ctx.lattice, False, 3), (ctx.dual, True, 4)):
         size = 3 * max(len(domain) ** 2, domain._tables.rep_gather.size)  # three stacks alive at once
-        draws = _randn(seeds, len(domain)).swapaxes(0, 1)
-        gaps.append(_per_case(lambda a, b, c, _: _twisted_gaps(domain, flag, a, b, c), ctx, *draws,
+        draws = _randn(seeds[:, :3], len(domain)).swapaxes(0, 1)
+        xi = _randn(seeds[:, col], ctx.lattice.ambient.order)
+        gaps.append(_per_case(lambda a, b, c, x, _: _twisted_gaps(domain, flag, a, b, c, x), ctx, *draws, xi,
                               per_case=size))
     raw, scaled = np.max(gaps, axis=(0, 2))  # NaN, from sums that overflow, propagates and fails
     return _entry("twisted-axioms", cases, raw, scaled, use_rel=True)
@@ -379,12 +380,11 @@ def _check_localization(ctx: ModuleContext, seed: int, cases: int) -> dict:
 def _norm_routes(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, ...]:
     """Module norm per case via the frame-operator spectrum, the top orbit singular value, the C*-norm.
 
-    The orbit's singular values are those of its column blocks over the frame cosets, the C*-norm the
-    largest singular value of the rep blocks.
+    The orbit's singular values are sqrt(|Delta_0|) times those of the factor blocks (gabor _factor),
+    the C*-norm the largest singular value of the rep blocks.
     """
-    lat, cosets = ctx.lattice, ctx.lattice._tables.cosets[1]
-    svals = np.linalg.svd(_column_blocks(_orbit(eta, lat, cosets.ravel()), cosets), compute_uv=False)
-    via_analysis = math.sqrt(float(lat.weight)) * svals.max(axis=(-2, -1))
+    lat, (factor, scale) = ctx.lattice, _factor(eta[..., None, :], ctx.lattice)
+    via_analysis = math.sqrt(scale) * np.linalg.svd(factor, compute_uv=False).max(axis=(-2, -1))
     svals = np.linalg.svd(_rep_blocks(lat, False, _analyze(eta, eta, lat)), compute_uv=False)
     via_algebra = np.sqrt(svals.max(axis=(-2, -1)))
     return _norms(eta, lat), via_analysis, via_algebra
@@ -451,13 +451,14 @@ def _generator_cases(windows: np.ndarray, xi: np.ndarray, ctx: ModuleContext, to
     """
     lat, (cases, k, n), cosets = ctx.lattice, windows.shape, ctx.lattice._tables.cosets[1]
     generating = _svd_frames(windows, lat, tol)
-    bounds, frames, duals = _duals(_frame_sum(windows, lat, cosets), windows[..., cosets.ravel()], tol)
+    bounds, frames, duals = _duals(_gram(*_factor(windows, lat)), windows[..., cosets.ravel()], tol)
     duals = _uncoset(duals, cosets)
     synthesis, via_module = np.zeros((2, cases, n), dtype=np.complex128)
+    orbits = _orbit(windows, lat)
     for j in range(k):
         coeffs = np.zeros((cases, len(lat)), dtype=np.complex128)
         coeffs[frames] = _analyze(xi[frames], duals[:, j], lat)  # left_inner(xi, gamma_j)
-        synthesis += float(lat.weight) * (coeffs[:, None] @ _orbit(windows[:, j], lat))[:, 0]
+        synthesis += float(lat.weight) * (coeffs[:, None] @ orbits[:, j])[:, 0]
         via_module += _act(lat, False, coeffs, windows[:, j])
     recon = generating & frames
     residual = recon * np.maximum(*(np.linalg.norm(v - xi, axis=-1) for v in (synthesis, via_module)))

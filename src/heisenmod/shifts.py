@@ -11,7 +11,7 @@ materialized only on demand.
 
 Phases are integers mod N, the lcm of the factor orders, made complex by one
 lookup in the group's root table (see groups). Every shift, and every row of a
-lattice's orbit table, is one gather: (pi(z) xi)(t) = roots[phase[t]] xi[perm[t]]
+dense lattice orbit, is one gather: (pi(z) xi)(t) = roots[phase[t]] xi[perm[t]]
 with perm[t] = index(t - x) and phase[t] = pairing(w, t).
 """
 

@@ -18,18 +18,18 @@ involution identity rep(a*) = rep(a)^H holds for both flags.
 Every product, involution and representation reads the domain's integer
 tables (see groups): the neg index table, the sub table of differences
 z_k - z_i with the integer phases mod N of c(z_i, z_k - z_i), so that
-kappa = roots[phase] (roots[-phase] on the conjugated flag), and the orbit
-gather; all are gathers, and the kernels behind them take leading case axes.
-The integrated representation sums the orbit phases over each time fibre,
+kappa = roots[phase] (roots[-phase] on the conjugated flag), and the run
+table; all are gathers, and the kernels behind them take leading case axes.
+The integrated representation sums over each time fibre,
 m_x(t) = sum over (x, w) of a(x, w) roots[pairing(w, t)], and places m_x(t)
 at row t, column index(t - x) of the |G| x |G| matrix; applied to a vector
-(_act, the module actions) the same form takes O(|Delta| |G|) and builds no
-matrix. The fibre form reads the lattice's run table (groups): the orbit
-phases grouped by time shift x, and per x the gathers index(t -/+ x).
-Row t has its entries at the columns of t + X(Delta), X(Delta) the time
-shifts, so the matrix is block diagonal over the cosets of X(Delta);
-_rep_blocks gathers only those blocks, |G| runs entries, for the C*-norm and
-the representation identities of verify.
+(_act, the module actions) it builds no matrix. With w = omega_x + v, v in
+Delta_0, m_x is the base phase row roots[pairing(omega_x, t)] times the
+run's coefficients against the Delta_0 characters, runs |G| + |Delta_0| |G|
+table entries per call. Row t has its entries at the columns of
+t + X(Delta), X(Delta) the time shifts, so the matrix is block diagonal over
+the cosets of X(Delta); _rep_blocks gathers only those blocks, |G| runs
+entries, for the C*-norm and the representation identities of verify.
 """
 
 from __future__ import annotations
@@ -130,10 +130,10 @@ def _rep(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np.ndarra
     in column index(t - x), one fibre sum per entry. The conjugated flag
     takes the conjugate transpose of the plain form of conj(a).
     """
-    roots, gather = _fibres(domain, False)
-    n = roots.shape[-1]
+    gather = domain._tables.runs[3]
+    n = gather.shape[-1]
     mat = np.zeros(a.shape[:-1] + (n, n), dtype=np.complex128)
-    mat[..., np.arange(n), gather] = _fibre_sums(a.conj() if conjugated else a, roots)
+    mat[..., np.arange(n), gather] = _fibre_sums(domain, a.conj() if conjugated else a)
     mat *= float(domain.weight)
     return np.swapaxes(np.conjugate(mat, out=mat), -1, -2) if conjugated else mat
 
@@ -145,37 +145,35 @@ def _rep_blocks(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np
     The columns index(t - x) of row t are the coset of t, so each block entry
     is one fibre sum, gathered.
     """
-    roots, _ = _fibres(domain, False)
-    m = _fibre_sums(a.conj() if conjugated else a, roots)
+    m = _fibre_sums(domain, a.conj() if conjugated else a)
     blocks = np.take(m.reshape(m.shape[:-2] + (-1,)), domain._tables.rep_gather, axis=-1)
     blocks *= float(domain.weight)
     return np.swapaxes(np.conjugate(blocks, out=blocks), -1, -2) if conjugated else blocks
 
 
-def _fibres(domain: MeasuredSubgroup, conjugated: bool) -> tuple[np.ndarray, np.ndarray]:
-    """roots[phase] per run and the run gathers index(t - x), or index(t + x) on the conjugated flag."""
-    phase, minus, plus = domain._tables.runs
-    return domain._tables.group.roots[phase], plus if conjugated else minus
+def _fibre_sums(domain: MeasuredSubgroup, a: np.ndarray) -> np.ndarray:
+    """m_x(t) = sum over the points (x, w) of a(x, w) roots[pairing(w, t)], per case: (..., runs, |G|),
+    the base phases times each run's coefficients (placed by pos) against the Delta_0 characters."""
+    tables = domain._tables
+    base, zero, pos, _, _ = tables.runs
+    runs = np.empty(a.shape[:-1] + (len(base), len(zero)), dtype=np.complex128)
+    runs.reshape(a.shape)[..., pos] = a  # a view: the scatter fills runs
+    return tables.group.roots[base] * (runs @ tables.group.roots[zero])
 
 
-def _fibre_sums(a: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """m_x(t) = sum over the points (x, w) of a(x, w) roots[pairing(w, t)], per case: (..., runs, |G|)."""
-    return (a.reshape(a.shape[:-1] + roots.shape[:2] + (1,)) * roots).sum(axis=-2)
-
-
-def _act(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, xi: np.ndarray, fibres=None):
-    """integrated_rep(a) @ xi per case of leading axes, in time-fibre form; fibres from _fibres.
+def _act(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """integrated_rep(a) @ xi per case of leading axes, in time-fibre form.
 
     rep(a) = weight * sum_x diag(m_x) T_x with the fibre sums m_x of a, each
     summed first as the matrix groups its entries. The conjugated flag applies
     its conjugate transpose, m from conj(a): weight * sum_x conj(m_x(t + x)) xi(t + x).
     """
-    roots, gather = _fibres(domain, conjugated) if fibres is None else fibres
+    _, _, _, minus, plus = domain._tables.runs
     if conjugated:
-        m = _fibre_sums(a.conj(), roots).conj()
-        terms = np.take_along_axis(m * xi[..., None, :], np.broadcast_to(gather, m.shape), axis=-1)
+        m = _fibre_sums(domain, a.conj()).conj()
+        terms = np.take_along_axis(m * xi[..., None, :], np.broadcast_to(plus, m.shape), axis=-1)
     else:
-        terms = _fibre_sums(a, roots) * xi[..., gather]
+        terms = _fibre_sums(domain, a) * xi[..., minus]
     return float(domain.weight) * terms.sum(axis=-2)
 
 

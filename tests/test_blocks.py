@@ -45,6 +45,34 @@ def _lattices():
         yield subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight)
 
 
+# Two Z32^2 lattices, |G| = 1024: a separable one (|Delta| = 1024) and one whose runs start off zero
+# (|Delta| = 2048).
+Z32_LATTICES = [
+    [((4, 0), (0, 0)), ((0, 4), (0, 0)), ((0, 0), (8, 0)), ((0, 0), (0, 8))],
+    [((2, 0), (1, 3)), ((0, 2), (5, 2)), ((0, 0), (8, 0)), ((0, 0), (0, 16))],
+]
+
+
+def test_run_table_places_base_and_delta0_phases_on_the_dense_gather():
+    # Exact integer equalities with the group's gather of every point: the phase of point k is
+    # base[r] + zero[v] mod N placed through pos, and the run gathers are its perm at the run starts.
+    moved = 0
+    z32 = FiniteAbelianGroup((32, 32))
+    for lat in [*_lattices(), *(subgroup_from_generators(z32, gens, 1) for gens in Z32_LATTICES)]:
+        tables, n = lat._tables, lat.ambient.order
+        g = tables.group
+        base, zero, pos, minus, plus = tables.runs
+        perm, phase = g.gather(tables.x, tables.w)
+        d0 = len(zero)
+        assert base.shape == minus.shape == plus.shape == (len(lat) // d0, n) and zero.shape == (d0, n)
+        placed = ((base[:, None] + zero[None]) % g.modulus).reshape(-1, n)[pos]
+        assert np.array_equal(placed, phase), (lat.ambient.orders, len(lat))
+        assert np.array_equal(minus, perm[::d0]), (lat.ambient.orders, len(lat))
+        assert np.array_equal(plus, g.index(g.coords[None] + tables.x[::d0, None])), (lat.ambient.orders, len(lat))
+        moved += lat.ambient in GROUPS and not np.array_equal(pos, np.arange(len(lat)))
+    assert moved == 11
+
+
 def test_coset_tables_partition_the_group_into_cosets():
     count = 0
     for lat in _lattices():
@@ -116,6 +144,36 @@ def test_a_wrong_frame_coset_table_fails_verify(monkeypatch):
     monkeypatch.setitem(lattice._tables.__dict__, "cosets", (rep, bad))
     report = {e["name"]: e for e in verify_suite(lattice, seed=2)["identities"]}
     assert not (report["norm-chain"]["pass"] and report["reconstruction"]["pass"]), report
+
+
+MUTATION_RUNGS = [((12,), [((2,), (3,)), ((0,), (4,))]), BIG_RUNGS[0][:2]]
+
+
+@pytest.mark.parametrize("rung", MUTATION_RUNGS, ids=["z12", "z6x6"])
+@pytest.mark.parametrize("entry", ["pos", "base", "zero"])
+def test_a_wrong_run_table_fails_verify(entry, rung, monkeypatch):
+    # Two pos entries of one run, two base-phase rows or two Delta_0-phase rows swapped.
+    lattice = subgroup_from_generators(FiniteAbelianGroup(rung[0]), rung[1], 1)
+    assert verify_suite(lattice, seed=2)["pass"]
+    base, zero, pos, minus, plus = lattice._tables.runs
+    bad = {"base": base, "zero": zero, "pos": pos}[entry].copy()
+    i, j = (len(zero), len(zero) + 1) if entry == "pos" else (0, 1)  # pos: the first two entries of run 1
+    assert not np.array_equal(bad[i], bad[j])
+    bad[[i, j]] = bad[[j, i]]
+    runs = (bad, zero, pos) if entry == "base" else (base, bad, pos) if entry == "zero" else (base, zero, bad)
+    monkeypatch.setitem(lattice._tables.__dict__, "runs", runs + (minus, plus))
+    assert not verify_suite(lattice, seed=2)["pass"]
+
+
+def test_reversed_rep_blocks_fail_verify(monkeypatch):
+    # Z12 (2, 3), (0, 4): two rep cosets of 6; taking their blocks in reverse order leaves every
+    # representation identity intact, and only the blocks applied to a vector against _act see it.
+    lattice = subgroup_from_generators(FiniteAbelianGroup((12,)), MUTATION_RUNGS[0][1], 1)
+    assert verify_suite(lattice, seed=2)["pass"]
+    assert lattice._tables.rep_gather.shape == (2, 6, 6)
+    monkeypatch.setitem(lattice._tables.__dict__, "rep_gather", lattice._tables.rep_gather[::-1])
+    report = {e["name"]: e["pass"] for e in verify_suite(lattice, seed=2)["identities"]}
+    assert not report["twisted-axioms"], report
 
 
 def test_spectral_kernels_see_only_blocks_on_the_z96_weight_3_rung(monkeypatch):

@@ -24,6 +24,8 @@ from heisenmod import (
     inner,
     is_frame,
     janssen_frame_operator,
+    module_context,
+    module_frame_check,
     randn_window,
     reconstruction_residual,
     shift_orbit,
@@ -196,17 +198,27 @@ def test_spectrum_descending_and_matches_bounds():
 
 
 def _old_dual_window(sys, tol=1e-9):
-    """dual_window as composed from parts: frame_bounds, then a second block frame operator, then a block
+    """dual_window as composed from parts: frame_bounds, then a second set of factor blocks, then a block
     solve per frame coset, scattered back to G."""
     bounds = frame_bounds(sys)
     if not bounds.lower > tol * max(bounds.upper, 1.0):
         raise NotAFrameError(bounds)
     cosets = sys.lattice._tables.cosets[1]
     stacked = np.stack([eta.values for eta in sys.windows])
-    blocks = gabor_impl._frame_sum(stacked, sys.lattice, cosets)
+    blocks = gabor_impl._gram(*gabor_impl._factor(stacked, sys.lattice))
     duals = np.empty(stacked.shape[::-1], dtype=np.complex128)
     duals[cosets] = np.linalg.solve(blocks, np.moveaxis(stacked[:, cosets], 0, -1))
     return duals
+
+
+def _dense_blocks(sys):
+    """The frame blocks from the dense orbits: the Gram of each frame coset's orbit columns, per window."""
+    cosets = sys.lattice._tables.cosets[1]
+    blocks = 0
+    for eta in sys.windows:
+        cols = shift_orbit(eta, sys.lattice)[:, cosets]  # (|Delta|, blocks, size)
+        blocks = blocks + float(sys.lattice.weight) * np.einsum("kbi,kbj->bij", cols, cols.conj())
+    return blocks
 
 
 DUAL_CASES = [
@@ -223,6 +235,15 @@ def test_dual_window_is_bit_identical_to_bounds_then_solve(orders, gens, k):
     sys = GaborSystem(subgroup_from_generators(group, gens, 1), tuple(randn_window(group, s) for s in range(k)))
     duals = np.stack([gamma.values for gamma in dual_window(sys)], axis=1)
     assert duals.tobytes() == _old_dual_window(sys).tobytes()
+    # Against the blocks of the dense orbit columns: Grams of the same sums in another order, so they differ
+    # by a small multiple of eps * B, and the backward-stable solves by eps * kappa * |gamma|.
+    eps, bounds, cosets = np.finfo(float).eps, frame_bounds(sys), sys.lattice._tables.cosets[1]
+    dense = _dense_blocks(sys)
+    assert np.abs(gabor_impl._frame_blocks(sys) - dense).max() <= 64 * eps * bounds.upper
+    stacked = np.stack([eta.values for eta in sys.windows])
+    ref = np.empty_like(duals)
+    ref[cosets] = np.linalg.solve(dense, np.moveaxis(stacked[:, cosets], 0, -1))
+    assert np.abs(duals - ref).max() <= 64 * eps * bounds.upper / bounds.lower * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("orders, gens, k", DUAL_CASES)
@@ -275,7 +296,7 @@ def test_orbit_multiplies_into_its_gather_bit_for_bit():
     # The reference allocates the phases, the gather and their product separately.
     for sub in _every_lattice():
         n = sub.ambient.order
-        perm, phase = sub._tables.orbit
+        perm, phase = sub._tables.group.gather(sub._tables.x, sub._tables.w)
         raw = np.stack([randn_window(sub.ambient, 80 + i).values for i in range(6)])
         for values in (raw[0], raw[:3], raw.reshape(2, 3, n)):
             expect = sub._tables.group.roots[phase] * np.take(values, perm, axis=-1)
@@ -297,11 +318,12 @@ def test_frame_rule_on_arrays_equals_the_scalar_rule():
             gabor_impl._frame_test(lower, upper, bad)
 
 
-def test_generating_stack_holds_one_orbit_sized_array():
-    # Z80 at |Delta| = 160: two families of three windows stack 2 x 480 x 80 complex entries, 1.17 MiB
+def test_generating_check_holds_no_orbit_sized_array():
+    # Z80 at |Delta| = 160: the two families' stacked orbits would hold 2 x 480 x 80 complex entries,
+    # 1.17 MiB; their Zak-form factor holds 2 x 3 x 16 runs x 80, 0.12 MiB.
     sub = subgroup_from_generators(FiniteAbelianGroup((80,)), BIG_RUNGS[2][1], 1)
     windows = np.stack([randn_window(sub.ambient, s).values for s in range(6)]).reshape(2, 3, 80)
-    gabor_impl._svd_frames(windows, sub, 1e-9)  # builds the orbit table outside the measurement
+    gabor_impl._svd_frames(windows, sub, 1e-9)  # builds the run table outside the measurement
     tracemalloc.start()
     try:
         verdicts = gabor_impl._svd_frames(windows, sub, 1e-9)
@@ -309,4 +331,25 @@ def test_generating_stack_holds_one_orbit_sized_array():
     finally:
         tracemalloc.stop()
     assert verdicts.tolist() == [True, True]
-    assert peak < 1.5 * 2**20, peak
+    assert peak < 0.5 * 2**20, peak
+
+
+@pytest.mark.parametrize("op", ["frame_bounds", "spectrum", "dual_window", "module_frame_check"])
+def test_frame_ops_on_z2048_build_no_orbit_sized_array(op):
+    # Z2048 (16, 0), (0, 32): |Delta| = 8192, so one |Delta| x |G| complex array is 256 MiB. The run table
+    # holds 128 runs and 64 Delta_0 rows of |G| integers; each operation, table builds included, peaks
+    # under 48 MiB.
+    group = FiniteAbelianGroup((2048,))
+    windows = (randn_window(group, 1), randn_window(group, 2))
+    ctx = module_context(subgroup_from_generators(group, [((16,), (0,)), ((0,), (32,))], 1))
+    sys = GaborSystem(ctx.lattice, windows)
+    run = {"frame_bounds": frame_bounds, "spectrum": spectrum, "dual_window": dual_window,
+           "module_frame_check": lambda _: module_frame_check(windows, ctx)}[op]
+    assert len(ctx.lattice) == 8192 and "runs" not in ctx.lattice._tables.__dict__
+    tracemalloc.start()
+    try:
+        run(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, peak

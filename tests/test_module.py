@@ -14,6 +14,7 @@ from heisenmod import (
     TFPoint,
     adjoint_subgroup,
     all_subgroups,
+    analysis,
     cstar_norm,
     delta_seq,
     delta_window,
@@ -49,6 +50,7 @@ from heisenmod import (
 )
 from heisenmod import module as module_impl
 from heisenmod.module import VERIFY_TOLERANCES
+from heisenmod.shifts import Window, _randn
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -311,16 +313,25 @@ Z12_W3 = module_context(subgroup_from_generators(FiniteAbelianGroup((12,)), [((2
 def test_theta_matrix_matches_per_basis_vector_construction_exactly(monkeypatch):
     # Z48 at |Delta| = 96 runs batches of 7 columns, which do not divide 48; chunk 1 runs one column per batch
     assert len(Z48_R2.lattice) == 96 and module_impl._CHUNK // (96 * 48) == 7
+    eps = np.finfo(float).eps
     for ctx, chunk in [(CTX4, None), (CTX6, None), (CTX_DIAG, None), (Z48_R2, None), (Z12_W3, None),
                        (CTX6, 1), (Z48_R2, 1)]:
         with monkeypatch.context() as patch:
             if chunk is not None:
                 patch.setattr(module_impl, "_CHUNK", chunk)
-            g = ctx.lattice.ambient
+            g, lat = ctx.lattice.ambient, ctx.lattice
             eta = randn_window(g, seed=50)
             gamma = randn_window(g, seed=51)
-            cols = [left_act(left_inner(delta_window(g, t), eta, ctx), gamma, ctx).values for t in range(g.order)]
-            assert np.array_equal(theta_matrix(eta, gamma, ctx), np.stack(cols, axis=1)), (g.orders, chunk)
+            theta = theta_matrix(eta, gamma, ctx)
+            cols = analysis(eta, lat)
+            lone = [module_impl._act(lat, False, cols[:, t], gamma.values) for t in range(g.order)]
+            assert np.array_equal(theta, np.stack(lone, axis=1)), (g.orders, chunk)
+            # left_inner(delta_t, eta) takes the run-form analysis, whose coefficients differ from the dense
+            # column by the rounding of a product of two unit phases, a few eps * |eta| each; left_act sums
+            # |Delta| terms, so the columns differ by at most c * eps * w * |Delta| * max|eta| * max|gamma|.
+            via_module = [left_act(left_inner(delta_window(g, t), eta, ctx), gamma, ctx).values for t in range(g.order)]
+            bound = 8 * eps * float(lat.weight) * len(lat) * np.abs(eta.values).max() * np.abs(gamma.values).max()
+            assert np.abs(theta - np.stack(via_module, axis=1)).max() <= bound, (g.orders, chunk)
 
 
 def test_norms_from_the_smaller_gram_match_the_frame_operator_route():
@@ -338,9 +349,12 @@ def test_norms_from_the_smaller_gram_match_the_frame_operator_route():
     assert smaller > 50
 
 
-def test_conjugated_analysis_equals_the_orbit_against_the_conjugate_bit_for_bit():
-    # The adjoint-side coefficients <pi(w) eta, xi> were computed as orbit(eta) @ conj(xi) before they
-    # became conj(<xi, pi(w) eta>); the reference keeps that product, on each lattice and on its adjoint.
+def test_conjugated_analysis_stacks_and_meets_the_orbit_against_the_conjugate():
+    # The adjoint-side coefficients <pi(w) eta, xi> were orbit(eta) @ conj(xi) on the dense orbit; they are
+    # now conj of the run-form analysis, on each lattice and on its adjoint. Stacked cases equal lone calls
+    # bit for bit. Error model against the dense product: both sum the |G| products eta(t - x) conj(xi(t))
+    # times unit phases in different orders, so they differ by at most c * |G| * eps times the sum of the
+    # products' moduli (Higham's gamma_n); c = 4.
     from heisenmod.gabor import _analyze, _orbit
 
     cases = 0
@@ -350,8 +364,14 @@ def test_conjugated_analysis_equals_the_orbit_against_the_conjugate_bit_for_bit(
         for elems in all_subgroups(g):
             lattice = MeasuredSubgroup(g, elems, 1)
             for sub in (lattice, adjoint_subgroup(lattice)):
-                expect = (_orbit(eta, sub) @ xi.conj()[..., None])[..., 0]
-                assert _analyze(xi, eta, sub).conj().tobytes() == expect.tobytes(), (g.orders, elems)
+                got = _analyze(xi, eta, sub)
+                assert got.flags.c_contiguous
+                for i in range(3):
+                    assert got[i].tobytes() == _analyze(xi[i], eta[i], sub).tobytes(), (g.orders, elems)
+                orbit = _orbit(eta, sub)
+                expect = (orbit @ xi.conj()[..., None])[..., 0]
+                bound = 4 * g.order * np.finfo(float).eps * (np.abs(orbit) @ np.abs(xi)[..., None])[..., 0]
+                assert np.all(np.abs(got.conj() - expect) <= bound), (g.orders, elems)
                 cases += 1
     assert cases > 200
 
@@ -543,7 +563,13 @@ def test_reconstruction_passes_on_ill_conditioned_critical_frames(gens, seed):
     lattice = subgroup_from_generators(FiniteAbelianGroup((8, 8)), [(tuple(x), tuple(w)) for x, w in gens], 1)
     report = verify_suite(lattice, seed=seed)
     recon = next(e for e in report["identities"] if e["name"] == "reconstruction")
-    assert recon["cases"] > 0 and recon["max_abs_gap"] > 1e-9  # the old absolute bound failed here
+    assert recon["cases"] > 0
+    # The premise: a one-window family of the check, drawn as _check_generators draws it from the suite's
+    # ninth salt, is a frame with kappa = B/A about 1e5.
+    salt = int(splitmix64_stream(seed ^ 0x5EED, 16)[8])
+    draws = _randn(splitmix64_stream(salt, 18), 64)[:2]
+    bounds = [frame_bounds(GaborSystem(lattice, (Window(lattice.ambient, v),))) for v in draws]
+    assert max(b.upper / b.lower for b in bounds) > 1e4, bounds
     assert report["pass"], [e for e in report["identities"] if not e["pass"]]
 
 

@@ -5,7 +5,8 @@ phases: character(w, x) = exp(2 pi i m / L) with m = sum_j w_j x_j L / n_j
 mod L and L the lcm of the factor orders. Hypothesis draws groups of rank at
 most 3 with |G| <= 64 and random generator sets, derandomized so every run
 sees the same examples. The twisted references loop over |Delta|^2 in Python,
-so those properties draw |G| <= 16.
+so those properties draw |G| <= 16; the reference orbits loop over
+|Delta| |G|, so the run-form property draws |G| <= 32.
 """
 
 import cmath
@@ -31,6 +32,7 @@ from heisenmod import (
     subgroup_from_generators,
     twisted_convolve,
 )
+from heisenmod import gabor
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -133,6 +135,27 @@ def test_shift_orbit_rows_match_definition(case, seed):
     orbit = shift_orbit(eta, sub)
     for k, z in enumerate(sub.elements[:16]):
         assert np.allclose(orbit[k], _shift_ref(group, z, eta.values), atol=1e-12)
+
+
+@PROPERTY
+@given(lattices(max_order=32), st.integers(0, 2**31))
+def test_run_form_analysis_and_frame_blocks_match_reference_orbits(case, seed):
+    # Error model: an analysis coefficient sums |G| products, a frame-block entry |Delta| products, each of
+    # two window entries and unit phases; the run form sums them in another order and takes phases as
+    # products of two roots, so by Higham's gamma_n bounds the gap is at most c * n * eps times the sum of
+    # the products' moduli, n the number of terms; c = 4.
+    group, gens = case
+    sub = subgroup_from_generators(group, gens, 2)
+    xi, eta = _random_coeffs(group.order, seed), _random_coeffs(group.order, seed + 1)
+    orbit = np.array([_shift_ref(group, z, eta) for z in sub.elements])
+    eps = np.finfo(float).eps
+    gap = np.abs(gabor._analyze(xi, eta, sub) - orbit.conj() @ xi)
+    assert np.all(gap <= 4 * group.order * eps * (np.abs(orbit) @ np.abs(xi))), gap.max()
+    cosets = sub._tables.cosets[1]
+    dense = 2 * (orbit.T @ orbit.conj())[cosets[:, :, None], cosets[:, None, :]]
+    moduli = 2 * (np.abs(orbit).T @ np.abs(orbit))[cosets[:, :, None], cosets[:, None, :]]
+    gap = np.abs(gabor._gram(*gabor._factor(eta[None], sub)) - dense)
+    assert np.all(gap <= 4 * len(sub) * eps * moduli), gap.max()
 
 
 @PROPERTY

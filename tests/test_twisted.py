@@ -318,16 +318,3 @@ def test_difference_tables_equal_the_add_neg_construction_on_every_subgroup():
             # and the construction before sub was built one coordinate at a time
             diff = np.searchsorted(tables.plane, grp.plane_index(x[None] - x[:, None], w[None] - w[:, None]))
             assert np.array_equal(tables.sub, diff), (g.orders, elems)
-
-
-def test_run_table_equals_the_strided_orbit_and_the_shifted_index_on_every_subgroup():
-    # The references are the gathers _fibres derived on every call before the lattice held its run table.
-    for g in SMALL_GROUPS:
-        for elems in all_subgroups(g):
-            tables = MeasuredSubgroup(g, elems, 1)._tables
-            grp, (perm, phase) = tables.group, tables.orbit
-            d0 = int(np.searchsorted(tables.plane, g.order))
-            run_phase, minus, plus = tables.runs
-            assert np.array_equal(run_phase, phase.reshape(-1, d0, g.order)), (g.orders, elems)
-            assert np.array_equal(minus, perm[::d0]), (g.orders, elems)
-            assert np.array_equal(plus, grp.index(grp.coords[None] + tables.x[::d0, None])), (g.orders, elems)

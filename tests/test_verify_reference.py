@@ -249,6 +249,8 @@ REFERENCE_LATTICES = {
     "Z2xZ4": ((2, 4), [((1, 0), (0, 0)), ((0, 2), (1, 0)), ((0, 0), (0, 2))], 1),
     "Z4^2": ((4, 4), [((2, 0), (0, 2)), ((0, 1), (2, 1)), ((0, 0), (2, 0)), ((0, 0), (0, 2))], 1),
     "Z8 weight 2": ((8,), [((4,), (0,)), ((0,), (2,))], 2),
+    # |Delta| = |G| / 2: no one-window family is a frame, so a generators chunk holds no frame
+    "Z12 redundancy 1/2": ((12,), [((4,), (0,)), ((0,), (6,))], 1),
 }
 
 
