@@ -120,8 +120,11 @@ def synthesis(gamma: Window, sub: MeasuredSubgroup) -> np.ndarray:
 
 
 def frame_like(eta: Window, gamma: Window, sub: MeasuredSubgroup) -> OperatorMatrix:
-    """Cross frame operator: synthesis with gamma after analysis with eta."""
-    return synthesis(gamma, sub) @ analysis(eta, sub)
+    """Cross frame operator: synthesis with gamma after analysis with eta, from one gather of both orbits."""
+    if eta.group != sub.ambient:
+        raise ValueError("window group does not match the subgroup's ambient group")
+    eta_orbit, gamma_orbit = _orbit(np.stack([eta.values, gamma.values]), sub)
+    return (float(sub.weight) * gamma_orbit.T) @ eta_orbit.conj()
 
 
 def frame_operator(sys: GaborSystem) -> OperatorMatrix:
@@ -224,10 +227,12 @@ def _svd_frames(windows: np.ndarray, sub: MeasuredSubgroup, tol: float) -> np.nd
 
 def reconstruction_residual(sys: GaborSystem, duals: list[Window], xi: Window) -> float:
     """Residual of sum_j weight sum_z <xi, pi(z) gamma_j> pi(z) eta_j against xi."""
-    rebuilt = np.zeros(sys.lattice.ambient.order, dtype=np.complex128)
-    for eta, gamma in zip(sys.windows, duals):
-        coeffs = analysis(gamma, sys.lattice) @ xi.values
-        rebuilt += synthesis(eta, sys.lattice) @ coeffs
+    lat = sys.lattice
+    rebuilt = np.zeros(lat.ambient.order, dtype=np.complex128)
+    pairs = [(eta.values, gamma.values) for eta, gamma in zip(sys.windows, duals)]
+    for eta_orbit, gamma_orbit in _orbit(np.array(pairs).reshape(-1, 2, len(rebuilt)), lat):  # one gather
+        coeffs = gamma_orbit.conj() @ xi.values
+        rebuilt += (float(lat.weight) * eta_orbit.T) @ coeffs
     return float(np.linalg.norm(rebuilt - xi.values))
 
 

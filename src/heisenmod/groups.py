@@ -274,10 +274,12 @@ class _LatticeTable:
         return np.searchsorted(self.plane, plane)
 
     @cached_property
-    def sub_phase(self) -> np.ndarray:
-        """Integer phase of c(z_i, z_k - z_i) = conj(character(tau_k, x_i)) character(tau_i, x_i)."""
-        pairing = self.group.pairing(self.w[None], self.x[:, None])  # [i, k]: pairing(tau_k, x_i)
-        return (np.diag(pairing)[:, None] - pairing) % self.group.modulus
+    def kappa(self) -> np.ndarray:
+        """kappa[i, k] = c(z_i, z_k - z_i) = conj(character(tau_k, x_i)) character(tau_i, x_i), one roots
+        lookup of its integer phase mod N, which is built in place."""
+        phase = self.group.pairing(self.w[None], self.x[:, None])  # [i, k]: pairing(tau_k, x_i)
+        np.subtract(self.group.pairing(self.w, self.x)[:, None], phase, out=phase)
+        return self.group.roots[np.remainder(phase, self.group.modulus, out=phase)]
 
 
 def character(group: FiniteAbelianGroup, w: GroupElement, x: GroupElement) -> complex:

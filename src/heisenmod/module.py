@@ -27,7 +27,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .gabor import (GaborSystem, _analyze, _duals, _factor, _gram, _orbit, _svd_frames, _uncoset, analysis,
-                    dual_window, frame_bounds, frame_like)
+                    dual_window, frame_bounds)
 from .groups import FiniteAbelianGroup, MeasuredSubgroup, adjoint_subgroup
 from .shifts import Window, _randn, splitmix64_stream
 from .twisted import TwistedSeq, _act, _convolve, _involve, _rep, _rep_blocks
@@ -169,15 +169,24 @@ def _figa(eta, gamma, xi, psi, ctx: ModuleContext) -> tuple[np.ndarray, np.ndarr
 def theta_matrix(eta: Window, gamma: Window, ctx: ModuleContext) -> np.ndarray:
     """Matrix of xi -> left_act(left_inner(xi, eta), gamma), column by column.
 
-    left_inner(delta_t, eta) is analysis(eta, lattice) @ delta_t, which is
-    column t of the dense analysis matrix, so that matrix is built once. The
+    left_inner(delta_t, eta) is column t of the dense analysis matrix. The
     columns go through left_act's kernel, the integrated-representation route
-    that frame_like does not take, as its case axis, in _per_case chunks of
-    |Delta| |G| entries per column; each equals a lone _act call bit for bit.
+    that frame_like does not take, with the column as the leading case axis and
+    gamma broadcast over it, in _per_case slices of runs |G| + |Delta| entries
+    (the run scatter and its Delta_0 sums) per column; each column equals a
+    lone _act call bit for bit. This is _theta with one case.
     """
-    lat, cols = ctx.lattice, analysis(eta, ctx.lattice).T
-    (theta,) = _per_case(lambda c, _: (_act(lat, False, c, gamma.values),), ctx, cols, per_case=cols.size)
-    return theta.T
+    return _theta(analysis(eta, ctx.lattice)[None], gamma.values[None], ctx)[0]
+
+
+def _theta(rows: np.ndarray, gamma: np.ndarray, ctx: ModuleContext) -> np.ndarray:
+    """theta_matrix per case of (cases, |Delta|, |G|) analysis matrices of eta and (cases, |G|) gammas;
+    a slice counts runs |G| + |Delta| entries per column and case."""
+    lat, n = ctx.lattice, ctx.lattice.ambient.order
+    per_column = len(rows) * (len(lat._tables.runs[0]) * n + len(lat))
+    (cols,) = _per_case(lambda c, _: (_act(lat, False, c, gamma),), ctx, np.moveaxis(rows, -1, 0),
+                        per_case=per_column)
+    return np.moveaxis(cols, 0, -1)
 
 
 def dual_lattice_norm_scaling(eta: Window, ctx: ModuleContext) -> dict:
@@ -399,10 +408,25 @@ def _check_norm_chain(ctx: ModuleContext, seed: int, cases: int) -> tuple[dict, 
     return _entry("norm-chain", cases, rel.max(), rel.max()), _entry("embedding-bound", cases, embed, embed)
 
 
+def _extension_gaps(eta: np.ndarray, gamma: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray]:
+    """Per pair of (pairs, |G|) windows: theta_matrix against frame_like, both from one gather of the
+    stacked (eta, gamma) orbits; frame_like's operands, scaled and conjugated in place, keep its order."""
+    lat = ctx.lattice
+    orbits = _orbit(np.stack([eta, gamma], axis=1), lat)  # (pairs, 2, |Delta|, |G|)
+    rows, synthesis = np.conjugate(orbits[:, 0], out=orbits[:, 0]), orbits[:, 1]
+    synthesis *= float(lat.weight)
+    theta = _theta(rows, gamma, ctx)
+    theta -= np.swapaxes(synthesis, -1, -2) @ rows
+    return (_case_max(theta),)
+
+
 def _check_operator_extension(ctx: ModuleContext, seed: int, cases: int) -> dict:
-    pairs = [[Window(ctx.lattice.ambient, v) for v in pair] for pair in zip(*_draw(ctx, seed, cases, 2))]
-    gap = np.max([np.abs(theta_matrix(*pair, ctx) - frame_like(*pair, ctx.lattice)).max() for pair in pairs])
-    return _entry("operator-extension", cases, gap, gap)
+    """theta_matrix against frame_like per pair, in chunks of 2 |Delta| |G| + 3 |G|^2 entries per pair:
+    the two orbits, the frame_like side, theta and its column slices joined."""
+    n = ctx.lattice.ambient.order
+    per_pair = 2 * len(ctx.lattice) * n + 3 * n * n
+    (gaps,) = _per_case(_extension_gaps, ctx, *_draw(ctx, seed, cases, 2), per_case=per_pair)
+    return _entry("operator-extension", cases, gaps.max(), gaps.max())
 
 
 def _janssen_gaps(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, np.ndarray]:

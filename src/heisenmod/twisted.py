@@ -15,11 +15,12 @@ With the conjugated cocycle the integrated representation reverses products,
 rep(a * b) = rep(b) rep(a), exactly what a right module action requires; the
 involution identity rep(a*) = rep(a)^H holds for both flags.
 
-Every product, involution and representation reads the domain's integer
-tables (see groups): the neg index table, the sub table of differences
-z_k - z_i with the integer phases mod N of c(z_i, z_k - z_i), so that
-kappa = roots[phase] (roots[-phase] on the conjugated flag), and the run
-table; all are gathers, and the kernels behind them take leading case axes.
+Every product, involution and representation reads the domain's tables (see
+groups): the neg index table, the sub table of differences z_k - z_i with
+its cocycle table kappa = c(z_i, z_k - z_i), one complex table built from
+the integer phases mod N and read by both flags (the conjugated cocycle is
+conj(kappa)), and the run table; all are gathers, and the kernels behind
+them take leading case axes.
 The integrated representation sums over each time fibre,
 m_x(t) = sum over (x, w) of a(x, w) roots[pairing(w, t)], and places m_x(t)
 at row t, column index(t - x) of the |G| x |G| matrix; applied to a vector
@@ -88,12 +89,21 @@ def twisted_convolve(a: TwistedSeq, b: TwistedSeq) -> TwistedSeq:
 
 
 def _convolve(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """twisted_convolve per case of leading axes: term [i, k] pairs z_i with z_k - z_i, summed over i."""
+    """twisted_convolve per case of leading axes: entry [i, k] pairs z_i with z_k - z_i.
+
+    b gathered by sub into one |Delta| x |Delta| buffer per case, scaled by kappa in place, is
+    contracted with a as one vector-matrix product; the weight scales the |Delta|-vector. The
+    conjugated cocycle is conj(kappa), so its product is conj of the plain product of conj(a), conj(b).
+    """
     tables = domain._tables
-    sub, phase = tables.sub, tables.sub_phase  # built, on first use, before any product temporary
-    kappa = tables.group.roots[-phase if conjugated else phase]
-    terms = float(domain.weight) * (a[..., :, None] * kappa * np.take(b, sub, axis=-1))
-    return terms.sum(axis=-2)
+    sub, kappa = tables.sub, tables.kappa  # built, on first use, before the product's buffer
+    if conjugated:
+        a, b = a.conj(), b.conj()
+    terms = np.take(b, sub, axis=-1)
+    terms *= kappa
+    out = (a[..., None, :] @ terms)[..., 0, :]
+    out *= float(domain.weight)
+    return np.conjugate(out, out=out) if conjugated else out
 
 
 def involution(a: TwistedSeq) -> TwistedSeq:
@@ -153,28 +163,40 @@ def _rep_blocks(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np
 
 def _fibre_sums(domain: MeasuredSubgroup, a: np.ndarray) -> np.ndarray:
     """m_x(t) = sum over the points (x, w) of a(x, w) roots[pairing(w, t)], per case: (..., runs, |G|),
-    the base phases times each run's coefficients (placed by pos) against the Delta_0 characters."""
+    the base phases times _zero_sums."""
+    return domain._tables.group.roots[domain._tables.runs[0]] * _zero_sums(domain, a)
+
+
+def _zero_sums(domain: MeasuredSubgroup, a: np.ndarray) -> np.ndarray:
+    """Each run's coefficients (placed by pos) against the Delta_0 characters, per case: (..., runs, |G|)."""
     tables = domain._tables
     base, zero, pos, _, _ = tables.runs
     runs = np.empty(a.shape[:-1] + (len(base), len(zero)), dtype=np.complex128)
     runs.reshape(a.shape)[..., pos] = a  # a view: the scatter fills runs
-    return tables.group.roots[base] * (runs @ tables.group.roots[zero])
+    # one matrix product for every case and run: a stacked product runs one small one per case
+    return (runs.reshape(-1, len(zero)) @ tables.group.roots[zero]).reshape(runs.shape[:-1] + (-1,))
 
 
 def _act(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """integrated_rep(a) @ xi per case of leading axes, in time-fibre form.
 
     rep(a) = weight * sum_x diag(m_x) T_x with the fibre sums m_x of a, each
-    summed first as the matrix groups its entries. The conjugated flag applies
-    its conjugate transpose, m from conj(a): weight * sum_x conj(m_x(t + x)) xi(t + x).
+    summed first as the matrix groups its entries. The plain flag folds the
+    base phases and the weight into xi's side, weight * roots[base] * xi(t - x_r),
+    runs x |G| per xi and shared by every case that broadcasts xi, multiplies
+    _zero_sums by it in place and sums over the runs. The conjugated flag applies
+    the conjugate transpose, m from conj(a): weight * sum_x conj(m_x(t + x)) xi(t + x).
     """
-    _, _, _, minus, plus = domain._tables.runs
+    base, _, _, minus, plus = domain._tables.runs
     if conjugated:
         m = _fibre_sums(domain, a.conj()).conj()
         terms = np.take_along_axis(m * xi[..., None, :], np.broadcast_to(plus, m.shape), axis=-1)
-    else:
-        terms = _fibre_sums(domain, a) * xi[..., minus]
-    return float(domain.weight) * terms.sum(axis=-2)
+        return float(domain.weight) * terms.sum(axis=-2)
+    shifted = domain._tables.group.roots[base] * xi[..., minus]
+    shifted *= float(domain.weight)
+    terms = _zero_sums(domain, a)
+    terms *= shifted
+    return terms.sum(axis=-2)
 
 
 def cstar_norm(a: TwistedSeq) -> float:

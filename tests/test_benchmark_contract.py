@@ -24,3 +24,13 @@ def test_cached_names_are_package_caches():
         fn = getattr(importlib.import_module(f"heisenmod.{layer}"), name)
         assert callable(getattr(fn, "cache_info", None)), qual
         assert callable(getattr(fn, "cache_clear", None)), qual
+
+
+def test_traced_names_are_package_callables():
+    # perfbench/run.py --trace 1 wraps each of these where its layer binds it; a name a refactor
+    # dropped would only fail there.
+    spans = _load_spans()
+    assert spans.TRACED
+    for qual in spans.TRACED:
+        layer, name = qual.split(".")
+        assert callable(getattr(importlib.import_module(f"heisenmod.{layer}"), name, None)), qual

@@ -311,11 +311,13 @@ Z12_W3 = module_context(subgroup_from_generators(FiniteAbelianGroup((12,)), [((2
 
 
 def test_theta_matrix_matches_per_basis_vector_construction_exactly(monkeypatch):
-    # Z48 at |Delta| = 96 runs batches of 7 columns, which do not divide 48; chunk 1 runs one column per batch
-    assert len(Z48_R2.lattice) == 96 and module_impl._CHUNK // (96 * 48) == 7
+    # A column costs runs |G| + |Delta| entries: Z48 at |Delta| = 96 has 12 runs, so the default chunk
+    # runs all 48 columns at once, 7 * 672 runs batches of 7, which do not divide 48, and chunk 1 one column
+    runs = len(Z48_R2.lattice._tables.runs[0])
+    assert len(Z48_R2.lattice) == 96 and runs == 12 and module_impl._CHUNK // (runs * 48 + 96) == 48
     eps = np.finfo(float).eps
     for ctx, chunk in [(CTX4, None), (CTX6, None), (CTX_DIAG, None), (Z48_R2, None), (Z12_W3, None),
-                       (CTX6, 1), (Z48_R2, 1)]:
+                       (CTX6, 1), (Z48_R2, 1), (Z48_R2, 7 * 672)]:
         with monkeypatch.context() as patch:
             if chunk is not None:
                 patch.setattr(module_impl, "_CHUNK", chunk)
@@ -471,11 +473,29 @@ def test_theta_matrix_runs_one_act_per_batch(rung, monkeypatch):
     orders, gens, weight, _, _ = BENCH_SCALE[rung]
     ctx = module_context(subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight))
     n = ctx.lattice.ambient.order
-    batch = max(1, module_impl._CHUNK // (len(ctx.lattice) * n))
+    batch = max(1, module_impl._CHUNK // (len(ctx.lattice._tables.runs[0]) * n + len(ctx.lattice)))
     calls = {"_act": 0}
     monkeypatch.setattr(module_impl, "_act", _counting(calls, "_act", module_impl._act))
     theta_matrix(randn_window(ctx.lattice.ambient, 1), randn_window(ctx.lattice.ambient, 2), ctx)
     assert calls["_act"] <= -(-n // batch), (calls, batch)
+
+
+@pytest.mark.parametrize("rung", [None, 0, 1, 2], ids=["z48-r2", "z96-192", "z96-weight-3", "z80-160"])
+def test_operator_extension_runs_one_gather_per_chunk(rung, monkeypatch):
+    # Each chunk of pairs gathers its stacked (eta, gamma) orbits once; theta reads the run tables.
+    if rung is None:
+        ctx = Z48_R2
+    else:
+        orders, gens, weight, _, _ = BENCH_SCALE[rung]
+        ctx = module_context(subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight))
+    n, cases = ctx.lattice.ambient.order, 10
+    step = max(1, module_impl._CHUNK // (2 * len(ctx.lattice) * n + 3 * n * n))
+    table = type(ctx.lattice.ambient._table)
+    calls = {"gather": 0}
+    monkeypatch.setattr(table, "gather", _counting(calls, "gather", table.gather))
+    entry = module_impl._check_operator_extension(ctx, 11, cases)
+    assert entry["pass"] and entry["cases"] == cases, entry
+    assert calls["gather"] <= -(-cases // step), (calls, step)
 
 
 def test_generator_check_runs_one_decomposition_per_window_count(monkeypatch):

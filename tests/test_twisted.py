@@ -304,7 +304,8 @@ def test_kernels_with_a_case_axis_equal_per_case_calls_bit_for_bit():
 
 def test_difference_tables_equal_the_add_neg_construction_on_every_subgroup():
     # The reference is the construction _convolve gathered on every call before the tables held sub and
-    # its phase: add[i, j] = position of z_i + z_j, cocycle[i, j] = phase of c(z_i, z_j).
+    # kappa: add[i, j] = position of z_i + z_j, cocycle[i, j] = phase of c(z_i, z_j). roots is injective
+    # on 0..N-1, so equal kappa bytes mean equal integer phases.
     for g in SMALL_GROUPS:
         for elems in all_subgroups(g):
             tables = MeasuredSubgroup(g, elems, 1)._tables
@@ -314,7 +315,36 @@ def test_difference_tables_equal_the_add_neg_construction_on_every_subgroup():
             sub = add[tables.neg]
             phase = np.take_along_axis(cocycle, sub, axis=1)
             assert np.array_equal(tables.sub, sub), (g.orders, elems)
-            assert np.array_equal(tables.sub_phase, phase), (g.orders, elems)
+            assert tables.kappa.tobytes() == grp.roots[phase].tobytes(), (g.orders, elems)
             # and the construction before sub was built one coordinate at a time
             diff = np.searchsorted(tables.plane, grp.plane_index(x[None] - x[:, None], w[None] - w[:, None]))
             assert np.array_equal(tables.sub, diff), (g.orders, elems)
+
+
+def _convolve_reference(domain, conjugated, a, b):
+    """The per-call formula _convolve ran before the tables held kappa: the cocycle roots gathered from
+    their integer phases, three |Delta|^2 products and a strided sum."""
+    tables = domain._tables
+    pairing = tables.group.pairing(tables.w[None], tables.x[:, None])
+    phase = (np.diag(pairing)[:, None] - pairing) % tables.group.modulus
+    kappa = tables.group.roots[-phase if conjugated else phase]
+    terms = float(domain.weight) * (a[..., :, None] * kappa * np.take(b, tables.sub, axis=-1))
+    return terms.sum(axis=-2)
+
+
+def test_convolve_matches_the_per_call_formula_on_every_subgroup():
+    # Both sum |Delta| products of |kappa| = 1 and unit-free operands, so each differs from the exact
+    # sum by at most (|Delta| + 3) eps times weight * sum |a| * max |b| (Higham's gamma_n bound).
+    from heisenmod.twisted import _convolve
+
+    eps = np.finfo(float).eps
+    for g in SMALL_GROUPS:
+        for k, elems in enumerate(all_subgroups(g)):
+            dom = MeasuredSubgroup(g, elems, Fraction(1, 3))
+            for flag in (False, True):
+                a = np.stack([_random_seq(dom, flag, 700 + 2 * k + i).coeffs for i in range(2)])
+                b = np.stack([_random_seq(dom, flag, 900 + 2 * k + i).coeffs for i in range(2)])
+                scale = float(dom.weight) * np.abs(a).sum(axis=-1) * np.abs(b).max(axis=-1)
+                bound = 2 * (len(dom) + 3) * eps * scale
+                gap = np.abs(_convolve(dom, flag, a, b) - _convolve_reference(dom, flag, a, b)).max(axis=-1)
+                assert np.all(gap <= bound), (g.orders, elems, flag, gap, bound)
