@@ -84,21 +84,22 @@ def _factor(windows: np.ndarray, sub: MeasuredSubgroup) -> tuple[np.ndarray, flo
     """Zak-form factor of the frame blocks per case of (..., k, |G|) windows: F (..., blocks, k runs, size)
     and the scale weight |Delta_0|, with frame block b = _gram(F_b, scale). Row r of F_b is the base row
     pi(x_r, omega_r) eta on frame coset b, where each v in Delta_0 has one phase pairing(v, t), so the
-    |Delta_0| orbit rows of run r are the base row times unit phases: their Gram is |Delta_0| times its."""
-    (base, _, _, minus, _), cosets = sub._tables.runs, sub._tables.cosets[1]
-    blocks, size = cosets.shape
-    rows = np.take(windows, np.take(minus, cosets.ravel(), axis=1), axis=-1)  # (..., k, runs, |G|)
-    rows *= sub._tables.group.roots[np.take(base, cosets.ravel(), axis=1)]
-    rows = np.moveaxis(rows.reshape(rows.shape[:-1] + cosets.shape), -2, -4)  # (..., blocks, k, runs, size)
-    return rows.reshape(rows.shape[:-3] + (windows.shape[-2] * len(base), size)), float(sub.weight) * blocks
+    |Delta_0| orbit rows of run r are the base row times unit phases: their Gram is |Delta_0| times its.
+    The run table over the frame cosets (groups, frame) gives the rows in coset order."""
+    (minus, phases, _), (blocks, size) = sub._tables.frame, sub._tables.cosets[1].shape
+    rows = np.take(windows, minus, axis=-1)  # (..., k, runs, |G|)
+    rows *= phases
+    rows = np.moveaxis(rows.reshape(rows.shape[:-1] + (blocks, size)), -2, -4)  # (..., blocks, k, runs, size)
+    return rows.reshape(rows.shape[:-3] + (windows.shape[-2] * len(minus), size)), float(sub.weight) * blocks
 
 
 def _analyze(xi: np.ndarray, eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
     """Analysis coefficients <xi, pi(z) eta> per case: (..., |G|) arrays give (..., |Delta|): each base row
-    against xi on each frame coset (_factor), then against the Delta_0 phases there; pos places them."""
-    (_, zero, pos, _, _), cosets = sub._tables.runs, sub._tables.cosets[1]
-    sums = (_factor(eta[..., None, :], sub)[0].conj() @ np.take(xi, cosets, axis=-1)[..., None])[..., 0]
-    coeffs = np.swapaxes(sums, -1, -2) @ sub._tables.group.roots[zero[:, cosets[:, 0]]].conj().T
+    against xi on each frame coset (_factor), then against the Delta_0 characters there; pos places them."""
+    pos, cosets, chi = sub._tables.runs[2], sub._tables.cosets[1], sub._tables.frame[2]
+    rows = _factor(eta[..., None, :], sub)[0]
+    sums = (np.conjugate(rows, out=rows) @ np.take(xi, cosets, axis=-1)[..., None])[..., 0]
+    coeffs = np.swapaxes(sums, -1, -2) @ chi.conj().T
     return np.take(coeffs.reshape(coeffs.shape[:-2] + pos.shape), pos, axis=-1)
 
 
@@ -211,16 +212,21 @@ def _uncoset(values: np.ndarray, cosets: np.ndarray) -> np.ndarray:
 
 def _svd_frames(windows: np.ndarray, sub: MeasuredSubgroup, tol: float) -> np.ndarray:
     """The frame rule per case of (cases, k, |G|) windows, on bounds from the singular values of the
-    stacked orbits (cases, k |Delta|, |G|): scale s^2 of the extreme ones of the factor blocks (_factor).
+    stacked orbits (cases, k |Delta|, |G|): _factor_frames of their factor."""
+    return _factor_frames(*_factor(windows, sub), tol)
+
+
+def _factor_frames(factor: np.ndarray, scale: float, tol: float) -> np.ndarray:
+    """The frame rule per case of factor blocks (cases, blocks, k runs, size) (_factor), on bounds scale s^2
+    of their extreme singular values s.
 
     Columns of different blocks are orthogonal (their Gram is the block-diagonal
     frame operator), and on one block the orbit is the factor block with each row
-    repeated |Delta_0| times at unit phases. The lower bound is 0 with fewer rows than |G|.
+    repeated |Delta_0| times at unit phases. The lower bound is 0 with fewer rows
+    than columns, that is with k |Delta| < |G| orbit rows.
     """
-    cases, k, n = windows.shape
-    factor, scale = _factor(windows, sub)
     bounds = scale * _extremes(np.linalg.svd(factor, compute_uv=False)) ** 2
-    if k * len(sub) < n:
+    if factor.shape[-2] < factor.shape[-1]:
         bounds[:, 0] = 0.0
     return _frame_test(bounds[:, 0], bounds[:, 1], tol)
 

@@ -247,6 +247,17 @@ class _LatticeTable:
         return rep, np.lexsort(zero).reshape(len(zero), -1)
 
     @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The run table over the frame cosets, columns in coset order (coset b at b size to (b + 1) size):
+        index(t - x_r) and the base phase roots (runs, |G|); and the Delta_0 characters, constant on each
+        frame coset, roots[pairing(v, t)] for t in coset b at [v, b] (|Delta_0|, |Delta_0|)."""
+        base, zero, _, minus, _ = self.runs
+        cosets = self.cosets[1]
+        order = cosets.ravel()
+        roots = self.group.roots
+        return np.take(minus, order, axis=1), roots[np.take(base, order, axis=1)], roots[zero[:, cosets[:, 0]]]
+
+    @cached_property
     def rep_gather(self) -> np.ndarray:
         """Flat index r |G| + t into the fibre sums (runs, |G|) at entry (i, j) of rep block b: row t =
         rep[b, i] holds m_r(t) at column index(t - x_r) = rep[b, j]. Shape (|G| / runs, runs, runs)."""

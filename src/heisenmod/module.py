@@ -26,8 +26,8 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .gabor import (GaborSystem, _analyze, _duals, _factor, _gram, _orbit, _svd_frames, _uncoset, analysis,
-                    dual_window, frame_bounds)
+from .gabor import (GaborSystem, _analyze, _duals, _factor, _factor_frames, _gram, _orbit, _svd_frames, _uncoset,
+                    analysis, dual_window, frame_bounds)
 from .groups import FiniteAbelianGroup, MeasuredSubgroup, adjoint_subgroup
 from .shifts import Window, _randn, splitmix64_stream
 from .twisted import TwistedSeq, _act, _convolve, _involve, _rep, _rep_blocks
@@ -167,26 +167,39 @@ def _figa(eta, gamma, xi, psi, ctx: ModuleContext) -> tuple[np.ndarray, np.ndarr
 
 
 def theta_matrix(eta: Window, gamma: Window, ctx: ModuleContext) -> np.ndarray:
-    """Matrix of xi -> left_act(left_inner(xi, eta), gamma), column by column.
+    """Matrix of xi -> left_act(left_inner(xi, eta), gamma).
 
-    left_inner(delta_t, eta) is column t of the dense analysis matrix. The
-    columns go through left_act's kernel, the integrated-representation route
-    that frame_like does not take, with the column as the leading case axis and
-    gamma broadcast over it, in _per_case slices of runs |G| + |Delta| entries
-    (the run scatter and its Delta_0 sums) per column; each column equals a
-    lone _act call bit for bit. This is _theta with one case.
+    left_inner(delta_t, eta) is column t of the dense analysis matrix, and
+    column t of theta is left_act's time-fibre form applied to it, the
+    integrated-representation route that frame_like does not take. This is
+    _theta with one case.
     """
     return _theta(analysis(eta, ctx.lattice)[None], gamma.values[None], ctx)[0]
 
 
-def _theta(rows: np.ndarray, gamma: np.ndarray, ctx: ModuleContext) -> np.ndarray:
-    """theta_matrix per case of (cases, |Delta|, |G|) analysis matrices of eta and (cases, |G|) gammas;
-    a slice counts runs |G| + |Delta| entries per column and case."""
-    lat, n = ctx.lattice, ctx.lattice.ambient.order
-    per_column = len(rows) * (len(lat._tables.runs[0]) * n + len(lat))
-    (cols,) = _per_case(lambda c, _: (_act(lat, False, c, gamma),), ctx, np.moveaxis(rows, -1, 0),
-                        per_case=per_column)
-    return np.moveaxis(cols, 0, -1)
+def _theta(rows: np.ndarray, gamma: np.ndarray, ctx: ModuleContext, sums: np.ndarray | None = None) -> np.ndarray:
+    """theta_matrix per case of (cases, |Delta|, |G|) analysis matrices of eta and (cases, |G|) gammas.
+
+    Column t is _act of column t of rows: weight * sum_r roots[base_r] gamma(s - x_r) Z_r(s), with
+    Z_r(s) = sum_v rows[(r, v), t] chi_v(s) over the run's points (x_r, omega_r + v). Each Delta_0
+    character chi_v is constant on a frame coset (groups), so Z takes one value per coset b,
+    Z[r, b, t] = sum_v chi_v(b) rows[(r, v), t]: one |Delta_0| x |Delta_0| product per run. The rows of
+    theta on coset b are then one product, weight F_b(gamma)^T Z[:, b] (_factor: its rows are
+    roots[base_r] gamma(s - x_r) on the coset): runs |G|^2 + |Delta| |Delta_0| |G| products in all. A
+    sorted run is |Delta_0| consecutive rows; pos orders them by v. sums, when given, is a spent
+    (cases, |Delta|, |G|) buffer that receives Z.
+    """
+    lat, cases, n = ctx.lattice, len(rows), rows.shape[-1]
+    pos, cosets, chi = lat._tables.runs[2], lat._tables.cosets[1], lat._tables.frame[2]
+    blocks, runs = len(chi), len(pos) // len(chi)
+    chi_runs = np.swapaxes(chi[pos % blocks].reshape(runs, blocks, blocks), -1, -2)  # [r, b, j]: chi_v(j)(b)
+    out = None if sums is None else sums.reshape(cases, runs, blocks, n)
+    zak = np.matmul(chi_runs, rows.reshape(cases, runs, blocks, n), out=out)  # (cases, runs, blocks, |G|)
+    factor, _ = _factor(gamma[:, None, :], lat)  # (cases, blocks, runs, size)
+    factor *= float(lat.weight)
+    theta = np.empty((cases, n, n), dtype=np.complex128)
+    theta[:, cosets.ravel()] = (np.swapaxes(factor, -1, -2) @ np.swapaxes(zak, 1, 2)).reshape(cases, n, n)
+    return theta
 
 
 def dual_lattice_norm_scaling(eta: Window, ctx: ModuleContext) -> dict:
@@ -253,11 +266,16 @@ def _draw(ctx: ModuleContext, seed: int, cases: int, slots: int) -> np.ndarray:
 def _per_case(fn, ctx: ModuleContext, *draws: np.ndarray, per_case: int = 0) -> tuple[np.ndarray, ...]:
     """fn(*chunk, ctx) on chunks of the cases of draws, its per-case results joined.
 
-    A chunk holds _CHUNK // per_case cases; per_case defaults to the entries
-    of one case's largest orbit or operator, |G| * max(|Delta|, |adjoint|, |G|).
+    A chunk holds _CHUNK // per_case cases; per_case defaults to the entries of
+    one case's largest run-form temporary on either domain, plus its
+    coefficients on both, |G| max(runs, |G| / |Delta_0|) + |Delta| + |adjoint|:
+    a factor, _act's terms and the rep blocks hold runs |G| entries, the frame
+    blocks |G|^2 / |Delta_0|, and the adjoint has |G| / |Delta_0| runs and
+    |Delta_0^adjoint| = |G| / runs, so both domains give the same two sizes.
     """
-    n = ctx.lattice.ambient.order
-    step = max(1, _CHUNK // (per_case or n * max(len(ctx.lattice), len(ctx.dual), n)))
+    lat, n = ctx.lattice, ctx.lattice.ambient.order
+    runs, zero = len(lat._tables.runs[0]), len(lat._tables.runs[1])
+    step = max(1, _CHUNK // (per_case or n * max(runs, n // zero) + len(lat) + len(ctx.dual)))
     parts = [fn(*(d[lo : lo + step] for d in draws), ctx) for lo in range(0, len(draws[0]), step)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
@@ -410,23 +428,32 @@ def _check_norm_chain(ctx: ModuleContext, seed: int, cases: int) -> tuple[dict, 
 
 def _extension_gaps(eta: np.ndarray, gamma: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray]:
     """Per pair of (pairs, |G|) windows: theta_matrix against frame_like, both from one gather of the
-    stacked (eta, gamma) orbits; frame_like's operands, scaled and conjugated in place, keep its order."""
+    stacked (eta, gamma) orbits; frame_like's operands, scaled and conjugated in place, keep its order,
+    and theta's Delta_0 sums then take the spent gamma orbit's place."""
     lat = ctx.lattice
     orbits = _orbit(np.stack([eta, gamma], axis=1), lat)  # (pairs, 2, |Delta|, |G|)
     rows, synthesis = np.conjugate(orbits[:, 0], out=orbits[:, 0]), orbits[:, 1]
     synthesis *= float(lat.weight)
-    theta = _theta(rows, gamma, ctx)
-    theta -= np.swapaxes(synthesis, -1, -2) @ rows
+    frame = np.swapaxes(synthesis, -1, -2) @ rows
+    theta = _theta(rows, gamma, ctx, sums=synthesis)
+    theta -= frame
     return (_case_max(theta),)
 
 
 def _check_operator_extension(ctx: ModuleContext, seed: int, cases: int) -> dict:
     """theta_matrix against frame_like per pair, in chunks of 2 |Delta| |G| + 3 |G|^2 entries per pair:
-    the two orbits, the frame_like side, theta and its column slices joined."""
+    the two orbits, the frame_like side, theta in coset order and in the order of G.
+
+    Decided on gap / max(1, w), w the lattice weight; max_abs_gap reports the raw gap. Error model: both
+    sides are w times sums of |Delta| products of an eta and a gamma orbit entry, so their entries and
+    their rounding errors, about c eps w |Delta| max|eta| max|gamma|, are of degree 1 in w, as in
+    _twisted_gaps: the scaled gap is the raw one for w <= 1 and weight-free above.
+    """
     n = ctx.lattice.ambient.order
     per_pair = 2 * len(ctx.lattice) * n + 3 * n * n
     (gaps,) = _per_case(_extension_gaps, ctx, *_draw(ctx, seed, cases, 2), per_case=per_pair)
-    return _entry("operator-extension", cases, gaps.max(), gaps.max())
+    return _entry("operator-extension", cases, gaps.max(), gaps.max() / max(1.0, float(ctx.lattice.weight)),
+                  use_rel=True)
 
 
 def _janssen_gaps(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, np.ndarray]:
@@ -446,7 +473,9 @@ def _janssen_gaps(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, np.n
 
 def _check_janssen(ctx: ModuleContext, seed: int, cases: int) -> dict:
     """Decided on the scaled gap (see _janssen_gaps); max_abs_gap reports the raw one."""
-    gaps, scaled = _per_case(_janssen_gaps, ctx, *_draw(ctx, seed, cases, 1))
+    n = ctx.lattice.ambient.order
+    gaps, scaled = _per_case(_janssen_gaps, ctx, *_draw(ctx, seed, cases, 1),
+                             per_case=n * max(len(ctx.lattice), len(ctx.dual), n))  # the dense orbit and S
     return _entry("janssen", cases, gaps.max(), scaled.max(), use_rel=True)
 
 
@@ -463,27 +492,32 @@ def _imprimitivity_gaps(xi, eta, gamma, ctx: ModuleContext) -> tuple[np.ndarray]
 
 
 def _check_imprimitivity(ctx: ModuleContext, seed: int, cases: int) -> dict:
+    """Decided on gap / max(1, w), w the lattice weight; max_abs_gap reports the raw gap. Error model: the
+    left side is _act over the lattice (weight w), the right side _act over the adjoint (weight 1 / s =
+    w |Delta| / |G|), each of weight-free analysis coefficients, so both sides and their rounding errors
+    are of degree 1 in w, as in _check_operator_extension."""
     (gaps,) = _per_case(_imprimitivity_gaps, ctx, *_draw(ctx, seed, cases, 3))
-    return _entry("imprimitivity", cases, gaps.max(), gaps.max())
+    return _entry("imprimitivity", cases, gaps.max(), gaps.max() / max(1.0, float(ctx.lattice.weight)),
+                  use_rel=True)
 
 
 def _generator_cases(windows: np.ndarray, xi: np.ndarray, ctx: ModuleContext, tol: float):
     """Per family of (cases, k, |G|) windows: verdict split, reconstructed, residual, residual / (kappa |xi|).
 
-    A family that is generating (_svd_frames) and a frame (_duals) is reconstructed from xi by frame
-    synthesis and by left_act of left_inner(xi, gamma_j); the larger residual is kept.
+    One factor (_factor) of the families gives both the generating verdict (_factor_frames) and the
+    frame blocks (_duals). A family that is generating and a frame is reconstructed from xi by frame
+    synthesis and by left_act of left_inner(xi, gamma_j), each summed over j: one _analyze of the k
+    duals, one product over the k |Delta| orbit rows and one _act; the larger residual is kept.
     """
     lat, (cases, k, n), cosets = ctx.lattice, windows.shape, ctx.lattice._tables.cosets[1]
-    generating = _svd_frames(windows, lat, tol)
-    bounds, frames, duals = _duals(_gram(*_factor(windows, lat)), windows[..., cosets.ravel()], tol)
-    duals = _uncoset(duals, cosets)
-    synthesis, via_module = np.zeros((2, cases, n), dtype=np.complex128)
-    orbits = _orbit(windows, lat)
-    for j in range(k):
-        coeffs = np.zeros((cases, len(lat)), dtype=np.complex128)
-        coeffs[frames] = _analyze(xi[frames], duals[:, j], lat)  # left_inner(xi, gamma_j)
-        synthesis += float(lat.weight) * (coeffs[:, None] @ orbits[:, j])[:, 0]
-        via_module += _act(lat, False, coeffs, windows[:, j])
+    factor, scale = _factor(windows, lat)
+    generating = _factor_frames(factor, scale, tol)
+    bounds, frames, duals = _duals(_gram(factor, scale), windows[..., cosets.ravel()], tol)
+    coeffs = np.zeros((cases, k, len(lat)), dtype=np.complex128)
+    coeffs[frames] = _analyze(xi[frames, None], _uncoset(duals, cosets), lat)  # left_inner(xi, gamma_j)
+    orbits = _orbit(windows, lat).reshape(cases, k * len(lat), n)
+    synthesis = float(lat.weight) * (coeffs.reshape(cases, 1, -1) @ orbits)[:, 0]
+    via_module = _act(lat, False, coeffs, windows).sum(axis=1)
     recon = generating & frames
     residual = recon * np.maximum(*(np.linalg.norm(v - xi, axis=-1) for v in (synthesis, via_module)))
     kappa = np.divide(bounds[:, 1], bounds[:, 0], out=np.ones(cases), where=recon)

@@ -2,6 +2,9 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -34,3 +37,19 @@ def test_traced_names_are_package_callables():
     for qual in spans.TRACED:
         layer, name = qual.split(".")
         assert callable(getattr(importlib.import_module(f"heisenmod.{layer}"), name, None)), qual
+
+
+def test_every_layer_holding_a_cache_is_loaded_by_the_package_import():
+    # perfbench/run.py collects the caches it clears between ops from sys.modules once, right after
+    # `import heisenmod` (_package_caches), and `python -m heisenmod.cli` runs heisenmod/__init__ too. A
+    # layer that defines a cache but that the package imported lazily would keep a cache the harness
+    # never clears.
+    package = Path(importlib.import_module("heisenmod").__file__).parent
+    layers = [importlib.import_module(f"heisenmod.{path.stem}") for path in sorted(package.glob("*.py"))
+              if path.stem != "__init__"]
+    holders = {value.__module__ for layer in layers for value in vars(layer).values()
+               if callable(getattr(value, "cache_clear", None))}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(package.parent), os.environ.get("PYTHONPATH", "")]))
+    script = "import sys, heisenmod; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert holders and holders <= set(loaded.stdout.split()), (holders, loaded.stdout)

@@ -310,30 +310,24 @@ Z48_R2 = module_context(subgroup_from_generators(FiniteAbelianGroup((48,)), [((4
 Z12_W3 = module_context(subgroup_from_generators(FiniteAbelianGroup((12,)), [((2,), (3,)), ((0,), (4,))], 3))
 
 
-def test_theta_matrix_matches_per_basis_vector_construction_exactly(monkeypatch):
-    # A column costs runs |G| + |Delta| entries: Z48 at |Delta| = 96 has 12 runs, so the default chunk
-    # runs all 48 columns at once, 7 * 672 runs batches of 7, which do not divide 48, and chunk 1 one column
-    runs = len(Z48_R2.lattice._tables.runs[0])
-    assert len(Z48_R2.lattice) == 96 and runs == 12 and module_impl._CHUNK // (runs * 48 + 96) == 48
+def test_theta_matrix_matches_per_basis_vector_construction():
+    # theta sums each run's analysis rows against the Delta_0 characters per frame coset, then takes one
+    # product per coset; a lone _act sums the same |Delta| terms in another order, so each entry differs
+    # by at most c * eps * w * |Delta| * max|eta| * max|gamma|. left_inner(delta_t, eta) takes the run-form
+    # analysis, whose coefficients differ from the dense column by the rounding of a product of two unit
+    # phases, a few eps * |eta| each, within the same bound.
     eps = np.finfo(float).eps
-    for ctx, chunk in [(CTX4, None), (CTX6, None), (CTX_DIAG, None), (Z48_R2, None), (Z12_W3, None),
-                       (CTX6, 1), (Z48_R2, 1), (Z48_R2, 7 * 672)]:
-        with monkeypatch.context() as patch:
-            if chunk is not None:
-                patch.setattr(module_impl, "_CHUNK", chunk)
-            g, lat = ctx.lattice.ambient, ctx.lattice
-            eta = randn_window(g, seed=50)
-            gamma = randn_window(g, seed=51)
-            theta = theta_matrix(eta, gamma, ctx)
-            cols = analysis(eta, lat)
-            lone = [module_impl._act(lat, False, cols[:, t], gamma.values) for t in range(g.order)]
-            assert np.array_equal(theta, np.stack(lone, axis=1)), (g.orders, chunk)
-            # left_inner(delta_t, eta) takes the run-form analysis, whose coefficients differ from the dense
-            # column by the rounding of a product of two unit phases, a few eps * |eta| each; left_act sums
-            # |Delta| terms, so the columns differ by at most c * eps * w * |Delta| * max|eta| * max|gamma|.
-            via_module = [left_act(left_inner(delta_window(g, t), eta, ctx), gamma, ctx).values for t in range(g.order)]
-            bound = 8 * eps * float(lat.weight) * len(lat) * np.abs(eta.values).max() * np.abs(gamma.values).max()
-            assert np.abs(theta - np.stack(via_module, axis=1)).max() <= bound, (g.orders, chunk)
+    for ctx in (CTX4, CTX6, CTX_DIAG, Z48_R2, Z12_W3):
+        g, lat = ctx.lattice.ambient, ctx.lattice
+        eta = randn_window(g, seed=50)
+        gamma = randn_window(g, seed=51)
+        theta = theta_matrix(eta, gamma, ctx)
+        bound = 8 * eps * float(lat.weight) * len(lat) * np.abs(eta.values).max() * np.abs(gamma.values).max()
+        cols = analysis(eta, lat)
+        lone = [module_impl._act(lat, False, cols[:, t], gamma.values) for t in range(g.order)]
+        assert np.abs(theta - np.stack(lone, axis=1)).max() <= bound, g.orders
+        via_module = [left_act(left_inner(delta_window(g, t), eta, ctx), gamma, ctx).values for t in range(g.order)]
+        assert np.abs(theta - np.stack(via_module, axis=1)).max() <= bound, g.orders
 
 
 def test_norms_from_the_smaller_gram_match_the_frame_operator_route():
@@ -469,15 +463,28 @@ def _counting(calls, name, fn):
 
 
 @pytest.mark.parametrize("rung", [0, 1], ids=["z96-192", "z96-weight-3"])
-def test_theta_matrix_runs_one_act_per_batch(rung, monkeypatch):
+def test_theta_matrix_takes_one_factor_and_no_act_call(rung, monkeypatch):
+    # theta is one Delta_0-character product per run and one product per frame coset against gamma's
+    # factor: no column goes through _act.
     orders, gens, weight, _, _ = BENCH_SCALE[rung]
     ctx = module_context(subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight))
-    n = ctx.lattice.ambient.order
-    batch = max(1, module_impl._CHUNK // (len(ctx.lattice._tables.runs[0]) * n + len(ctx.lattice)))
-    calls = {"_act": 0}
-    monkeypatch.setattr(module_impl, "_act", _counting(calls, "_act", module_impl._act))
+    calls = {"_act": 0, "_factor": 0}
+    for name in calls:
+        monkeypatch.setattr(module_impl, name, _counting(calls, name, getattr(module_impl, name)))
     theta_matrix(randn_window(ctx.lattice.ambient, 1), randn_window(ctx.lattice.ambient, 2), ctx)
-    assert calls["_act"] <= -(-n // batch), (calls, batch)
+    assert calls == {"_act": 0, "_factor": 1}, calls
+
+
+@pytest.mark.parametrize("rung", [0, 2], ids=["z96-192", "z80-160"])
+def test_figa_and_localization_run_in_at_most_two_chunks(rung, monkeypatch):
+    # The default chunk counts run-form temporaries: 40 cases take at most two chunks on these rungs.
+    orders, gens, weight, _, _ = BENCH_SCALE[rung]
+    ctx = module_context(subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight))
+    calls = {"_figa": 0, "_localization": 0}
+    for name in calls:
+        monkeypatch.setattr(module_impl, name, _counting(calls, name, getattr(module_impl, name)))
+    assert module_impl._check_figa(ctx, 3, 40)["cases"] == module_impl._check_localization(ctx, 3, 40)["cases"]
+    assert 1 <= max(calls.values()) <= 2, calls
 
 
 @pytest.mark.parametrize("rung", [None, 0, 1, 2], ids=["z48-r2", "z96-192", "z96-weight-3", "z80-160"])
@@ -508,6 +515,26 @@ def test_generator_check_runs_one_decomposition_per_window_count(monkeypatch):
     gen, recon = module_impl._check_generators(ctx, 5, 1e-9)
     assert gen["pass"] and recon["cases"] > 0
     assert max(calls.values()) <= 3, calls
+
+
+def test_generator_check_makes_one_pass_per_family_chunk(monkeypatch):
+    # Per chunk of families: one factor for the SVD verdict and the frame blocks (_svd_frames would
+    # factor the windows again), and one _analyze and one _act for all k windows.
+    ctx = module_context(subgroup_from_generators(FiniteAbelianGroup((24,)), [((4,), (0,)), ((0,), (6,))], 1))
+    calls = {"_factor": 0, "_svd_frames": 0, "_analyze": 0, "_act": 0}
+    for name in calls:
+        monkeypatch.setattr(module_impl, name, _counting(calls, name, getattr(module_impl, name)))
+    gen, recon = module_impl._check_generators(ctx, 5, 1e-9)
+    assert gen["pass"] and recon["cases"] > 0
+    assert calls == {"_factor": 3, "_svd_frames": 0, "_analyze": 3, "_act": 3}, calls
+
+
+def test_verify_suite_passes_on_z240_with_720_points():
+    # Z240 (8, 0), (0, 10): |Delta| = 720, |adjoint| = 80.
+    lattice = subgroup_from_generators(FiniteAbelianGroup((240,)), [((8,), (0,)), ((0,), (10,))], 1)
+    assert len(lattice) == 720
+    report = verify_suite(lattice, seed=1)
+    assert report["pass"], [entry for entry in report["identities"] if not entry["pass"]]
 
 
 def _bench_rung(rung, weight):
@@ -567,6 +594,39 @@ def test_janssen_is_decided_on_the_gap_over_the_operator_scale(monkeypatch):
     for weight in (10**6, 1, Fraction(1, 3)):
         entry = module_impl._check_janssen(module_context(lattice.with_weight(weight)), 5, 10)
         assert not entry["pass"] and entry["max_rel_gap"] > 1e-3, entry
+
+
+def test_extension_and_imprimitivity_are_decided_on_the_weight_scaled_gap():
+    # Z4 (1, 0), (0, 2) at weight 1e6: both sides of both identities, and their rounding, scale by w.
+    lattice = subgroup_from_generators(Z4, [((1,), (0,)), ((0,), (2,))], 10**6)
+    report = {e["name"]: e for e in verify_suite(lattice, seed=5)["identities"]}
+    for name in ("operator-extension", "imprimitivity"):
+        entry = report[name]
+        assert entry["max_abs_gap"] > VERIFY_TOLERANCES[name] >= 1e3 * entry["max_rel_gap"], entry
+        assert entry["max_rel_gap"] == entry["max_abs_gap"] / 10**6 and entry["pass"], entry
+    assert all(e["pass"] for e in report.values()), report
+
+
+# A theta or an _act without its weight: on Z4 (1, 0), (0, 2) the adjoint's weight is twice the
+# lattice's, so an _act that drops both still breaks imprimitivity. At w = 1e6 that leaves two
+# weight-free sides, whose gap over w is still far above the tolerance.
+EXTENSION_MUTATIONS = {
+    "theta": ("_theta", "_check_operator_extension",
+              lambda real: lambda rows, gamma, ctx, sums=None: real(rows, gamma, ctx, sums) / float(ctx.lattice.weight)),
+    "act": ("_act", "_check_imprimitivity",
+            lambda real: lambda domain, flag, a, xi: real(domain, flag, a, xi) / float(domain.weight)),
+}
+
+
+@pytest.mark.parametrize("weight", [3, Fraction(1, 3), 10**6], ids=["w3", "w1/3", "w1e6"])
+@pytest.mark.parametrize("mutation", sorted(EXTENSION_MUTATIONS))
+def test_extension_and_imprimitivity_catch_a_dropped_weight(mutation, weight, monkeypatch):
+    name, check, mutate = EXTENSION_MUTATIONS[mutation]
+    ctx = module_context(subgroup_from_generators(Z4, [((1,), (0,)), ((0,), (2,))], weight))
+    assert getattr(module_impl, check)(ctx, 5, 10)["pass"]
+    monkeypatch.setattr(module_impl, name, mutate(getattr(module_impl, name)))
+    entry = getattr(module_impl, check)(ctx, 5, 10)
+    assert not entry["pass"] and entry["max_rel_gap"] > 1e4 * VERIFY_TOLERANCES[entry["name"]], entry
 
 
 # The two Z8^2 jobs at critical density whose frames are ill-conditioned

@@ -136,7 +136,7 @@ def _ref_operator_extension(ctx, seed, cases):
         gamma = randn_window(group, seeds[2 * i + 1])
         diff = theta_matrix(eta, gamma, ctx) - frame_like(eta, gamma, ctx.lattice)
         gap = max(gap, float(np.abs(diff).max()))
-    return {"operator-extension": (gap, gap)}
+    return {"operator-extension": (gap, gap / max(1.0, float(ctx.lattice.weight)))}
 
 
 def _ref_janssen(ctx, seed, cases):
@@ -173,7 +173,7 @@ def _ref_imprimitivity(ctx, seed, cases):
         lhs = left_act(left_inner(xi, eta, ctx), gamma, ctx).values
         rhs = right_act(xi, right_inner(eta, gamma, ctx), ctx).values
         gap = max(gap, float(np.abs(lhs - rhs).max()))
-    return {"imprimitivity": (gap, gap)}
+    return {"imprimitivity": (gap, gap / max(1.0, float(ctx.lattice.weight)))}
 
 
 def _ref_generators(ctx, seed, frame_tol):
@@ -241,7 +241,7 @@ def _reference_suite(lattice, seed, frame_tol=1e-9):
     return gaps
 
 
-USE_REL = {"figa", "janssen", "reconstruction", "twisted-axioms"}
+USE_REL = {"figa", "imprimitivity", "janssen", "operator-extension", "reconstruction", "twisted-axioms"}
 
 REFERENCE_LATTICES = {
     "Z6": ((6,), [((2,), (0,)), ((0,), (3,))], 1),
@@ -272,8 +272,8 @@ def test_stacked_checks_match_per_case_reference(name):
 
 def test_chunk_size_does_not_change_the_report(monkeypatch):
     # One case per chunk against the default chunks: the same verdicts and gaps within rounding. On the
-    # Z80 |Delta| = 160 rung of the benchmark the default operator-extension chunk holds one pair and
-    # its theta slices 22 columns (16 runs: 32768 // (16 * 80 + 160)); chunk 1 runs one column at a time.
+    # Z80 |Delta| = 160 rung of the benchmark the default operator-extension chunk holds one pair, and
+    # localization and figa run their 40 cases in 2 chunks of 22 (32768 // (80 * 16 + 160 + 40)).
     lattices = [
         (subgroup_from_generators(FiniteAbelianGroup((12,)), [((2,), (3,)), ((0,), (4,))], 1), 3),
         (subgroup_from_generators(FiniteAbelianGroup((80,)), [((5,), (30,)), ((0,), (8,))], 1), 1252682883),
