@@ -89,8 +89,9 @@ def _factor(windows: np.ndarray, sub: MeasuredSubgroup) -> tuple[np.ndarray, flo
     (minus, phases, _), (blocks, size) = sub._tables.frame, sub._tables.cosets[1].shape
     rows = np.take(windows, minus, axis=-1)  # (..., k, runs, |G|)
     rows *= phases
-    rows = np.moveaxis(rows.reshape(rows.shape[:-1] + (blocks, size)), -2, -4)  # (..., blocks, k, runs, size)
-    return rows.reshape(rows.shape[:-3] + (windows.shape[-2] * len(minus), size)), float(sub.weight) * blocks
+    lead = rows.ndim - 3
+    rows = rows.reshape(rows.shape[:-1] + (blocks, size)).transpose(*range(lead), -2, -4, -3, -1)
+    return rows.reshape(rows.shape[:-3] + (windows.shape[-2] * len(minus), size)), sub.float_weight * blocks
 
 
 def _analyze(xi: np.ndarray, eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
@@ -103,9 +104,9 @@ def _analyze(xi: np.ndarray, eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarr
     return np.take(coeffs.reshape(coeffs.shape[:-2] + pos.shape), pos, axis=-1)
 
 
-def _gram(rows: np.ndarray, weight) -> np.ndarray:
+def _gram(rows: np.ndarray, weight: float) -> np.ndarray:
     """Frame-operator product weight * rows^T conj(rows), per case of an (..., rows, columns) stack."""
-    return float(weight) * (np.swapaxes(rows, -1, -2) @ rows.conj())
+    return weight * (np.swapaxes(rows, -1, -2) @ rows.conj())
 
 
 def analysis(eta: Window, sub: MeasuredSubgroup) -> np.ndarray:
@@ -117,7 +118,7 @@ def analysis(eta: Window, sub: MeasuredSubgroup) -> np.ndarray:
 
 def synthesis(gamma: Window, sub: MeasuredSubgroup) -> np.ndarray:
     """Adjoint of analysis: coefficients a map to weight * sum_z a(z) pi(z) gamma."""
-    return float(sub.weight) * shift_orbit(gamma, sub).T
+    return sub.float_weight * shift_orbit(gamma, sub).T
 
 
 def frame_like(eta: Window, gamma: Window, sub: MeasuredSubgroup) -> OperatorMatrix:
@@ -125,12 +126,13 @@ def frame_like(eta: Window, gamma: Window, sub: MeasuredSubgroup) -> OperatorMat
     if eta.group != sub.ambient:
         raise ValueError("window group does not match the subgroup's ambient group")
     eta_orbit, gamma_orbit = _orbit(np.stack([eta.values, gamma.values]), sub)
-    return (float(sub.weight) * gamma_orbit.T) @ eta_orbit.conj()
+    return (sub.float_weight * gamma_orbit.T) @ eta_orbit.conj()
 
 
 def frame_operator(sys: GaborSystem) -> OperatorMatrix:
     """Sum of the per-window frame operators, as a |G| x |G| matrix: the Gram of the stacked dense orbits."""
-    return _gram(_orbit(_windows(sys), sys.lattice).reshape(-1, sys.lattice.ambient.order), sys.lattice.weight)
+    lat = sys.lattice
+    return _gram(_orbit(_windows(sys), lat).reshape(-1, lat.ambient.order), lat.float_weight)
 
 
 def _windows(sys: GaborSystem) -> np.ndarray:
@@ -238,7 +240,7 @@ def reconstruction_residual(sys: GaborSystem, duals: list[Window], xi: Window) -
     pairs = [(eta.values, gamma.values) for eta, gamma in zip(sys.windows, duals)]
     for eta_orbit, gamma_orbit in _orbit(np.array(pairs).reshape(-1, 2, len(rebuilt)), lat):  # one gather
         coeffs = gamma_orbit.conj() @ xi.values
-        rebuilt += (float(lat.weight) * eta_orbit.T) @ coeffs
+        rebuilt += (lat.float_weight * eta_orbit.T) @ coeffs
     return float(np.linalg.norm(rebuilt - xi.values))
 
 

@@ -128,11 +128,29 @@ class _GroupTable:
         self.roots = np.exp(2j * np.pi * np.arange(self.modulus) / self.modulus)
 
     def index(self, coords) -> np.ndarray:
-        return np.asarray(coords) % self.orders @ self.radix
+        """coordinates @ radix, reduced per coordinate: one pass per factor over the leading axes."""
+        coords = np.asarray(coords)
+        index = coords[..., 0] % self.orders[0] * self.radix[0]
+        for j in range(1, len(self.orders)):
+            index += coords[..., j] % self.orders[j] * self.radix[j]
+        return index
 
     def pairing(self, w, x) -> np.ndarray:
         """Integer phase m mod N with character(w, x) = roots[m]."""
         return np.asarray(w) * np.asarray(x) % self.orders @ self.scale % self.modulus
+
+    def pairings(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """pairing(w_p, x_q) at [p, q] for coordinate arrays w (P, rank) and x (Q, rank): the sum of
+        w_j x_j N / n_j taken mod N once, as one integer product of (P, rank) and (rank, Q) arrays
+        ((a mod n) N / n = a N / n mod N)."""
+        return (w * self.scale) @ x.T % self.modulus
+
+    def translates(self, x: np.ndarray, sign: int) -> np.ndarray:
+        """index(t + sign x_p) at [p, t] for coordinates x (P, rank): (P, |G|), one pass per factor."""
+        index = (self.coords[:, 0] + sign * x[:, 0, None]) % self.orders[0] * self.radix[0]
+        for j in range(1, len(self.orders)):
+            index += (self.coords[:, j] + sign * x[:, j, None]) % self.orders[j] * self.radix[j]
+        return index
 
     def plane_index(self, x, w) -> np.ndarray:
         return self.index(x) * self.size + self.index(w)
@@ -148,10 +166,9 @@ class _GroupTable:
     def gather(self, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Shifts of the points (x_k, w_k): perm[k, t] = index(t - x_k), phase[k, t] = pairing(w_k, t).
 
-        (pi(z_k) xi)(t) = roots[phase[k, t]] * xi[perm[k, t]]. The phase is the pairing's sum taken mod N
-        once, as one integer product of (points, rank) and (rank, |G|) arrays.
+        (pi(z_k) xi)(t) = roots[phase[k, t]] * xi[perm[k, t]] (translates, pairings).
         """
-        return self.index(self.coords[None] - x[:, None]), (w * self.scale) @ self.coords.T % self.modulus
+        return self.translates(x, -1), self.pairings(w, self.coords)
 
 
 def _member(sorted_values: np.ndarray, values) -> np.ndarray:
@@ -224,10 +241,11 @@ class _LatticeTable:
         point (x_r, omega_r + v) at r |Delta_0| + position of v in Delta_0; index(t - x_r) and index(t + x_r).
         The pairing is additive in w, so the point's phase at t is base[r, t] + zero[v, t] mod N."""
         g, d0 = self.group, int(np.searchsorted(self.plane, self.group.size))
-        x, w, t = self.x[::d0, None], self.w[::d0], g.coords[None]
+        x, w = self.x[::d0], self.w[::d0]
         v = g.index(self.w - np.repeat(w, d0, axis=0))
         pos = np.arange(len(self.plane)) // d0 * d0 + np.searchsorted(self.plane[:d0], v)
-        return g.pairing(w[:, None], t), g.pairing(self.w[:d0, None], t), pos, g.index(t - x), g.index(t + x)
+        base, zero = g.pairings(w, g.coords), g.pairings(self.w[:d0], g.coords)
+        return base, zero, pos, g.translates(x, -1), g.translates(x, 1)
 
     @cached_property
     def cosets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -285,10 +303,18 @@ class _LatticeTable:
         return np.searchsorted(self.plane, plane)
 
     @cached_property
+    def star(self) -> np.ndarray:
+        """The involution's phases, (2, |Delta|): a*(z) = star[flag, k] conj(a(-z)) at z = z_k, with
+        star[0] = roots[-pairing(w, x)] for the plain cocycle and star[1] = roots[pairing(w, x)] for the
+        conjugated one (conj(c(z, -z)) and c(z, -z), c(z, -z) = character(w, x))."""
+        phase = self.group.pairing(self.w, self.x)
+        return self.group.roots[np.stack([-phase % self.group.modulus, phase])]
+
+    @cached_property
     def kappa(self) -> np.ndarray:
         """kappa[i, k] = c(z_i, z_k - z_i) = conj(character(tau_k, x_i)) character(tau_i, x_i), one roots
         lookup of its integer phase mod N, which is built in place."""
-        phase = self.group.pairing(self.w[None], self.x[:, None])  # [i, k]: pairing(tau_k, x_i)
+        phase = self.group.pairings(self.x, self.w)  # [i, k]: pairing(tau_k, x_i)
         np.subtract(self.group.pairing(self.w, self.x)[:, None], phase, out=phase)
         return self.group.roots[np.remainder(phase, self.group.modulus, out=phase)]
 
@@ -346,6 +372,11 @@ class MeasuredSubgroup:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("MeasuredSubgroup is immutable; with_weight gives a re-measured copy")
+
+    @cached_property
+    def float_weight(self) -> float:
+        """The weight as a float, converted once; OverflowError for a weight past the float range."""
+        return float(self.weight)
 
     @cached_property
     def elements(self) -> tuple[TFPoint, ...]:
@@ -416,14 +447,18 @@ def adjoint_subgroup(sub: MeasuredSubgroup) -> MeasuredSubgroup:
     every (x, w) in the subgroup. Both sides are characters of (x, w), so the
     test runs on the generators the closure span kept, for the whole plane at
     once, in integer phases. The result carries weight 1/size per the
-    induced-measure convention.
+    induced-measure convention. A self-adjoint point set (aZ_n x bZ_n with
+    ab = n is one) shares the subgroup's integer tables.
     """
     table = sub.ambient._table
     gx, gw = table.split(sub._tables.gens)
     member = np.ones((table.size, table.size), dtype=bool)  # member[index(y), index(tau)]
     for x, w in zip(gx, gw):
         member &= table.pairing(w, table.coords)[:, None] == table.pairing(table.coords, x)[None, :]
-    return MeasuredSubgroup._from_plane(sub.ambient, np.flatnonzero(member), 1 / sub.size)
+    plane = np.flatnonzero(member)
+    if np.array_equal(plane, sub.plane):
+        return sub.with_weight(1 / sub.size)
+    return MeasuredSubgroup._from_plane(sub.ambient, plane, 1 / sub.size)
 
 
 def default_measures(group: FiniteAbelianGroup) -> dict[str, Fraction]:

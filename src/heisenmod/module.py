@@ -14,15 +14,17 @@ in O(|Delta| |G|) through its time-fibre form, building no |G| x |G| matrix.
 Every identity this layer exposes (localization, norm chain, operator
 extension, imprimitivity, FIGA, generator/frame equivalence, adjoint-lattice
 norm scaling) can be verified numerically through verify_suite, which reports
-per-identity gap maxima. Each check draws its cases in one stream call and
-runs them, stacked, through the kernels the per-object functions run on one.
+per-identity gap maxima. verify_suite derives every check's seeds in one
+stream call and draws their windows in four (see verify_suite); each check
+runs its cases, stacked, through the kernels the per-object functions run on
+one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -85,13 +87,16 @@ def module_norm(eta: Window, ctx: ModuleContext) -> float:
 
 
 def _norms(eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
-    """module_norm per case of (..., |G|) windows, from the stacked spectra of the frame-operator blocks.
+    """module_norm per case of (..., |G|) windows, from the stacked spectra of the frame-operator blocks."""
+    return _factor_norms(*_factor(eta[..., None, :], sub))
 
-    Block b of the frame operator is scale * F_b^T conj(F_b), F_b the Zak-form factor block (gabor
-    _factor); with fewer runs than columns the smaller scale * conj(F_b) F_b^T, which has the same
-    nonzero spectrum, stands in.
+
+def _factor_norms(factor: np.ndarray, scale: float) -> np.ndarray:
+    """_norms from the windows' Zak-form factor (gabor _factor).
+
+    Block b of the frame operator is scale * F_b^T conj(F_b), F_b the factor block; with fewer runs
+    than columns the smaller scale * conj(F_b) F_b^T, which has the same nonzero spectrum, stands in.
     """
-    factor, scale = _factor(eta[..., None, :], sub)
     if factor.shape[-2] < factor.shape[-1]:
         factor = np.swapaxes(factor, -1, -2).conj()  # _gram of F_b^H is scale * conj(F_b) F_b^T
     return np.sqrt(np.maximum(np.linalg.eigvalsh(_gram(factor, scale))[..., -1].max(axis=-1), 0.0))
@@ -161,8 +166,8 @@ def figa_check(eta: Window, gamma: Window, xi: Window, psi: Window, ctx: ModuleC
 def _figa(eta, gamma, xi, psi, ctx: ModuleContext) -> tuple[np.ndarray, np.ndarray]:
     """Lattice and adjoint sides of FIGA per case of (..., |G|) windows."""
     lat, adj = ctx.lattice, ctx.dual
-    lhs = float(lat.weight) * (_analyze(eta, gamma, lat) * _analyze(psi, xi, lat).conj()).sum(axis=-1)
-    rhs = float(1 / lat.size) * (_analyze(xi, gamma, adj) * _analyze(psi, eta, adj).conj()).sum(axis=-1)
+    lhs = lat.float_weight * (_analyze(eta, gamma, lat) * _analyze(psi, xi, lat).conj()).sum(axis=-1)
+    rhs = adj.float_weight * (_analyze(xi, gamma, adj) * _analyze(psi, eta, adj).conj()).sum(axis=-1)  # 1 / size
     return lhs, rhs
 
 
@@ -196,7 +201,7 @@ def _theta(rows: np.ndarray, gamma: np.ndarray, ctx: ModuleContext, sums: np.nda
     out = None if sums is None else sums.reshape(cases, runs, blocks, n)
     zak = np.matmul(chi_runs, rows.reshape(cases, runs, blocks, n), out=out)  # (cases, runs, blocks, |G|)
     factor, _ = _factor(gamma[:, None, :], lat)  # (cases, blocks, runs, size)
-    factor *= float(lat.weight)
+    factor *= lat.float_weight
     theta = np.empty((cases, n, n), dtype=np.complex128)
     theta[:, cosets.ravel()] = (np.swapaxes(factor, -1, -2) @ np.swapaxes(zak, 1, 2)).reshape(cases, n, n)
     return theta
@@ -219,9 +224,12 @@ def dual_lattice_norm_scaling(eta: Window, ctx: ModuleContext) -> dict:
 
 
 def _norm_ratios(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, ...]:
-    """Module norms over the lattice and the counting-weight adjoint, and their ratio (0 for norm 0)."""
-    norm_lat = _norms(eta, ctx.lattice)
-    norm_adj = _norms(eta, ctx.dual.with_weight(1))
+    """Module norms over the lattice and the counting-weight adjoint, and their ratio (0 for norm 0).
+
+    A counting-weight lattice that is its own adjoint (groups, adjoint_subgroup) is that adjoint, tables and
+    weight alike, so its norms are taken once."""
+    norm_lat, counting = _norms(eta, ctx.lattice), ctx.dual.with_weight(1)
+    norm_adj = norm_lat if counting == ctx.lattice else _norms(eta, counting)
     with np.errstate(divide="ignore", invalid="ignore"):
         return norm_lat, norm_adj, np.where(norm_lat > 0, norm_adj / norm_lat, 0.0)
 
@@ -257,10 +265,9 @@ VERIFY_TOLERANCES = {
 _CHUNK = 2**15
 
 
-def _draw(ctx: ModuleContext, seed: int, cases: int, slots: int) -> np.ndarray:
-    """randn_window values of the derived seeds (slots, cases, |G|): [j, i] from seed slots * i + j."""
-    rows = _randn(splitmix64_stream(seed, slots * cases), ctx.lattice.ambient.order)
-    return rows.reshape(cases, slots, -1).swapaxes(0, 1)
+def _slots(rows: np.ndarray, slots: int) -> np.ndarray:
+    """The (slots, cases, ...) windows of rows drawn case by case: [j, i] is row slots * i + j."""
+    return rows.reshape((-1, slots) + rows.shape[1:]).swapaxes(0, 1)
 
 
 def _per_case(fn, ctx: ModuleContext, *draws: np.ndarray, per_case: int = 0) -> tuple[np.ndarray, ...]:
@@ -296,12 +303,12 @@ def _entry(name: str, cases: int, abs_gap: float, rel_gap: float, use_rel: bool 
     }
 
 
-def _plane_picks(group: FiniteAbelianGroup, seed: int, count: int) -> np.ndarray:
-    """Plane indices s mod |G|^2 of the first ``count`` SplitMix64 outputs s.
+def _plane_picks(group: FiniteAbelianGroup, seeds: np.ndarray) -> np.ndarray:
+    """Plane indices s mod |G|^2 of SplitMix64 outputs s.
 
     These index the points tf_points()[s mod |G|^2] without building the plane.
     """
-    return (splitmix64_stream(seed, count) % np.uint64(group.order**2)).astype(np.int64)
+    return (seeds % np.uint64(group.order**2)).astype(np.int64)
 
 
 def _cocycle(table, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -318,8 +325,9 @@ def _monomial_gap(col_a: np.ndarray, val_a: np.ndarray, col_b: np.ndarray, val_b
     return float(rows.max(initial=0.0))
 
 
-def _check_cocycle(ctx: ModuleContext, seed: int, cases: int) -> tuple[dict, dict]:
-    """Cocycle identity and projective relation on random plane points, all cases at once.
+def _check_cocycle(ctx: ModuleContext, seeds: np.ndarray) -> tuple[dict, dict]:
+    """Cocycle identity and projective relation on random plane points, all cases at once: case i takes the
+    plane points of seeds 3 i, 3 i + 1 and 3 i + 2 (_plane_picks).
 
     pi(z1) pi(z2) is monomial: row t holds roots[phase1[t]] * roots[phase2[perm1[t]]]
     in column perm2[perm1[t]], and c(z1, z2) pi(z1 + z2) holds c * roots[phase3[t]]
@@ -329,12 +337,12 @@ def _check_cocycle(ctx: ModuleContext, seed: int, cases: int) -> tuple[dict, dic
     """
     group = ctx.lattice.ambient
     table = group._table
-    x, w = table.split(_plane_picks(group, seed, 3 * cases).reshape(cases, 3))
+    x, w = table.split(_plane_picks(group, seeds).reshape(-1, 3))
+    cases = len(x)
     x1, x2, _ = x.transpose(1, 0, 2)
     w1, w2, w3 = w.transpose(1, 0, 2)
-    c12 = _cocycle(table, x1, w2)
-    lhs = c12 * _cocycle(table, x1 + x2, w3)
-    rhs = _cocycle(table, x1, w2 + w3) * _cocycle(table, x2, w3)
+    c12, c3, c1, c23 = _cocycle(table, np.stack([x1, x1 + x2, x1, x2]), np.stack([w2, w3, w2 + w3, w3]))
+    lhs, rhs = c12 * c3, c1 * c23
     coc_gap = float(np.abs(lhs - rhs).max(initial=0.0))
     perm, phase = table.gather(np.concatenate([x1, x2, x1 + x2]), np.concatenate([w1, w2, w1 + w2]))
     perm1, perm2, perm3 = perm.reshape(3, cases, group.order)
@@ -363,45 +371,53 @@ def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c, xi) -> tuple[np
     xi per rep coset are held against _act, which does not read the block table.
     """
     conv, rep = partial(_convolve, domain, flag), partial(_rep_blocks, domain, flag)
-    ab, inv_a, inv_b = conv(a, b), _involve(domain, flag, a), _involve(domain, flag, b)
+    ab, (inv_a, inv_b) = conv(a, b), _involve(domain, flag, np.stack([a, b]))
+    inv_inv_a, inv_ab = _involve(domain, flag, np.stack([inv_a, ab]))
     trace_a_inv_b = conv(a, inv_b)[:, 0]
-    gaps = [  # (degree, gaps)
-        (2, _case_max(conv(ab, c) - conv(a, conv(b, c)))),
-        (0, _case_max(_involve(domain, flag, inv_a) - a)),
-        (1, _case_max(_involve(domain, flag, ab) - conv(inv_b, inv_a))),
-        (1, np.abs(trace_a_inv_b - conv(inv_b, a)[:, 0])),
-        (1, np.abs(trace_a_inv_b - float(domain.weight) * (a * b.conj()).sum(axis=-1))),
-    ]
-    # The rep block stacks last, at most three alive at once.
-    rep_a, cosets = rep(a), domain._tables.cosets[0]
+    by_degree = (  # the sub-gaps of each degree
+        [_case_max(inv_inv_a - a)],
+        [_case_max(inv_ab - conv(inv_b, inv_a)), np.abs(trace_a_inv_b - conv(inv_b, a)[:, 0]),
+         np.abs(trace_a_inv_b - domain.float_weight * (a * b.conj()).sum(axis=-1))],
+        [_case_max(conv(ab, c) - conv(a, conv(b, c)))],
+    )
+    # The rep blocks last, those of a, b, ab and a* from one call: with the product of two, five stacks
+    # alive at the peak. A difference is taken in place (|x - y| = |y - x| exactly), and the conjugate
+    # transpose of rep(a) goes into the spent rep(b).
+    rep_a, rep_b, rep_ab, rep_inv_a = rep(np.stack([a, b, ab, inv_a]))
+    cosets = domain._tables.cosets[0]
     applied = (rep_a @ np.take(xi, cosets, axis=-1)[..., None])[..., 0]
-    gaps.append((1, _case_max(applied - np.take(_act(domain, flag, a, xi), cosets, axis=-1))))
-    ordered = rep(b) @ rep_a if flag else rep_a @ rep(b)
-    ordered -= rep(ab)
-    gaps += [(2, _case_max(ordered)), (1, _case_max(rep(inv_a) - np.swapaxes(rep_a, -1, -2).conj()))]
-    scale = max(1.0, float(domain.weight))
-    scaled = [reduce(np.divide, d * [scale], g) for d, g in gaps]
-    return np.max([g for _, g in gaps], axis=0), np.max(scaled, axis=0)
+    by_degree[1].append(_case_max(applied - np.take(_act(domain, flag, a, xi), cosets, axis=-1)))
+    rep_ab -= rep_b @ rep_a if flag else rep_a @ rep_b
+    rep_inv_a -= np.conjugate(np.swapaxes(rep_a, -1, -2), out=rep_b)
+    by_degree[1].append(_case_max(rep_inv_a))
+    by_degree[2].append(_case_max(rep_ab))
+    # Division by the scale is monotone, so the scaled maximum of each degree is the maximum scaled.
+    m0, m1, m2 = (np.max(gaps, axis=0) for gaps in by_degree)
+    scale = max(1.0, domain.float_weight)
+    return np.maximum(np.maximum(m0, m1), m2), np.maximum(np.maximum(m0, m1 / scale), m2 / scale / scale)
 
 
-def _check_twisted_axioms(ctx: ModuleContext, seed: int, cases: int) -> dict:
-    """Decided on the weight-scaled gap (see _twisted_gaps); max_abs_gap reports the raw one."""
-    seeds = splitmix64_stream(seed, 6 * cases).reshape(cases, 6)
+def _check_twisted_axioms(ctx: ModuleContext, coeffs: np.ndarray, xi: np.ndarray) -> dict:
+    """Decided on the weight-scaled gap (see _twisted_gaps); max_abs_gap reports the raw one.
+
+    Case i draws a, b and c on both domains from coeffs[i] (cases, 3, max(|Delta|, |adjoint|)), each the
+    prefix of its row as long as the domain, and xi[0, i] and xi[1, i] (2, cases, |G|) on the lattice and
+    the adjoint.
+    """
     gaps = []
-    for domain, flag, col in ((ctx.lattice, False, 3), (ctx.dual, True, 4)):
-        size = 3 * max(len(domain) ** 2, domain._tables.rep_gather.size)  # three stacks alive at once
-        draws = _randn(seeds[:, :3], len(domain)).swapaxes(0, 1)
-        xi = _randn(seeds[:, col], ctx.lattice.ambient.order)
-        gaps.append(_per_case(lambda a, b, c, x, _: _twisted_gaps(domain, flag, a, b, c, x), ctx, *draws, xi,
+    for domain, flag, x in ((ctx.lattice, False, xi[0]), (ctx.dual, True, xi[1])):
+        size = 3 * max(len(domain) ** 2, domain._tables.rep_gather.size)  # three stacks of the larger kind
+        draws = coeffs[..., : len(domain)].swapaxes(0, 1)
+        gaps.append(_per_case(lambda a, b, c, x, _: _twisted_gaps(domain, flag, a, b, c, x), ctx, *draws, x,
                               per_case=size))
     raw, scaled = np.max(gaps, axis=(0, 2))  # NaN, from sums that overflow, propagates and fails
-    return _entry("twisted-axioms", cases, raw, scaled, use_rel=True)
+    return _entry("twisted-axioms", len(xi[0]), raw, scaled, use_rel=True)
 
 
-def _check_localization(ctx: ModuleContext, seed: int, cases: int) -> dict:
-    lhs, rhs, via_right = _per_case(_localization, ctx, *_draw(ctx, seed, cases, 2))
+def _check_localization(ctx: ModuleContext, xi: np.ndarray, eta: np.ndarray) -> dict:
+    lhs, rhs, via_right = _per_case(_localization, ctx, xi, eta)
     gap = float(np.maximum(np.abs(lhs - rhs), np.abs(via_right - rhs)).max())
-    return _entry("localization", cases, gap, gap)
+    return _entry("localization", len(xi), gap, gap)
 
 
 def _norm_routes(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, ...]:
@@ -410,15 +426,16 @@ def _norm_routes(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, ...]:
     The orbit's singular values are sqrt(|Delta_0|) times those of the factor blocks (gabor _factor),
     the C*-norm the largest singular value of the rep blocks.
     """
-    lat, (factor, scale) = ctx.lattice, _factor(eta[..., None, :], ctx.lattice)
-    via_analysis = math.sqrt(scale) * np.linalg.svd(factor, compute_uv=False).max(axis=(-2, -1))
+    lat = ctx.lattice
     svals = np.linalg.svd(_rep_blocks(lat, False, _analyze(eta, eta, lat)), compute_uv=False)
     via_algebra = np.sqrt(svals.max(axis=(-2, -1)))
-    return _norms(eta, lat), via_analysis, via_algebra
+    factor, scale = _factor(eta[..., None, :], lat)  # made after the rep blocks are spent: one less alive
+    via_analysis = math.sqrt(scale) * np.linalg.svd(factor, compute_uv=False).max(axis=(-2, -1))
+    return _factor_norms(factor, scale), via_analysis, via_algebra
 
 
-def _check_norm_chain(ctx: ModuleContext, seed: int, cases: int) -> tuple[dict, dict]:
-    (eta,) = _draw(ctx, seed, cases, 1)
+def _check_norm_chain(ctx: ModuleContext, eta: np.ndarray) -> tuple[dict, dict]:
+    cases = len(eta)
     via_spectrum, via_analysis, via_algebra = _per_case(_norm_routes, ctx, eta)
     rel = np.abs(via_spectrum - np.stack([via_analysis, via_algebra])) / np.maximum(via_spectrum, 1e-30)
     bound = math.sqrt(float(ctx.lattice.size)) * via_spectrum
@@ -433,14 +450,14 @@ def _extension_gaps(eta: np.ndarray, gamma: np.ndarray, ctx: ModuleContext) -> t
     lat = ctx.lattice
     orbits = _orbit(np.stack([eta, gamma], axis=1), lat)  # (pairs, 2, |Delta|, |G|)
     rows, synthesis = np.conjugate(orbits[:, 0], out=orbits[:, 0]), orbits[:, 1]
-    synthesis *= float(lat.weight)
+    synthesis *= lat.float_weight
     frame = np.swapaxes(synthesis, -1, -2) @ rows
     theta = _theta(rows, gamma, ctx, sums=synthesis)
     theta -= frame
     return (_case_max(theta),)
 
 
-def _check_operator_extension(ctx: ModuleContext, seed: int, cases: int) -> dict:
+def _check_operator_extension(ctx: ModuleContext, eta: np.ndarray, gamma: np.ndarray) -> dict:
     """theta_matrix against frame_like per pair, in chunks of 2 |Delta| |G| + 3 |G|^2 entries per pair:
     the two orbits, the frame_like side, theta in coset order and in the order of G.
 
@@ -451,8 +468,8 @@ def _check_operator_extension(ctx: ModuleContext, seed: int, cases: int) -> dict
     """
     n = ctx.lattice.ambient.order
     per_pair = 2 * len(ctx.lattice) * n + 3 * n * n
-    (gaps,) = _per_case(_extension_gaps, ctx, *_draw(ctx, seed, cases, 2), per_case=per_pair)
-    return _entry("operator-extension", cases, gaps.max(), gaps.max() / max(1.0, float(ctx.lattice.weight)),
+    (gaps,) = _per_case(_extension_gaps, ctx, eta, gamma, per_case=per_pair)
+    return _entry("operator-extension", len(eta), gaps.max(), gaps.max() / max(1.0, ctx.lattice.float_weight),
                   use_rel=True)
 
 
@@ -466,23 +483,23 @@ def _janssen_gaps(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, np.n
     weight * sum_z |pi(z) eta(t)|^2). The scaled gap divides by max(1, max|S|):
     the absolute gap for small operators, the relative one above.
     """
-    frame = _gram(_orbit(eta, ctx.lattice), ctx.lattice.weight)
+    frame = _gram(_orbit(eta, ctx.lattice), ctx.lattice.float_weight)
     gap = _case_max(_rep(ctx.dual, False, _analyze(eta, eta, ctx.dual)) - frame)
     return gap, gap / np.maximum(1.0, _case_max(frame))
 
 
-def _check_janssen(ctx: ModuleContext, seed: int, cases: int) -> dict:
+def _check_janssen(ctx: ModuleContext, eta: np.ndarray) -> dict:
     """Decided on the scaled gap (see _janssen_gaps); max_abs_gap reports the raw one."""
     n = ctx.lattice.ambient.order
-    gaps, scaled = _per_case(_janssen_gaps, ctx, *_draw(ctx, seed, cases, 1),
+    gaps, scaled = _per_case(_janssen_gaps, ctx, eta,
                              per_case=n * max(len(ctx.lattice), len(ctx.dual), n))  # the dense orbit and S
-    return _entry("janssen", cases, gaps.max(), scaled.max(), use_rel=True)
+    return _entry("janssen", len(eta), gaps.max(), scaled.max(), use_rel=True)
 
 
-def _check_figa(ctx: ModuleContext, seed: int, cases: int) -> dict:
-    lhs, rhs = _per_case(_figa, ctx, *_draw(ctx, seed, cases, 4))
+def _check_figa(ctx: ModuleContext, eta, gamma, xi, psi) -> dict:
+    lhs, rhs = _per_case(_figa, ctx, eta, gamma, xi, psi)
     gaps = np.abs(lhs - rhs)
-    return _entry("figa", cases, gaps.max(), np.max(gaps / (1.0 + np.abs(lhs))), use_rel=True)
+    return _entry("figa", len(eta), gaps.max(), np.max(gaps / (1.0 + np.abs(lhs))), use_rel=True)
 
 
 def _imprimitivity_gaps(xi, eta, gamma, ctx: ModuleContext) -> tuple[np.ndarray]:
@@ -491,13 +508,13 @@ def _imprimitivity_gaps(xi, eta, gamma, ctx: ModuleContext) -> tuple[np.ndarray]
     return (_case_max(lhs - _act(ctx.dual, True, _analyze(eta, gamma, ctx.dual).conj(), xi)),)
 
 
-def _check_imprimitivity(ctx: ModuleContext, seed: int, cases: int) -> dict:
+def _check_imprimitivity(ctx: ModuleContext, xi: np.ndarray, eta: np.ndarray, gamma: np.ndarray) -> dict:
     """Decided on gap / max(1, w), w the lattice weight; max_abs_gap reports the raw gap. Error model: the
     left side is _act over the lattice (weight w), the right side _act over the adjoint (weight 1 / s =
     w |Delta| / |G|), each of weight-free analysis coefficients, so both sides and their rounding errors
     are of degree 1 in w, as in _check_operator_extension."""
-    (gaps,) = _per_case(_imprimitivity_gaps, ctx, *_draw(ctx, seed, cases, 3))
-    return _entry("imprimitivity", cases, gaps.max(), gaps.max() / max(1.0, float(ctx.lattice.weight)),
+    (gaps,) = _per_case(_imprimitivity_gaps, ctx, xi, eta, gamma)
+    return _entry("imprimitivity", len(xi), gaps.max(), gaps.max() / max(1.0, ctx.lattice.float_weight),
                   use_rel=True)
 
 
@@ -516,7 +533,7 @@ def _generator_cases(windows: np.ndarray, xi: np.ndarray, ctx: ModuleContext, to
     coeffs = np.zeros((cases, k, len(lat)), dtype=np.complex128)
     coeffs[frames] = _analyze(xi[frames, None], _uncoset(duals, cosets), lat)  # left_inner(xi, gamma_j)
     orbits = _orbit(windows, lat).reshape(cases, k * len(lat), n)
-    synthesis = float(lat.weight) * (coeffs.reshape(cases, 1, -1) @ orbits)[:, 0]
+    synthesis = lat.float_weight * (coeffs.reshape(cases, 1, -1) @ orbits)[:, 0]
     via_module = _act(lat, False, coeffs, windows).sum(axis=1)
     recon = generating & frames
     residual = recon * np.maximum(*(np.linalg.norm(v - xi, axis=-1) for v in (synthesis, via_module)))
@@ -524,10 +541,11 @@ def _generator_cases(windows: np.ndarray, xi: np.ndarray, ctx: ModuleContext, to
     return generating != frames, recon, residual, residual / (kappa * np.linalg.norm(xi, axis=-1))
 
 
-def _check_generators(ctx: ModuleContext, seed: int, frame_tol: float) -> tuple[dict, dict]:
+def _check_generators(ctx: ModuleContext, draws: np.ndarray, frame_tol: float) -> tuple[dict, dict]:
     """Generating verdict (orbit SVD) against the frame verdict (eigenvalues), and reconstruction.
 
-    Two families of k = 1, 2, 3 windows: with b = k (k - 1), family r takes the k draws from b + r k on
+    Two families of k = 1, 2, 3 windows from the 18 draws (18, |G|): with b = k (k - 1), family r takes
+    the k draws from b + r k on
     and reconstructs draw b + (r + 1) k. Both families of one k run stacked, one per chunk when their
     orbits exceed _CHUNK entries.
 
@@ -541,7 +559,6 @@ def _check_generators(ctx: ModuleContext, seed: int, frame_tol: float) -> tuple[
     whose kappa reaches 1e5 while frame_tol accepts kappa up to 1e9.
     """
     n = ctx.lattice.ambient.order
-    draws = _randn(splitmix64_stream(seed, 18), n)
     parts = [_per_case(partial(_generator_cases, tol=frame_tol), ctx, draws[b : b + 2 * k].reshape(2, k, n),
                        draws[b + k : b + 3 * k : k], per_case=k * len(ctx.lattice) * n)
              for k, b in ((1, 0), (2, 2), (3, 6))]
@@ -550,11 +567,11 @@ def _check_generators(ctx: ModuleContext, seed: int, frame_tol: float) -> tuple[
             _entry("reconstruction", int(recon.sum()), residual.max(), rel.max(), use_rel=True))
 
 
-def _check_dual_scaling(ctx: ModuleContext, seed: int, cases: int) -> dict:
-    size = str(ctx.lattice.size)
+def _check_dual_scaling(ctx: ModuleContext, eta: np.ndarray) -> dict:
+    size, cases = str(ctx.lattice.size), len(eta)
     if ctx.lattice.weight != 1:
         return dict(_entry("dual-scaling", 0, 0.0, 0.0), exponent=None, size=size)
-    _, _, ratios = _per_case(_norm_ratios, ctx, *_draw(ctx, seed, cases, 1))
+    _, _, ratios = _per_case(_norm_ratios, ctx, eta)
     spread = float(ratios.std() / ratios.mean()) if ratios.mean() > 0 else 0.0
     positive = ratios[ratios > 0]
     exponent = _exponent(float(positive[-1]), ctx) if positive.size else None
@@ -565,21 +582,39 @@ def verify_suite(lattice: MeasuredSubgroup, seed: int = 0, frame_tol: float = 1e
     """Run every identity check against one lattice; report per-identity gap maxima.
 
     Deterministic for a fixed (lattice, seed): all randomness comes from the
-    documented SplitMix64 stream.
+    documented SplitMix64 stream. The seed plan: 16 salts are the first
+    outputs of the stream of seed ^ 0x5EED; check i takes its derived seeds
+    from the stream of salt i, all in one call; a case of s windows takes s
+    consecutive seeds, and a window of length m is randn_window's values of
+    its seed on a group of order m. Each output is a function of (seed,
+    index) alone, so the windows of the checks are drawn in four calls: the
+    |G|-length windows of norm-chain, operator-extension, janssen,
+    imprimitivity, generators, dual-scaling and twisted-axioms in one, and
+    figa's, localization's and twisted-axioms' coefficients (one row per
+    seed, as long as the larger domain) in one each.
     """
     ctx = module_context(lattice)
-    salts = [int(v) for v in splitmix64_stream(seed ^ 0x5EED, 16)]
+    n = lattice.ambient.order
+    salts = splitmix64_stream(seed ^ 0x5EED, 16)
+    seeds = splitmix64_stream(salts[:10], 180)  # row i: salt i's derived seeds, as many as the cocycle check's
+    twisted = seeds[1, :48].reshape(8, 6)  # per case: a, b and c, then xi on the lattice and on the adjoint
+    # norm-chain, operator-extension, janssen, imprimitivity, generators, dual-scaling: (salt, windows)
+    small = ((3, 20), (4, 20), (5, 10), (7, 30), (8, 18), (9, 20))
+    rows = [seeds[i, :count] for i, count in small] + [twisted[:, 3], twisted[:, 4]]
+    norm, ext, janssen, imp, gen, dual, xi = np.split(_randn(np.concatenate(rows), n),
+                                                     np.cumsum([count for _, count in small]))
     identities = [
-        *_check_cocycle(ctx, salts[0], 60),
-        _check_twisted_axioms(ctx, salts[1], 8),
-        _check_localization(ctx, salts[2], 40),
-        *_check_norm_chain(ctx, salts[3], 20),
-        _check_operator_extension(ctx, salts[4], 10),
-        _check_janssen(ctx, salts[5], 10),
-        _check_figa(ctx, salts[6], 40),
-        _check_imprimitivity(ctx, salts[7], 10),
-        *_check_generators(ctx, salts[8], frame_tol),
-        _check_dual_scaling(ctx, salts[9], 20),
+        *_check_cocycle(ctx, seeds[0]),
+        _check_twisted_axioms(ctx, _randn(twisted[:, :3], max(len(lattice), len(ctx.dual))),
+                              xi.reshape(2, 8, n)),
+        _check_localization(ctx, *_slots(_randn(seeds[2, :80], n), 2)),
+        *_check_norm_chain(ctx, norm),
+        _check_operator_extension(ctx, *_slots(ext, 2)),
+        _check_janssen(ctx, janssen),
+        _check_figa(ctx, *_slots(_randn(seeds[6, :160], n), 4)),
+        _check_imprimitivity(ctx, *_slots(imp, 3)),
+        *_check_generators(ctx, gen, frame_tol),
+        _check_dual_scaling(ctx, dual),
     ]
     return {
         "group": list(lattice.ambient.orders),

@@ -75,9 +75,33 @@ def randn_window(group: FiniteAbelianGroup, seed: int) -> Window:
 
 
 def _randn(seed, n: int) -> np.ndarray:
-    """Values of randn_window on a group of order n: one row per seed when ``seed`` is a sequence."""
-    normals = gaussian_stream(seed, 2 * n)
-    return normals[..., 0::2] + 1j * normals[..., 1::2]
+    """Values of randn_window on a group of order n: one row per seed when ``seed`` is a sequence.
+
+    Normal pair j of gaussian_stream becomes entry j, real part r cos(theta) and imaginary part
+    r sin(theta), each written into its view of one complex array. That equals a + 1j*b of the pair
+    (a, b) bit for bit but in one corner, r = 0 exactly (u1 = 1, probability 2^-53 per pair): there
+    a + 1j*b has imaginary part +0.0 and can turn a real -0.0 into +0.0, while here each zero keeps the
+    sign that cos and sin give it.
+    """
+    seeds = _seeds(seed)
+    # [0, ..., j] and [1, ..., j]: the states seed + (2j + 1) gamma and seed + (2j + 2) gamma of the stream's
+    # outputs 2j and 2j + 1, each half contiguous, so every pass below runs over it in one inner loop.
+    state = np.empty((2,) + seeds.shape + (n,), dtype=np.uint64)
+    np.add(seeds[..., None], _GAMMA * np.arange(1, 2 * n, 2, dtype=np.uint64), out=state[0])
+    np.add(state[0], _GAMMA, out=state[1])
+    u = np.empty(state.shape, dtype=np.float64)
+    _mix(state, spare=u.view(np.uint64))
+    np.add(np.right_shift(state, _S11, out=state), 1.0, out=u)  # the uniforms ((output >> 11) + 1) 2^-53
+    u *= 2.0**-53
+    r, theta = u
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    out = np.empty(seeds.shape + (n,), dtype=np.complex128)
+    np.multiply(np.cos(theta, out=out.real), r, out=out.real)
+    np.multiply(np.sin(theta, out=out.imag), r, out=out.imag)
+    return out
 
 
 def parse_window(group: FiniteAbelianGroup, spec: str) -> Window:
@@ -91,6 +115,12 @@ def parse_window(group: FiniteAbelianGroup, spec: str) -> Window:
     raise ValueError(f"unknown window spec {spec!r}")
 
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
+_MASK = 0xFFFFFFFFFFFFFFFF
+
+
 def splitmix64_stream(seed, count: int) -> np.ndarray:
     """First ``count`` outputs of SplitMix64 seeded with ``seed``, as uint64.
 
@@ -98,19 +128,32 @@ def splitmix64_stream(seed, count: int) -> np.ndarray:
     z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
     z *= 0x94D049BB133111EB; z ^= z >> 31.
     A sequence of seeds gives one row per seed, each equal to its scalar call;
-    a uint64 array of seeds is taken as it is.
+    a uint64 array of seeds is taken as it is. Output i depends on (seed, i)
+    alone, so any regrouping of the draws keeps every bit.
     """
-    gamma = np.uint64(0x9E3779B97F4A7C15)
-    if not (isinstance(seed, np.ndarray) and seed.dtype == np.uint64):
-        seeds = np.asarray(seed, dtype=object)  # Python ints: exact for every seed, unlike int64 or float64
-        state = [int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds.ravel()]
-        seed = np.array(state, dtype=np.uint64).reshape(seeds.shape)
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = seed[..., None] + idx * gamma
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
+    state = np.add(_seeds(seed)[..., None], _GAMMA * np.arange(1, count + 1, dtype=np.uint64))
+    return _mix(state, spare=np.empty_like(state))
+
+
+def _seeds(seed) -> np.ndarray:
+    """Seeds as a uint64 array, each taken mod 2^64: a uint64 array as it is, a Python int directly,
+    anything else through Python ints, exact for every seed, unlike int64 or float64."""
+    if isinstance(seed, np.ndarray) and seed.dtype == np.uint64:
+        return seed
+    if isinstance(seed, int):
+        return np.array(seed & _MASK, dtype=np.uint64)
+    seeds = np.asarray(seed, dtype=object)
+    return np.array([int(s) & _MASK for s in seeds.ravel()], dtype=np.uint64).reshape(seeds.shape)
+
+
+def _mix(z: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on a uint64 array of states, in place; ``spare`` (uint64, z's shape)
+    takes the shifts."""
+    z ^= np.right_shift(z, _S30, out=spare)
+    z *= _MIX1
+    z ^= np.right_shift(z, _S27, out=spare)
+    z *= _MIX2
+    z ^= np.right_shift(z, _S31, out=spare)
     return z
 
 
@@ -119,17 +162,10 @@ def gaussian_stream(seed, count: int) -> np.ndarray:
 
     Uniform i is ((output_i >> 11) + 1) * 2^-53, in (0, 1]. Consecutive
     uniform pairs (u1, u2) yield the normal pair
-    (sqrt(-2 ln u1) cos(2 pi u2), sqrt(-2 ln u1) sin(2 pi u2)).
+    (sqrt(-2 ln u1) cos(2 pi u2), sqrt(-2 ln u1) sin(2 pi u2)): the real and
+    imaginary parts of _randn's entries, read as interleaved floats.
     """
-    pairs = (count + 1) // 2
-    raw = splitmix64_stream(seed, 2 * pairs)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    r = np.sqrt(-2.0 * np.log(u[..., 0::2]))
-    theta = 2.0 * np.pi * u[..., 1::2]
-    out = np.empty(u.shape, dtype=np.float64)
-    out[..., 0::2] = r * np.cos(theta)
-    out[..., 1::2] = r * np.sin(theta)
-    return out[..., :count]
+    return _randn(seed, (count + 1) // 2).view(np.float64)[..., :count]
 
 
 def _shift(group: FiniteAbelianGroup, z: TFPoint) -> tuple[np.ndarray, np.ndarray]:

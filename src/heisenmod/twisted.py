@@ -73,7 +73,7 @@ def delta_seq(domain: MeasuredSubgroup, z: TFPoint, conjugated: bool = False) ->
 def unit_seq(domain: MeasuredSubgroup, conjugated: bool = False) -> TwistedSeq:
     """Multiplicative unit: (1/weight) delta_0; zero is position 0 of every domain (see trace)."""
     coeffs = np.zeros(len(domain), dtype=np.complex128)
-    coeffs[0] = 1.0 / float(domain.weight)
+    coeffs[0] = 1.0 / domain.float_weight
     return TwistedSeq(domain, conjugated, coeffs)
 
 
@@ -102,7 +102,7 @@ def _convolve(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, b: np.n
     terms = np.take(b, sub, axis=-1)
     terms *= kappa
     out = (a[..., None, :] @ terms)[..., 0, :]
-    out *= float(domain.weight)
+    out *= domain.float_weight
     return np.conjugate(out, out=out) if conjugated else out
 
 
@@ -112,11 +112,9 @@ def involution(a: TwistedSeq) -> TwistedSeq:
 
 
 def _involve(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np.ndarray:
+    """involution per case of leading axes, from the domain's cached phases (groups, star)."""
     tables = domain._tables
-    phase = tables.group.pairing(tables.w, tables.x)
-    if not conjugated:
-        phase = -phase % tables.group.modulus
-    return tables.group.roots[phase] * a[..., tables.neg].conj()
+    return tables.star[int(conjugated)] * a[..., tables.neg].conj()
 
 
 def trace(a: TwistedSeq) -> complex:
@@ -144,7 +142,7 @@ def _rep(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np.ndarra
     n = gather.shape[-1]
     mat = np.zeros(a.shape[:-1] + (n, n), dtype=np.complex128)
     mat[..., np.arange(n), gather] = _fibre_sums(domain, a.conj() if conjugated else a)
-    mat *= float(domain.weight)
+    mat *= domain.float_weight
     return np.swapaxes(np.conjugate(mat, out=mat), -1, -2) if conjugated else mat
 
 
@@ -157,7 +155,7 @@ def _rep_blocks(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np
     """
     m = _fibre_sums(domain, a.conj() if conjugated else a)
     blocks = np.take(m.reshape(m.shape[:-2] + (-1,)), domain._tables.rep_gather, axis=-1)
-    blocks *= float(domain.weight)
+    blocks *= domain.float_weight
     return np.swapaxes(np.conjugate(blocks, out=blocks), -1, -2) if conjugated else blocks
 
 
@@ -191,9 +189,9 @@ def _act(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, xi: np.ndarr
     if conjugated:
         m = _fibre_sums(domain, a.conj()).conj()
         terms = np.take_along_axis(m * xi[..., None, :], np.broadcast_to(plus, m.shape), axis=-1)
-        return float(domain.weight) * terms.sum(axis=-2)
+        return domain.float_weight * terms.sum(axis=-2)
     shifted = domain._tables.group.roots[base] * xi[..., minus]
-    shifted *= float(domain.weight)
+    shifted *= domain.float_weight
     terms = _zero_sums(domain, a)
     terms *= shifted
     return terms.sum(axis=-2)

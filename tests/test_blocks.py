@@ -20,10 +20,12 @@ from heisenmod import (
     module_context,
     randn_window,
     spectrum,
+    splitmix64_stream,
     subgroup_from_generators,
     verify_suite,
 )
 from heisenmod import module as module_impl
+from heisenmod.shifts import _randn
 from heisenmod.twisted import _rep, _rep_blocks
 
 GROUPS = [FiniteAbelianGroup(orders) for orders in [(n,) for n in range(1, 13)] + [(2, 4), (3, 3)]]
@@ -133,47 +135,80 @@ def test_dense_frame_operator_vanishes_between_frame_cosets_and_its_spectrum_is_
     assert worst_eig <= 1e-14, worst_eig
 
 
-def test_a_wrong_frame_coset_table_fails_verify(monkeypatch):
-    # Z12 (2, 3), (0, 4): Delta_0 = {(0, 2 j)}, so the frame cosets are {t, t + 6}.
-    lattice = subgroup_from_generators(FiniteAbelianGroup((12,)), [((2,), (3,)), ((0,), (4,))], 1)
-    rep, frame = lattice._tables.cosets
-    assert frame.shape == (6, 2) and np.all(frame[:, 1] - frame[:, 0] == 6)
-    assert verify_suite(lattice, seed=2)["pass"]
-    bad = frame.copy()
-    bad[0, 1], bad[1, 1] = frame[1, 1], frame[0, 1]
-    monkeypatch.setitem(lattice._tables.__dict__, "cosets", (rep, bad))
-    report = {e["name"]: e for e in verify_suite(lattice, seed=2)["identities"]}
-    assert not (report["norm-chain"]["pass"] and report["reconstruction"]["pass"]), report
-
-
 MUTATION_RUNGS = [((12,), [((2,), (3,)), ((0,), (4,))]), BIG_RUNGS[0][:2]]
 
 
+def _fresh(rung):
+    """A lattice no suite has run on. Its tables are built on first use, so a table patched before the
+    first suite reaches every table built from it (frame, rep_gather) as well as the kernels reading it."""
+    return subgroup_from_generators(FiniteAbelianGroup(rung[0]), rung[1], 1)
+
+
+def _failing(lattice) -> set:
+    return {e["name"] for e in verify_suite(lattice, seed=2)["identities"] if not e["pass"]}
+
+
+def test_a_wrong_frame_coset_table_fails_verify():
+    # Z12 (2, 3), (0, 4): Delta_0 = {(0, 2 j)}, so the frame cosets are {t, t + 6}.
+    assert not _failing(_fresh(MUTATION_RUNGS[0]))
+    lattice = _fresh(MUTATION_RUNGS[0])
+    rep, frame = lattice._tables.cosets
+    assert frame.shape == (6, 2) and np.all(frame[:, 1] - frame[:, 0] == 6)
+    assert "frame" not in lattice._tables.__dict__
+    bad = frame.copy()
+    bad[0, 1], bad[1, 1] = frame[1, 1], frame[0, 1]
+    lattice._tables.__dict__["cosets"] = (rep, bad)
+    expect = {"norm-chain", "reconstruction", "operator-extension", "figa", "imprimitivity", "dual-scaling"}
+    assert _failing(lattice) >= expect
+
+
+# The identities each swap fails, on both rungs.
+RUN_TABLE_MUTATIONS = {
+    "pos": {"operator-extension", "reconstruction", "twisted-axioms"},
+    "base": {"localization", "norm-chain", "operator-extension", "figa", "imprimitivity", "reconstruction",
+             "dual-scaling", "twisted-axioms"},
+    "zero": {"localization", "operator-extension", "reconstruction", "twisted-axioms"},
+}
+
+
 @pytest.mark.parametrize("rung", MUTATION_RUNGS, ids=["z12", "z6x6"])
-@pytest.mark.parametrize("entry", ["pos", "base", "zero"])
-def test_a_wrong_run_table_fails_verify(entry, rung, monkeypatch):
+@pytest.mark.parametrize("entry", sorted(RUN_TABLE_MUTATIONS))
+def test_a_wrong_run_table_fails_verify(entry, rung):
     # Two pos entries of one run, two base-phase rows or two Delta_0-phase rows swapped.
-    lattice = subgroup_from_generators(FiniteAbelianGroup(rung[0]), rung[1], 1)
-    assert verify_suite(lattice, seed=2)["pass"]
+    assert not _failing(_fresh(rung))
+    lattice = _fresh(rung)
     base, zero, pos, minus, plus = lattice._tables.runs
+    assert not {"cosets", "frame", "rep_gather"} & set(lattice._tables.__dict__)
     bad = {"base": base, "zero": zero, "pos": pos}[entry].copy()
     i, j = (len(zero), len(zero) + 1) if entry == "pos" else (0, 1)  # pos: the first two entries of run 1
     assert not np.array_equal(bad[i], bad[j])
     bad[[i, j]] = bad[[j, i]]
     runs = (bad, zero, pos) if entry == "base" else (base, bad, pos) if entry == "zero" else (base, zero, bad)
-    monkeypatch.setitem(lattice._tables.__dict__, "runs", runs + (minus, plus))
-    assert not verify_suite(lattice, seed=2)["pass"]
+    lattice._tables.__dict__["runs"] = runs + (minus, plus)
+    assert _failing(lattice) >= RUN_TABLE_MUTATIONS[entry]
 
 
-def test_reversed_rep_blocks_fail_verify(monkeypatch):
+def test_reversed_rep_blocks_fail_verify():
     # Z12 (2, 3), (0, 4): two rep cosets of 6; taking their blocks in reverse order leaves every
     # representation identity intact, and only the blocks applied to a vector against _act see it.
-    lattice = subgroup_from_generators(FiniteAbelianGroup((12,)), MUTATION_RUNGS[0][1], 1)
-    assert verify_suite(lattice, seed=2)["pass"]
+    assert not _failing(_fresh(MUTATION_RUNGS[0]))
+    lattice = _fresh(MUTATION_RUNGS[0])
     assert lattice._tables.rep_gather.shape == (2, 6, 6)
-    monkeypatch.setitem(lattice._tables.__dict__, "rep_gather", lattice._tables.rep_gather[::-1])
-    report = {e["name"]: e["pass"] for e in verify_suite(lattice, seed=2)["identities"]}
-    assert not report["twisted-axioms"], report
+    lattice._tables.__dict__["rep_gather"] = lattice._tables.rep_gather[::-1]
+    assert _failing(lattice) == {"twisted-axioms"}
+
+
+@pytest.mark.parametrize("rung", MUTATION_RUNGS, ids=["z12", "z6x6"])
+def test_swapped_involution_phases_fail_twisted_axioms(rung):
+    # The cached phases of a*(z) = conj(c(z, -z)) conj(a(-z)) at two points of different phase, swapped
+    # for both cocycle flags: only the involution reads them.
+    assert not _failing(_fresh(rung))
+    lattice = _fresh(rung)
+    star = lattice._tables.star.copy()
+    k = int(np.flatnonzero(star[0] != star[0, 0])[0])
+    star[:, [0, k]] = star[:, [k, 0]]
+    lattice._tables.__dict__["star"] = star
+    assert _failing(lattice) == {"twisted-axioms"}
 
 
 def test_spectral_kernels_see_only_blocks_on_the_z96_weight_3_rung(monkeypatch):
@@ -188,7 +223,8 @@ def test_spectral_kernels_see_only_blocks_on_the_z96_weight_3_rung(monkeypatch):
         monkeypatch.setattr(np.linalg, name, lambda m, *args, _real=real, **kw: widths.append(m.shape[-1])
                             or _real(m, *args, **kw))
     ctx, counting = module_context(lattice), module_context(lattice.with_weight(1))
-    module_impl._check_norm_chain(ctx, 3, 20)
-    module_impl._check_generators(ctx, 3, 1e-9)
-    module_impl._check_dual_scaling(counting, 3, 20)
+    n = lattice.ambient.order
+    module_impl._check_norm_chain(ctx, _randn(splitmix64_stream(3, 20), n))
+    module_impl._check_generators(ctx, _randn(splitmix64_stream(3, 18), n), 1e-9)
+    module_impl._check_dual_scaling(counting, _randn(splitmix64_stream(3, 20), n))
     assert len(widths) > 10 and max(widths) == 4, widths

@@ -147,6 +147,29 @@ def test_adjoint_fixture_self_dual_lattice():
     assert adj.weight == 1
 
 
+def test_a_self_adjoint_point_set_shares_its_tables_with_its_adjoint():
+    # Every subgroup of Z2, Z4, Z6 and Z2 x Z2: the adjoint of a self-adjoint point set is the subgroup
+    # re-measured (weight 1 / size) on the same integer tables; any other adjoint has tables of its own.
+    shared = 0
+    for g in (Z2, Z4, FiniteAbelianGroup((6,)), Z2xZ2):
+        for elems in all_subgroups(g):
+            sub = MeasuredSubgroup(g, elems, 3)
+            adj = adjoint_subgroup(sub)
+            same = adj.elements == sub.elements
+            assert (adj._tables is sub._tables) == same
+            assert adj.weight == 1 / sub.size and adj == MeasuredSubgroup(g, adj.elements, 1 / sub.size)
+            shared += same
+    assert shared >= 4
+
+
+def test_float_weight_is_the_weight_converted_once():
+    sub = subgroup_from_generators(Z4, [((2,), (0,))], "2/3")
+    assert sub.float_weight == float(Fraction(2, 3)) and sub.float_weight is sub.float_weight
+    assert sub.with_weight(10**400).weight == 10**400  # no conversion until read
+    with pytest.raises(OverflowError):
+        sub.with_weight(10**400).float_weight
+
+
 def test_adjoint_fixture_diagonal():
     sub = subgroup_from_generators(Z4, [((1,), (1,))], 1)
     adj = adjoint_subgroup(sub)

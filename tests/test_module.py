@@ -1,5 +1,6 @@
 """Heisenberg-module structure: inner products, actions, norms, FIGA, verification."""
 
+import traceback
 import tracemalloc
 from fractions import Fraction
 
@@ -49,6 +50,7 @@ from heisenmod import (
     verify_suite,
 )
 from heisenmod import module as module_impl
+from heisenmod import shifts as shifts_impl
 from heisenmod.module import VERIFY_TOLERANCES
 from heisenmod.shifts import Window, _randn
 
@@ -412,8 +414,8 @@ def test_cocycle_check_matches_dense_reference(group):
     ctx = module_context(trivial_subgroup(group, 1))
     for seed in COCYCLE_SEEDS:
         picks, coc_ref, proj_ref = _dense_cocycle_reference(group, seed, 60)
-        assert group._table.points(module_impl._plane_picks(group, seed, 180)) == tuple(picks)
-        coc, proj = module_impl._check_cocycle(ctx, seed, 60)
+        assert group._table.points(module_impl._plane_picks(group, splitmix64_stream(seed, 180))) == tuple(picks)
+        coc, proj = module_impl._check_cocycle(ctx, splitmix64_stream(seed, 180))
         assert abs(coc["max_abs_gap"] - coc_ref) <= 1e-15
         assert abs(proj["max_abs_gap"] - proj_ref) <= 1e-15
         assert coc["pass"] and proj["pass"]
@@ -423,7 +425,7 @@ def test_cocycle_check_matches_dense_reference(group):
 def test_cocycle_check_catches_conjugated_cocycle(group, monkeypatch):
     # conj(c) is a cocycle too, but pi(z1) pi(z2) = c(z1, z2) pi(z1 + z2) only holds for c itself.
     monkeypatch.setattr(module_impl, "_cocycle", lambda table, x, tau: table.roots[table.pairing(tau, x)])
-    coc, proj = module_impl._check_cocycle(module_context(trivial_subgroup(group, 1)), 7, 60)
+    coc, proj = module_impl._check_cocycle(module_context(trivial_subgroup(group, 1)), splitmix64_stream(7, 180))
     assert coc["pass"]
     assert proj["max_abs_gap"] >= 0.5 and not proj["pass"]
 
@@ -454,12 +456,55 @@ def test_verify_suite_passes_at_benchmark_scale(orders, gens, weight, seed, poin
     assert peak <= 3 * 2**20, peak
 
 
+def _drawn(ctx, salt, cases, slots):
+    """The windows (slots, cases, |G|) of a check's cases drawn from the stream of salt, as verify_suite draws
+    them: case i takes seeds slots * i to slots * (i + 1) - 1."""
+    return module_impl._slots(_randn(splitmix64_stream(salt, slots * cases), ctx.lattice.ambient.order), slots)
+
+
 def _counting(calls, name, fn):
     def counted(*args, **kwargs):
         calls[name] += 1
         return fn(*args, **kwargs)
 
     return counted
+
+
+@pytest.mark.parametrize("orders, gens, weight", [
+    ((12,), [((2,), (3,)), ((0,), (4,))], 1),
+    ((4, 4), [((2, 0), (1, 3)), ((0, 2), (3, 2)), ((0, 0), (2, 0)), ((0, 0), (0, 2))], 1),
+    BENCH_SCALE[1][:3],
+], ids=["z12", "z4x4", "z96-weight-3"])
+def test_a_suite_derives_its_seeds_in_one_call_and_draws_in_four(orders, gens, weight, monkeypatch):
+    # One stream call gives the salts and one every check's derived seeds; _randn runs once for the
+    # |G|-length windows of the small checks and once each for figa, localization and twisted-axioms'
+    # coefficients, at every weight (dual-scaling draws its windows with the others).
+    calls = {"splitmix64_stream": 0, "_randn": 0}
+    for name in calls:
+        monkeypatch.setattr(module_impl, name, _counting(calls, name, getattr(module_impl, name)))
+    monkeypatch.setattr(shifts_impl, "splitmix64_stream",
+                        _counting(calls, "splitmix64_stream", shifts_impl.splitmix64_stream))
+    report = verify_suite(subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight), seed=4)
+    assert report["pass"]
+    assert calls == {"splitmix64_stream": 2, "_randn": 4}, calls
+
+
+def test_a_second_suite_reads_the_involution_phases_from_the_lattice(monkeypatch):
+    # The involution's phases are built from the pairing once per lattice (groups, star), on first use.
+    lattice = subgroup_from_generators(FiniteAbelianGroup((12,)), [((2,), (3,)), ((0,), (4,))], 1)
+    table, callers = lattice.ambient._table, []
+    real = table.pairing
+
+    def pairing(*args):
+        callers.append({frame.name for frame in traceback.extract_stack()})
+        return real(*args)
+
+    monkeypatch.setattr(table, "pairing", pairing)
+    verify_suite(lattice, seed=3)
+    assert any("_involve" in names for names in callers)
+    callers.clear()
+    verify_suite(lattice, seed=4)
+    assert callers and not any("_involve" in names for names in callers)  # the cocycle check still pairs
 
 
 @pytest.mark.parametrize("rung", [0, 1], ids=["z96-192", "z96-weight-3"])
@@ -483,7 +528,9 @@ def test_figa_and_localization_run_in_at_most_two_chunks(rung, monkeypatch):
     calls = {"_figa": 0, "_localization": 0}
     for name in calls:
         monkeypatch.setattr(module_impl, name, _counting(calls, name, getattr(module_impl, name)))
-    assert module_impl._check_figa(ctx, 3, 40)["cases"] == module_impl._check_localization(ctx, 3, 40)["cases"]
+    figa = module_impl._check_figa(ctx, *_drawn(ctx, 3, 40, 4))
+    localization = module_impl._check_localization(ctx, *_drawn(ctx, 3, 40, 2))
+    assert figa["cases"] == localization["cases"] == 40
     assert 1 <= max(calls.values()) <= 2, calls
 
 
@@ -500,7 +547,7 @@ def test_operator_extension_runs_one_gather_per_chunk(rung, monkeypatch):
     table = type(ctx.lattice.ambient._table)
     calls = {"gather": 0}
     monkeypatch.setattr(table, "gather", _counting(calls, "gather", table.gather))
-    entry = module_impl._check_operator_extension(ctx, 11, cases)
+    entry = module_impl._check_operator_extension(ctx, *_drawn(ctx, 11, cases, 2))
     assert entry["pass"] and entry["cases"] == cases, entry
     assert calls["gather"] <= -(-cases // step), (calls, step)
 
@@ -512,7 +559,7 @@ def test_generator_check_runs_one_decomposition_per_window_count(monkeypatch):
     calls = {"svd": 0, "eigvalsh": 0, "solve": 0}
     for name in calls:
         monkeypatch.setattr(np.linalg, name, _counting(calls, name, getattr(np.linalg, name)))
-    gen, recon = module_impl._check_generators(ctx, 5, 1e-9)
+    gen, recon = module_impl._check_generators(ctx, _randn(splitmix64_stream(5, 18), 24), 1e-9)
     assert gen["pass"] and recon["cases"] > 0
     assert max(calls.values()) <= 3, calls
 
@@ -524,7 +571,7 @@ def test_generator_check_makes_one_pass_per_family_chunk(monkeypatch):
     calls = {"_factor": 0, "_svd_frames": 0, "_analyze": 0, "_act": 0}
     for name in calls:
         monkeypatch.setattr(module_impl, name, _counting(calls, name, getattr(module_impl, name)))
-    gen, recon = module_impl._check_generators(ctx, 5, 1e-9)
+    gen, recon = module_impl._check_generators(ctx, _randn(splitmix64_stream(5, 18), 24), 1e-9)
     assert gen["pass"] and recon["cases"] > 0
     assert calls == {"_factor": 3, "_svd_frames": 0, "_analyze": 3, "_act": 3}, calls
 
@@ -538,22 +585,30 @@ def test_verify_suite_passes_on_z240_with_720_points():
 
 
 def _bench_rung(rung, weight):
-    """A BENCH_SCALE lattice at the given weight, and the twisted-axioms salt of its seed.
+    """A BENCH_SCALE lattice at the given weight, and the twisted-axioms draws of its seed (_twisted_draws).
 
     Rung 1 is the Z96 weight-3 rung. Its lattice is its own adjoint, so the
     cocycle is 1 on it; on the Z80 rung 2 the cocycle takes non-real values.
     """
     orders, gens, _, seed, _ = BENCH_SCALE[rung]
-    lattice = subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight)
-    return module_context(lattice), int(splitmix64_stream(seed ^ 0x5EED, 2)[1])
+    ctx = module_context(subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight))
+    return ctx, _twisted_draws(ctx, int(splitmix64_stream(seed ^ 0x5EED, 2)[1]))
+
+
+def _twisted_draws(ctx, salt, cases=8):
+    """What verify_suite draws for twisted-axioms from the stream of salt: per case six seeds, a, b and c
+    (one row each, as long as the larger domain), then xi on the lattice and on the adjoint."""
+    seeds = splitmix64_stream(salt, 6 * cases).reshape(cases, 6)
+    coeffs = _randn(seeds[:, :3], max(len(ctx.lattice), len(ctx.dual)))
+    return coeffs, _randn(seeds[:, 3:5].T, ctx.lattice.ambient.order)
 
 
 @pytest.mark.parametrize("weight", [3, Fraction(1, 3)], ids=["w3", "w1/3"])
 def test_twisted_axioms_are_decided_on_the_weight_scaled_gap(weight):
     # Sub-gaps of degree d in the domain weight w are divided by max(1, w)^d, with d <= 2.
-    ctx, salt = _bench_rung(1, weight)
+    ctx, draws = _bench_rung(1, weight)
     assert ctx.lattice.weight == ctx.dual.weight == weight
-    entry = module_impl._check_twisted_axioms(ctx, salt, 8)
+    entry = module_impl._check_twisted_axioms(ctx, *draws)
     raw, scaled = entry["max_abs_gap"], entry["max_rel_gap"]
     assert entry["pass"] and scaled <= 0.2 * VERIFY_TOLERANCES["twisted-axioms"], entry
     if weight > 1:
@@ -577,22 +632,23 @@ TWISTED_MUTATIONS = {
 def test_twisted_axioms_catch_mutations_at_any_weight(mutation, weight, monkeypatch):
     name, mutate = TWISTED_MUTATIONS[mutation]
     monkeypatch.setattr(module_impl, name, mutate(getattr(module_impl, name)))
-    ctx, salt = _bench_rung(2, weight)
-    entry = module_impl._check_twisted_axioms(ctx, salt, 8)
+    ctx, draws = _bench_rung(2, weight)
+    entry = module_impl._check_twisted_axioms(ctx, *draws)
     assert not entry["pass"] and entry["max_rel_gap"] > 1e-3, entry
 
 
 def test_janssen_is_decided_on_the_gap_over_the_operator_scale(monkeypatch):
     # Weight 1e6 scales S, and so the rounding of both sides, by 1e6; the decisive gap does not move.
     lattice = subgroup_from_generators(Z4, [((1,), (0,)), ((0,), (2,))], 10**6)
-    entry = module_impl._check_janssen(module_context(lattice), 5, 10)
+    eta = _randn(splitmix64_stream(5, 10), Z4.order)
+    entry = module_impl._check_janssen(module_context(lattice), eta)
     assert entry["max_abs_gap"] > VERIFY_TOLERANCES["janssen"] >= 1e3 * entry["max_rel_gap"], entry
     assert entry["pass"]
     # The Janssen form without the adjoint's weight (2 / lattice weight here) is off by that factor.
     real = module_impl._rep
     monkeypatch.setattr(module_impl, "_rep", lambda dom, flag, a: real(dom, flag, a) / float(dom.weight))
     for weight in (10**6, 1, Fraction(1, 3)):
-        entry = module_impl._check_janssen(module_context(lattice.with_weight(weight)), 5, 10)
+        entry = module_impl._check_janssen(module_context(lattice.with_weight(weight)), eta)
         assert not entry["pass"] and entry["max_rel_gap"] > 1e-3, entry
 
 
@@ -610,10 +666,10 @@ def test_extension_and_imprimitivity_are_decided_on_the_weight_scaled_gap():
 # A theta or an _act without its weight: on Z4 (1, 0), (0, 2) the adjoint's weight is twice the
 # lattice's, so an _act that drops both still breaks imprimitivity. At w = 1e6 that leaves two
 # weight-free sides, whose gap over w is still far above the tolerance.
-EXTENSION_MUTATIONS = {
-    "theta": ("_theta", "_check_operator_extension",
+EXTENSION_MUTATIONS = {  # (kernel, check, windows per case, mutation)
+    "theta": ("_theta", "_check_operator_extension", 2,
               lambda real: lambda rows, gamma, ctx, sums=None: real(rows, gamma, ctx, sums) / float(ctx.lattice.weight)),
-    "act": ("_act", "_check_imprimitivity",
+    "act": ("_act", "_check_imprimitivity", 3,
             lambda real: lambda domain, flag, a, xi: real(domain, flag, a, xi) / float(domain.weight)),
 }
 
@@ -621,11 +677,11 @@ EXTENSION_MUTATIONS = {
 @pytest.mark.parametrize("weight", [3, Fraction(1, 3), 10**6], ids=["w3", "w1/3", "w1e6"])
 @pytest.mark.parametrize("mutation", sorted(EXTENSION_MUTATIONS))
 def test_extension_and_imprimitivity_catch_a_dropped_weight(mutation, weight, monkeypatch):
-    name, check, mutate = EXTENSION_MUTATIONS[mutation]
+    name, check, slots, mutate = EXTENSION_MUTATIONS[mutation]
     ctx = module_context(subgroup_from_generators(Z4, [((1,), (0,)), ((0,), (2,))], weight))
-    assert getattr(module_impl, check)(ctx, 5, 10)["pass"]
+    assert getattr(module_impl, check)(ctx, *_drawn(ctx, 5, 10, slots))["pass"]
     monkeypatch.setattr(module_impl, name, mutate(getattr(module_impl, name)))
-    entry = getattr(module_impl, check)(ctx, 5, 10)
+    entry = getattr(module_impl, check)(ctx, *_drawn(ctx, 5, 10, slots))
     assert not entry["pass"] and entry["max_rel_gap"] > 1e4 * VERIFY_TOLERANCES[entry["name"]], entry
 
 

@@ -299,3 +299,55 @@ def test_randn_rows_are_bit_identical_to_randn_window(order):
     assert rows.shape == (len(STREAM_SEEDS), order)
     for seed, row in zip(STREAM_SEEDS, rows):
         assert randn_window(group, seed).values.tobytes() == row.tobytes()
+
+
+# SHA-256 of the bytes (dtype, shape, then data) of each stream function's outputs at counts 1, 7 and 96,
+# recorded before the stream kernels were rewritten: any regrouping of the draws must keep every bit.
+GOLDEN_SEEDS = {"0": 0, "1": 1, "-1": -1, "2**63": 2**63, "2**64+5": 2**64 + 5,
+                "list": [3, 2**63 + 7, -2, 12345678901234567890],
+                "uint64-2d": np.array([[0, 2**64 - 1, 5], [2**63, 77, 1]], dtype=np.uint64)}
+GOLDEN_COUNTS = (1, 7, 96)
+GOLDEN_DIGESTS = {
+    ("splitmix64_stream", "0"): "603d59aa234a577ee84d589bf751142f2f9a2095b50ac554ba80f33c04ce2195",
+    ("splitmix64_stream", "1"): "92dc1c2cea5071c963e303b81cf76a5232db650671a708ef36e61b651d007b34",
+    ("splitmix64_stream", "-1"): "730ee8947f06fd25e80bada33d053722e81b363ffb705c2adc7b0c0342eb6e5a",
+    ("splitmix64_stream", "2**63"): "ed38c8cfc17620a30738d2e4f7433eec0d2bcd75c3b1cfa66fa35822b5f58205",
+    ("splitmix64_stream", "2**64+5"): "bd4efe7407f7b4eab99cc2efd10c457923de4be25a53cf1e2cfb85a48710e47b",
+    ("splitmix64_stream", "list"): "b479da13292bd14bc5290eecf93e63143d28b1c9000e96e0663fc5d296e89627",
+    ("splitmix64_stream", "uint64-2d"): "2ce572e2d3beab5ec8aa170583309ada859b9d485877c2d064cf8715a483c99e",
+    ("gaussian_stream", "0"): "36f4bd125a104b90ffc66e4aa1ac096d20139da5551f837a33a8e584fa38518d",
+    ("gaussian_stream", "1"): "4c73eb6032c054330ae2ea0a55d443e533c2d7c25111ef47c9d076e4e28a58fd",
+    ("gaussian_stream", "-1"): "5d247663106c4c7c9fc732c7609f0a0b787ed80a58c7eaf8a78787d05fe726b0",
+    ("gaussian_stream", "2**63"): "e79ccbb6dbeddc0a9609c300c7730fe6ffdf00c23ef1f2936e9c93c2cbc88272",
+    ("gaussian_stream", "2**64+5"): "766f76e8a74d792a4704fcff2b25b30a8eff50600f370aaa38edea283bba25ee",
+    ("gaussian_stream", "list"): "6067a5dcfa91f7886b1c88c89956897578c28a4ed79d7fd77081031dc361f4fa",
+    ("gaussian_stream", "uint64-2d"): "1c7f79d6d3d490acf5a6f0751fce5f34f34a29af8b8893801ed6aefab6034693",
+    ("_randn", "0"): "b9019776a9bf376d7384bfa38ee44ae78b656652af18186589d25a26eb06b3a6",
+    ("_randn", "1"): "e529c33d65ce0e011055b657f275341aa0fc0a3aca45e33da1340dbeceea7612",
+    ("_randn", "-1"): "6fb7aca74c428dd487e7118b18910e04dbbdb49d742158447104f250aa111707",
+    ("_randn", "2**63"): "dff582b4132c4bb25872a5c614c7872eccf71a75b5a9c12ef64db342f3b44443",
+    ("_randn", "2**64+5"): "1b71326cb5bbb5f69d0e785b3e3bce5107602bd8db57eb0c82bf9bae9eaeba53",
+    ("_randn", "list"): "03e846bfe56c4f73421b7702a2bfe90d3d19d53df57b0ba188f0cb78ec3c9cfb",
+    ("_randn", "uint64-2d"): "0ba9020f778ea0eddd162629c0b6b3ae57aa87cf16ed69f8d0ee381443fc9017",
+    ("randn_window", "0"): "b9019776a9bf376d7384bfa38ee44ae78b656652af18186589d25a26eb06b3a6",
+    ("randn_window", "1"): "e529c33d65ce0e011055b657f275341aa0fc0a3aca45e33da1340dbeceea7612",
+    ("randn_window", "-1"): "6fb7aca74c428dd487e7118b18910e04dbbdb49d742158447104f250aa111707",
+    ("randn_window", "2**63"): "dff582b4132c4bb25872a5c614c7872eccf71a75b5a9c12ef64db342f3b44443",
+    ("randn_window", "2**64+5"): "1b71326cb5bbb5f69d0e785b3e3bce5107602bd8db57eb0c82bf9bae9eaeba53",
+}
+
+
+@pytest.mark.parametrize("fname, key", sorted(GOLDEN_DIGESTS), ids="/".join)
+def test_stream_outputs_match_their_golden_digests(fname, key):
+    import hashlib
+
+    from heisenmod.shifts import _randn
+
+    fns = {"splitmix64_stream": splitmix64_stream, "gaussian_stream": gaussian_stream, "_randn": _randn,
+           "randn_window": lambda seed, n: randn_window(FiniteAbelianGroup((n,)), seed).values}
+    digest = hashlib.sha256()
+    for count in GOLDEN_COUNTS:
+        out = fns[fname](GOLDEN_SEEDS[key], count)
+        digest.update(f"{out.dtype.str}{out.shape}".encode())
+        digest.update(np.ascontiguousarray(out).tobytes())
+    assert digest.hexdigest() == GOLDEN_DIGESTS[fname, key]
