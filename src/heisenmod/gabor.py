@@ -15,9 +15,10 @@ diagonal over the cosets of the adjoint's time shifts X(adjoint) =
 Delta_0^perp, Delta_0 = {w : (0, w) in Delta} (the frame cosets, groups).
 On one such coset the |Delta_0| orbit rows of a time-shift run are one base
 row times unit phases (the Zak form, _factor), so bounds, spectra, duals,
-the generating-set SVD and the analysis coefficients read runs x |G| base
-rows. shift_orbit, analysis, synthesis, frame_like and frame_operator build
-the dense |Delta| x |G| orbit per call from the group's gather.
+the generating-set SVD and the analysis coefficients read the runs x |G|
+base rows of the lattice's run table, columns in frame-coset order.
+shift_orbit, analysis, synthesis, frame_like and frame_operator build the
+dense |Delta| x |G| orbit per call from the group's gather.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import MeasuredSubgroup, adjoint_subgroup
+from .groups import MeasuredSubgroup, _uncoset, adjoint_subgroup
 from .shifts import OperatorMatrix, Window
 from .twisted import TwistedSeq, integrated_rep
 
@@ -85,23 +86,23 @@ def _factor(windows: np.ndarray, sub: MeasuredSubgroup) -> tuple[np.ndarray, flo
     and the scale weight |Delta_0|, with frame block b = _gram(F_b, scale). Row r of F_b is the base row
     pi(x_r, omega_r) eta on frame coset b, where each v in Delta_0 has one phase pairing(v, t), so the
     |Delta_0| orbit rows of run r are the base row times unit phases: their Gram is |Delta_0| times its.
-    The run table over the frame cosets (groups, frame) gives the rows in coset order."""
-    (minus, phases, _), (blocks, size) = sub._tables.frame, sub._tables.cosets[1].shape
-    rows = np.take(windows, minus, axis=-1)  # (..., k, runs, |G|)
-    rows *= phases
+    The run table (groups) gives the rows in frame-coset order."""
+    runs = sub._tables.runs
+    (blocks, size), rows = runs.frame.shape, np.take(windows, runs.minus, axis=-1)  # (..., k, runs, |G|)
+    rows *= runs.base
     lead = rows.ndim - 3
     rows = rows.reshape(rows.shape[:-1] + (blocks, size)).transpose(*range(lead), -2, -4, -3, -1)
-    return rows.reshape(rows.shape[:-3] + (windows.shape[-2] * len(minus), size)), sub.float_weight * blocks
+    return rows.reshape(rows.shape[:-3] + (windows.shape[-2] * len(runs.minus), size)), sub.float_weight * blocks
 
 
 def _analyze(xi: np.ndarray, eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
     """Analysis coefficients <xi, pi(z) eta> per case: (..., |G|) arrays give (..., |Delta|): each base row
     against xi on each frame coset (_factor), then against the Delta_0 characters there; pos places them."""
-    pos, cosets, chi = sub._tables.runs[2], sub._tables.cosets[1], sub._tables.frame[2]
+    runs = sub._tables.runs
     rows = _factor(eta[..., None, :], sub)[0]
-    sums = (np.conjugate(rows, out=rows) @ np.take(xi, cosets, axis=-1)[..., None])[..., 0]
-    coeffs = np.swapaxes(sums, -1, -2) @ chi.conj().T
-    return np.take(coeffs.reshape(coeffs.shape[:-2] + pos.shape), pos, axis=-1)
+    sums = (np.conjugate(rows, out=rows) @ np.take(xi, runs.frame, axis=-1)[..., None])[..., 0]
+    coeffs = np.swapaxes(sums, -1, -2) @ runs.chi.conj().T
+    return np.take(coeffs.reshape(coeffs.shape[:-2] + runs.pos.shape), runs.pos, axis=-1)
 
 
 def _gram(rows: np.ndarray, weight: float) -> np.ndarray:
@@ -185,7 +186,7 @@ def dual_window(sys: GaborSystem, tol: float = 1e-9) -> list[Window]:
 
 def _dual_window(sys: GaborSystem, tol: float) -> tuple[list[Window], FrameBounds]:
     """dual_window and the frame bounds: _duals with one case."""
-    cosets, windows = sys.lattice._tables.cosets[1], _windows(sys)
+    cosets, windows = sys.lattice._tables.runs.frame, _windows(sys)
     ops = _gram(*_factor(windows, sys.lattice))
     (bounds,), (frame,), duals = _duals(ops[None], windows[None][..., cosets.ravel()], tol)
     bounds = FrameBounds(*bounds.tolist())
@@ -203,19 +204,6 @@ def _duals(ops: np.ndarray, windows: np.ndarray, tol: float) -> tuple[np.ndarray
     ops, windows = ops[frames], windows[frames]
     rhs = np.moveaxis(windows.reshape(windows.shape[:2] + ops.shape[1:3]), 1, -1)
     return bounds, frames, np.moveaxis(np.linalg.solve(ops, rhs), -1, 1).reshape(windows.shape)
-
-
-def _uncoset(values: np.ndarray, cosets: np.ndarray) -> np.ndarray:
-    """Vectors (..., |G|) in coset order back in the order of G."""
-    out = np.empty_like(values)
-    out[..., cosets.ravel()] = values
-    return out
-
-
-def _svd_frames(windows: np.ndarray, sub: MeasuredSubgroup, tol: float) -> np.ndarray:
-    """The frame rule per case of (cases, k, |G|) windows, on bounds from the singular values of the
-    stacked orbits (cases, k |Delta|, |G|): _factor_frames of their factor."""
-    return _factor_frames(*_factor(windows, sub), tol)
 
 
 def _factor_frames(factor: np.ndarray, scale: float, tol: float) -> np.ndarray:

@@ -14,9 +14,10 @@ pairing is m = sum_j (w_j x_j mod n_j) N / n_j mod N. Each group builds one
 integer table on first use (coordinates, mixed-radix weights, N, roots). A
 measured subgroup is stored as the sorted int64 plane indices
 index(x) * |G| + index(w) of its points; its coordinates, run table (its
-shifts in Zak form: runs x |G| and |Delta_0| x |G| integers, no |Delta| x |G|
-table) and twisted-algebra tables are built from them on first use, and its
-points as TFPoint tuples only when read.
+shifts in Zak form over the frame cosets: a runs x |G| gather and base
+phase roots and the |Delta_0| x |Delta_0| characters, no |Delta| x |G| or
+|Delta_0| x |G| table) and twisted-algebra tables are built from them on
+first use, and its points as TFPoint tuples only when read.
 
 Measure conventions: counting measure (weight 1) on G, weight 1/|G| per point
 on the dual, hence weight 1/|G| per point of the plane. A subgroup carries an
@@ -145,11 +146,11 @@ class _GroupTable:
         ((a mod n) N / n = a N / n mod N)."""
         return (w * self.scale) @ x.T % self.modulus
 
-    def translates(self, x: np.ndarray, sign: int) -> np.ndarray:
-        """index(t + sign x_p) at [p, t] for coordinates x (P, rank): (P, |G|), one pass per factor."""
-        index = (self.coords[:, 0] + sign * x[:, 0, None]) % self.orders[0] * self.radix[0]
+    def translates(self, x: np.ndarray) -> np.ndarray:
+        """index(t - x_p) at [p, t] for coordinates x (P, rank): (P, |G|), one pass per factor."""
+        index = (self.coords[:, 0] - x[:, 0, None]) % self.orders[0] * self.radix[0]
         for j in range(1, len(self.orders)):
-            index += (self.coords[:, j] + sign * x[:, j, None]) % self.orders[j] * self.radix[j]
+            index += (self.coords[:, j] - x[:, j, None]) % self.orders[j] * self.radix[j]
         return index
 
     def plane_index(self, x, w) -> np.ndarray:
@@ -168,7 +169,7 @@ class _GroupTable:
 
         (pi(z_k) xi)(t) = roots[phase[k, t]] * xi[perm[k, t]] (translates, pairings).
         """
-        return self.translates(x, -1), self.pairings(w, self.coords)
+        return self.translates(x), self.pairings(w, self.coords)
 
 
 def _member(sorted_values: np.ndarray, values) -> np.ndarray:
@@ -199,6 +200,30 @@ def _span(table: _GroupTable, points: np.ndarray) -> tuple[np.ndarray, np.ndarra
         m = 1 + int(np.argmax(_member(span, table.plane_index(mx[1:], mw[1:]))))
         sx, sw = table.split(span)
         span = np.sort(table.plane_index(sx[:, None] + mx[None, :m], sw[:, None] + mw[None, :m]).ravel())
+
+
+class _RunTable(NamedTuple):
+    """A lattice's shifts in Zak form (_LatticeTable.runs), columns in frame-coset order: coset b at b size
+    to (b + 1) size, size = |G| / |Delta_0|; _uncoset maps them back to the order of G.
+
+    minus index(t - x_r) and base roots[pairing(omega_r, t)] (runs, |G|); chi the Delta_0 characters,
+    constant on each frame coset, roots[pairing(v, t)] for t in coset b at [v, b]; pos, which puts point
+    (x_r, omega_r + v) at r |Delta_0| + the position of v in Delta_0; frame the frame cosets, the cosets of
+    X(adjoint) = Delta_0^perp over which the frame operator is block diagonal, one sorted coset per row.
+    """
+
+    minus: np.ndarray
+    base: np.ndarray
+    chi: np.ndarray
+    pos: np.ndarray
+    frame: np.ndarray
+
+
+def _uncoset(values: np.ndarray, cosets: np.ndarray) -> np.ndarray:
+    """Vectors (..., |G|) in coset order (the rows of cosets, concatenated) back in the order of G."""
+    out = np.empty_like(values)
+    out[..., cosets.ravel()] = values
+    return out
 
 
 class _LatticeTable:
@@ -234,58 +259,40 @@ class _LatticeTable:
         return hash(self.plane.tobytes())
 
     @cached_property
-    def runs(self) -> tuple[np.ndarray, ...]:
+    def runs(self) -> _RunTable:
         """Sorted points come in runs, one per time shift x_r, each a coset omega_r + Delta_0 of
-        Delta_0 = {w : (0, w) in Delta}, omega_r the run's first w. The tables: base phases
-        pairing(omega_r, t) (runs, |G|); Delta_0 phases pairing(v, t) (|Delta_0|, |G|); pos, which puts
-        point (x_r, omega_r + v) at r |Delta_0| + position of v in Delta_0; index(t - x_r) and index(t + x_r).
-        The pairing is additive in w, so the point's phase at t is base[r, t] + zero[v, t] mod N."""
+        Delta_0 = {w : (0, w) in Delta}, omega_r the run's first w. The pairing is additive in w, so point
+        (x_r, omega_r + v) has the phase base[r] chi[v] at t. A stable sort of the columns of the Delta_0
+        phases pairing(v, t), a temporary, lists each frame coset in one run of equal keys, ascending."""
         g, d0 = self.group, int(np.searchsorted(self.plane, self.group.size))
-        x, w = self.x[::d0], self.w[::d0]
-        v = g.index(self.w - np.repeat(w, d0, axis=0))
+        x, w = g.split(self.plane[::d0])
+        v = g.index(g.coords[self.plane % g.size] - np.repeat(w, d0, axis=0))
         pos = np.arange(len(self.plane)) // d0 * d0 + np.searchsorted(self.plane[:d0], v)
-        base, zero = g.pairings(w, g.coords), g.pairings(self.w[:d0], g.coords)
-        return base, zero, pos, g.translates(x, -1), g.translates(x, 1)
+        zero = g.pairings(g.coords[self.plane[:d0]], g.coords)
+        frame = np.lexsort(zero).reshape(d0, -1)
+        order = frame.ravel()
+        minus = np.take(g.translates(x), order, axis=1)
+        return _RunTable(minus, g.roots[g.pairings(w, g.coords[order])], g.roots[zero[:, frame[:, 0]]], pos, frame)
 
     @cached_property
-    def cosets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The cosets of G over which this lattice's operators are block diagonal, one sorted coset per row.
-
-        rep: cosets of X(Delta), the time shifts of the runs, (|G| / runs, runs). Row t of rep(a) is
-        nonzero only at the columns index(t - x), x in X(Delta) (column t of the run gather): the coset of t.
-        frame: cosets of X(adjoint) = Delta_0^perp, (|Delta_0|, |G| / |Delta_0|). The frame operator is
-        rep(adjoint) of its Janssen coefficients, so block diagonal over them. t and u share a coset
-        exactly when pairing(w, t) = pairing(w, u) for every w in Delta_0: the Delta_0 phases of the runs.
-
-        Both group t by a column of keys, equal exactly on a coset: a stable sort of the columns lists
-        each coset in one run of equal keys, in ascending order.
-        """
-        _, zero, _, minus, _ = self.runs
-        rep = np.lexsort(np.sort(minus, axis=0)).reshape(-1, len(minus))
-        return rep, np.lexsort(zero).reshape(len(zero), -1)
-
-    @cached_property
-    def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The run table over the frame cosets, columns in coset order (coset b at b size to (b + 1) size):
-        index(t - x_r) and the base phase roots (runs, |G|); and the Delta_0 characters, constant on each
-        frame coset, roots[pairing(v, t)] for t in coset b at [v, b] (|Delta_0|, |Delta_0|)."""
-        base, zero, _, minus, _ = self.runs
-        cosets = self.cosets[1]
-        order = cosets.ravel()
-        roots = self.group.roots
-        return np.take(minus, order, axis=1), roots[np.take(base, order, axis=1)], roots[zero[:, cosets[:, 0]]]
+    def rep(self) -> np.ndarray:
+        """The cosets of X(Delta), the time shifts of the runs, (|G| / runs, runs): rep(a) is block diagonal
+        over them. Row t of rep(a) is nonzero only at the columns index(t - x), x in X(Delta): the coset
+        of t. A stable sort by each coset's least member lists each coset in ascending order."""
+        minus, frame = self.runs.minus, self.runs.frame
+        return np.argsort(_uncoset(minus.min(axis=0), frame), kind="stable").reshape(-1, len(minus))
 
     @cached_property
     def rep_gather(self) -> np.ndarray:
-        """Flat index r |G| + t into the fibre sums (runs, |G|) at entry (i, j) of rep block b: row t =
-        rep[b, i] holds m_r(t) at column index(t - x_r) = rep[b, j]. Shape (|G| / runs, runs, runs)."""
-        rep, minus = self.cosets[0], self.runs[3]
+        """Flat index r |G| + j into the fibre sums (runs, |G|, frame-coset order) at entry (i, k) of rep
+        block b: row t = rep[b, i], at frame position j, holds m_r(t) at column index(t - x_r) = rep[b, k].
+        Shape (|G| / runs, runs, runs)."""
+        rep, minus, n = self.rep, self.runs.minus, self.group.size
         blocks, size = rep.shape
-        pos = np.empty(self.group.size, dtype=np.int64)
-        pos[rep] = np.arange(size)
+        at = _uncoset(np.tile(np.arange(size), blocks), rep)  # the position of t in its rep coset
+        j = _uncoset(np.arange(n), self.runs.frame)[rep]  # the frame positions of the rows
         gather = np.empty((blocks, size, size), dtype=np.int64)
-        runs = np.arange(size)[:, None, None]
-        gather[np.arange(blocks)[:, None], np.arange(size), pos[minus[:, rep]]] = runs * self.group.size + rep
+        gather[np.arange(blocks)[:, None], np.arange(size), at[minus[:, j]]] = np.arange(size)[:, None, None] * n + j
         return gather
 
     @cached_property

@@ -28,9 +28,9 @@ from functools import partial
 
 import numpy as np
 
-from .gabor import (GaborSystem, _analyze, _duals, _factor, _factor_frames, _gram, _orbit, _svd_frames, _uncoset,
-                    analysis, dual_window, frame_bounds)
-from .groups import FiniteAbelianGroup, MeasuredSubgroup, adjoint_subgroup
+from .gabor import (GaborSystem, _analyze, _duals, _factor, _factor_frames, _gram, _orbit, analysis, dual_window,
+                    frame_bounds)
+from .groups import FiniteAbelianGroup, MeasuredSubgroup, _uncoset, adjoint_subgroup
 from .shifts import Window, _randn, splitmix64_stream
 from .twisted import TwistedSeq, _act, _convolve, _involve, _rep, _rep_blocks
 
@@ -119,7 +119,7 @@ def module_frame_check(
 
 def _generates(sys: GaborSystem, tol: float) -> bool:
     """True when the stacked lattice orbits span C^G."""
-    return bool(_svd_frames(np.stack([eta.values for eta in sys.windows])[None], sys.lattice, tol)[0])
+    return bool(_factor_frames(*_factor(np.stack([eta.values for eta in sys.windows])[None], sys.lattice), tol)[0])
 
 
 def module_expansion(
@@ -195,7 +195,7 @@ def _theta(rows: np.ndarray, gamma: np.ndarray, ctx: ModuleContext, sums: np.nda
     (cases, |Delta|, |G|) buffer that receives Z.
     """
     lat, cases, n = ctx.lattice, len(rows), rows.shape[-1]
-    pos, cosets, chi = lat._tables.runs[2], lat._tables.cosets[1], lat._tables.frame[2]
+    pos, cosets, chi = lat._tables.runs.pos, lat._tables.runs.frame, lat._tables.runs.chi
     blocks, runs = len(chi), len(pos) // len(chi)
     chi_runs = np.swapaxes(chi[pos % blocks].reshape(runs, blocks, blocks), -1, -2)  # [r, b, j]: chi_v(j)(b)
     out = None if sums is None else sums.reshape(cases, runs, blocks, n)
@@ -280,9 +280,8 @@ def _per_case(fn, ctx: ModuleContext, *draws: np.ndarray, per_case: int = 0) -> 
     blocks |G|^2 / |Delta_0|, and the adjoint has |G| / |Delta_0| runs and
     |Delta_0^adjoint| = |G| / runs, so both domains give the same two sizes.
     """
-    lat, n = ctx.lattice, ctx.lattice.ambient.order
-    runs, zero = len(lat._tables.runs[0]), len(lat._tables.runs[1])
-    step = max(1, _CHUNK // (per_case or n * max(runs, n // zero) + len(lat) + len(ctx.dual)))
+    lat, n, runs = ctx.lattice, ctx.lattice.ambient.order, ctx.lattice._tables.runs
+    step = max(1, _CHUNK // (per_case or n * max(len(runs.minus), runs.frame.shape[1]) + len(lat) + len(ctx.dual)))
     parts = [fn(*(d[lo : lo + step] for d in draws), ctx) for lo in range(0, len(draws[0]), step)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
@@ -384,7 +383,7 @@ def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c, xi) -> tuple[np
     # alive at the peak. A difference is taken in place (|x - y| = |y - x| exactly), and the conjugate
     # transpose of rep(a) goes into the spent rep(b).
     rep_a, rep_b, rep_ab, rep_inv_a = rep(np.stack([a, b, ab, inv_a]))
-    cosets = domain._tables.cosets[0]
+    cosets = domain._tables.rep
     applied = (rep_a @ np.take(xi, cosets, axis=-1)[..., None])[..., 0]
     by_degree[1].append(_case_max(applied - np.take(_act(domain, flag, a, xi), cosets, axis=-1)))
     rep_ab -= rep_b @ rep_a if flag else rep_a @ rep_b
@@ -526,7 +525,7 @@ def _generator_cases(windows: np.ndarray, xi: np.ndarray, ctx: ModuleContext, to
     synthesis and by left_act of left_inner(xi, gamma_j), each summed over j: one _analyze of the k
     duals, one product over the k |Delta| orbit rows and one _act; the larger residual is kept.
     """
-    lat, (cases, k, n), cosets = ctx.lattice, windows.shape, ctx.lattice._tables.cosets[1]
+    lat, (cases, k, n), cosets = ctx.lattice, windows.shape, ctx.lattice._tables.runs.frame
     factor, scale = _factor(windows, lat)
     generating = _factor_frames(factor, scale, tol)
     bounds, frames, duals = _duals(_gram(factor, scale), windows[..., cosets.ravel()], tol)

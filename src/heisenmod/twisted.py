@@ -13,7 +13,9 @@ its representing matrix.
 
 With the conjugated cocycle the integrated representation reverses products,
 rep(a * b) = rep(b) rep(a), exactly what a right module action requires; the
-involution identity rep(a*) = rep(a)^H holds for both flags.
+involution identity rep(a*) = rep(a)^H holds for both flags. As pi(z)* =
+conj(c(z, -z)) pi(-z), rep(a) on the conjugated flag is the plain rep of the
+plain involution of conj(a) (_plain): the representation kernels run one form.
 
 Every product, involution and representation reads the domain's tables (see
 groups): the neg index table, the sub table of differences z_k - z_i with
@@ -26,11 +28,12 @@ m_x(t) = sum over (x, w) of a(x, w) roots[pairing(w, t)], and places m_x(t)
 at row t, column index(t - x) of the |G| x |G| matrix; applied to a vector
 (_act, the module actions) it builds no matrix. With w = omega_x + v, v in
 Delta_0, m_x is the base phase row roots[pairing(omega_x, t)] times the
-run's coefficients against the Delta_0 characters, runs |G| + |Delta_0| |G|
-table entries per call. Row t has its entries at the columns of
-t + X(Delta), X(Delta) the time shifts, so the matrix is block diagonal over
-the cosets of X(Delta); _rep_blocks gathers only those blocks, |G| runs
-entries, for the C*-norm and the representation identities of verify.
+run's coefficients against the Delta_0 characters, which are constant on
+each frame coset: one |Delta_0| x |Delta_0| product per run, broadcast over
+the cosets. Row t has its entries at the columns of t + X(Delta), X(Delta)
+the time shifts, so the matrix is block diagonal over the cosets of
+X(Delta); _rep_blocks gathers only those blocks, |G| runs entries, for the
+C*-norm and the representation identities of verify.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import MeasuredSubgroup, TFPoint
+from .groups import MeasuredSubgroup, TFPoint, _uncoset
 from .shifts import OperatorMatrix
 
 
@@ -131,70 +134,72 @@ def integrated_rep(a: TwistedSeq) -> OperatorMatrix:
     return _rep(a.domain, a.conjugated, a.coeffs)
 
 
+def _plain(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np.ndarray:
+    """Coefficients whose plain integrated representation is that of a on its flag: a itself, or on the
+    conjugated flag the plain involution of conj(a). pi(z)* = conj(c(z, -z)) pi(-z) and c(-z, z) =
+    c(z, -z), so sum_z a(z) pi(z)* = sum_z conj(c(z, -z)) a(-z) pi(z)."""
+    return _involve(domain, False, a.conj()) if conjugated else a
+
+
 def _rep(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np.ndarray:
     """integrated_rep with leading case axes: (..., |Delta|) give (..., |G|, |G|).
 
-    Row t of the time-fibre form sum_x diag(m_x) T_x (see _act) holds m_x(t)
-    in column index(t - x), one fibre sum per entry. The conjugated flag
-    takes the conjugate transpose of the plain form of conj(a).
+    Row t of the time-fibre form sum_x diag(m_x) T_x (see _act) holds m_x(t) in
+    column index(t - x), one fibre sum of the plain coefficients (_plain) per entry.
     """
-    gather = domain._tables.runs[3]
-    n = gather.shape[-1]
-    mat = np.zeros(a.shape[:-1] + (n, n), dtype=np.complex128)
-    mat[..., np.arange(n), gather] = _fibre_sums(domain, a.conj() if conjugated else a)
+    runs = domain._tables.runs
+    mat = np.zeros(a.shape[:-1] + (runs.minus.shape[-1],) * 2, dtype=np.complex128)
+    mat[..., runs.frame.ravel(), runs.minus] = _fibre_sums(domain, _plain(domain, conjugated, a))
     mat *= domain.float_weight
-    return np.swapaxes(np.conjugate(mat, out=mat), -1, -2) if conjugated else mat
+    return mat
 
 
 def _rep_blocks(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np.ndarray:
     """_rep per rep coset (groups), with no |G| x |G| matrix: (..., |Delta|) give (..., |G| / runs, runs,
-    runs), block b the entries of _rep at the rows and columns cosets[b]; every other entry is zero.
+    runs), block b the entries of _rep at the rows and columns rep[b]; every other entry is zero.
 
     The columns index(t - x) of row t are the coset of t, so each block entry
     is one fibre sum, gathered.
     """
-    m = _fibre_sums(domain, a.conj() if conjugated else a)
+    m = _fibre_sums(domain, _plain(domain, conjugated, a))
     blocks = np.take(m.reshape(m.shape[:-2] + (-1,)), domain._tables.rep_gather, axis=-1)
     blocks *= domain.float_weight
-    return np.swapaxes(np.conjugate(blocks, out=blocks), -1, -2) if conjugated else blocks
+    return blocks
 
 
 def _fibre_sums(domain: MeasuredSubgroup, a: np.ndarray) -> np.ndarray:
     """m_x(t) = sum over the points (x, w) of a(x, w) roots[pairing(w, t)], per case: (..., runs, |G|),
-    the base phases times _zero_sums."""
-    return domain._tables.group.roots[domain._tables.runs[0]] * _zero_sums(domain, a)
+    columns in frame-coset order: the base phases times _zero_sums, broadcast over each coset."""
+    runs = domain._tables.runs
+    m = runs.base.reshape((len(runs.minus),) + runs.frame.shape) * _zero_sums(domain, a)[..., None]
+    return m.reshape(m.shape[:-2] + (-1,))
 
 
 def _zero_sums(domain: MeasuredSubgroup, a: np.ndarray) -> np.ndarray:
-    """Each run's coefficients (placed by pos) against the Delta_0 characters, per case: (..., runs, |G|)."""
-    tables = domain._tables
-    base, zero, pos, _, _ = tables.runs
-    runs = np.empty(a.shape[:-1] + (len(base), len(zero)), dtype=np.complex128)
-    runs.reshape(a.shape)[..., pos] = a  # a view: the scatter fills runs
+    """Each run's coefficients (placed by pos) against the Delta_0 characters, per case: (..., runs, |Delta_0|),
+    one value per frame coset, on which each character is constant."""
+    runs = domain._tables.runs
+    coeffs = np.empty(a.shape[:-1] + (len(runs.minus), len(runs.chi)), dtype=np.complex128)
+    coeffs.reshape(a.shape)[..., runs.pos] = a  # a view: the scatter fills coeffs
     # one matrix product for every case and run: a stacked product runs one small one per case
-    return (runs.reshape(-1, len(zero)) @ tables.group.roots[zero]).reshape(runs.shape[:-1] + (-1,))
+    return (coeffs.reshape(-1, len(runs.chi)) @ runs.chi).reshape(coeffs.shape)
 
 
 def _act(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """integrated_rep(a) @ xi per case of leading axes, in time-fibre form.
+    """integrated_rep(a) @ xi per case of xi's leading axes (a's broadcast to them), in time-fibre form.
 
-    rep(a) = weight * sum_x diag(m_x) T_x with the fibre sums m_x of a, each
-    summed first as the matrix groups its entries. The plain flag folds the
-    base phases and the weight into xi's side, weight * roots[base] * xi(t - x_r),
-    runs x |G| per xi and shared by every case that broadcasts xi, multiplies
-    _zero_sums by it in place and sums over the runs. The conjugated flag applies
-    the conjugate transpose, m from conj(a): weight * sum_x conj(m_x(t + x)) xi(t + x).
+    rep(a) = weight * sum_x diag(m_x) T_x, m_x the fibre sums of the plain coefficients (_plain). The
+    base phases and the weight fold into xi's side, weight * base[r] * xi(t - x_r), runs x |G| in
+    frame-coset order per case, scaled in place by one _zero_sums value per run and frame coset, then
+    summed over the runs; _uncoset puts the result back in the order of G.
     """
-    base, _, _, minus, plus = domain._tables.runs
-    if conjugated:
-        m = _fibre_sums(domain, a.conj()).conj()
-        terms = np.take_along_axis(m * xi[..., None, :], np.broadcast_to(plus, m.shape), axis=-1)
-        return domain.float_weight * terms.sum(axis=-2)
-    shifted = domain._tables.group.roots[base] * xi[..., minus]
+    runs = domain._tables.runs
+    shifted = np.take(xi, runs.minus, axis=-1)
+    shifted *= runs.base
     shifted *= domain.float_weight
-    terms = _zero_sums(domain, a)
-    terms *= shifted
-    return terms.sum(axis=-2)
+    terms = shifted.reshape(shifted.shape[:-1] + runs.frame.shape)
+    terms *= _zero_sums(domain, _plain(domain, conjugated, a))[..., None]
+    return _uncoset(terms.sum(axis=-3).reshape(shifted.shape[:-2] + (-1,)), runs.frame)
 
 
 def cstar_norm(a: TwistedSeq) -> float:

@@ -53,26 +53,51 @@ Z32_LATTICES = [
     [((4, 0), (0, 0)), ((0, 4), (0, 0)), ((0, 0), (8, 0)), ((0, 0), (0, 8))],
     [((2, 0), (1, 3)), ((0, 2), (5, 2)), ((0, 0), (8, 0)), ((0, 0), (0, 16))],
 ]
+# Two Z64^2 lattices, |G| = 4096: a separable one (|Delta| = 4096, |Delta_0| = 64) and one whose runs start off
+# zero (|Delta| = 8192, |Delta_0| = 32). Their dense gather would hold |Delta| x |G| integers, so a seeded
+# sample of 64 points is checked.
+Z64_LATTICES = [
+    ([((8, 0), (0, 0)), ((0, 8), (0, 0)), ((0, 0), (8, 0)), ((0, 0), (0, 8))], 4096, 64, False),
+    ([((4, 0), (1, 3)), ((0, 4), (5, 2)), ((0, 0), (16, 0)), ((0, 0), (0, 8))], 8192, 32, True),
+]
+
+
+def _assert_run_table_on_gather(lat, points):
+    """Exact equalities of the run table with the group's gather of the given points (positions k):
+    in frame-coset order, the run gather is the point's perm, the base row is the roots of its run start's
+    phase, and the point's phase less its run start's is the Delta_0 character that pos names, constant on
+    each frame coset."""
+    tables, n = lat._tables, lat.ambient.order
+    g, runs = tables.group, tables.runs
+    d0, order = len(runs.chi), runs.frame.ravel()
+    starts = points // d0 * d0  # the run starts, (x_r, omega_r)
+    assert np.array_equal(runs.pos[points] // d0, points // d0)  # pos keeps each point in its run
+    perm, phase = g.gather(tables.x[points], tables.w[points])
+    _, start_phase = g.gather(tables.x[starts], tables.w[starts])
+    label = (lat.ambient.orders, len(lat))
+    assert runs.minus.shape == runs.base.shape == (len(lat) // d0, n) and runs.chi.shape == (d0, d0), label
+    assert np.array_equal(runs.minus[points // d0], perm[:, order]), label
+    assert np.array_equal(runs.base[points // d0], g.roots[start_phase[:, order]]), label
+    zero = g.roots[(phase - start_phase) % g.modulus][:, order]
+    assert np.array_equal(zero, np.repeat(runs.chi[runs.pos[points] % d0], n // d0, axis=1)), label
 
 
 def test_run_table_places_base_and_delta0_phases_on_the_dense_gather():
-    # Exact integer equalities with the group's gather of every point: the phase of point k is
-    # base[r] + zero[v] mod N placed through pos, and the run gathers are its perm at the run starts.
+    # Every point of every small lattice and of the big rungs and two Z32^2 lattices.
     moved = 0
     z32 = FiniteAbelianGroup((32, 32))
     for lat in [*_lattices(), *(subgroup_from_generators(z32, gens, 1) for gens in Z32_LATTICES)]:
-        tables, n = lat._tables, lat.ambient.order
-        g = tables.group
-        base, zero, pos, minus, plus = tables.runs
-        perm, phase = g.gather(tables.x, tables.w)
-        d0 = len(zero)
-        assert base.shape == minus.shape == plus.shape == (len(lat) // d0, n) and zero.shape == (d0, n)
-        placed = ((base[:, None] + zero[None]) % g.modulus).reshape(-1, n)[pos]
-        assert np.array_equal(placed, phase), (lat.ambient.orders, len(lat))
-        assert np.array_equal(minus, perm[::d0]), (lat.ambient.orders, len(lat))
-        assert np.array_equal(plus, g.index(g.coords[None] + tables.x[::d0, None])), (lat.ambient.orders, len(lat))
-        moved += lat.ambient in GROUPS and not np.array_equal(pos, np.arange(len(lat)))
+        _assert_run_table_on_gather(lat, np.arange(len(lat)))
+        moved += lat.ambient in GROUPS and not np.array_equal(lat._tables.runs.pos, np.arange(len(lat)))
     assert moved == 11
+
+
+@pytest.mark.parametrize("gens, points, zero, off_zero", Z64_LATTICES, ids=["separable", "off-zero"])
+def test_run_table_on_z64_squared_matches_the_gather_of_a_sample(gens, points, zero, off_zero):
+    lat = subgroup_from_generators(FiniteAbelianGroup((64, 64)), gens, 1)
+    assert len(lat) == points and len(lat._tables.runs.chi) == zero
+    assert bool(np.any(lat._tables.w[::zero] != 0)) == off_zero  # a run start (x_r, omega_r) off omega_r = 0
+    _assert_run_table_on_gather(lat, (splitmix64_stream(64, 64) % np.uint64(points)).astype(np.int64))
 
 
 def test_coset_tables_partition_the_group_into_cosets():
@@ -80,7 +105,7 @@ def test_coset_tables_partition_the_group_into_cosets():
     for lat in _lattices():
         g, tables = lat.ambient, lat._tables
         table, n = g._table, g.order
-        rep, frame = tables.cosets
+        rep, frame = tables.rep, tables.runs.frame
         shifts = np.unique(table.index(tables.x), axis=None)  # X(Delta)
         zero_w = table.coords[tables.plane[tables.plane < n]]  # Delta_0: the points (0, w)
         perp = np.flatnonzero(np.all(table.pairing(zero_w[:, None], table.coords[None]) == 0, axis=0))
@@ -93,7 +118,7 @@ def test_coset_tables_partition_the_group_into_cosets():
             expect = np.sort(table.index(table.coords[cosets[:, :1]] + table.coords[subgroup][None]), axis=1)
             assert np.array_equal(cosets, expect), (g.orders, len(lat))
         # X(adjoint) = Delta_0^perp: the frame cosets are the adjoint's rep cosets
-        adj_rep = adjoint_subgroup(lat)._tables.cosets[0]
+        adj_rep = adjoint_subgroup(lat)._tables.rep
         assert np.array_equal(frame[np.argsort(frame[:, 0])], adj_rep[np.argsort(adj_rep[:, 0])])
         count += 1
     assert count > 740
@@ -104,7 +129,7 @@ def test_rep_blocks_scattered_back_are_the_dense_rep_bit_for_bit(conjugated):
     rng = np.random.default_rng(4)
     for lat in _lattices():
         n = lat.ambient.order
-        rep = lat._tables.cosets[0]
+        rep = lat._tables.rep
         a = rng.standard_normal((2, len(lat))) + 1j * rng.standard_normal((2, len(lat)))
         blocks = _rep_blocks(lat, conjugated, a)
         dense = _rep(lat, conjugated, a)
@@ -122,7 +147,7 @@ def test_dense_frame_operator_vanishes_between_frame_cosets_and_its_spectrum_is_
         g, n = lat.ambient, lat.ambient.order
         sys = GaborSystem(lat, tuple(randn_window(g, 300 + 7 * k + j) for j in range(1 + k % 2)))
         dense = frame_operator(sys)
-        frame = lat._tables.cosets[1]
+        frame = lat._tables.runs.frame
         off = np.ones((n, n), dtype=bool)
         off[frame[:, :, None], frame[:, None, :]] = False
         scale = np.abs(dense).max()
@@ -140,7 +165,7 @@ MUTATION_RUNGS = [((12,), [((2,), (3,)), ((0,), (4,))]), BIG_RUNGS[0][:2]]
 
 def _fresh(rung):
     """A lattice no suite has run on. Its tables are built on first use, so a table patched before the
-    first suite reaches every table built from it (frame, rep_gather) as well as the kernels reading it."""
+    first suite reaches every table built from it (rep, rep_gather) as well as the kernels reading it."""
     return subgroup_from_generators(FiniteAbelianGroup(rung[0]), rung[1], 1)
 
 
@@ -148,44 +173,48 @@ def _failing(lattice) -> set:
     return {e["name"] for e in verify_suite(lattice, seed=2)["identities"] if not e["pass"]}
 
 
-def test_a_wrong_frame_coset_table_fails_verify():
-    # Z12 (2, 3), (0, 4): Delta_0 = {(0, 2 j)}, so the frame cosets are {t, t + 6}.
-    assert not _failing(_fresh(MUTATION_RUNGS[0]))
-    lattice = _fresh(MUTATION_RUNGS[0])
-    rep, frame = lattice._tables.cosets
-    assert frame.shape == (6, 2) and np.all(frame[:, 1] - frame[:, 0] == 6)
-    assert "frame" not in lattice._tables.__dict__
-    bad = frame.copy()
-    bad[0, 1], bad[1, 1] = frame[1, 1], frame[0, 1]
-    lattice._tables.__dict__["cosets"] = (rep, bad)
-    expect = {"norm-chain", "reconstruction", "operator-extension", "figa", "imprimitivity", "dual-scaling"}
-    assert _failing(lattice) >= expect
-
-
-# The identities each swap fails, on both rungs.
+# The identities each mutation fails: the frame-coset swap on Z12, each run-table swap on both rungs.
+FRAME_COSET_MUTATION = {"localization", "norm-chain", "operator-extension", "figa", "imprimitivity",
+                        "reconstruction", "twisted-axioms"}
 RUN_TABLE_MUTATIONS = {
     "pos": {"operator-extension", "reconstruction", "twisted-axioms"},
+    "minus": {"localization", "norm-chain", "operator-extension", "figa", "imprimitivity", "reconstruction",
+              "dual-scaling", "twisted-axioms"},
     "base": {"localization", "norm-chain", "operator-extension", "figa", "imprimitivity", "reconstruction",
              "dual-scaling", "twisted-axioms"},
-    "zero": {"localization", "operator-extension", "reconstruction", "twisted-axioms"},
+    "chi": {"localization", "operator-extension", "reconstruction", "twisted-axioms"},
 }
 
 
+def test_a_wrong_frame_coset_table_fails_verify():
+    # Z12 (2, 3), (0, 4): Delta_0 = {(0, 2 j)}, so the frame cosets are {t, t + 6}. Two of them swap a
+    # member, so the run table's columns are read at the wrong points of G.
+    assert not _failing(_fresh(MUTATION_RUNGS[0]))
+    lattice = _fresh(MUTATION_RUNGS[0])
+    runs = lattice._tables.runs
+    assert runs.frame.shape == (6, 2) and np.all(runs.frame[:, 1] - runs.frame[:, 0] == 6)
+    assert not {"rep", "rep_gather"} & set(lattice._tables.__dict__)
+    bad = runs.frame.copy()
+    bad[0, 1], bad[1, 1] = runs.frame[1, 1], runs.frame[0, 1]
+    lattice._tables.__dict__["runs"] = runs._replace(frame=bad)
+    assert _failing(lattice) == FRAME_COSET_MUTATION
+
+
 @pytest.mark.parametrize("rung", MUTATION_RUNGS, ids=["z12", "z6x6"])
-@pytest.mark.parametrize("entry", sorted(RUN_TABLE_MUTATIONS))
-def test_a_wrong_run_table_fails_verify(entry, rung):
-    # Two pos entries of one run, two base-phase rows or two Delta_0-phase rows swapped.
+@pytest.mark.parametrize("field", sorted(RUN_TABLE_MUTATIONS))
+def test_a_wrong_run_table_fails_verify(field, rung):
+    # Two pos entries of one run, or two rows of the run gather, the base phases or the Delta_0 characters,
+    # swapped.
     assert not _failing(_fresh(rung))
     lattice = _fresh(rung)
-    base, zero, pos, minus, plus = lattice._tables.runs
-    assert not {"cosets", "frame", "rep_gather"} & set(lattice._tables.__dict__)
-    bad = {"base": base, "zero": zero, "pos": pos}[entry].copy()
-    i, j = (len(zero), len(zero) + 1) if entry == "pos" else (0, 1)  # pos: the first two entries of run 1
+    runs = lattice._tables.runs
+    assert not {"rep", "rep_gather"} & set(lattice._tables.__dict__)
+    bad = getattr(runs, field).copy()
+    i, j = (len(runs.chi), len(runs.chi) + 1) if field == "pos" else (0, 1)  # pos: the first two entries of run 1
     assert not np.array_equal(bad[i], bad[j])
     bad[[i, j]] = bad[[j, i]]
-    runs = (bad, zero, pos) if entry == "base" else (base, bad, pos) if entry == "zero" else (base, zero, bad)
-    lattice._tables.__dict__["runs"] = runs + (minus, plus)
-    assert _failing(lattice) >= RUN_TABLE_MUTATIONS[entry]
+    lattice._tables.__dict__["runs"] = runs._replace(**{field: bad})
+    assert _failing(lattice) == RUN_TABLE_MUTATIONS[field]
 
 
 def test_reversed_rep_blocks_fail_verify():
@@ -216,7 +245,7 @@ def test_spectral_kernels_see_only_blocks_on_the_z96_weight_3_rung(monkeypatch):
     # counting weight, so it runs on the same point set at weight 1.
     orders, gens, weight = BIG_RUNGS[3]
     lattice = subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight)
-    assert lattice._tables.cosets[0].shape == lattice._tables.cosets[1].shape == (24, 4)
+    assert lattice._tables.rep.shape == lattice._tables.runs.frame.shape == (24, 4)
     widths = []
     for name in ("eigvalsh", "svd", "solve"):
         real = getattr(np.linalg, name)

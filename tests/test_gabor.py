@@ -15,6 +15,7 @@ from heisenmod import (
     adjoint_subgroup,
     all_subgroups,
     analysis,
+    cstar_norm,
     delta_window,
     dual_window,
     frame_bounds,
@@ -24,10 +25,14 @@ from heisenmod import (
     inner,
     is_frame,
     janssen_frame_operator,
+    left_act,
+    left_inner,
     module_context,
     module_frame_check,
     randn_window,
     reconstruction_residual,
+    right_act,
+    right_inner,
     shift_orbit,
     spectrum,
     subgroup_from_generators,
@@ -203,7 +208,7 @@ def _old_dual_window(sys, tol=1e-9):
     bounds = frame_bounds(sys)
     if not bounds.lower > tol * max(bounds.upper, 1.0):
         raise NotAFrameError(bounds)
-    cosets = sys.lattice._tables.cosets[1]
+    cosets = sys.lattice._tables.runs.frame
     stacked = np.stack([eta.values for eta in sys.windows])
     blocks = gabor_impl._gram(*gabor_impl._factor(stacked, sys.lattice))
     duals = np.empty(stacked.shape[::-1], dtype=np.complex128)
@@ -213,7 +218,7 @@ def _old_dual_window(sys, tol=1e-9):
 
 def _dense_blocks(sys):
     """The frame blocks from the dense orbits: the Gram of each frame coset's orbit columns, per window."""
-    cosets = sys.lattice._tables.cosets[1]
+    cosets = sys.lattice._tables.runs.frame
     blocks = 0
     for eta in sys.windows:
         cols = shift_orbit(eta, sys.lattice)[:, cosets]  # (|Delta|, blocks, size)
@@ -237,7 +242,7 @@ def test_dual_window_is_bit_identical_to_bounds_then_solve(orders, gens, k):
     assert duals.tobytes() == _old_dual_window(sys).tobytes()
     # Against the blocks of the dense orbit columns: Grams of the same sums in another order, so they differ
     # by a small multiple of eps * B, and the backward-stable solves by eps * kappa * |gamma|.
-    eps, bounds, cosets = np.finfo(float).eps, frame_bounds(sys), sys.lattice._tables.cosets[1]
+    eps, bounds, cosets = np.finfo(float).eps, frame_bounds(sys), sys.lattice._tables.runs.frame
     dense = _dense_blocks(sys)
     assert np.abs(gabor_impl._frame_blocks(sys) - dense).max() <= 64 * eps * bounds.upper
     stacked = np.stack([eta.values for eta in sys.windows])
@@ -323,10 +328,10 @@ def test_generating_check_holds_no_orbit_sized_array():
     # 1.17 MiB; their Zak-form factor holds 2 x 3 x 16 runs x 80, 0.12 MiB.
     sub = subgroup_from_generators(FiniteAbelianGroup((80,)), BIG_RUNGS[2][1], 1)
     windows = np.stack([randn_window(sub.ambient, s).values for s in range(6)]).reshape(2, 3, 80)
-    gabor_impl._svd_frames(windows, sub, 1e-9)  # builds the run table outside the measurement
+    gabor_impl._factor(windows, sub)  # builds the run table outside the measurement
     tracemalloc.start()
     try:
-        verdicts = gabor_impl._svd_frames(windows, sub, 1e-9)
+        verdicts = gabor_impl._factor_frames(*gabor_impl._factor(windows, sub), 1e-9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -353,3 +358,31 @@ def test_frame_ops_on_z2048_build_no_orbit_sized_array(op):
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20, peak
+
+
+def test_run_layer_tables_on_z2048_fit_the_zak_form_budget():
+    # Z2048 (16, 0), (0, 32): |Delta| = 8192 in 128 runs, |Delta_0| = 64. After the frame operations, both
+    # module actions and the C*-norm, the lattice's cached tables other than its points (plane, and the
+    # generators its build supplied) and the twisted-algebra tables (sub, kappa, neg, star) are the run
+    # table, 24 runs |G| bytes plus its frame cosets, chi and pos, and the rep cosets and rep_gather,
+    # 8 |G| + 8 runs |G|. None has the shape of a Delta_0 x G phase table.
+    group = FiniteAbelianGroup((2048,))
+    eta, gamma, xi = (randn_window(group, s) for s in (1, 2, 3))
+    ctx = module_context(subgroup_from_generators(group, [((16,), (0,)), ((0,), (32,))], 1))
+    sys = GaborSystem(ctx.lattice, (eta, gamma))
+    frame_bounds(sys)
+    dual_window(sys)
+    a, b = left_inner(xi, eta, ctx), right_inner(eta, gamma, ctx)
+    left_act(a, gamma, ctx)
+    right_act(xi, b, ctx)
+    cstar_norm(a)
+    tables, n, d0 = ctx.lattice._tables, group.order, 64
+    runs = len(ctx.lattice) // d0
+    cached = {name: value for name, value in vars(tables).items()
+              if name not in {"plane", "gens", "sub", "kappa", "neg", "star"}}
+    arrays = [v for value in cached.values() for v in (value if isinstance(value, tuple) else (value,))
+              if isinstance(v, np.ndarray)]
+    budget = 32 * runs * n + 16 * n + 8 * len(ctx.lattice) + 16 * d0**2
+    assert sum(v.nbytes for v in arrays) <= budget, (sum(v.nbytes for v in arrays), budget)
+    assert all(v.shape != (d0, n) for v in arrays), [v.shape for v in arrays]
+    assert {"runs", "rep", "rep_gather"} <= set(cached), sorted(cached)

@@ -565,15 +565,15 @@ def test_generator_check_runs_one_decomposition_per_window_count(monkeypatch):
 
 
 def test_generator_check_makes_one_pass_per_family_chunk(monkeypatch):
-    # Per chunk of families: one factor for the SVD verdict and the frame blocks (_svd_frames would
-    # factor the windows again), and one _analyze and one _act for all k windows.
+    # Per chunk of families: one factor for the SVD verdict and the frame blocks, and one _analyze and
+    # one _act for all k windows.
     ctx = module_context(subgroup_from_generators(FiniteAbelianGroup((24,)), [((4,), (0,)), ((0,), (6,))], 1))
-    calls = {"_factor": 0, "_svd_frames": 0, "_analyze": 0, "_act": 0}
+    calls = {"_factor": 0, "_analyze": 0, "_act": 0}
     for name in calls:
         monkeypatch.setattr(module_impl, name, _counting(calls, name, getattr(module_impl, name)))
     gen, recon = module_impl._check_generators(ctx, _randn(splitmix64_stream(5, 18), 24), 1e-9)
     assert gen["pass"] and recon["cases"] > 0
-    assert calls == {"_factor": 3, "_svd_frames": 0, "_analyze": 3, "_act": 3}, calls
+    assert calls == {"_factor": 3, "_analyze": 3, "_act": 3}, calls
 
 
 def test_verify_suite_passes_on_z240_with_720_points():

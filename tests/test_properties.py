@@ -151,7 +151,7 @@ def test_run_form_analysis_and_frame_blocks_match_reference_orbits(case, seed):
     eps = np.finfo(float).eps
     gap = np.abs(gabor._analyze(xi, eta, sub) - orbit.conj() @ xi)
     assert np.all(gap <= 4 * group.order * eps * (np.abs(orbit) @ np.abs(xi))), gap.max()
-    cosets = sub._tables.cosets[1]
+    cosets = sub._tables.runs.frame
     dense = 2 * (orbit.T @ orbit.conj())[cosets[:, :, None], cosets[:, None, :]]
     moduli = 2 * (np.abs(orbit).T @ np.abs(orbit))[cosets[:, :, None], cosets[:, None, :]]
     gap = np.abs(gabor._gram(*gabor._factor(eta[None], sub)) - dense)

@@ -21,6 +21,8 @@ from heisenmod import (
     l2_localization_inner,
     splitmix64_stream,
     subgroup_from_generators,
+    tf_shift_adjoint_matrix,
+    tf_shift_matrix,
     trace,
     trivial_subgroup,
     twisted_convolve,
@@ -271,6 +273,23 @@ def test_fibre_action_matches_integrated_rep_on_every_subgroup(weight):
                 bound = 1e-13 * np.abs(a.coeffs).sum() * np.linalg.norm(xi)
                 got = _act(dom, flag, a.coeffs, xi)
                 assert np.abs(got - integrated_rep(a) @ xi).max() <= bound, (g.orders, elems, flag)
+
+
+@pytest.mark.parametrize("weight", [Fraction(1), Fraction(1, 3)], ids=["w1", "w1/3"])
+def test_integrated_rep_is_the_weighted_sum_of_shift_matrices_on_every_subgroup(weight):
+    # The definition, from the group's shift matrices alone (no lattice table): w sum_z a(z) pi(z) on the
+    # plain flag and w sum_z a(z) pi(z)* on the conjugated one. Error model: each entry sums the terms of
+    # one time fibre, |Delta_0| products of a coefficient and a unit phase that the run form takes as a
+    # product of two roots, so it is off by a few eps * w * sum_z |a(z)|; here 8.
+    eps = np.finfo(float).eps
+    for g in SMALL_GROUPS:
+        for k, elems in enumerate(all_subgroups(g)):
+            dom = MeasuredSubgroup(g, elems, weight)
+            for flag, shift in ((False, tf_shift_matrix), (True, tf_shift_adjoint_matrix)):
+                a = _random_seq(dom, flag, 4000 + k)
+                expect = float(weight) * np.tensordot(a.coeffs, np.stack([shift(g, z) for z in elems]), axes=1)
+                bound = 8 * eps * float(weight) * np.abs(a.coeffs).sum()
+                assert np.abs(integrated_rep(a) - expect).max() <= bound, (g.orders, elems, flag)
 
 
 def test_fibre_runs_have_equal_length_on_every_subgroup():
