@@ -29,7 +29,7 @@ import numpy as np
 
 from .groups import MeasuredSubgroup, _uncoset, adjoint_subgroup
 from .shifts import OperatorMatrix, Window
-from .twisted import TwistedSeq, integrated_rep
+from .twisted import TwistedSeq, _svals, integrated_rep
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def _factor_frames(factor: np.ndarray, scale: float, tol: float) -> np.ndarray:
     repeated |Delta_0| times at unit phases. The lower bound is 0 with fewer rows
     than columns, that is with k |Delta| < |G| orbit rows.
     """
-    bounds = scale * _extremes(np.linalg.svd(factor, compute_uv=False)) ** 2
+    bounds = scale * _extremes(_svals(factor)) ** 2
     if factor.shape[-2] < factor.shape[-1]:
         bounds[:, 0] = 0.0
     return _frame_test(bounds[:, 0], bounds[:, 1], tol)

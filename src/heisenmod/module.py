@@ -32,7 +32,7 @@ from .gabor import (GaborSystem, _analyze, _duals, _factor, _factor_frames, _gra
                     frame_bounds)
 from .groups import FiniteAbelianGroup, MeasuredSubgroup, _uncoset, adjoint_subgroup
 from .shifts import Window, _randn, splitmix64_stream
-from .twisted import TwistedSeq, _act, _convolve, _involve, _rep, _rep_blocks
+from .twisted import TwistedSeq, _act, _convolve, _involve, _rep, _rep_blocks, _svals, _top_eig
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def _factor_norms(factor: np.ndarray, scale: float) -> np.ndarray:
     """
     if factor.shape[-2] < factor.shape[-1]:
         factor = np.swapaxes(factor, -1, -2).conj()  # _gram of F_b^H is scale * conj(F_b) F_b^T
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(_gram(factor, scale))[..., -1].max(axis=-1), 0.0))
+    return np.sqrt(np.maximum(_top_eig(_gram(factor, scale)).max(axis=-1), 0.0))
 
 
 def module_frame_check(
@@ -359,41 +359,52 @@ def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c, xi) -> tuple[np
     """Per-case max gap of the algebra axioms, the trace and the representation identities: raw and scaled.
 
     Error model: every term of an identity carries the domain weight w to a
-    fixed degree (a product of n convolutions or representations, w^n), so
-    its rounding error is homogeneous of that degree in w. The scaled gap
-    divides each sub-gap by max(1, w)^degree, which leaves it as it is for
-    w <= 1 and makes the bound weight-free above; it divides d times, as
-    w^d overflows a float for w above about 1e154.
+    fixed degree d (a product of d convolutions or representations, w^d) and
+    is multilinear in its o operands among a, b and c, so its rounding error
+    is homogeneous of degree d in w and of degree o in the operands. The
+    scaled gap is each sub-gap over max(1, w)^d: as it is for w <= 1, and
+    weight-free above.
+
+    The identities are evaluated on a, b and c over r = sqrt(max(1, w)), xi as
+    it is: every term then lies within about max(1, w) of 1, and so does every
+    product of two operands inside a convolution, which sums products of
+    operands before it multiplies by w. A sub-gap g on the scaled operands is
+    the raw one over r^o, so the raw gap is g r^o and the scaled one
+    g r^(o - 2 d), its exponent 1, 0, -1 or -2; the decision stays finite up
+    to about the largest float. At w <= 1, r is exactly 1 and nothing is
+    rescaled.
 
     The representation identities compare the rep blocks (twisted): every
     entry off them is a structural zero on both sides. The blocks applied to
     xi per rep coset are held against _act, which does not read the block table.
     """
+    r = np.sqrt(max(1.0, domain.float_weight))
+    a, b, c = a / r, b / r, c / r
     conv, rep = partial(_convolve, domain, flag), partial(_rep_blocks, domain, flag)
     ab, (inv_a, inv_b) = conv(a, b), _involve(domain, flag, np.stack([a, b]))
     inv_inv_a, inv_ab = _involve(domain, flag, np.stack([inv_a, ab]))
     trace_a_inv_b = conv(a, inv_b)[:, 0]
-    by_degree = (  # the sub-gaps of each degree
-        [_case_max(inv_inv_a - a)],
-        [_case_max(inv_ab - conv(inv_b, inv_a)), np.abs(trace_a_inv_b - conv(inv_b, a)[:, 0]),
-         np.abs(trace_a_inv_b - domain.float_weight * (a * b.conj()).sum(axis=-1))],
-        [_case_max(conv(ab, c) - conv(a, conv(b, c)))],
-    )
+    subgaps = [  # (operands o, degree d, per-case gap)
+        (1, 0, _case_max(inv_inv_a - a)),
+        (2, 1, _case_max(inv_ab - conv(inv_b, inv_a))),
+        (2, 1, np.abs(trace_a_inv_b - conv(inv_b, a)[:, 0])),
+        (2, 1, np.abs(trace_a_inv_b - domain.float_weight * (a * b.conj()).sum(axis=-1))),
+        (3, 2, _case_max(conv(ab, c) - conv(a, conv(b, c)))),
+    ]
     # The rep blocks last, those of a, b, ab and a* from one call: with the product of two, five stacks
     # alive at the peak. A difference is taken in place (|x - y| = |y - x| exactly), and the conjugate
     # transpose of rep(a) goes into the spent rep(b).
     rep_a, rep_b, rep_ab, rep_inv_a = rep(np.stack([a, b, ab, inv_a]))
     cosets = domain._tables.rep
     applied = (rep_a @ np.take(xi, cosets, axis=-1)[..., None])[..., 0]
-    by_degree[1].append(_case_max(applied - np.take(_act(domain, flag, a, xi), cosets, axis=-1)))
+    subgaps.append((1, 1, _case_max(applied - np.take(_act(domain, flag, a, xi), cosets, axis=-1))))
     rep_ab -= rep_b @ rep_a if flag else rep_a @ rep_b
     rep_inv_a -= np.conjugate(np.swapaxes(rep_a, -1, -2), out=rep_b)
-    by_degree[1].append(_case_max(rep_inv_a))
-    by_degree[2].append(_case_max(rep_ab))
-    # Division by the scale is monotone, so the scaled maximum of each degree is the maximum scaled.
-    m0, m1, m2 = (np.max(gaps, axis=0) for gaps in by_degree)
-    scale = max(1.0, domain.float_weight)
-    return np.maximum(np.maximum(m0, m1), m2), np.maximum(np.maximum(m0, m1 / scale), m2 / scale / scale)
+    subgaps.append((1, 1, _case_max(rep_inv_a)))
+    subgaps.append((2, 2, _case_max(rep_ab)))
+    operands, degree, gaps = (np.array(col) for col in zip(*subgaps))
+    operands, degree = operands[:, None], degree[:, None]
+    return (gaps * r**operands).max(axis=0), (gaps * r ** (operands - 2 * degree)).max(axis=0)
 
 
 def _check_twisted_axioms(ctx: ModuleContext, coeffs: np.ndarray, xi: np.ndarray) -> dict:
@@ -426,10 +437,9 @@ def _norm_routes(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, ...]:
     the C*-norm the largest singular value of the rep blocks.
     """
     lat = ctx.lattice
-    svals = np.linalg.svd(_rep_blocks(lat, False, _analyze(eta, eta, lat)), compute_uv=False)
-    via_algebra = np.sqrt(svals.max(axis=(-2, -1)))
+    via_algebra = np.sqrt(_svals(_rep_blocks(lat, False, _analyze(eta, eta, lat))).max(axis=(-2, -1)))
     factor, scale = _factor(eta[..., None, :], lat)  # made after the rep blocks are spent: one less alive
-    via_analysis = math.sqrt(scale) * np.linalg.svd(factor, compute_uv=False).max(axis=(-2, -1))
+    via_analysis = math.sqrt(scale) * _svals(factor).max(axis=(-2, -1))
     return _factor_norms(factor, scale), via_analysis, via_algebra
 
 

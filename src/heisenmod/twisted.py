@@ -204,7 +204,64 @@ def _act(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, xi: np.ndarr
 
 def cstar_norm(a: TwistedSeq) -> float:
     """C*-norm: the spectral norm of the faithful integrated representation, the largest over its blocks."""
-    return float(np.linalg.svd(_rep_blocks(a.domain, a.conjugated, a.coeffs), compute_uv=False)[:, 0].max())
+    return float(_svals(_rep_blocks(a.domain, a.conjugated, a.coeffs))[:, 0].max())
+
+
+_TINY = np.finfo(np.float64).tiny  # the least normal float: a floor for divisors that may be zero
+
+
+def _svals(blocks: np.ndarray) -> np.ndarray:
+    """Singular values, descending, per block of an (..., m, n) stack: those of np.linalg.svd, in closed form
+    when min(m, n) <= 2, where LAPACK's fixed cost per block outweighs the arithmetic.
+
+    The blocks are read by columns, the longer side down (A^T has the singular values of A), laid out
+    (columns, rows, blocks) so that every step is one call over the whole stack, and scaled by their
+    largest entry modulus, so that no square overflows or underflows. One column a: |a|. Two columns
+    a, v: Gram-Schmidt with one reorthogonalisation pass gives R = [[f, r12], [0, h]], f = |a| and
+    h = |v - (q^H v) q|, q = a / f; unit phases on its second row and column make r12 real, g = |r12|,
+    and leave the singular values, which LAPACK's dlas2 gives as sigma_1 = (hypot(f + h, g) +
+    hypot(f - h, g)) / 2 and sigma_2 = f h / sigma_1. A^H A is never formed, so sigma_2 keeps an absolute
+    error of a few eps sigma_1, as LAPACK's does.
+    """
+    m, n = blocks.shape[-2:]
+    if min(m, n) > 2:
+        return np.linalg.svd(blocks, compute_uv=False)
+    cols = blocks.reshape(-1, m, n).transpose((2, 1, 0) if m >= n else (1, 2, 0))  # (columns, rows, blocks)
+    mags = np.abs(cols, order="C")
+    unit = np.maximum(np.maximum.reduce(mags, axis=(0, 1)), _TINY)  # a zero block stays zero
+    mags /= unit
+    squares = np.add.reduce(np.square(mags, out=mags), axis=1)  # per column and block
+    if min(m, n) == 1:
+        return (unit * np.sqrt(squares[0])).reshape(blocks.shape[:-2] + (1,))
+    a, v = np.divide(cols, unit, order="C")
+    f = np.sqrt(squares[0])
+    q = a / np.maximum(f, _TINY)
+    qh = q.conj()
+    r12 = np.add.reduce(qh * v)
+    v = v - r12 * q
+    again = np.add.reduce(qh * v)
+    v -= again * q
+    r12 += again
+    h = np.sqrt(np.add.reduce(np.square(np.abs(v))))
+    g = np.abs(r12)
+    top = 0.5 * (np.hypot(f + h, g) + np.hypot(f - h, g))
+    sigma = np.array([top, f * h / np.maximum(top, _TINY)])
+    sigma *= unit
+    return sigma.T.reshape(blocks.shape[:-2] + (2,))
+
+
+def _top_eig(grams: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue per Hermitian block of an (..., n, n) stack, the last of np.linalg.eigvalsh, which
+    reads the lower triangle: in closed form when n <= 2, a for [[a]] and (a + d) / 2 + hypot((a - d) / 2,
+    |b|) for [[a, b*], [b, d]]."""
+    n = grams.shape[-1]
+    if n > 2:
+        return np.linalg.eigvalsh(grams)[..., -1]
+    a = grams[..., 0, 0].real
+    if n == 1:
+        return a
+    d = grams[..., 1, 1].real
+    return 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(grams[..., 1, 0]))
 
 
 def l2_localization_inner(a: TwistedSeq, b: TwistedSeq) -> complex:

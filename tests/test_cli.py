@@ -183,6 +183,15 @@ def test_verify_at_a_weight_whose_square_overflows_prints_its_report(tmp_path):
     assert len(report["identities"]) >= 13
 
 
+def test_verify_passes_at_a_weight_whose_square_overflows(tmp_path):
+    # twisted-axioms evaluates its identities on operands over sqrt(w): no term, and no product of two
+    # operands inside a convolution, leaves the float range, so the report holds no NaN and no warning.
+    job = {"group": [4], "generators": [[[1], [0]], [[0], [2]]], "weight": "1e160", "seed": 5}
+    res = run_cli("verify", "--spec", write_job(tmp_path, job))
+    assert res.returncode == 0 and res.stderr == "", (res.stdout, res.stderr)
+    assert "NaN" not in res.stdout and json.loads(res.stdout)["pass"] is True
+
+
 def test_spectrum_json_and_csv(tmp_path):
     spec = write_job(tmp_path, TIGHT_JOB)
     res = run_cli("spectrum", "--spec", spec)

@@ -576,6 +576,24 @@ def test_generator_check_makes_one_pass_per_family_chunk(monkeypatch):
     assert calls == {"_factor": 3, "_analyze": 3, "_act": 3}, calls
 
 
+def test_verify_passes_no_block_of_min_dimension_two_to_lapack(monkeypatch):
+    # Z20 (10, 0), (0, 2): 10 frame blocks and 10 rep blocks of 2 x 2. norm-chain, the generators' SVD
+    # verdict and dual-scaling take the closed forms of twisted._svals and _top_eig; only the frame side
+    # of the generators (gabor._bounds, the eigvalsh verdict) keeps LAPACK on such blocks.
+    calls = set()
+    for name in ("svd", "eigvalsh"):
+        def wrapped(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.add((_name, traceback.extract_stack(limit=2)[0].name, min(np.shape(a)[-2:])))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    lattice = subgroup_from_generators(FiniteAbelianGroup((20,)), [((10,), (0,)), ((0,), (2,))], 1)
+    runs = lattice._tables.runs
+    assert runs.frame.shape == (10, 2) and len(runs.minus) == 2
+    assert verify_suite(lattice, seed=1)["pass"]
+    assert {(name, caller) for name, caller, dim in calls if dim <= 2} == {("eigvalsh", "_bounds")}, calls
+
+
 def test_verify_suite_passes_on_z240_with_720_points():
     # Z240 (8, 0), (0, 10): |Delta| = 720, |adjoint| = 80.
     lattice = subgroup_from_generators(FiniteAbelianGroup((240,)), [((8,), (0,)), ((0,), (10,))], 1)

@@ -1,10 +1,15 @@
 """Twisted convolution algebras: products, involution, trace, representation."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import heisenmod
 from heisenmod import (
     FiniteAbelianGroup,
     MeasuredSubgroup,
@@ -367,3 +372,91 @@ def test_convolve_matches_the_per_call_formula_on_every_subgroup():
                 bound = 2 * (len(dom) + 3) * eps * scale
                 gap = np.abs(_convolve(dom, flag, a, b) - _convolve_reference(dom, flag, a, b)).max(axis=-1)
                 assert np.all(gap <= bound), (g.orders, elems, flag, gap, bound)
+
+
+# The closed forms of _svals and _top_eig against LAPACK. Each singular value may differ from
+# np.linalg.svd's by 4 eps times the block's largest: both are backward stable, so each is within a
+# few eps of the exact value on that scale (Weyl), however small the other singular values are.
+EPS = np.finfo(float).eps
+SHAPES = [(1, 1), (5, 1), (1, 5), (2, 2), (6, 2), (2, 7)]  # 1 x 1, k x 1, 1 x k, 2 x 2, m x 2, 2 x n
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _assert_svals_match_lapack(blocks):
+    from heisenmod.twisted import _svals
+
+    got, ref = _svals(blocks), np.linalg.svd(blocks, compute_uv=False)
+    assert got.shape == ref.shape and np.all(np.isfinite(got))
+    bound = 4 * EPS * ref[..., :1]
+    assert np.all(np.abs(got - ref) <= bound), np.max(np.abs(got - ref) / np.maximum(ref[..., :1], 1e-300))
+
+
+def _with_ratio(rng, rows, ratio):
+    """A rows x 2 block with singular values 1 and ratio: U[:, :2] diag(1, ratio) V^H, U and V unitary."""
+    u, _ = np.linalg.qr(_complex(rng, (rows, rows)))
+    v, _ = np.linalg.qr(_complex(rng, (2, 2)))
+    return (u[:, :2] * [1.0, ratio]) @ v.conj().T
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"{m}x{n}" for m, n in SHAPES])
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e200, 1e-200], ids=["1", "1e150", "1e-150", "1e200", "1e-200"])
+def test_svals_match_lapack_on_seeded_stacks(shape, scale):
+    rng = np.random.default_rng(sum(shape))
+    blocks = scale * _complex(rng, (3, 4) + shape)
+    blocks[0, 0] = 0.0  # a zero block
+    blocks[0, 1] = 0.0
+    blocks[0, 1, ..., 0, 0] = scale  # one nonzero entry
+    if min(shape) == 2:
+        long = np.swapaxes(blocks, -1, -2) if shape[0] < shape[1] else blocks
+        long[1, 0, :, 1] = (0.5 - 2j) * long[1, 0, :, 0]  # exactly singular: parallel columns
+        long[1, 1, :, 0] = 0.0  # a zero column beside a nonzero one
+        for j, ratio in enumerate([1 - 1e-9, 1e-6, 1e-12, 1.0]):
+            long[2, j] = scale * _with_ratio(rng, long.shape[-2], ratio)
+    _assert_svals_match_lapack(blocks)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(SHAPES), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from([0, 150, -150, 200, -200]), st.sampled_from([None, 1 - 1e-9, 1e-6, 1e-12, 0.0]))
+def test_svals_match_lapack_on_drawn_stacks(shape, rows, seed, exponent, ratio):
+    rng = np.random.default_rng(seed)
+    shape = tuple(rows if side > 2 else side for side in shape)  # the long side drawn, 1 or 2 kept
+    blocks = _complex(rng, (2,) + shape)
+    if ratio is not None and min(shape) == 2:
+        block = _with_ratio(rng, max(shape), ratio)
+        blocks[1] = block if shape[0] >= shape[1] else block.T
+    _assert_svals_match_lapack(10.0**exponent * blocks)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_top_eig_matches_eigvalsh(n):
+    from heisenmod.twisted import _top_eig
+
+    rng = np.random.default_rng(n)
+    rows = _complex(rng, (4, 5, n, 3))
+    grams = rows @ np.swapaxes(rows, -1, -2).conj()  # positive semidefinite
+    grams[0, 0] = 0.0
+    grams[1] = grams[1] - 3 * np.eye(n)  # indefinite
+    grams[2] *= 1e150
+    grams[3] *= 1e-150
+    got, ref = _top_eig(grams), np.linalg.eigvalsh(grams)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - ref[..., -1]) <= 4 * EPS * np.abs(ref).max(axis=-1))
+
+
+def test_svd_appears_in_the_package_only_inside_svals():
+    # Every singular value of the package goes through one kernel, which keeps LAPACK for blocks whose
+    # closed form it does not have.
+    sites = []
+    for path in sorted(Path(heisenmod.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for func in ast.walk(tree) if isinstance(func, ast.FunctionDef) and func.name == "_svals"
+                  for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else node.name if isinstance(node, ast.alias) else ""
+            if "svd" in name:
+                sites.append((path.name, id(node) in inside))
+    assert sites == [("twisted.py", True)]
