@@ -527,36 +527,24 @@ def _check_imprimitivity(ctx: ModuleContext, xi: np.ndarray, eta: np.ndarray, ga
                   use_rel=True)
 
 
-def _generator_cases(windows: np.ndarray, xi: np.ndarray, ctx: ModuleContext, tol: float):
-    """Per family of (cases, k, |G|) windows: verdict split, reconstructed, residual, residual / (kappa |xi|).
-
-    One factor (_factor) of the families gives both the generating verdict (_factor_frames) and the
-    frame blocks (_duals). A family that is generating and a frame is reconstructed from xi by frame
-    synthesis and by left_act of left_inner(xi, gamma_j), each summed over j: one _analyze of the k
-    duals, one product over the k |Delta| orbit rows and one _act; the larger residual is kept.
-    """
-    lat, (cases, k, n), cosets = ctx.lattice, windows.shape, ctx.lattice._tables.runs.frame
-    factor, scale = _factor(windows, lat)
-    generating = _factor_frames(factor, scale, tol)
-    bounds, frames, duals = _duals(_gram(factor, scale), windows[..., cosets.ravel()], tol)
-    coeffs = np.zeros((cases, k, len(lat)), dtype=np.complex128)
-    coeffs[frames] = _analyze(xi[frames, None], _uncoset(duals, cosets), lat)  # left_inner(xi, gamma_j)
-    orbits = _orbit(windows, lat).reshape(cases, k * len(lat), n)
-    synthesis = lat.float_weight * (coeffs.reshape(cases, 1, -1) @ orbits)[:, 0]
-    via_module = _act(lat, False, coeffs, windows).sum(axis=1)
-    recon = generating & frames
-    residual = recon * np.maximum(*(np.linalg.norm(v - xi, axis=-1) for v in (synthesis, via_module)))
-    kappa = np.divide(bounds[:, 1], bounds[:, 0], out=np.ones(cases), where=recon)
-    return generating != frames, recon, residual, residual / (kappa * np.linalg.norm(xi, axis=-1))
+def _synthesize(coeffs: np.ndarray, windows: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray]:
+    """Frame synthesis weight * sum_z a(z) pi(z) eta per case of (cases, |Delta|) coefficients and (cases, |G|)
+    windows, from the dense orbit (_orbit): the generators check's witness against _act."""
+    lat = ctx.lattice
+    return (lat.float_weight * (coeffs[:, None] @ _orbit(windows, lat))[:, 0],)
 
 
 def _check_generators(ctx: ModuleContext, draws: np.ndarray, frame_tol: float) -> tuple[dict, dict]:
     """Generating verdict (orbit SVD) against the frame verdict (eigenvalues), and reconstruction.
 
-    Two families of k = 1, 2, 3 windows from the 18 draws (18, |G|): with b = k (k - 1), family r takes
-    the k draws from b + r k on
-    and reconstructs draw b + (r + 1) k. Both families of one k run stacked, one per chunk when their
-    orbits exceed _CHUNK entries.
+    Six families from the 13 draws (13, |G|): family f holds the k = 1, 1, 2, 2, 3, 3 draws from
+    ends[f] - k on and reconstructs draw ends[f], ends = 1, 2, 4, 6, 9, 12. The factor (_factor) of the two
+    families of one k gives their generating verdicts (_factor_frames) and frame blocks (_gram), whose
+    shapes do not depend on k; the rest is one pass over all six. The frame blocks go through one _duals,
+    each family's windows zero-padded to 3 slots; a family that is generating and a frame is reconstructed
+    from xi by left_act of left_inner(xi, gamma_j) and by frame synthesis, each summed over j: one
+    _analyze and one _act of the 12 (xi, gamma_j) and (coefficients, eta_j) pairs, and the dense
+    synthesis per window, in chunks of _CHUNK // (|Delta| |G|) windows. The larger residual is kept.
 
     Reconstruction is decided on residual / (kappa * |xi|), kappa = B/A the
     condition number of the frame operator. Its error model: applying the
@@ -567,12 +555,32 @@ def _check_generators(ctx: ModuleContext, draws: np.ndarray, frame_tol: float) -
     absolute bound instead rejects valid frames near critical density,
     whose kappa reaches 1e5 while frame_tol accepts kappa up to 1e9.
     """
-    n = ctx.lattice.ambient.order
-    parts = [_per_case(partial(_generator_cases, tol=frame_tol), ctx, draws[b : b + 2 * k].reshape(2, k, n),
-                       draws[b + k : b + 3 * k : k], per_case=k * len(ctx.lattice) * n)
-             for k, b in ((1, 0), (2, 2), (3, 6))]
-    split, recon, residual, rel = (np.concatenate(col) for col in zip(*parts))
-    return (_entry("generator-equivalence", 6, split.sum(), split.sum()),
+    lat, n, cosets = ctx.lattice, ctx.lattice.ambient.order, ctx.lattice._tables.runs.frame
+    counts = np.array([1, 1, 2, 2, 3, 3])
+    ends = np.cumsum(counts)
+    windows, xi = draws[: ends[-1]], draws[ends]
+    generating, ops = [], []
+    for k in (1, 2, 3):
+        factor, scale = _factor(windows[k * (k - 1) : k * (k + 1)].reshape(2, k, n), lat)
+        generating.append(_factor_frames(factor, scale, frame_tol))
+        ops.append(_gram(factor, scale))
+    generating = np.concatenate(generating)
+    slots = np.arange(3) < counts[:, None]  # family f's windows fill its first counts[f] of 3 slots
+    padded = np.zeros((len(counts), 3, n), dtype=windows.dtype)
+    padded[slots] = windows
+    bounds, frames, duals = _duals(np.concatenate(ops), padded[..., cosets.ravel()], frame_tol)
+    gammas = np.zeros_like(padded)
+    gammas[frames] = duals
+    coeffs = _analyze(xi[np.repeat(np.arange(len(counts)), counts)], _uncoset(gammas[slots], cosets), lat)
+    (synthesis,) = _per_case(_synthesize, ctx, coeffs, windows, per_case=len(lat) * n)
+    starts = ends - counts
+    synthesis = np.add.reduceat(synthesis, starts)
+    via_module = np.add.reduceat(_act(lat, False, coeffs, windows), starts)
+    recon = generating & frames
+    residual = recon * np.maximum(*(np.linalg.norm(v - xi, axis=-1) for v in (synthesis, via_module)))
+    kappa = np.divide(bounds[:, 1], bounds[:, 0], out=np.ones(len(counts)), where=recon)
+    split, rel = generating != frames, residual / (kappa * np.linalg.norm(xi, axis=-1))
+    return (_entry("generator-equivalence", len(counts), split.sum(), split.sum()),
             _entry("reconstruction", int(recon.sum()), residual.max(), rel.max(), use_rel=True))
 
 
@@ -608,7 +616,7 @@ def verify_suite(lattice: MeasuredSubgroup, seed: int = 0, frame_tol: float = 1e
     seeds = splitmix64_stream(salts[:10], 180)  # row i: salt i's derived seeds, as many as the cocycle check's
     twisted = seeds[1, :48].reshape(8, 6)  # per case: a, b and c, then xi on the lattice and on the adjoint
     # norm-chain, operator-extension, janssen, imprimitivity, generators, dual-scaling: (salt, windows)
-    small = ((3, 20), (4, 20), (5, 10), (7, 30), (8, 18), (9, 20))
+    small = ((3, 20), (4, 20), (5, 10), (7, 30), (8, 13), (9, 20))
     rows = [seeds[i, :count] for i, count in small] + [twisted[:, 3], twisted[:, 4]]
     norm, ext, janssen, imp, gen, dual, xi = np.split(_randn(np.concatenate(rows), n),
                                                      np.cumsum([count for _, count in small]))

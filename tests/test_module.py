@@ -552,28 +552,45 @@ def test_operator_extension_runs_one_gather_per_chunk(rung, monkeypatch):
     assert calls["gather"] <= -(-cases // step), (calls, step)
 
 
-def test_generator_check_runs_one_decomposition_per_window_count(monkeypatch):
-    # Z24 at |Delta| = 24: both families of each window count k = 1, 2, 3 fit one chunk.
+def test_generator_check_makes_one_pass_over_its_six_families(monkeypatch):
+    # Z24 at |Delta| = 24, frame blocks 6 x 6. Per window count k = 1, 2, 3: one factor of its two families
+    # and one SVD verdict from it. For all six families: one eigvalsh and one solve (gabor._duals), one
+    # _analyze and one _act.
     ctx = module_context(subgroup_from_generators(FiniteAbelianGroup((24,)), [((4,), (0,)), ((0,), (6,))], 1))
-    assert len(ctx.lattice) == 24
-    calls = {"svd": 0, "eigvalsh": 0, "solve": 0}
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, _counting(calls, name, getattr(np.linalg, name)))
-    gen, recon = module_impl._check_generators(ctx, _randn(splitmix64_stream(5, 18), 24), 1e-9)
-    assert gen["pass"] and recon["cases"] > 0
-    assert max(calls.values()) <= 3, calls
-
-
-def test_generator_check_makes_one_pass_per_family_chunk(monkeypatch):
-    # Per chunk of families: one factor for the SVD verdict and the frame blocks, and one _analyze and
-    # one _act for all k windows.
-    ctx = module_context(subgroup_from_generators(FiniteAbelianGroup((24,)), [((4,), (0,)), ((0,), (6,))], 1))
-    calls = {"_factor": 0, "_analyze": 0, "_act": 0}
+    assert len(ctx.lattice) == 24 and ctx.lattice._tables.runs.frame.shape == (4, 6)
+    lapack = {"svd": 0, "eigvalsh": 0, "solve": 0}
+    for name in lapack:
+        monkeypatch.setattr(np.linalg, name, _counting(lapack, name, getattr(np.linalg, name)))
+    calls = {"_factor": 0, "_factor_frames": 0, "_analyze": 0, "_act": 0}
     for name in calls:
         monkeypatch.setattr(module_impl, name, _counting(calls, name, getattr(module_impl, name)))
-    gen, recon = module_impl._check_generators(ctx, _randn(splitmix64_stream(5, 18), 24), 1e-9)
-    assert gen["pass"] and recon["cases"] > 0
-    assert calls == {"_factor": 3, "_analyze": 3, "_act": 3}, calls
+    gen, recon = module_impl._check_generators(ctx, _randn(splitmix64_stream(5, 13), 24), 1e-9)
+    assert gen["pass"] and recon["pass"] and recon["cases"] > 0
+    assert calls == {"_factor": 3, "_factor_frames": 3, "_analyze": 1, "_act": 1}, calls
+    assert lapack == {"svd": 3, "eigvalsh": 1, "solve": 1}, lapack
+
+
+def test_generator_witness_gathers_in_window_chunks(monkeypatch):
+    # The dense synthesis witness runs per window, _CHUNK // (|Delta| |G|) windows a chunk, one gather
+    # each: on the Z80 |Delta| = 160 rung two windows, six gathers for the twelve. One window a chunk
+    # keeps both entries.
+    orders, gens, weight, seed, _ = BENCH_SCALE[2]
+    ctx = module_context(subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight))
+    n = ctx.lattice.ambient.order
+    salt = splitmix64_stream(seed ^ 0x5EED, 16)[8]
+    draws = _randn(splitmix64_stream(salt, 13), n)  # what verify_suite draws for the check
+    table = type(ctx.lattice.ambient._table)
+    calls = {"gather": 0}
+    monkeypatch.setattr(table, "gather", _counting(calls, "gather", table.gather))
+    full = module_impl._check_generators(ctx, draws, 1e-9)
+    assert full[1]["cases"] > 0
+    assert calls["gather"] <= -(-12 // max(1, module_impl._CHUNK // (len(ctx.lattice) * n))), calls
+    monkeypatch.setattr(module_impl, "_CHUNK", 1)
+    single = module_impl._check_generators(ctx, draws, 1e-9)
+    for a, b in zip(single, full):
+        assert (a["name"], a["pass"], a["cases"]) == (b["name"], b["pass"], b["cases"])
+        assert abs(a["max_abs_gap"] - b["max_abs_gap"]) <= 1e-13, (a, b)
+        assert abs(a["max_rel_gap"] - b["max_rel_gap"]) <= 1e-13, (a, b)
 
 
 def test_verify_passes_no_block_of_min_dimension_two_to_lapack(monkeypatch):
@@ -721,7 +738,7 @@ def test_reconstruction_passes_on_ill_conditioned_critical_frames(gens, seed):
     # The premise: a one-window family of the check, drawn as _check_generators draws it from the suite's
     # ninth salt, is a frame with kappa = B/A about 1e5.
     salt = int(splitmix64_stream(seed ^ 0x5EED, 16)[8])
-    draws = _randn(splitmix64_stream(salt, 18), 64)[:2]
+    draws = _randn(splitmix64_stream(salt, 13), 64)[:2]
     bounds = [frame_bounds(GaborSystem(lattice, (Window(lattice.ambient, v),))) for v in draws]
     assert max(b.upper / b.lower for b in bounds) > 1e4, bounds
     assert report["pass"], [e for e in report["identities"] if not e["pass"]]

@@ -50,6 +50,7 @@ from heisenmod import (
 )
 from heisenmod import module as module_impl
 from heisenmod.module import VERIFY_TOLERANCES
+from heisenmod.shifts import _randn
 
 
 def _derived_seeds(seed, count):
@@ -176,12 +177,10 @@ def _ref_imprimitivity(ctx, seed, cases):
     return {"imprimitivity": (gap, gap / max(1.0, float(ctx.lattice.weight)))}
 
 
-def _ref_generators(ctx, seed, frame_tol):
-    """The per-case loop, with each residual also divided by kappa * |xi| (the decisive value)."""
-    disagreements = 0
-    recon_gap = 0.0
-    recon_rel = 0.0
-    seeds = _derived_seeds(seed, 18)
+def _ref_generator_families(ctx, seed, frame_tol):
+    """The per-case loop over the six families: whether the two verdicts disagree, and for a reconstructed
+    family its residual and the residual over kappa * |xi| (the decisive value), None for the others."""
+    seeds = _derived_seeds(seed, 13)
     group = ctx.lattice.ambient
     pos = 0
     for k in (1, 2, 3):
@@ -191,24 +190,29 @@ def _ref_generators(ctx, seed, frame_tol):
             windows = [randn_window(group, s) for s in base]
             verdict = module_frame_check(windows, ctx, frame_tol)
             gabor_verdict = is_frame(GaborSystem(ctx.lattice, tuple(windows)), frame_tol)
-            if verdict["generating"] != gabor_verdict:
-                disagreements += 1
-            if verdict["generating"] and gabor_verdict:
-                xi = randn_window(group, seeds[pos % len(seeds)])
-                sys = GaborSystem(ctx.lattice, tuple(windows))
-                duals = dual_window(sys, frame_tol)
-                scale = verdict["bounds"].upper / verdict["bounds"].lower * xi.norm()
-                residual = reconstruction_residual(sys, duals, xi)
-                coeffs = module_expansion(xi, windows, ctx, frame_tol)
-                rebuilt = np.zeros(group.order, dtype=np.complex128)
-                for a, eta in zip(coeffs, windows):
-                    rebuilt += left_act(a, eta, ctx).values
-                residual = max(residual, float(np.linalg.norm(rebuilt - xi.values)))
-                recon_gap = max(recon_gap, residual)
-                recon_rel = max(recon_rel, residual / scale)
+            if not (verdict["generating"] and gabor_verdict):
+                yield verdict["generating"] != gabor_verdict, None
+                continue
+            xi = randn_window(group, seeds[pos])
+            sys = GaborSystem(ctx.lattice, tuple(windows))
+            duals = dual_window(sys, frame_tol)
+            scale = verdict["bounds"].upper / verdict["bounds"].lower * xi.norm()
+            residual = reconstruction_residual(sys, duals, xi)
+            coeffs = module_expansion(xi, windows, ctx, frame_tol)
+            rebuilt = np.zeros(group.order, dtype=np.complex128)
+            for a, eta in zip(coeffs, windows):
+                rebuilt += left_act(a, eta, ctx).values
+            residual = max(residual, float(np.linalg.norm(rebuilt - xi.values)))
+            yield False, (residual, residual / scale)
+
+
+def _ref_generators(ctx, seed, frame_tol):
+    families = list(_ref_generator_families(ctx, seed, frame_tol))
+    disagreements = float(sum(split for split, _ in families))
+    recon = [gaps for _, gaps in families if gaps is not None]
     return {
-        "generator-equivalence": (float(disagreements), float(disagreements)),
-        "reconstruction": (recon_gap, recon_rel),
+        "generator-equivalence": (disagreements, disagreements),
+        "reconstruction": (max((g for g, _ in recon), default=0.0), max((r for _, r in recon), default=0.0)),
     }
 
 
@@ -252,6 +256,32 @@ REFERENCE_LATTICES = {
     # |Delta| = |G| / 2: no one-window family is a frame, so a generators chunk holds no frame
     "Z12 redundancy 1/2": ((12,), [((4,), (0,)), ((0,), (6,))], 1),
 }
+
+
+# The two Z8^2 jobs at critical density of test_module's CRITICAL_Z8: frames with kappa = B/A about 1e5.
+CRITICAL_Z8 = [
+    ([[[8, 0], [0, 0]], [[0, 1], [4, 2]], [[0, 0], [4, 0]], [[0, 0], [0, 2]]], 639174198),
+    ([[[8, 0], [0, 0]], [[0, 1], [1, 3]], [[0, 0], [4, 0]], [[0, 0], [0, 2]]], 1294990106),
+]
+
+
+@pytest.mark.parametrize("gens, seed", CRITICAL_Z8)
+def test_generator_pass_matches_per_case_reference_at_critical_density(gens, seed):
+    # The six families in one pass (one _duals over their zero-padded windows) against one family at a
+    # time: the same verdicts and reconstruction cases, gaps within 1e-13, on the suite's own draws.
+    lattice = subgroup_from_generators(FiniteAbelianGroup((8, 8)), [(tuple(x), tuple(w)) for x, w in gens], 1)
+    ctx = module_context(lattice)
+    salt = int(splitmix64_stream(seed ^ 0x5EED, 16)[8])
+    entries = module_impl._check_generators(ctx, _randn(splitmix64_stream(salt, 13), 64), 1e-9)
+    families = list(_ref_generator_families(ctx, salt, 1e-9))
+    reference = _ref_generators(ctx, salt, 1e-9)
+    assert entries[0]["cases"] == 6 and entries[1]["cases"] == sum(gaps is not None for _, gaps in families) > 0
+    for entry in entries:
+        abs_gap, rel_gap = reference[entry["name"]]
+        assert abs(entry["max_abs_gap"] - abs_gap) <= 1e-13, (entry, abs_gap)
+        assert abs(entry["max_rel_gap"] - rel_gap) <= 1e-13, (entry, rel_gap)
+        decisive = rel_gap if entry["name"] in USE_REL else abs_gap
+        assert entry["pass"] == (decisive <= VERIFY_TOLERANCES[entry["name"]]), entry
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_LATTICES))
