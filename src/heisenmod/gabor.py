@@ -15,10 +15,10 @@ diagonal over the cosets of the adjoint's time shifts X(adjoint) =
 Delta_0^perp, Delta_0 = {w : (0, w) in Delta} (the frame cosets, groups).
 On one such coset the |Delta_0| orbit rows of a time-shift run are one base
 row times unit phases (the Zak form, _factor), so bounds, spectra, duals,
-the generating-set SVD and the analysis coefficients read the runs x |G|
-base rows of the lattice's run table, columns in frame-coset order.
-shift_orbit, analysis, synthesis, frame_like and frame_operator build the
-dense |Delta| x |G| orbit per call from the group's gather.
+the generating-set SVD and the analysis coefficients read the base rows of
+the run table's one shift (twisted _base_rows), in frame-coset order; _duals
+alone moves windows into that order and back. shift_orbit, analysis,
+synthesis, frame_like and frame_operator build the dense orbit per call.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .groups import MeasuredSubgroup, _uncoset, adjoint_subgroup
 from .shifts import OperatorMatrix, Window
-from .twisted import TwistedSeq, _svals, integrated_rep
+from .twisted import TwistedSeq, _base_rows, _svals, integrated_rep
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,15 @@ class NotAFrameError(ValueError):
         self.bounds = bounds
 
 
+def _require_windows(sub: MeasuredSubgroup, *windows: Window) -> None:
+    """The input check of every public entry that takes windows: each must live on sub's ambient group."""
+    if any(eta.group != sub.ambient for eta in windows):
+        raise ValueError("window group does not match the subgroup's ambient group")
+
+
 def shift_orbit(eta: Window, sub: MeasuredSubgroup) -> np.ndarray:
     """|Delta| x |G| matrix whose row for z is pi(z) eta: the group's gather of every lattice point."""
+    _require_windows(sub, eta)
     return _orbit(eta.values, sub)
 
 
@@ -86,10 +93,9 @@ def _factor(windows: np.ndarray, sub: MeasuredSubgroup) -> tuple[np.ndarray, flo
     and the scale weight |Delta_0|, with frame block b = _gram(F_b, scale). Row r of F_b is the base row
     pi(x_r, omega_r) eta on frame coset b, where each v in Delta_0 has one phase pairing(v, t), so the
     |Delta_0| orbit rows of run r are the base row times unit phases: their Gram is |Delta_0| times its.
-    The run table (groups) gives the rows in frame-coset order."""
+    The run table's shift (twisted _base_rows) gives the rows in frame-coset order."""
     runs = sub._tables.runs
-    (blocks, size), rows = runs.frame.shape, np.take(windows, runs.minus, axis=-1)  # (..., k, runs, |G|)
-    rows *= runs.base
+    (blocks, size), rows = runs.frame.shape, _base_rows(windows, sub)  # (..., k, runs, |G|)
     lead = rows.ndim - 3
     rows = rows.reshape(rows.shape[:-1] + (blocks, size)).transpose(*range(lead), -2, -4, -3, -1)
     return rows.reshape(rows.shape[:-3] + (windows.shape[-2] * len(runs.minus), size)), sub.float_weight * blocks
@@ -112,8 +118,6 @@ def _gram(rows: np.ndarray, weight: float) -> np.ndarray:
 
 def analysis(eta: Window, sub: MeasuredSubgroup) -> np.ndarray:
     """Analysis matrix: row for z is conj(pi(z) eta), so (A xi)_z = <xi, pi(z) eta>."""
-    if eta.group != sub.ambient:
-        raise ValueError("window group does not match the subgroup's ambient group")
     return shift_orbit(eta, sub).conj()
 
 
@@ -124,8 +128,7 @@ def synthesis(gamma: Window, sub: MeasuredSubgroup) -> np.ndarray:
 
 def frame_like(eta: Window, gamma: Window, sub: MeasuredSubgroup) -> OperatorMatrix:
     """Cross frame operator: synthesis with gamma after analysis with eta, from one gather of both orbits."""
-    if eta.group != sub.ambient:
-        raise ValueError("window group does not match the subgroup's ambient group")
+    _require_windows(sub, eta, gamma)
     eta_orbit, gamma_orbit = _orbit(np.stack([eta.values, gamma.values]), sub)
     return (sub.float_weight * gamma_orbit.T) @ eta_orbit.conj()
 
@@ -186,24 +189,24 @@ def dual_window(sys: GaborSystem, tol: float = 1e-9) -> list[Window]:
 
 def _dual_window(sys: GaborSystem, tol: float) -> tuple[list[Window], FrameBounds]:
     """dual_window and the frame bounds: _duals with one case."""
-    cosets, windows = sys.lattice._tables.runs.frame, _windows(sys)
+    windows = _windows(sys)
     ops = _gram(*_factor(windows, sys.lattice))
-    (bounds,), (frame,), duals = _duals(ops[None], windows[None][..., cosets.ravel()], tol)
+    (bounds,), (frame,), duals = _duals(ops[None], windows[None], sys.lattice, tol)
     bounds = FrameBounds(*bounds.tolist())
     if not frame:
         raise NotAFrameError(bounds)
-    return [Window(sys.lattice.ambient, gamma) for gamma in _uncoset(duals[0], cosets)], bounds
+    return [Window(sys.lattice.ambient, gamma) for gamma in duals[0]], bounds
 
 
-def _duals(ops: np.ndarray, windows: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-    """Per case of (cases, blocks, size, size) frame-operator blocks and their (cases, k, |G|) windows in
-    coset order (the entries of coset b at b size to (b + 1) size), from one eigvalsh and one solve: the
-    bounds (cases, 2), the frame verdicts, and the duals (frames, k, |G|) of the frames, in coset order."""
+def _duals(ops: np.ndarray, windows: np.ndarray, sub: MeasuredSubgroup, tol: float) -> tuple[np.ndarray, ...]:
+    """Per case of (cases, blocks, size, size) frame-operator blocks over sub's frame cosets and their
+    (cases, k, |G|) windows in the order of G, from one eigvalsh and one solve: the bounds (cases, 2), the
+    frame verdicts, and the duals (frames, k, |G|) of the frames, in the order of G."""
     bounds = _bounds(ops)
     frames = _frame_test(bounds[:, 0], bounds[:, 1], tol)
-    ops, windows = ops[frames], windows[frames]
-    rhs = np.moveaxis(windows.reshape(windows.shape[:2] + ops.shape[1:3]), 1, -1)
-    return bounds, frames, np.moveaxis(np.linalg.solve(ops, rhs), -1, 1).reshape(windows.shape)
+    ops, windows, cosets = ops[frames], windows[frames], sub._tables.runs.frame
+    duals = np.linalg.solve(ops, np.moveaxis(windows[..., cosets], 1, -1))  # (frames, blocks, size, k)
+    return bounds, frames, _uncoset(np.moveaxis(duals, -1, 1).reshape(windows.shape), cosets)
 
 
 def _factor_frames(factor: np.ndarray, scale: float, tol: float) -> np.ndarray:
@@ -224,6 +227,7 @@ def _factor_frames(factor: np.ndarray, scale: float, tol: float) -> np.ndarray:
 def reconstruction_residual(sys: GaborSystem, duals: list[Window], xi: Window) -> float:
     """Residual of sum_j weight sum_z <xi, pi(z) gamma_j> pi(z) eta_j against xi."""
     lat = sys.lattice
+    _require_windows(lat, *duals, xi)
     rebuilt = np.zeros(lat.ambient.order, dtype=np.complex128)
     pairs = [(eta.values, gamma.values) for eta, gamma in zip(sys.windows, duals)]
     for eta_orbit, gamma_orbit in _orbit(np.array(pairs).reshape(-1, 2, len(rebuilt)), lat):  # one gather
@@ -237,8 +241,7 @@ def janssen_frame_operator(eta: Window, sub: MeasuredSubgroup) -> OperatorMatrix
 
     That is integrated_rep of the correlation sequence on the adjoint, whose weight is 1/s(Delta).
     """
-    if eta.group != sub.ambient:
-        raise ValueError("window group does not match the subgroup's ambient group")
+    _require_windows(sub, eta)
     adj = adjoint_subgroup(sub)
     return integrated_rep(TwistedSeq(adj, False, _analyze(eta.values, eta.values, adj)))
 

@@ -479,13 +479,13 @@ def default_measures(group: FiniteAbelianGroup) -> dict[str, Fraction]:
     }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def all_subgroups(group: FiniteAbelianGroup) -> tuple[tuple[TFPoint, ...], ...]:
     """Element sets of every subgroup of G x G^, each sorted, deduplicated.
 
     Built from sums of cyclic subgroups; for cyclic G the plane has rank two,
     so one round of pairwise sums is complete. Higher-rank ambients iterate to
-    a fixed point.
+    a fixed point. Cached for the 32 most recently used groups, as adjoint_subgroup is.
     """
     table = group._table
     # Row p lists k p for k < N; points generating the same cyclic subgroup give equal sorted rows.

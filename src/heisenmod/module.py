@@ -28,9 +28,9 @@ from functools import partial
 
 import numpy as np
 
-from .gabor import (GaborSystem, _analyze, _duals, _factor, _factor_frames, _gram, _orbit, analysis, dual_window,
-                    frame_bounds)
-from .groups import FiniteAbelianGroup, MeasuredSubgroup, _uncoset, adjoint_subgroup
+from .gabor import (FrameBounds, GaborSystem, _analyze, _bounds, _duals, _factor, _factor_frames, _gram, _orbit,
+                    _require_windows, _windows, analysis, dual_window)
+from .groups import FiniteAbelianGroup, MeasuredSubgroup, adjoint_subgroup
 from .shifts import Window, _randn, splitmix64_stream
 from .twisted import TwistedSeq, _act, _convolve, _involve, _rep, _rep_blocks, _svals, _top_eig
 
@@ -59,11 +59,13 @@ def module_context(lattice: MeasuredSubgroup) -> ModuleContext:
 
 def left_inner(xi: Window, eta: Window, ctx: ModuleContext) -> TwistedSeq:
     """Lattice-side inner product: coefficient at z is <xi, pi(z) eta>."""
+    _require_windows(ctx.lattice, xi, eta)
     return TwistedSeq(ctx.lattice, False, _analyze(xi.values, eta.values, ctx.lattice))
 
 
 def right_inner(xi: Window, eta: Window, ctx: ModuleContext) -> TwistedSeq:
     """Adjoint-side inner product: coefficient at w is <pi(w) eta, xi>."""
+    _require_windows(ctx.lattice, xi, eta)
     return TwistedSeq(ctx.dual, True, _analyze(xi.values, eta.values, ctx.dual).conj())
 
 
@@ -71,6 +73,7 @@ def left_act(a: TwistedSeq, xi: Window, ctx: ModuleContext) -> Window:
     """Left action of the lattice algebra: integrated_rep(a) @ xi in time-fibre form, no matrix built."""
     if a.conjugated or a.domain != ctx.lattice:
         raise ValueError("left action needs an unconjugated sequence on the lattice")
+    _require_windows(ctx.lattice, xi)
     return Window(xi.group, _act(ctx.lattice, False, a.coeffs, xi.values))
 
 
@@ -78,11 +81,13 @@ def right_act(xi: Window, b: TwistedSeq, ctx: ModuleContext) -> Window:
     """Right action of the adjoint algebra (conjugated cocycle, adjoint shifts), in time-fibre form."""
     if not b.conjugated or b.domain != ctx.dual:
         raise ValueError("right action needs a conjugated sequence on the adjoint lattice")
+    _require_windows(ctx.lattice, xi)
     return Window(xi.group, _act(ctx.dual, True, b.coeffs, xi.values))
 
 
 def module_norm(eta: Window, ctx: ModuleContext) -> float:
     """Module norm: square root of the largest frame-operator eigenvalue."""
+    _require_windows(ctx.lattice, eta)
     return float(_norms(eta.values, ctx.lattice))
 
 
@@ -107,19 +112,16 @@ def module_frame_check(
     ctx: ModuleContext,
     tol: float = 1e-9,
 ) -> dict:
-    """Generating-set verdict and frame bounds for a finite window family.
+    """Generating-set verdict and frame bounds for a finite window family, from one Zak-form factor.
 
-    The verdict comes from the algebraic route (_generates); the bounds come
-    from the frame-operator spectrum, so the two answers are computed
-    independently and must agree.
+    The verdict comes from the factor's singular values (_factor_frames), the
+    algebraic route; the bounds come from the eigenvalues of the frame blocks,
+    its Gram, so the two answers are computed by different routes and must agree.
     """
     sys = GaborSystem(ctx.lattice, tuple(windows))
-    return {"generating": _generates(sys, tol), "bounds": frame_bounds(sys)}
-
-
-def _generates(sys: GaborSystem, tol: float) -> bool:
-    """True when the stacked lattice orbits span C^G."""
-    return bool(_factor_frames(*_factor(np.stack([eta.values for eta in sys.windows])[None], sys.lattice), tol)[0])
+    factor, scale = _factor(_windows(sys)[None], sys.lattice)
+    bounds = FrameBounds(*_bounds(_gram(factor, scale))[0].tolist())
+    return {"generating": bool(_factor_frames(factor, scale, tol)[0]), "bounds": bounds}
 
 
 def module_expansion(
@@ -130,7 +132,8 @@ def module_expansion(
 ) -> list[TwistedSeq]:
     """Expansion coefficients a_j = left_inner(xi, S^{-1} eta_j); error when not generating."""
     sys = GaborSystem(ctx.lattice, tuple(windows))
-    if not _generates(sys, tol):
+    _require_windows(ctx.lattice, xi)
+    if not _factor_frames(*_factor(_windows(sys)[None], sys.lattice), tol)[0]:
         raise ValueError("window family does not generate the module; no expansion exists")
     return [left_inner(xi, gamma, ctx) for gamma in dual_window(sys, tol)]
 
@@ -141,6 +144,7 @@ def localization_check(xi: Window, eta: Window, ctx: ModuleContext) -> dict:
     All three returned values agree: the lattice-side trace, the direct
     pairing, and the adjoint-side trace.
     """
+    _require_windows(ctx.lattice, xi, eta)
     lhs, rhs, via_right = (complex(v) for v in _localization(xi.values, eta.values, ctx))
     return {"lhs": lhs, "rhs": rhs, "via_right": via_right}
 
@@ -158,6 +162,7 @@ def figa_check(eta: Window, gamma: Window, xi: Window, psi: Window, ctx: ModuleC
     The lattice side carries the lattice weight; the adjoint side is a
     counting sum with the explicit 1/size prefactor.
     """
+    _require_windows(ctx.lattice, eta, gamma, xi, psi)
     lhs, rhs = (complex(v) for v in _figa(eta.values, gamma.values, xi.values, psi.values, ctx))
     gap = abs(lhs - rhs)
     return {"lhs": lhs, "rhs": rhs, "abs_gap": gap, "rel_gap": gap / (1.0 + abs(lhs))}
@@ -179,6 +184,7 @@ def theta_matrix(eta: Window, gamma: Window, ctx: ModuleContext) -> np.ndarray:
     integrated-representation route that frame_like does not take. This is
     _theta with one case.
     """
+    _require_windows(ctx.lattice, eta, gamma)
     return _theta(analysis(eta, ctx.lattice)[None], gamma.values[None], ctx)[0]
 
 
@@ -188,22 +194,21 @@ def _theta(rows: np.ndarray, gamma: np.ndarray, ctx: ModuleContext, sums: np.nda
     Column t is _act of column t of rows: weight * sum_r roots[base_r] gamma(s - x_r) Z_r(s), with
     Z_r(s) = sum_v rows[(r, v), t] chi_v(s) over the run's points (x_r, omega_r + v). Each Delta_0
     character chi_v is constant on a frame coset (groups), so Z takes one value per coset b,
-    Z[r, b, t] = sum_v chi_v(b) rows[(r, v), t]: one |Delta_0| x |Delta_0| product per run. The rows of
-    theta on coset b are then one product, weight F_b(gamma)^T Z[:, b] (_factor: its rows are
-    roots[base_r] gamma(s - x_r) on the coset): runs |G|^2 + |Delta| |Delta_0| |G| products in all. A
-    sorted run is |Delta_0| consecutive rows; pos orders them by v. sums, when given, is a spent
-    (cases, |Delta|, |G|) buffer that receives Z.
+    Z[r, b, t] = sum_v chi[v, b] rows[(r, v), t]: the rows placed by pos, as _zero_sums places its
+    coefficients, then one product with chi^T per run (_zero_sums contracts chi's other axis, so each
+    keeps its own product). Theta on coset b is then weight F_b(gamma)^T Z[:, b] (_factor): runs |G|^2 +
+    |Delta| |Delta_0| |G| products in all. sums, when given, is a spent (cases, |Delta|, |G|) buffer
+    that receives the placed rows; Z then goes into the spent rows.
     """
-    lat, cases, n = ctx.lattice, len(rows), rows.shape[-1]
-    pos, cosets, chi = lat._tables.runs.pos, lat._tables.runs.frame, lat._tables.runs.chi
-    blocks, runs = len(chi), len(pos) // len(chi)
-    chi_runs = np.swapaxes(chi[pos % blocks].reshape(runs, blocks, blocks), -1, -2)  # [r, b, j]: chi_v(j)(b)
-    out = None if sums is None else sums.reshape(cases, runs, blocks, n)
-    zak = np.matmul(chi_runs, rows.reshape(cases, runs, blocks, n), out=out)  # (cases, runs, blocks, |G|)
+    lat, cases, n, runs = ctx.lattice, len(rows), rows.shape[-1], ctx.lattice._tables.runs
+    shape = (cases, len(runs.minus), len(runs.chi), n)
+    placed = np.empty_like(rows) if sums is None else sums
+    placed[:, runs.pos] = rows
+    zak = np.matmul(runs.chi.T, placed.reshape(shape), out=rows.reshape(shape))  # (cases, runs, blocks, |G|)
     factor, _ = _factor(gamma[:, None, :], lat)  # (cases, blocks, runs, size)
     factor *= lat.float_weight
     theta = np.empty((cases, n, n), dtype=np.complex128)
-    theta[:, cosets.ravel()] = (np.swapaxes(factor, -1, -2) @ np.swapaxes(zak, 1, 2)).reshape(cases, n, n)
+    theta[:, runs.frame.ravel()] = (np.swapaxes(factor, -1, -2) @ np.swapaxes(zak, 1, 2)).reshape(cases, n, n)
     return theta
 
 
@@ -216,6 +221,7 @@ def dual_lattice_norm_scaling(eta: Window, ctx: ModuleContext) -> dict:
     reported rather than asserted, since size^(1/2) and size^(-1/2) are both
     candidate scalings and only the computation can settle the sign.
     """
+    _require_windows(ctx.lattice, eta)
     if ctx.lattice.weight != 1:
         raise ValueError("norm scaling is defined for counting-weight lattices")
     norm_lat, norm_adj, ratio = (float(v) for v in _norm_ratios(eta.values, ctx))
@@ -555,7 +561,7 @@ def _check_generators(ctx: ModuleContext, draws: np.ndarray, frame_tol: float) -
     absolute bound instead rejects valid frames near critical density,
     whose kappa reaches 1e5 while frame_tol accepts kappa up to 1e9.
     """
-    lat, n, cosets = ctx.lattice, ctx.lattice.ambient.order, ctx.lattice._tables.runs.frame
+    lat, n = ctx.lattice, ctx.lattice.ambient.order
     counts = np.array([1, 1, 2, 2, 3, 3])
     ends = np.cumsum(counts)
     windows, xi = draws[: ends[-1]], draws[ends]
@@ -568,10 +574,10 @@ def _check_generators(ctx: ModuleContext, draws: np.ndarray, frame_tol: float) -
     slots = np.arange(3) < counts[:, None]  # family f's windows fill its first counts[f] of 3 slots
     padded = np.zeros((len(counts), 3, n), dtype=windows.dtype)
     padded[slots] = windows
-    bounds, frames, duals = _duals(np.concatenate(ops), padded[..., cosets.ravel()], frame_tol)
+    bounds, frames, duals = _duals(np.concatenate(ops), padded, lat, frame_tol)
     gammas = np.zeros_like(padded)
     gammas[frames] = duals
-    coeffs = _analyze(xi[np.repeat(np.arange(len(counts)), counts)], _uncoset(gammas[slots], cosets), lat)
+    coeffs = _analyze(xi[np.repeat(np.arange(len(counts)), counts)], gammas[slots], lat)
     (synthesis,) = _per_case(_synthesize, ctx, coeffs, windows, per_case=len(lat) * n)
     starts = ends - counts
     synthesis = np.add.reduceat(synthesis, starts)

@@ -25,15 +25,15 @@ conj(kappa)), and the run table; all are gathers, and the kernels behind
 them take leading case axes.
 The integrated representation sums over each time fibre,
 m_x(t) = sum over (x, w) of a(x, w) roots[pairing(w, t)], and places m_x(t)
-at row t, column index(t - x) of the |G| x |G| matrix; applied to a vector
-(_act, the module actions) it builds no matrix. With w = omega_x + v, v in
-Delta_0, m_x is the base phase row roots[pairing(omega_x, t)] times the
-run's coefficients against the Delta_0 characters, which are constant on
-each frame coset: one |Delta_0| x |Delta_0| product per run, broadcast over
-the cosets. Row t has its entries at the columns of t + X(Delta), X(Delta)
-the time shifts, so the matrix is block diagonal over the cosets of
-X(Delta); _rep_blocks gathers only those blocks, |G| runs entries, for the
-C*-norm and the representation identities of verify.
+at row t, column index(t - x) of the |G| x |G| matrix; _act applies it to a
+vector with no matrix, through the run table's one shift (_base_rows, which
+gabor's frame factor shares). With w = omega_x + v, v in Delta_0, m_x is the
+base phase row roots[pairing(omega_x, t)] times the run's coefficients
+against the Delta_0 characters, constant on each frame coset: one
+|Delta_0| x |Delta_0| product per run, broadcast over the cosets. Row t has
+its entries at the columns of t + X(Delta), X(Delta) the time shifts, so the
+matrix is block diagonal over the cosets of X(Delta); _rep_blocks gathers
+only those blocks, |G| runs entries, for the C*-norm and verify's identities.
 """
 
 from __future__ import annotations
@@ -185,17 +185,22 @@ def _zero_sums(domain: MeasuredSubgroup, a: np.ndarray) -> np.ndarray:
     return (coeffs.reshape(-1, len(runs.chi)) @ runs.chi).reshape(coeffs.shape)
 
 
+def _base_rows(values: np.ndarray, domain: MeasuredSubgroup) -> np.ndarray:
+    """The run table's shift base[r] * values(t - x_r) of (..., |G|) vectors: (..., runs, |G|), frame-coset order."""
+    runs = domain._tables.runs
+    rows = np.take(values, runs.minus, axis=-1)
+    return np.multiply(rows, runs.base, out=rows)
+
+
 def _act(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """integrated_rep(a) @ xi per case of xi's leading axes (a's broadcast to them), in time-fibre form.
 
     rep(a) = weight * sum_x diag(m_x) T_x, m_x the fibre sums of the plain coefficients (_plain). The
-    base phases and the weight fold into xi's side, weight * base[r] * xi(t - x_r), runs x |G| in
-    frame-coset order per case, scaled in place by one _zero_sums value per run and frame coset, then
-    summed over the runs; _uncoset puts the result back in the order of G.
+    base phases and the weight fold into xi's side: weight times xi's base rows (_base_rows), scaled in
+    place by one _zero_sums value per run and frame coset, summed over the runs, back in G order (_uncoset).
     """
     runs = domain._tables.runs
-    shifted = np.take(xi, runs.minus, axis=-1)
-    shifted *= runs.base
+    shifted = _base_rows(xi, domain)
     shifted *= domain.float_weight
     terms = shifted.reshape(shifted.shape[:-1] + runs.frame.shape)
     terms *= _zero_sums(domain, _plain(domain, conjugated, a))[..., None]

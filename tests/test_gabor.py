@@ -252,6 +252,24 @@ def test_dual_window_is_bit_identical_to_bounds_then_solve(orders, gens, k):
 
 
 @pytest.mark.parametrize("orders, gens, k", DUAL_CASES)
+def test_stacked_duals_equal_dual_window_bit_for_bit(orders, gens, k):
+    # _duals takes and returns windows in the order of G; two systems on one lattice, stacked, give
+    # each system's dual_window and frame bounds exactly.
+    group = FiniteAbelianGroup(orders)
+    lattice = subgroup_from_generators(group, gens, 1)
+    systems = [GaborSystem(lattice, tuple(randn_window(group, s) for s in seeds))
+               for seeds in (range(k), range(k, 2 * k))]
+    windows = np.stack([gabor_impl._windows(sys) for sys in systems])
+    bounds, frames, duals = gabor_impl._duals(gabor_impl._gram(*gabor_impl._factor(windows, lattice)), windows,
+                                              lattice, 1e-9)
+    assert frames.tolist() == [True, True]
+    for sys, case_bounds, case_duals in zip(systems, bounds, duals):
+        assert FrameBounds(*case_bounds.tolist()) == frame_bounds(sys)
+        expect = np.stack([gamma.values for gamma in dual_window(sys)])
+        assert case_duals.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("orders, gens, k", DUAL_CASES)
 def test_block_duals_agree_with_the_dense_solve(orders, gens, k):
     # Error model of _check_generators: a backward-stable solve has relative error about
     # c * eps * sqrt(|G|) * kappa, kappa = B/A; here c = 4.

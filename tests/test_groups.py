@@ -272,6 +272,15 @@ def test_adjoint_cache_is_bounded():
         assert adjoint_subgroup.cache_info().currsize <= bound
 
 
+def test_all_subgroups_cache_is_bounded():
+    bound = all_subgroups.cache_info().maxsize
+    assert bound == 32
+    # 33 distinct groups, of orders up to 11: Z_n, Z_1 x Z_n and Z_1 x Z_1 x Z_n
+    for orders in (pad + (n,) for pad in ((), (1,), (1, 1)) for n in range(1, 12)):
+        all_subgroups(FiniteAbelianGroup(orders))
+        assert all_subgroups.cache_info().currsize <= bound
+
+
 def test_public_and_private_constructors_agree_on_every_small_subgroup():
     # The private constructor takes sorted plane indices on trust; the builders use it.
     for g in SMALL_GROUPS:

@@ -29,6 +29,7 @@ from heisenmod import (
     inner,
     integrated_rep,
     involution,
+    janssen_frame_operator,
     left_act,
     left_inner,
     localization_check,
@@ -37,11 +38,13 @@ from heisenmod import (
     module_frame_check,
     module_norm,
     randn_window,
+    reconstruction_residual,
     right_act,
     right_inner,
     shift_orbit,
     splitmix64_stream,
     subgroup_from_generators,
+    synthesis,
     tf_shift,
     tf_shift_matrix,
     theta_matrix,
@@ -310,6 +313,8 @@ def test_verify_suite_passes_and_is_deterministic():
 
 Z48_R2 = module_context(subgroup_from_generators(FiniteAbelianGroup((48,)), [((4,), (0,)), ((0,), (6,))], 1))
 Z12_W3 = module_context(subgroup_from_generators(FiniteAbelianGroup((12,)), [((2,), (3,)), ((0,), (4,))], 3))
+Z2X4_SWAP = module_context(subgroup_from_generators(
+    FiniteAbelianGroup((2, 4)), [((0, 0), (0, 2)), ((0, 0), (1, 1)), ((0, 1), (0, 1))], 1))
 
 
 def test_theta_matrix_matches_per_basis_vector_construction():
@@ -318,8 +323,10 @@ def test_theta_matrix_matches_per_basis_vector_construction():
     # by at most c * eps * w * |Delta| * max|eta| * max|gamma|. left_inner(delta_t, eta) takes the run-form
     # analysis, whose coefficients differ from the dense column by the rounding of a product of two unit
     # phases, a few eps * |eta| each, within the same bound.
+    # On the Z2 x Z4 lattice pos is not the identity: it swaps points 6 and 7, so the rows are placed.
     eps = np.finfo(float).eps
-    for ctx in (CTX4, CTX6, CTX_DIAG, Z48_R2, Z12_W3):
+    assert not np.array_equal(Z2X4_SWAP.lattice._tables.runs.pos, np.arange(16))
+    for ctx in (CTX4, CTX6, CTX_DIAG, Z48_R2, Z12_W3, Z2X4_SWAP):
         g, lat = ctx.lattice.ambient, ctx.lattice
         eta = randn_window(g, seed=50)
         gamma = randn_window(g, seed=51)
@@ -750,8 +757,8 @@ def test_reconstruction_fails_with_a_wrong_dual(orders, gens, seed, monkeypatch)
     # The check takes its duals, with the frame verdicts and the bounds, from gabor._duals.
     true_duals = module_impl._duals
 
-    def wrong_dual(ops, windows, tol):
-        bounds, frames, _ = true_duals(ops, windows, tol)
+    def wrong_dual(ops, windows, sub, tol):
+        bounds, frames, _ = true_duals(ops, windows, sub, tol)
         return bounds, frames, windows[frames] / bounds[frames, 1, None, None]
 
     lattice = subgroup_from_generators(FiniteAbelianGroup(orders), [(tuple(x), tuple(w)) for x, w in gens], 1)
@@ -759,6 +766,46 @@ def test_reconstruction_fails_with_a_wrong_dual(orders, gens, seed, monkeypatch)
     recon = next(e for e in verify_suite(lattice, seed=seed)["identities"] if e["name"] == "reconstruction")
     assert recon["cases"] > 0
     assert not recon["pass"] and recon["max_rel_gap"] > 1e-6, recon
+
+
+Z12_CTX = module_context(subgroup_from_generators(FiniteAbelianGroup((12,)), [((2,), (0,)), ((0,), (3,))], 1))
+WINDOW_ENTRIES = {  # one call per window slot: bad in that slot, good in every other
+    "left_inner-xi": lambda bad, good, ctx: left_inner(bad, good, ctx),
+    "left_inner-eta": lambda bad, good, ctx: left_inner(good, bad, ctx),
+    "right_inner-xi": lambda bad, good, ctx: right_inner(bad, good, ctx),
+    "right_inner-eta": lambda bad, good, ctx: right_inner(good, bad, ctx),
+    "left_act": lambda bad, good, ctx: left_act(left_inner(good, good, ctx), bad, ctx),
+    "right_act": lambda bad, good, ctx: right_act(bad, right_inner(good, good, ctx), ctx),
+    "theta_matrix-eta": lambda bad, good, ctx: theta_matrix(bad, good, ctx),
+    "theta_matrix-gamma": lambda bad, good, ctx: theta_matrix(good, bad, ctx),
+    "module_norm": lambda bad, good, ctx: module_norm(bad, ctx),
+    **{f"figa_check-{slot}": (lambda slot: lambda bad, good, ctx: figa_check(
+        *(bad if i == slot else good for i in range(4)), ctx))(slot) for slot in range(4)},
+    "localization_check-xi": lambda bad, good, ctx: localization_check(bad, good, ctx),
+    "localization_check-eta": lambda bad, good, ctx: localization_check(good, bad, ctx),
+    "dual_lattice_norm_scaling": lambda bad, good, ctx: dual_lattice_norm_scaling(bad, ctx),
+    "module_expansion-xi": lambda bad, good, ctx: module_expansion(bad, [good], ctx),
+    "reconstruction_residual-dual": lambda bad, good, ctx: reconstruction_residual(
+        GaborSystem(ctx.lattice, (good,)), [bad], good),
+    "reconstruction_residual-xi": lambda bad, good, ctx: reconstruction_residual(
+        GaborSystem(ctx.lattice, (good,)), [good], bad),
+    "frame_like-eta": lambda bad, good, ctx: frame_like(bad, good, ctx.lattice),
+    "frame_like-gamma": lambda bad, good, ctx: frame_like(good, bad, ctx.lattice),
+    "analysis": lambda bad, good, ctx: analysis(bad, ctx.lattice),
+    "synthesis": lambda bad, good, ctx: synthesis(bad, ctx.lattice),
+    "shift_orbit": lambda bad, good, ctx: shift_orbit(bad, ctx.lattice),
+    "janssen_frame_operator": lambda bad, good, ctx: janssen_frame_operator(bad, ctx.lattice),
+}
+
+
+@pytest.mark.parametrize("orders", [(24,), (3, 4)], ids=["z24", "z3xz4"])
+@pytest.mark.parametrize("entry", sorted(WINDOW_ENTRIES))
+def test_window_entries_reject_a_window_off_the_lattice_group(orders, entry):
+    # On a Z12 lattice a Z24 window would be read at 12 of its entries, and a Z3 x Z4 one, of the same
+    # order, at all 12 in the wrong group; every public entry that takes a window rejects both, in each slot.
+    bad, good = randn_window(FiniteAbelianGroup(orders), 1), randn_window(Z12_CTX.lattice.ambient, 2)
+    with pytest.raises(ValueError, match="window group does not match the subgroup's ambient group"):
+        WINDOW_ENTRIES[entry](bad, good, Z12_CTX)
 
 
 ACTION_CONTEXTS = [CTX4, CTX6, CTX_DIAG, module_context(subgroup_from_generators(Z6, [((2,), (3,))], Fraction(1, 3)))]

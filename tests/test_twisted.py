@@ -460,3 +460,23 @@ def test_svd_appears_in_the_package_only_inside_svals():
             if "svd" in name:
                 sites.append((path.name, id(node) in inside))
     assert sites == [("twisted.py", True)]
+
+
+def test_run_table_shift_appears_in_the_package_only_inside_base_rows():
+    # One run-table shift: the gather by runs.minus, then the base phases, is _base_rows, which _act and
+    # the frame factor call. The Delta_0 characters are read as one |Delta_0| x |Delta_0| table: no
+    # function gathers them per point through pos.
+    shifts, per_point = set(), set()
+    for path in sorted(Path(heisenmod.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.take" and len(node.args) > 1
+                        and ast.unparse(node.args[1]).endswith("minus")):
+                    shifts.add((path.name, func.name))
+                if (isinstance(node, ast.Subscript) and ast.unparse(node.value).endswith("chi")
+                        and "pos" in ast.unparse(node.slice)):
+                    per_point.add((path.name, func.name))
+    assert shifts == {("twisted.py", "_base_rows")}
+    assert not per_point
