@@ -14,11 +14,14 @@ So S is the integrated representation of a sequence on the adjoint, block
 diagonal over the cosets of the adjoint's time shifts X(adjoint) =
 Delta_0^perp, Delta_0 = {w : (0, w) in Delta} (the frame cosets, groups).
 On one such coset the |Delta_0| orbit rows of a time-shift run are one base
-row times unit phases (the Zak form, _factor), so bounds, spectra, duals,
-the generating-set SVD and the analysis coefficients read the base rows of
-the run table's one shift (twisted _base_rows), in frame-coset order; _duals
-alone moves windows into that order and back. shift_orbit, analysis,
-synthesis, frame_like and frame_operator build the dense orbit per call.
+row times unit phases (the Zak form), and the commuting shifts of the run
+time shifts H' in Delta_0^perp split it exactly into |H'| blocks (groups
+_SplitTable): on the benchmark's lattices the irreducible size
+sqrt(|adjoint| / |Delta cap adjoint|). Bounds, spectra, duals and the
+generating verdict read the split factor (_factor), the analysis
+coefficients the unsplit base rows (twisted _base_rows); _duals alone moves
+windows into the split basis and back. shift_orbit, analysis, synthesis,
+frame_like and frame_operator build the dense orbit per call.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import MeasuredSubgroup, _uncoset, adjoint_subgroup
+from .groups import MeasuredSubgroup, _split, _uncoset, adjoint_subgroup
 from .shifts import OperatorMatrix, Window
 from .twisted import TwistedSeq, _base_rows, _svals, integrated_rep
 
@@ -89,23 +92,31 @@ def _orbit(values: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
 
 
 def _factor(windows: np.ndarray, sub: MeasuredSubgroup) -> tuple[np.ndarray, float]:
-    """Zak-form factor of the frame blocks per case of (..., k, |G|) windows: F (..., blocks, k runs, size)
-    and the scale weight |Delta_0|, with frame block b = _gram(F_b, scale). Row r of F_b is the base row
-    pi(x_r, omega_r) eta on frame coset b, where each v in Delta_0 has one phase pairing(v, t), so the
-    |Delta_0| orbit rows of run r are the base row times unit phases: their Gram is |Delta_0| times its.
-    The run table's shift (twisted _base_rows) gives the rows in frame-coset order."""
-    runs = sub._tables.runs
-    (blocks, size), rows = runs.frame.shape, _base_rows(windows, sub)  # (..., k, runs, |G|)
+    """Zak-form factor of the split frame blocks per case of (..., k, |G|) windows: F (..., blocks, k runs,
+    size) and the scale weight |Delta_0|, frame block b = _gram(F_b, scale). Unsplit, row r of F_b is the
+    base row pi(x_r, omega_r) eta on frame coset b, times unit phases in each of the |Delta_0| orbit rows of
+    run r; its columns through the split's basis W (groups _SplitTable), F conj(W), give W^H S W."""
+    split, blocks = sub._tables.split, len(sub._tables.runs.chi)
+    rows = _base_rows(windows, sub)
+    if len(split.chars) > 1:
+        rows = _split(np.take(rows, split.order, axis=-1), split)
+    return _by_block(rows, blocks, len(split.chars)), sub.float_weight * blocks
+
+
+def _by_block(rows: np.ndarray, blocks: int, chars: int = 1) -> np.ndarray:
+    """(..., k, runs, |G|) rows, columns by frame coset, orbit and character, as (..., blocks chars, k runs,
+    orbits); with chars 1 the unsplit factor of the base rows, which _analyze and module _theta read."""
     lead = rows.ndim - 3
-    rows = rows.reshape(rows.shape[:-1] + (blocks, size)).transpose(*range(lead), -2, -4, -3, -1)
-    return rows.reshape(rows.shape[:-3] + (windows.shape[-2] * len(runs.minus), size)), sub.float_weight * blocks
+    rows = rows.reshape(rows.shape[:-3] + (-1, blocks, rows.shape[-1] // blocks // chars, chars))
+    rows = rows.transpose(*range(lead), -3, -1, -4, -2)
+    return rows.reshape(rows.shape[:lead] + (blocks * chars,) + rows.shape[-2:])
 
 
 def _analyze(xi: np.ndarray, eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
     """Analysis coefficients <xi, pi(z) eta> per case: (..., |G|) arrays give (..., |Delta|): each base row
-    against xi on each frame coset (_factor), then against the Delta_0 characters there; pos places them."""
+    against xi on each frame coset (_by_block), then against the Delta_0 characters there; pos places them."""
     runs = sub._tables.runs
-    rows = _factor(eta[..., None, :], sub)[0]
+    rows = _by_block(_base_rows(eta[..., None, :], sub), len(runs.chi))
     sums = (np.conjugate(rows, out=rows) @ np.take(xi, runs.frame, axis=-1)[..., None])[..., 0]
     coeffs = np.swapaxes(sums, -1, -2) @ runs.chi.conj().T
     return np.take(coeffs.reshape(coeffs.shape[:-2] + runs.pos.shape), runs.pos, axis=-1)
@@ -187,11 +198,11 @@ def dual_window(sys: GaborSystem, tol: float = 1e-9) -> list[Window]:
     return _dual_window(sys, tol)[0]
 
 
-def _dual_window(sys: GaborSystem, tol: float) -> tuple[list[Window], FrameBounds]:
-    """dual_window and the frame bounds: _duals with one case."""
-    windows = _windows(sys)
-    ops = _gram(*_factor(windows, sys.lattice))
-    (bounds,), (frame,), duals = _duals(ops[None], windows[None], sys.lattice, tol)
+def _dual_window(sys: GaborSystem, tol: float, factor: tuple | None = None) -> tuple[list[Window], FrameBounds]:
+    """dual_window and the frame bounds: _duals with one case, on the system's _factor, built here unless given."""
+    windows = _windows(sys)[None]
+    factor, scale = _factor(windows, sys.lattice) if factor is None else factor
+    (bounds,), (frame,), duals = _duals(_gram(factor, scale), windows, sys.lattice, tol)
     bounds = FrameBounds(*bounds.tolist())
     if not frame:
         raise NotAFrameError(bounds)
@@ -199,34 +210,42 @@ def _dual_window(sys: GaborSystem, tol: float) -> tuple[list[Window], FrameBound
 
 
 def _duals(ops: np.ndarray, windows: np.ndarray, sub: MeasuredSubgroup, tol: float) -> tuple[np.ndarray, ...]:
-    """Per case of (cases, blocks, size, size) frame-operator blocks over sub's frame cosets and their
-    (cases, k, |G|) windows in the order of G, from one eigvalsh and one solve: the bounds (cases, 2), the
-    frame verdicts, and the duals (frames, k, |G|) of the frames, in the order of G."""
+    """Per case of (cases, blocks, size, size) split frame-operator blocks (_factor) and their (cases, k, |G|)
+    windows in the order of G, from one eigvalsh and one solve: the bounds (cases, 2), the frame verdicts,
+    and the duals (frames, k, |G|) of the frames, in the order of G: solved for W^H eta, returned as W gamma."""
     bounds = _bounds(ops)
     frames = _frame_test(bounds[:, 0], bounds[:, 1], tol)
-    ops, windows, cosets = ops[frames], windows[frames], sub._tables.runs.frame
-    duals = np.linalg.solve(ops, np.moveaxis(windows[..., cosets], 1, -1))  # (frames, blocks, size, k)
-    return bounds, frames, _uncoset(np.moveaxis(duals, -1, 1).reshape(windows.shape), cosets)
+    ops, windows, split = ops[frames], windows[frames], sub._tables.split
+    chars, frame = len(split.chars), sub._tables.runs.frame.ravel()
+    count, cosets, size, k = len(ops), ops.shape[-3] // chars, ops.shape[-1], windows.shape[1]
+    order = frame[split.order] if chars > 1 else frame
+    rhs = np.take(windows, order, axis=-1)
+    rhs = (_split(rhs, split) if chars > 1 else rhs).reshape(count, k, cosets, size, chars).transpose(0, 2, 4, 3, 1)
+    duals = np.linalg.solve(ops, rhs.reshape(ops.shape[:-1] + (k,)))  # (frames, blocks, size, k)
+    duals = duals.reshape(count, cosets, chars, size, k).transpose(0, 4, 1, 3, 2).reshape(windows.shape)
+    return bounds, frames, _uncoset(_split(duals, split, back=True) if chars > 1 else duals, order)
 
 
-def _factor_frames(factor: np.ndarray, scale: float, tol: float) -> np.ndarray:
-    """The frame rule per case of factor blocks (cases, blocks, k runs, size) (_factor), on bounds scale s^2
-    of their extreme singular values s.
+def _factor_frames(factor: np.ndarray, scale: float, tol: float, sub: MeasuredSubgroup) -> np.ndarray:
+    """The frame rule per case of sub's factor blocks (cases, blocks, k runs, size) (_factor), on bounds
+    scale s^2 of their extreme singular values s.
 
     Columns of different blocks are orthogonal (their Gram is the block-diagonal
     frame operator), and on one block the orbit is the factor block with each row
-    repeated |Delta_0| times at unit phases. The lower bound is 0 with fewer rows
-    than columns, that is with k |Delta| < |G| orbit rows.
+    repeated |Delta_0| times at unit phases. The lower bound is 0 exactly with
+    k |Delta| < |G| orbit rows: counted, since a split block may be taller.
     """
     bounds = scale * _extremes(_svals(factor)) ** 2
-    if factor.shape[-2] < factor.shape[-1]:
+    if factor.shape[-2] * len(sub._tables.runs.chi) < sub.ambient.order:
         bounds[:, 0] = 0.0
     return _frame_test(bounds[:, 0], bounds[:, 1], tol)
 
 
 def reconstruction_residual(sys: GaborSystem, duals: list[Window], xi: Window) -> float:
-    """Residual of sum_j weight sum_z <xi, pi(z) gamma_j> pi(z) eta_j against xi."""
+    """Residual of sum_j weight sum_z <xi, pi(z) gamma_j> pi(z) eta_j against xi; one dual per window."""
     lat = sys.lattice
+    if len(duals) != len(sys.windows):
+        raise ValueError(f"{len(duals)} duals for {len(sys.windows)} windows: reconstruction needs one per window")
     _require_windows(lat, *duals, xi)
     rebuilt = np.zeros(lat.ambient.order, dtype=np.complex128)
     pairs = [(eta.values, gamma.values) for eta, gamma in zip(sys.windows, duals)]

@@ -178,8 +178,9 @@ def _member(sorted_values: np.ndarray, values) -> np.ndarray:
     return sorted_values[pos] == values
 
 
-def _span(table: _GroupTable, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted plane indices of the subgroup generated by ``points``, and the points kept as generators.
+def _span(table: _GroupTable, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted plane indices of the subgroup generated by ``points``, the points kept as generators and their
+    relative orders.
 
     Points already in the span are dropped. A kept point g extends the span H
     by the disjoint cosets H + k g, 0 < k < m, where m is the order of g
@@ -187,17 +188,18 @@ def _span(table: _GroupTable, points: np.ndarray) -> tuple[np.ndarray, np.ndarra
     log2 of its order are kept. The order of g divides N, so k runs up to N.
     """
     span = np.zeros(1, dtype=np.int64)
-    kept = []
+    kept, orders = [], []
     rest = np.asarray(points, dtype=np.int64)
     k = np.arange(table.modulus + 1)[:, None]
     while True:
         rest = rest[~_member(span, rest)]
         if not rest.size:
-            return span, np.array(kept, dtype=np.int64)
+            return span, np.array(kept, dtype=np.int64), np.array(orders, dtype=np.int64)
         kept.append(rest[0])
         gx, gw = table.split(rest[0])
         mx, mw = k * gx, k * gw
         m = 1 + int(np.argmax(_member(span, table.plane_index(mx[1:], mw[1:]))))
+        orders.append(m)
         sx, sw = table.split(span)
         span = np.sort(table.plane_index(sx[:, None] + mx[None, :m], sw[:, None] + mw[None, :m]).ravel())
 
@@ -224,6 +226,73 @@ def _uncoset(values: np.ndarray, cosets: np.ndarray) -> np.ndarray:
     out = np.empty_like(values)
     out[..., cosets.ravel()] = values
     return out
+
+
+class _SplitTable(NamedTuple):
+    """The exact joint eigenbasis W of the commuting shifts U_h = pi(h, omega_h), h in H', on the frame cosets
+    (_LatticeTable.split), 24 |G| + 16 |H'|^2 bytes: order the frame-coset positions by coset (by least
+    member), orbit t0 + H' and h; phase conj(D) there; chars psi(h) / sqrt(|H'|) at [psi, h]. Column
+    (t0, psi) of W holds D(t0 + h) conj(psi(h)) / sqrt(|H'|) at t0 + h."""
+
+    order: np.ndarray
+    phase: np.ndarray
+    chars: np.ndarray
+
+
+def _split(values: np.ndarray, split: _SplitTable, back: bool = False) -> np.ndarray:
+    """The split's change of basis on the last axis of (..., |G|) arrays: values v gathered by split.order
+    give W^H v (v conj(W) for rows), the phases applied in place, by coset, orbit and character; back,
+    coefficients c give W c in the order of split.order."""
+    chars = split.chars.conj() if back else split.chars.T
+    if not back:
+        values *= split.phase
+    out = (values.reshape(-1, len(chars)) @ chars).reshape(values.shape)
+    return out * split.phase.conj() if back else out
+
+
+def _split_table(g: _GroupTable, plane: np.ndarray, frame: np.ndarray) -> _SplitTable:
+    """A lattice's split (_SplitTable) from its plane indices and frame cosets, by gathers on integer tables.
+
+    H is the run time shifts in Delta_0^perp, H' those whose shifts commute with all of H's; a closure
+    span gives its generators g_i, relative orders m_i and m_i g_i = sum_{l<i} c_il g_l. V_j = U_{g_d}^{j_d}
+    ... U_{g_1}^{j_1} moves t0 to t0 + sum j_i g_i at the integer phase sum_i j_i pairing(omega_i, t0 +
+    sum_{l<i} j_l g_l) + j_i (j_i + 1) / 2 pairing(omega_i, g_i) (walk). On coset b, U_{g_i}^{m_i} =
+    roots[alpha_i] V_{c_i}, so mu_b(g_i) = lambda_i solves lambda_i^{m_i} = roots[alpha_i] prod_l
+    lambda_l^{c_il} exactly as integers mod N |H'|. Each orbit starts at its least frame position.
+    """
+    n, (blocks, size), flat = g.size, frame.shape, frame.ravel()
+    starts = plane[::blocks]
+    shifts, w = starts // n, g.coords[starts % n]
+    pairs = g.pairings(np.concatenate([g.coords[plane[:blocks]], w]), g.coords[shifts])  # Delta_0, then omega_r
+    h = ~pairs[:blocks].any(axis=0)
+    commutators = pairs[blocks:][h][:, h]  # [h, k]: pairing(omega_h, x_k), commuting where symmetric
+    span, gens, m = _span(g, starts[h][~(commutators != commutators.T).any(axis=1)] // n * n)
+    count = len(span)
+    if count == 1:
+        return _SplitTable(np.arange(n), np.ones(n, dtype=np.complex128), np.ones((1, 1), dtype=np.complex128))
+    gens, omega = g.coords[gens // n], w[np.searchsorted(shifts, gens // n)]
+    digits = np.arange(count)[:, None] // (np.cumprod(m) // m) % m  # h(j) in the normal form's order
+    number = np.zeros(n, dtype=np.int64)
+    number[g.index(digits @ gens)] = np.arange(count)
+    rel, q = digits[number[g.index(m[:, None] * gens)]], g.pairings(omega, gens)  # q[i, l] pairing(omega_i, g_l)
+    lower, half = np.tril(q, -1).T, q.diagonal()
+
+    def walk(j):  # the walk phase less its sum_i j_i pairing(omega_i, t0)
+        return (j @ lower * j).sum(-1) + j * (j + 1) // 2 @ half
+
+    seen = _uncoset(np.arange(n), frame)[g.translates(g.coords[span // n])]  # [k, t]: frame position of t - h_k
+    start, at = seen.min(axis=0), number[span[seen.argmin(axis=0)] // n]  # t = t0 + h(at), t0 first in frame order
+    p, j = g.pairings(g.coords[flat[start]], omega), digits[at]  # pairing(omega_i, t0), the digits of h
+    up, moves = np.diag(m) - rel, walk(np.concatenate([np.diag(m), rel]))  # U_{g_i}^{m_i}, then V_{c_i}
+    alpha = p @ up.T + (moves[: len(m)] - moves[len(m) :])
+    big, lam, psi = g.modulus * count, np.zeros((n, len(m)), dtype=np.int64), np.zeros((count, len(m)), dtype=np.int64)
+    for i, mi in enumerate(m):
+        lam[:, i] = (alpha[:, i] * count + lam @ rel[i]) % big // mi
+        psi[:, i] = ((psi @ rel[i]) % count // mi + digits[:, i] * (count // mi)) % count
+    phase = ((lam - p * count) * j).sum(-1) - walk(j) * count
+    order = np.argsort(((frame[start // size, 0] * n + start) * count + at)[flat])
+    chars = np.exp(2j * np.pi * (psi @ digits.T % count) / count) / math.sqrt(count)
+    return _SplitTable(order, np.exp(2j * np.pi * (phase % big) / big)[flat[order]], chars)
 
 
 class _LatticeTable:
@@ -273,6 +342,11 @@ class _LatticeTable:
         order = frame.ravel()
         minus = np.take(g.translates(x), order, axis=1)
         return _RunTable(minus, g.roots[g.pairings(w, g.coords[order])], g.roots[zero[:, frame[:, 0]]], pos, frame)
+
+    @cached_property
+    def split(self) -> _SplitTable:
+        """The frame cosets split over the commuting time shifts inside them (_SplitTable)."""
+        return _split_table(self.group, self.plane, self.runs.frame)
 
     @cached_property
     def rep(self) -> np.ndarray:
@@ -357,7 +431,7 @@ class MeasuredSubgroup:
         plane = np.sort(table.plane_index(coords[:, 0], coords[:, 1]))
         if np.any(plane[1:] == plane[:-1]):
             raise ValueError("subgroup element list contains duplicates")
-        span, gens = _span(table, plane)
+        span, gens, _ = _span(table, plane)
         if len(span) != len(plane):
             outside = table.points(np.setdiff1d(span, plane)[:1])[0]
             raise ValueError(f"points do not form a subgroup: they generate {outside}, not among them")
@@ -430,7 +504,7 @@ def subgroup_from_generators(
 ) -> MeasuredSubgroup:
     """Smallest subgroup of G x G^ containing the generators, with the given weight."""
     points = [group.index(x) * group.order + group.index(w) for x, w in gens]
-    span, kept = _span(group._table, np.array(points, dtype=np.int64))
+    span, kept, _ = _span(group._table, np.array(points, dtype=np.int64))
     return MeasuredSubgroup._from_plane(group, span, weight, kept)
 
 

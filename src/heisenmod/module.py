@@ -28,11 +28,12 @@ from functools import partial
 
 import numpy as np
 
-from .gabor import (FrameBounds, GaborSystem, _analyze, _bounds, _duals, _factor, _factor_frames, _gram, _orbit,
-                    _require_windows, _windows, analysis, dual_window)
+from .gabor import (FrameBounds, GaborSystem, _analyze, _bounds, _by_block, _duals, _dual_window, _factor,
+                    _factor_frames, _gram, _orbit, _require_windows, _windows, analysis)
 from .groups import FiniteAbelianGroup, MeasuredSubgroup, adjoint_subgroup
 from .shifts import Window, _randn, splitmix64_stream
-from .twisted import TwistedSeq, _act, _convolve, _involve, _rep, _rep_blocks, _svals, _top_eig
+from .twisted import (TwistedSeq, _act, _base_rows, _convolve, _involve, _rep, _rep_blocks, _split_rep_blocks, _svals,
+                      _top_eig)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def module_frame_check(
     sys = GaborSystem(ctx.lattice, tuple(windows))
     factor, scale = _factor(_windows(sys)[None], sys.lattice)
     bounds = FrameBounds(*_bounds(_gram(factor, scale))[0].tolist())
-    return {"generating": bool(_factor_frames(factor, scale, tol)[0]), "bounds": bounds}
+    return {"generating": bool(_factor_frames(factor, scale, tol, sys.lattice)[0]), "bounds": bounds}
 
 
 def module_expansion(
@@ -130,12 +131,13 @@ def module_expansion(
     ctx: ModuleContext,
     tol: float = 1e-9,
 ) -> list[TwistedSeq]:
-    """Expansion coefficients a_j = left_inner(xi, S^{-1} eta_j); error when not generating."""
+    """Expansion coefficients a_j = left_inner(xi, S^{-1} eta_j) from one factor; error when not generating."""
     sys = GaborSystem(ctx.lattice, tuple(windows))
     _require_windows(ctx.lattice, xi)
-    if not _factor_frames(*_factor(_windows(sys)[None], sys.lattice), tol)[0]:
+    factor = _factor(_windows(sys)[None], sys.lattice)
+    if not _factor_frames(*factor, tol, sys.lattice)[0]:
         raise ValueError("window family does not generate the module; no expansion exists")
-    return [left_inner(xi, gamma, ctx) for gamma in dual_window(sys, tol)]
+    return [left_inner(xi, gamma, ctx) for gamma in _dual_window(sys, tol, factor)[0]]
 
 
 def localization_check(xi: Window, eta: Window, ctx: ModuleContext) -> dict:
@@ -205,7 +207,7 @@ def _theta(rows: np.ndarray, gamma: np.ndarray, ctx: ModuleContext, sums: np.nda
     placed = np.empty_like(rows) if sums is None else sums
     placed[:, runs.pos] = rows
     zak = np.matmul(runs.chi.T, placed.reshape(shape), out=rows.reshape(shape))  # (cases, runs, blocks, |G|)
-    factor, _ = _factor(gamma[:, None, :], lat)  # (cases, blocks, runs, size)
+    factor = _by_block(_base_rows(gamma[:, None, :], lat), len(runs.chi))  # (cases, blocks, runs, size), unsplit
     factor *= lat.float_weight
     theta = np.empty((cases, n, n), dtype=np.complex128)
     theta[:, runs.frame.ravel()] = (np.swapaxes(factor, -1, -2) @ np.swapaxes(zak, 1, 2)).reshape(cases, n, n)
@@ -440,10 +442,10 @@ def _norm_routes(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, ...]:
     """Module norm per case via the frame-operator spectrum, the top orbit singular value, the C*-norm.
 
     The orbit's singular values are sqrt(|Delta_0|) times those of the factor blocks (gabor _factor),
-    the C*-norm the largest singular value of the rep blocks.
+    the C*-norm the largest singular value of the rep blocks split by the adjoint's table (_split_rep_blocks).
     """
     lat = ctx.lattice
-    via_algebra = np.sqrt(_svals(_rep_blocks(lat, False, _analyze(eta, eta, lat))).max(axis=(-2, -1)))
+    via_algebra = np.sqrt(_svals(_split_rep_blocks(lat, False, _analyze(eta, eta, lat), ctx.dual)).max(axis=(-2, -1)))
     factor, scale = _factor(eta[..., None, :], lat)  # made after the rep blocks are spent: one less alive
     via_analysis = math.sqrt(scale) * _svals(factor).max(axis=(-2, -1))
     return _factor_norms(factor, scale), via_analysis, via_algebra
@@ -568,7 +570,7 @@ def _check_generators(ctx: ModuleContext, draws: np.ndarray, frame_tol: float) -
     generating, ops = [], []
     for k in (1, 2, 3):
         factor, scale = _factor(windows[k * (k - 1) : k * (k + 1)].reshape(2, k, n), lat)
-        generating.append(_factor_frames(factor, scale, frame_tol))
+        generating.append(_factor_frames(factor, scale, frame_tol, lat))
         ops.append(_gram(factor, scale))
     generating = np.concatenate(generating)
     slots = np.arange(3) < counts[:, None]  # family f's windows fill its first counts[f] of 3 slots

@@ -33,7 +33,10 @@ against the Delta_0 characters, constant on each frame coset: one
 |Delta_0| x |Delta_0| product per run, broadcast over the cosets. Row t has
 its entries at the columns of t + X(Delta), X(Delta) the time shifts, so the
 matrix is block diagonal over the cosets of X(Delta); _rep_blocks gathers
-only those blocks, |G| runs entries, for the C*-norm and verify's identities.
+only those blocks, |G| runs entries, for verify's identities. The adjoint's
+shifts commute with rep(a), and the rep cosets are the adjoint's frame
+cosets, so its split table (groups) splits each block on both sides for
+the spectral norms (_split_rep_blocks): the C*-norm and the norm chain.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import MeasuredSubgroup, TFPoint, _uncoset
+from .groups import MeasuredSubgroup, TFPoint, _split, _uncoset, adjoint_subgroup
 from .shifts import OperatorMatrix
 
 
@@ -167,6 +170,28 @@ def _rep_blocks(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np
     return blocks
 
 
+def _split_rep_blocks(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, dual: MeasuredSubgroup) -> np.ndarray:
+    """The rep blocks (_rep_blocks) split by the adjoint's table (groups _SplitTable), for their singular
+    values: (..., blocks, size, size). Rep coset b is the adjoint's frame coset of the same least member,
+    members alike in order, and the adjoint's shifts commute with rep(a). R_b^T, gathered in the table's
+    order, is split (R_b^T V, V = conj(W)), then its conjugate transpose: V^H conj(R_b) V = conj(W^H R_b W),
+    of which the blocks (psi, psi) are kept, the others being zero."""
+    split = dual._tables.split
+    if len(split.chars) == 1:
+        return _rep_blocks(domain, conjugated, a)
+    m = _fibre_sums(domain, _plain(domain, conjugated, a))
+    blocks, size = domain._tables.rep.shape
+    chars, at = len(split.chars), (split.order % size).reshape(blocks, size)
+    gather = domain._tables.rep_gather[np.arange(blocks)[None, :, None], at[None], at.T[:, :, None]]
+    rows = _split(np.take(m.reshape(m.shape[:-2] + (-1,)), gather.reshape(size, -1), axis=-1), split)
+    lead = rows.shape[:-2]
+    cols = np.conjugate(rows, out=rows).reshape(lead + (size, blocks, size)).swapaxes(-1, -3)
+    cols = _split(cols.reshape(lead + (size, -1)), split).reshape(lead + (-1, chars, blocks, size // chars, chars))
+    out = np.diagonal(cols, axis1=-4, axis2=-1)  # (..., orbit, block, orbit, psi)
+    out = out.transpose(*range(len(lead)), -3, -1, -4, -2).reshape(lead + (-1, size // chars, size // chars))
+    return out * domain.float_weight
+
+
 def _fibre_sums(domain: MeasuredSubgroup, a: np.ndarray) -> np.ndarray:
     """m_x(t) = sum over the points (x, w) of a(x, w) roots[pairing(w, t)], per case: (..., runs, |G|),
     columns in frame-coset order: the base phases times _zero_sums, broadcast over each coset."""
@@ -208,8 +233,9 @@ def _act(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, xi: np.ndarr
 
 
 def cstar_norm(a: TwistedSeq) -> float:
-    """C*-norm: the spectral norm of the faithful integrated representation, the largest over its blocks."""
-    return float(_svals(_rep_blocks(a.domain, a.conjugated, a.coeffs))[:, 0].max())
+    """C*-norm: the spectral norm of the faithful integrated representation, the largest over its split blocks."""
+    blocks = _split_rep_blocks(a.domain, a.conjugated, a.coeffs, adjoint_subgroup(a.domain))
+    return float(_svals(blocks)[:, 0].max())
 
 
 _TINY = np.finfo(np.float64).tiny  # the least normal float: a floor for divisors that may be zero

@@ -22,11 +22,16 @@ from heisenmod import (
     spectrum,
     splitmix64_stream,
     subgroup_from_generators,
+    dual_window,
+    frame_bounds,
     verify_suite,
 )
+from heisenmod import gabor as gabor_impl
+from heisenmod import groups as groups_impl
 from heisenmod import module as module_impl
+from heisenmod import module_frame_check
 from heisenmod.shifts import _randn
-from heisenmod.twisted import _rep, _rep_blocks
+from heisenmod.twisted import _rep, _rep_blocks, _split_rep_blocks, _svals
 
 GROUPS = [FiniteAbelianGroup(orders) for orders in [(n,) for n in range(1, 13)] + [(2, 4), (3, 3)]]
 # The largest verify-ladder rungs: Z6^2 at |Delta| = 72, Z8^2 at 64, Z80 at 160, Z96 at 96 (weight 3) and 192.
@@ -175,7 +180,7 @@ def _failing(lattice) -> set:
 
 # The identities each mutation fails: the frame-coset swap on Z12, each run-table swap on both rungs.
 FRAME_COSET_MUTATION = {"localization", "norm-chain", "operator-extension", "figa", "imprimitivity",
-                        "reconstruction", "twisted-axioms"}
+                        "reconstruction", "dual-scaling", "twisted-axioms"}
 RUN_TABLE_MUTATIONS = {
     "pos": {"operator-extension", "reconstruction", "twisted-axioms"},
     "minus": {"localization", "norm-chain", "operator-extension", "figa", "imprimitivity", "reconstruction",
@@ -242,7 +247,8 @@ def test_swapped_involution_phases_fail_twisted_axioms(rung):
 
 def test_spectral_kernels_see_only_blocks_on_the_z96_weight_3_rung(monkeypatch):
     # 24 frame cosets and 24 rep cosets of 4; the lattice is its own adjoint. Dual-scaling runs only at
-    # counting weight, so it runs on the same point set at weight 1.
+    # counting weight, so it runs on the same point set at weight 1. The split (groups, _SplitTable) takes
+    # every block to 1 x 1, so the singular values take their closed form and LAPACK sees width 1 alone.
     orders, gens, weight = BIG_RUNGS[3]
     lattice = subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight)
     assert lattice._tables.rep.shape == lattice._tables.runs.frame.shape == (24, 4)
@@ -256,5 +262,136 @@ def test_spectral_kernels_see_only_blocks_on_the_z96_weight_3_rung(monkeypatch):
     module_impl._check_norm_chain(ctx, _randn(splitmix64_stream(3, 20), n))
     module_impl._check_generators(ctx, _randn(splitmix64_stream(3, 13), n), 1e-9)
     module_impl._check_dual_scaling(counting, _randn(splitmix64_stream(3, 20), n))
-    assert {name for name, _ in widths} == {"eigvalsh", "svd", "solve"}, widths
-    assert max(width for _, width in widths) == 4, widths
+    assert {name for name, _ in widths} == {"eigvalsh", "solve"}, widths
+    assert max(width for _, width in widths) == 1, widths
+
+
+def _basis(lattice):
+    """The split's basis W from its table (groups _SplitTable): rows in the order of G, columns by frame
+    coset, orbit and character; and the columns of each split block (coset, psi) as the rows of an index."""
+    tables, n = lattice._tables, lattice.ambient.order
+    split, blocks = tables.split, len(tables.runs.chi)
+    chars = len(split.chars)
+    members = tables.runs.frame.ravel()[split.order].reshape(-1, chars)  # one orbit t0 + H' per row
+    basis = np.zeros((n, n), dtype=np.complex128)
+    basis[members[:, :, None], np.arange(n).reshape(-1, 1, chars)] = (split.phase.conj().reshape(-1, chars, 1)
+                                                                     * split.chars.T.conj())
+    return basis, np.arange(n).reshape(blocks, -1, chars).transpose(0, 2, 1).reshape(blocks * chars, -1)
+
+
+def test_split_is_exact_on_every_small_lattice():
+    # Every subgroup of Z1-Z12, Z2 x Z4 and Z3^2, and the big rungs: W is unitary, W^H S W leaks <= 1e-14
+    # relative off its split blocks, the duals are the dense solve within gabor's error model (4 eps
+    # sqrt|G| B / A), and the rep blocks split by the adjoint's table keep their top singular value.
+    worst_unitary = worst_leak = 0.0
+    rng, count, split = np.random.default_rng(6), 0, 0
+    for k, lat in enumerate(_lattices()):
+        g, n = lat.ambient, lat.ambient.order
+        basis, index = _basis(lat)
+        worst_unitary = max(worst_unitary, np.abs(basis.conj().T @ basis - np.eye(n)).max())
+        sys = GaborSystem(lat, tuple(randn_window(g, 500 + 7 * k + j) for j in range(1 + k % 2)))
+        dense = frame_operator(sys)
+        full = basis.conj().T @ dense @ basis
+        inside = np.zeros((n, n), dtype=bool)
+        inside[index[:, :, None], index[:, None, :]] = True
+        worst_leak = max(worst_leak, np.abs(full[~inside]).max(initial=0.0) / np.abs(dense).max())
+        bounds = frame_bounds(sys)
+        if bounds.lower > 1e-9 * max(bounds.upper, 1.0):
+            solved = np.linalg.solve(dense, np.stack([eta.values for eta in sys.windows], axis=1))
+            duals = np.stack([gamma.values for gamma in dual_window(sys)], axis=1)
+            tol = 4 * np.finfo(float).eps * np.sqrt(n) * bounds.upper / bounds.lower
+            assert np.linalg.norm(duals - solved) <= tol * np.linalg.norm(solved), (g.orders, len(lat))
+        a = rng.standard_normal(len(lat)) + 1j * rng.standard_normal(len(lat))
+        top = _svals(_rep_blocks(lat, False, a))[:, 0].max()
+        got = _svals(_split_rep_blocks(lat, False, a, adjoint_subgroup(lat)))[:, 0].max()
+        assert abs(got - top) <= 1e-13 * top, (g.orders, len(lat))
+        count += 1
+        split += len(lat._tables.split.chars) > 1
+    assert count > 740 and split > 500, (count, split)
+    assert worst_unitary <= 1e-15 and worst_leak <= 1e-14, (worst_unitary, worst_leak)
+
+
+# The verify-ladder rungs' blocks before and after the split: (frame count, size) -> (count, size), likewise
+# for the rep blocks, which the adjoint's table splits. The split reaches the irreducible size on each:
+# sqrt(|adjoint| / |Delta cap adjoint|) for the frame blocks, sqrt(|Delta| / |Delta cap adjoint|) for the rep
+# blocks.
+Z6_R1 = ((6, 6), [((3, 0), (0, 0)), ((0, 1), (2, 3)), ((0, 0), (2, 0)), ((0, 0), (0, 6))], 1)
+SPLIT_SIZES = [
+    (BIG_RUNGS[0], (2, 18), (36, 1), (1, 36), (18, 2)),  # Z6^2 at redundancy 2
+    (Z6_R1, (3, 12), (36, 1), (3, 12), (36, 1)),
+    (BIG_RUNGS[2], (10, 8), (80, 1), (5, 16), (40, 2)),  # Z80
+    (BIG_RUNGS[3], (24, 4), (96, 1), (24, 4), (96, 1)),  # Z96 at weight 3
+    (BIG_RUNGS[1], (8, 8), (16, 4), (8, 8), (16, 4)),  # Z8^2, q = 4
+]
+
+
+@pytest.mark.parametrize("rung, frame, frame_split, rep, rep_split", SPLIT_SIZES,
+                         ids=["z6x6-r2", "z6x6-r1", "z80", "z96-w3", "z8x8"])
+def test_split_blocks_on_the_ladder_rungs(rung, frame, frame_split, rep, rep_split):
+    orders, gens, weight = rung
+    lattice = subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight)
+    adjoint = adjoint_subgroup(lattice)
+    common = np.intersect1d(lattice.plane, adjoint.plane)
+    assert lattice._tables.runs.frame.shape == frame and lattice._tables.rep.shape == rep
+    eta = randn_window(lattice.ambient, 1).values
+    assert gabor_impl._factor(eta[None], lattice)[0].shape[-3::2] == frame_split
+    blocks = _split_rep_blocks(lattice, False, gabor_impl._analyze(eta, eta, lattice), adjoint)
+    assert blocks.shape[-3:-1] == rep_split
+    # q^2 |Delta cap adjoint| = |adjoint| for the frame operator (rep of the adjoint's algebra), |Delta| for rep
+    assert frame_split[1] ** 2 * len(common) == len(adjoint) and rep_split[1] ** 2 * len(common) == len(lattice)
+
+
+def test_density_rule_counts_orbit_rows_whatever_the_split_block_shape(monkeypatch):
+    # Z12 with Delta = <(2, 0)>: |Delta| = 6 < |G| = 12, so one window is no frame. H' = 2 Z_12 splits the one
+    # frame coset into 6 blocks of 6 runs x 2 orbits, more rows than columns: the count, not the shape, sets
+    # the algebraic route's lower bound to 0.0 exactly.
+    group = FiniteAbelianGroup((12,))
+    ctx = module_context(subgroup_from_generators(group, [((2,), (0,))], 1))
+    factor, _ = gabor_impl._factor(randn_window(group, 3).values[None, None], ctx.lattice)
+    assert factor.shape == (1, 6, 6, 2)
+    lowers = []
+    real = gabor_impl._frame_test
+    monkeypatch.setattr(gabor_impl, "_frame_test", lambda lower, *rest: lowers.append(lower.copy()) or real(lower, *rest))
+    verdict = module_frame_check([randn_window(group, 3)], ctx)
+    assert lowers[0].tolist() == [0.0] and not verdict["generating"]
+
+
+def _bumped_span(real):
+    """groups._span with its first relative order one too high: a wrong polycyclic presentation of H'."""
+    def span(table, points):
+        points, kept, orders = real(table, points)
+        return points, kept, orders + (np.arange(len(orders)) == 0)
+
+    return span
+
+
+# The identities each split-table mutation fails. On the Z12 rung H' has two elements, so a swap of the two
+# columns of its character table only negates the nontrivial character: the same basis, not a mutation.
+SPLIT_MUTATIONS = {
+    ("phase", 0): {"reconstruction"},
+    ("phase", 1): {"norm-chain", "reconstruction", "dual-scaling"},
+    ("chars", 1): {"norm-chain", "reconstruction", "dual-scaling"},
+    ("order", 0): {"norm-chain", "reconstruction", "dual-scaling"},
+    ("order", 1): {"norm-chain", "reconstruction", "dual-scaling"},
+}
+
+
+@pytest.mark.parametrize("field, rung", sorted(SPLIT_MUTATIONS), ids=lambda v: v if isinstance(v, str) else
+                         ["z12", "z6x6"][v])
+def test_a_wrong_split_table_fails_verify(field, rung, monkeypatch):
+    # Two column phases of the lattice's split table (the second of the first orbit and the first of the
+    # second), or two columns of its character table (two elements of H'), swapped; or the first relative
+    # order of H''s generators one too high, for the lattice's table and the adjoint's.
+    assert not _failing(_fresh(MUTATION_RUNGS[rung]))
+    lattice = _fresh(MUTATION_RUNGS[rung])
+    split = lattice._tables.split
+    if field == "order":
+        monkeypatch.setattr(groups_impl, "_span", _bumped_span(groups_impl._span))
+        del lattice._tables.__dict__["split"]
+    else:
+        bad = getattr(split, field).copy()
+        i, j = (1, len(split.chars)) if field == "phase" else (0, 1)
+        assert not np.array_equal(bad[..., i], bad[..., j])
+        bad[..., [i, j]] = bad[..., [j, i]]
+        lattice._tables.__dict__["split"] = split._replace(**{field: bad})
+    assert _failing(lattice) == SPLIT_MUTATIONS[field, rung]

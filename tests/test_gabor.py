@@ -41,6 +41,7 @@ from heisenmod import (
     tf_shift_matrix,
 )
 from heisenmod import gabor as gabor_impl
+from heisenmod.groups import _split
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -180,6 +181,19 @@ def test_dual_window_reconstructs():
         assert reconstruction_residual(sys, duals, xi) < 1e-9 * xi.norm()
 
 
+def test_reconstruction_residual_takes_one_dual_per_window():
+    # Z12 (2, 0), (0, 3) with two windows: both duals reconstruct; the first alone, or none, is an error,
+    # not a residual of a different expansion.
+    group = FiniteAbelianGroup((12,))
+    sys = GaborSystem(subgroup_from_generators(group, [((2,), (0,)), ((0,), (3,))], 1),
+                      (randn_window(group, 1), randn_window(group, 2)))
+    duals, xi = dual_window(sys), randn_window(group, 9)
+    assert reconstruction_residual(sys, duals, xi) < 1e-13 * xi.norm()
+    for wrong in (duals[:1], [], duals + duals[:1]):
+        with pytest.raises(ValueError, match="one per window"):
+            reconstruction_residual(sys, wrong, xi)
+
+
 def test_janssen_fixture_and_agreement():
     got = janssen_frame_operator(delta_window(Z4, 0), LAT4)
     assert np.allclose(got, np.diag([2.0, 0, 2.0, 0]), atol=1e-13)
@@ -203,17 +217,39 @@ def test_spectrum_descending_and_matches_bounds():
 
 
 def _old_dual_window(sys, tol=1e-9):
-    """dual_window as composed from parts: frame_bounds, then a second set of factor blocks, then a block
-    solve per frame coset, scattered back to G."""
+    """dual_window as composed from parts: frame_bounds, then a second set of split factor blocks (gabor
+    _factor), the windows into the split basis (groups _split), a block solve per split block, and the
+    solutions back to G."""
     bounds = frame_bounds(sys)
     if not bounds.lower > tol * max(bounds.upper, 1.0):
         raise NotAFrameError(bounds)
-    cosets = sys.lattice._tables.runs.frame
+    tables, n, k = sys.lattice._tables, sys.lattice.ambient.order, len(sys.windows)
+    split, cosets = tables.split, len(tables.runs.chi)
+    chars, order = len(split.chars), tables.runs.frame.ravel()
+    order = order[split.order] if chars > 1 else order
     stacked = np.stack([eta.values for eta in sys.windows])
     blocks = gabor_impl._gram(*gabor_impl._factor(stacked, sys.lattice))
-    duals = np.empty(stacked.shape[::-1], dtype=np.complex128)
-    duals[cosets] = np.linalg.solve(blocks, np.moveaxis(stacked[:, cosets], 0, -1))
-    return duals
+    rhs = _split(stacked[:, order], split) if chars > 1 else stacked[:, order]
+    rhs = rhs.reshape(k, cosets, -1, chars).transpose(1, 3, 2, 0).reshape(blocks.shape[:-1] + (k,))
+    solved = np.linalg.solve(blocks, rhs).reshape(cosets, chars, -1, k).transpose(3, 0, 2, 1).reshape(k, n)
+    duals = np.empty_like(solved)
+    duals[:, order] = _split(solved, split, back=True) if chars > 1 else solved
+    return duals.T
+
+
+def _split_blocks(dense, lattice):
+    """The diagonal blocks of W^H dense W, W the split's basis built from its table (groups _SplitTable):
+    column (coset, orbit, psi) holds conj(phase) conj(chars[psi, h]) at the orbit's member of h."""
+    tables, n = lattice._tables, lattice.ambient.order
+    split, cosets = tables.split, len(tables.runs.chi)
+    chars = len(split.chars)
+    members = tables.runs.frame.ravel()[split.order].reshape(-1, chars)  # one orbit per row
+    basis = np.zeros((n, n), dtype=np.complex128)
+    basis[members[:, :, None], np.arange(n).reshape(-1, 1, chars)] = (split.phase.conj().reshape(-1, chars, 1)
+                                                                     * split.chars.T.conj())
+    full = basis.conj().T @ dense @ basis
+    index = np.arange(n).reshape(cosets, -1, chars).transpose(0, 2, 1).reshape(cosets * chars, -1)
+    return full[index[:, :, None], index[:, None, :]]
 
 
 def _dense_blocks(sys):
@@ -244,7 +280,9 @@ def test_dual_window_is_bit_identical_to_bounds_then_solve(orders, gens, k):
     # by a small multiple of eps * B, and the backward-stable solves by eps * kappa * |gamma|.
     eps, bounds, cosets = np.finfo(float).eps, frame_bounds(sys), sys.lattice._tables.runs.frame
     dense = _dense_blocks(sys)
-    assert np.abs(gabor_impl._frame_blocks(sys) - dense).max() <= 64 * eps * bounds.upper
+    full = np.zeros((sys.lattice.ambient.order,) * 2, dtype=np.complex128)
+    full[cosets[:, :, None], cosets[:, None, :]] = dense
+    assert np.abs(gabor_impl._frame_blocks(sys) - _split_blocks(full, sys.lattice)).max() <= 64 * eps * bounds.upper
     stacked = np.stack([eta.values for eta in sys.windows])
     ref = np.empty_like(duals)
     ref[cosets] = np.linalg.solve(dense, np.moveaxis(stacked[:, cosets], 0, -1))
@@ -349,7 +387,7 @@ def test_generating_check_holds_no_orbit_sized_array():
     gabor_impl._factor(windows, sub)  # builds the run table outside the measurement
     tracemalloc.start()
     try:
-        verdicts = gabor_impl._factor_frames(*gabor_impl._factor(windows, sub), 1e-9)
+        verdicts = gabor_impl._factor_frames(*gabor_impl._factor(windows, sub), 1e-9, sub)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -382,8 +420,9 @@ def test_run_layer_tables_on_z2048_fit_the_zak_form_budget():
     # Z2048 (16, 0), (0, 32): |Delta| = 8192 in 128 runs, |Delta_0| = 64. After the frame operations, both
     # module actions and the C*-norm, the lattice's cached tables other than its points (plane, and the
     # generators its build supplied) and the twisted-algebra tables (sub, kappa, neg, star) are the run
-    # table, 24 runs |G| bytes plus its frame cosets, chi and pos, and the rep cosets and rep_gather,
-    # 8 |G| + 8 runs |G|. None has the shape of a Delta_0 x G phase table.
+    # table, 24 runs |G| bytes plus its frame cosets, chi and pos, the rep cosets and rep_gather,
+    # 8 |G| + 8 runs |G|, and the split, 24 |G| + 16 |H'|^2 with H' = 64 Z_2048, the time shifts in
+    # Delta_0^perp (32 of them). None has the shape of a Delta_0 x G phase table.
     group = FiniteAbelianGroup((2048,))
     eta, gamma, xi = (randn_window(group, s) for s in (1, 2, 3))
     ctx = module_context(subgroup_from_generators(group, [((16,), (0,)), ((0,), (32,))], 1))
@@ -394,13 +433,14 @@ def test_run_layer_tables_on_z2048_fit_the_zak_form_budget():
     left_act(a, gamma, ctx)
     right_act(xi, b, ctx)
     cstar_norm(a)
-    tables, n, d0 = ctx.lattice._tables, group.order, 64
+    tables, n, d0, h = ctx.lattice._tables, group.order, 64, 32
     runs = len(ctx.lattice) // d0
+    assert tables.split.chars.shape == (h, h)
     cached = {name: value for name, value in vars(tables).items()
               if name not in {"plane", "gens", "sub", "kappa", "neg", "star"}}
     arrays = [v for value in cached.values() for v in (value if isinstance(value, tuple) else (value,))
               if isinstance(v, np.ndarray)]
-    budget = 32 * runs * n + 16 * n + 8 * len(ctx.lattice) + 16 * d0**2
+    budget = 32 * runs * n + 16 * n + 8 * len(ctx.lattice) + 16 * d0**2 + 24 * n + 16 * h**2
     assert sum(v.nbytes for v in arrays) <= budget, (sum(v.nbytes for v in arrays), budget)
     assert all(v.shape != (d0, n) for v in arrays), [v.shape for v in arrays]
-    assert {"runs", "rep", "rep_gather"} <= set(cached), sorted(cached)
+    assert {"runs", "rep", "rep_gather", "split"} <= set(cached), sorted(cached)

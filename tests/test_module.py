@@ -20,6 +20,7 @@ from heisenmod import (
     delta_seq,
     delta_window,
     dual_lattice_norm_scaling,
+    dual_window,
     figa_check,
     frame_bounds,
     frame_like,
@@ -52,6 +53,7 @@ from heisenmod import (
     twisted_convolve,
     verify_suite,
 )
+from heisenmod import gabor as gabor_impl
 from heisenmod import module as module_impl
 from heisenmod import shifts as shifts_impl
 from heisenmod.module import VERIFY_TOLERANCES
@@ -223,6 +225,21 @@ def test_module_expansion_reconstructs():
 def test_module_expansion_rejects_non_generating():
     with pytest.raises(ValueError):
         module_expansion(randn_window(Z4, 29), [delta_window(Z4, 0)], CTX_DIAG)
+
+
+def test_module_expansion_takes_one_factor(monkeypatch):
+    # The generating verdict and the duals come from one split factor of the family, as in
+    # module_frame_check; the coefficients equal left_inner against dual_window's duals bit for bit.
+    ctx = module_context(subgroup_from_generators(FiniteAbelianGroup((12,)), [((2,), (0,)), ((0,), (3,))], 1))
+    windows, xi = [randn_window(ctx.lattice.ambient, s) for s in (1, 2)], randn_window(ctx.lattice.ambient, 9)
+    expect = [left_inner(xi, gamma, ctx).coeffs for gamma in dual_window(GaborSystem(ctx.lattice, windows))]
+    calls = {"_factor": 0}
+    counted = _counting(calls, "_factor", module_impl._factor)
+    monkeypatch.setattr(module_impl, "_factor", counted)
+    monkeypatch.setattr(gabor_impl, "_factor", counted)
+    coeffs = module_expansion(xi, windows, ctx)
+    assert calls == {"_factor": 1}
+    assert [a.coeffs.tobytes() for a in coeffs] == [e.tobytes() for e in expect]
 
 
 def test_localization_fixture_and_random():
@@ -517,14 +534,14 @@ def test_a_second_suite_reads_the_involution_phases_from_the_lattice(monkeypatch
 @pytest.mark.parametrize("rung", [0, 1], ids=["z96-192", "z96-weight-3"])
 def test_theta_matrix_takes_one_factor_and_no_act_call(rung, monkeypatch):
     # theta is one Delta_0-character product per run and one product per frame coset against gamma's
-    # factor: no column goes through _act.
+    # unsplit factor (gabor _by_block): no column goes through _act, and the split factor (_factor) is not built.
     orders, gens, weight, _, _ = BENCH_SCALE[rung]
     ctx = module_context(subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight))
-    calls = {"_act": 0, "_factor": 0}
+    calls = {"_act": 0, "_factor": 0, "_by_block": 0}
     for name in calls:
         monkeypatch.setattr(module_impl, name, _counting(calls, name, getattr(module_impl, name)))
     theta_matrix(randn_window(ctx.lattice.ambient, 1), randn_window(ctx.lattice.ambient, 2), ctx)
-    assert calls == {"_act": 0, "_factor": 1}, calls
+    assert calls == {"_act": 0, "_factor": 0, "_by_block": 1}, calls
 
 
 @pytest.mark.parametrize("rung", [0, 2], ids=["z96-192", "z80-160"])
@@ -560,9 +577,9 @@ def test_operator_extension_runs_one_gather_per_chunk(rung, monkeypatch):
 
 
 def test_generator_check_makes_one_pass_over_its_six_families(monkeypatch):
-    # Z24 at |Delta| = 24, frame blocks 6 x 6. Per window count k = 1, 2, 3: one factor of its two families
-    # and one SVD verdict from it. For all six families: one eigvalsh and one solve (gabor._duals), one
-    # _analyze and one _act.
+    # Z24 at |Delta| = 24, frame blocks 6 x 6, split into 24 blocks of 1 x 1. Per window count k = 1, 2, 3:
+    # one factor of its two families and one singular-value verdict from it, in closed form (no SVD). For
+    # all six families: one eigvalsh and one solve (gabor._duals), one _analyze and one _act.
     ctx = module_context(subgroup_from_generators(FiniteAbelianGroup((24,)), [((4,), (0,)), ((0,), (6,))], 1))
     assert len(ctx.lattice) == 24 and ctx.lattice._tables.runs.frame.shape == (4, 6)
     lapack = {"svd": 0, "eigvalsh": 0, "solve": 0}
@@ -574,7 +591,7 @@ def test_generator_check_makes_one_pass_over_its_six_families(monkeypatch):
     gen, recon = module_impl._check_generators(ctx, _randn(splitmix64_stream(5, 13), 24), 1e-9)
     assert gen["pass"] and recon["pass"] and recon["cases"] > 0
     assert calls == {"_factor": 3, "_factor_frames": 3, "_analyze": 1, "_act": 1}, calls
-    assert lapack == {"svd": 3, "eigvalsh": 1, "solve": 1}, lapack
+    assert lapack == {"svd": 0, "eigvalsh": 1, "solve": 1}, lapack
 
 
 def test_generator_witness_gathers_in_window_chunks(monkeypatch):

@@ -21,18 +21,24 @@ from hypothesis import strategies as st
 
 from heisenmod import (
     FiniteAbelianGroup,
+    GaborSystem,
     MeasuredSubgroup,
     TFPoint,
     TwistedSeq,
     Window,
     adjoint_subgroup,
+    dual_window,
+    frame_bounds,
+    frame_operator,
     integrated_rep,
     involution,
     shift_orbit,
+    spectrum,
     subgroup_from_generators,
     twisted_convolve,
 )
 from heisenmod import gabor
+from heisenmod.twisted import _rep_blocks, _split_rep_blocks, _svals
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -47,6 +53,18 @@ def lattices(draw, max_order=64):
     coord = st.tuples(*(st.integers(0, n - 1) for n in orders))
     gens = draw(st.lists(st.tuples(coord, coord), max_size=4))
     return group, gens
+
+
+@st.composite
+def sheared(draw, max_side=6):
+    """Z_n^2 and a lattice {(x, T x + y)} as the benchmark's ladder draws them: x on time steps a, y on
+    frequency steps b (divisors of n), T a random symmetric shear."""
+    n = draw(st.integers(2, max_side))
+    step = st.sampled_from([d for d in range(1, n + 1) if n % d == 0])
+    a, b, (p, q, r) = (draw(step), draw(step)), (draw(step), draw(step)), (draw(st.integers(0, n - 1)) for _ in "pqr")
+    gens = [((a[0], 0), (p * a[0] % n, q * a[0] % n)), ((0, a[1]), (q * a[1] % n, r * a[1] % n)),
+            ((0, 0), (b[0], 0)), ((0, 0), (0, b[1]))]
+    return FiniteAbelianGroup((n, n)), gens
 
 
 def _modulus(group):
@@ -137,13 +155,29 @@ def test_shift_orbit_rows_match_definition(case, seed):
         assert np.allclose(orbit[k], _shift_ref(group, z, eta.values), atol=1e-12)
 
 
+def _basis(sub):
+    """The split's basis W from its table (groups _SplitTable), rows in the order of G, columns by frame
+    coset, orbit and character, and the columns of each split block (coset, psi) as rows of an index."""
+    tables, n = sub._tables, sub.ambient.order
+    split = tables.split
+    chars = len(split.chars)
+    members = tables.runs.frame.ravel()[split.order].reshape(-1, chars)
+    basis = np.zeros((n, n), dtype=complex)
+    basis[members[:, :, None], np.arange(n).reshape(-1, 1, chars)] = (split.phase.conj().reshape(-1, chars, 1)
+                                                                     * split.chars.T.conj())
+    blocks = len(tables.runs.chi)
+    return basis, np.arange(n).reshape(blocks, -1, chars).transpose(0, 2, 1).reshape(blocks * chars, -1)
+
+
 @PROPERTY
 @given(lattices(max_order=32), st.integers(0, 2**31))
 def test_run_form_analysis_and_frame_blocks_match_reference_orbits(case, seed):
     # Error model: an analysis coefficient sums |G| products, a frame-block entry |Delta| products, each of
     # two window entries and unit phases; the run form sums them in another order and takes phases as
     # products of two roots, so by Higham's gamma_n bounds the gap is at most c * n * eps times the sum of
-    # the products' moduli, n the number of terms; c = 4.
+    # the products' moduli, n the number of terms; c = 4. The frame blocks are split (gabor _factor): the
+    # reference orbit goes through the split's basis W, each entry a sum of |H'| terms more, counted in n
+    # and in the moduli.
     group, gens = case
     sub = subgroup_from_generators(group, gens, 2)
     xi, eta = _random_coeffs(group.order, seed), _random_coeffs(group.order, seed + 1)
@@ -151,11 +185,47 @@ def test_run_form_analysis_and_frame_blocks_match_reference_orbits(case, seed):
     eps = np.finfo(float).eps
     gap = np.abs(gabor._analyze(xi, eta, sub) - orbit.conj() @ xi)
     assert np.all(gap <= 4 * group.order * eps * (np.abs(orbit) @ np.abs(xi))), gap.max()
-    cosets = sub._tables.runs.frame
-    dense = 2 * (orbit.T @ orbit.conj())[cosets[:, :, None], cosets[:, None, :]]
-    moduli = 2 * (np.abs(orbit).T @ np.abs(orbit))[cosets[:, :, None], cosets[:, None, :]]
+    basis, index = _basis(sub)
+    rows, moduli = orbit @ basis.conj(), np.abs(orbit) @ np.abs(basis)
+    dense = 2 * (rows.T @ rows.conj())[index[:, :, None], index[:, None, :]]
+    moduli = 2 * (moduli.T @ moduli)[index[:, :, None], index[:, None, :]]
     gap = np.abs(gabor._gram(*gabor._factor(eta[None], sub)) - dense)
-    assert np.all(gap <= 4 * len(sub) * eps * moduli), gap.max()
+    terms = len(sub) + 2 * len(sub._tables.split.chars)
+    assert np.all(gap <= 4 * terms * eps * moduli), gap.max()
+
+
+@PROPERTY
+@given(st.one_of(lattices(max_order=32), sheared()), st.integers(0, 2**31))
+def test_split_is_exact_on_the_lattice_and_its_adjoint(case, seed):
+    # The split's basis is unitary and block-diagonalises the frame operator to rounding (the dense frame
+    # operator through W leaks <= 1e-14 relative off the split blocks); the spectrum is the dense one, the
+    # duals the dense solve within gabor's error model (4 eps sqrt|G| B / A), and the split rep blocks keep
+    # the top singular value of the unsplit ones. Both the lattice and its adjoint, sheared ones included.
+    group, gens = case
+    lattice = subgroup_from_generators(group, gens, 1)
+    eps, n = np.finfo(float).eps, group.order
+    rng = np.random.default_rng(seed)
+    for sub, dual in ((lattice, adjoint_subgroup(lattice)), (adjoint_subgroup(lattice), lattice)):
+        basis, index = _basis(sub)
+        assert np.abs(basis.conj().T @ basis - np.eye(n)).max() <= 1e-14
+        windows = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        system = GaborSystem(sub, tuple(Window(group, v) for v in windows))
+        dense = frame_operator(system)
+        full = basis.conj().T @ dense @ basis
+        inside = np.zeros((n, n), dtype=bool)
+        inside[index[:, :, None], index[:, None, :]] = True
+        assert np.abs(full[~inside]).max(initial=0.0) <= 1e-14 * np.abs(dense).max()
+        expect = np.linalg.eigvalsh(dense)[::-1]
+        assert np.abs(spectrum(system) - expect).max() <= 1e-14 * max(expect[0], 1e-300)
+        bounds = frame_bounds(system)
+        if bounds.lower > 1e-9 * max(bounds.upper, 1.0):
+            solved = np.linalg.solve(dense, windows.T)
+            duals = np.stack([gamma.values for gamma in dual_window(system)], axis=1)
+            tol = 4 * eps * np.sqrt(n) * bounds.upper / bounds.lower
+            assert np.linalg.norm(duals - solved) <= tol * np.linalg.norm(solved)
+        a = rng.standard_normal(len(sub)) + 1j * rng.standard_normal(len(sub))
+        top = _svals(_rep_blocks(sub, False, a))[..., 0].max()
+        assert abs(_svals(_split_rep_blocks(sub, False, a, dual))[..., 0].max() - top) <= 1e-13 * top
 
 
 @PROPERTY

@@ -480,3 +480,23 @@ def test_run_table_shift_appears_in_the_package_only_inside_base_rows():
                     per_point.add((path.name, func.name))
     assert shifts == {("twisted.py", "_base_rows")}
     assert not per_point
+
+
+def test_split_has_one_definition_and_no_numerical_eigenbasis():
+    # The split's basis is exact, read from integer tables: the package calls no eig or eigh. Its change of
+    # basis is one function, groups._split, which the frame factor, the dual solve and the rep side call.
+    definitions, callers, eig = [], set(), []
+    for path in sorted(Path(heisenmod.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in {"eig", "eigh"}:
+                eig.append((path.name, ast.unparse(node)))
+            if isinstance(node, ast.FunctionDef) and node.name == "_split":
+                definitions.append(path.name)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                if any(isinstance(node, ast.Call) and ast.unparse(node.func) == "_split" for node in ast.walk(func)):
+                    callers.add((path.name, func.name))
+    assert not eig
+    assert definitions == ["groups.py"]
+    assert callers == {("gabor.py", "_factor"), ("gabor.py", "_duals"), ("twisted.py", "_split_rep_blocks")}
