@@ -17,7 +17,9 @@ On one such coset the |Delta_0| orbit rows of a time-shift run are one base
 row times unit phases (the Zak form), and the commuting shifts of the run
 time shifts H' in Delta_0^perp split it exactly into |H'| blocks (groups
 _SplitTable): on the benchmark's lattices the irreducible size
-sqrt(|adjoint| / |Delta cap adjoint|). Bounds, spectra, duals and the
+sqrt(|adjoint| / |Delta cap adjoint|). On a split block the rows of runs
+x and x + h, h in H', differ by a unit scalar, so the split factor keeps
+one run per coset of H' and folds |H'| into its scale. Bounds, spectra, duals and the
 generating verdict read the split factor (_factor), the analysis
 coefficients the unsplit base rows (twisted _base_rows); _duals alone moves
 windows into the split basis and back. shift_orbit, analysis, synthesis,
@@ -92,19 +94,23 @@ def _orbit(values: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
 
 
 def _factor(windows: np.ndarray, sub: MeasuredSubgroup) -> tuple[np.ndarray, float]:
-    """Zak-form factor of the split frame blocks per case of (..., k, |G|) windows: F (..., blocks, k runs,
-    size) and the scale weight |Delta_0|, frame block b = _gram(F_b, scale). Unsplit, row r of F_b is the
-    base row pi(x_r, omega_r) eta on frame coset b, times unit phases in each of the |Delta_0| orbit rows of
-    run r; its columns through the split's basis W (groups _SplitTable), F conj(W), give W^H S W."""
+    """Zak-form factor of the split frame blocks per case of (..., k, |G|) windows: F (..., blocks, k reps,
+    size) and the scale weight |Delta_0| |H'|, frame block b = _gram(F_b, scale). Unsplit, row r of F_b is
+    the base row pi(x_r, omega_r) eta on frame coset b, times unit phases in each of the |Delta_0| orbit
+    rows of run r; its columns through the split's basis W (groups _SplitTable), F conj(W), give W^H S W.
+    Split, the rows of runs x and x + h, h in H', differ by a unit scalar on each split block: U_h acts
+    there as one scalar, and pi(h, omega_h) pi(x, omega_x) is a phase times a point of run x + h. So the
+    rows of one run per coset of H' (the split's reps) carry the block, and |H'| joins the scale."""
     split, blocks = sub._tables.split, len(sub._tables.runs.chi)
-    rows = _base_rows(windows, sub)
-    if len(split.chars) > 1:
+    chars = len(split.chars)
+    rows = _base_rows(windows, sub, split.reps if chars > 1 else slice(None))
+    if chars > 1:
         rows = _split(np.take(rows, split.order, axis=-1), split)
-    return _by_block(rows, blocks, len(split.chars)), sub.float_weight * blocks
+    return _by_block(rows, blocks, chars), sub.float_weight * blocks * chars
 
 
 def _by_block(rows: np.ndarray, blocks: int, chars: int = 1) -> np.ndarray:
-    """(..., k, runs, |G|) rows, columns by frame coset, orbit and character, as (..., blocks chars, k runs,
+    """(..., k, rows, |G|) rows, columns by frame coset, orbit and character, as (..., blocks chars, k rows,
     orbits); with chars 1 the unsplit factor of the base rows, which _analyze and module _theta read."""
     lead = rows.ndim - 3
     rows = rows.reshape(rows.shape[:-3] + (-1, blocks, rows.shape[-1] // blocks // chars, chars))
@@ -226,17 +232,16 @@ def _duals(ops: np.ndarray, windows: np.ndarray, sub: MeasuredSubgroup, tol: flo
     return bounds, frames, _uncoset(_split(duals, split, back=True) if chars > 1 else duals, order)
 
 
-def _factor_frames(factor: np.ndarray, scale: float, tol: float, sub: MeasuredSubgroup) -> np.ndarray:
-    """The frame rule per case of sub's factor blocks (cases, blocks, k runs, size) (_factor), on bounds
-    scale s^2 of their extreme singular values s.
+def _factor_frames(factor: np.ndarray, scale: float, tol: float) -> np.ndarray:
+    """The frame rule per case of factor blocks (cases, blocks, k reps, size) (_factor), on bounds scale s^2 of
+    their extreme singular values s.
 
     Columns of different blocks are orthogonal (their Gram is the block-diagonal
-    frame operator), and on one block the orbit is the factor block with each row
-    repeated |Delta_0| times at unit phases. The lower bound is 0 exactly with
-    k |Delta| < |G| orbit rows: counted, since a split block may be taller.
+    frame operator). The lower bound is 0 exactly when a block has fewer rows than
+    columns: k runs / |H'| < |G| / (|Delta_0| |H'|), that is k |Delta| < |G|.
     """
     bounds = scale * _extremes(_svals(factor)) ** 2
-    if factor.shape[-2] * len(sub._tables.runs.chi) < sub.ambient.order:
+    if factor.shape[-2] < factor.shape[-1]:
         bounds[:, 0] = 0.0
     return _frame_test(bounds[:, 0], bounds[:, 1], tol)
 

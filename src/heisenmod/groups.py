@@ -230,13 +230,16 @@ def _uncoset(values: np.ndarray, cosets: np.ndarray) -> np.ndarray:
 
 class _SplitTable(NamedTuple):
     """The exact joint eigenbasis W of the commuting shifts U_h = pi(h, omega_h), h in H', on the frame cosets
-    (_LatticeTable.split), 24 |G| + 16 |H'|^2 bytes: order the frame-coset positions by coset (by least
-    member), orbit t0 + H' and h; phase conj(D) there; chars psi(h) / sqrt(|H'|) at [psi, h]. Column
-    (t0, psi) of W holds D(t0 + h) conj(psi(h)) / sqrt(|H'|) at t0 + h."""
+    (_LatticeTable.split), 24 |G| + 16 |H'|^2 + 8 runs / |H'| bytes: order the frame-coset positions by coset
+    (by least member), orbit t0 + H' and h (h = 0 first); phase conj(D) there; chars psi(h) / sqrt(|H'|) at
+    [psi, h]. Column (t0, psi) of W holds D(t0 + h) conj(psi(h)) / sqrt(|H'|) at t0 + h. reps: one run per
+    coset of H' in X(Delta), the one whose time shift is least in its coset (gabor _factor reads their rows
+    alone)."""
 
     order: np.ndarray
     phase: np.ndarray
     chars: np.ndarray
+    reps: np.ndarray
 
 
 def _split(values: np.ndarray, split: _SplitTable, back: bool = False) -> np.ndarray:
@@ -250,27 +253,52 @@ def _split(values: np.ndarray, split: _SplitTable, back: bool = False) -> np.nda
     return out * split.phase.conj() if back else out
 
 
+def _echelon(g: _GroupTable, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A polycyclic presentation of a subgroup of G listed in full by its coordinates (count, rank), read off
+    them in echelon form, a fixed number of array operations per coordinate.
+
+    The members zero on the coordinates before j project onto d_j Z_{n_j} at j, and one whose coordinate
+    j is d_j, the least positive there, generates them modulo those zero on j as well, with relative order
+    n_j / d_j. Returns the generators' rows, last coordinate first, so that m_i g_i lies in the span of
+    the generators before g_i; their relative orders m_i; and d, n_j where the projection is 0. A point
+    is the least member of its coset exactly when its coordinate j is below d_j for every j.
+    """
+    inside, rows, orders, bound = np.ones(len(coords), dtype=bool), [], [], g.orders.copy()
+    for j, n in enumerate(g.orders.tolist()):
+        column = np.where(inside & (coords[:, j] > 0), coords[:, j], n)
+        k = int(np.argmin(column))
+        if column[k] < n:
+            rows.append(k)
+            orders.append(n // int(column[k]))
+            bound[j] = column[k]
+        inside &= coords[:, j] == 0
+    return np.array(rows[::-1], dtype=np.int64), np.array(orders[::-1], dtype=np.int64), bound
+
+
 def _split_table(g: _GroupTable, plane: np.ndarray, frame: np.ndarray) -> _SplitTable:
     """A lattice's split (_SplitTable) from its plane indices and frame cosets, by gathers on integer tables.
 
-    H is the run time shifts in Delta_0^perp, H' those whose shifts commute with all of H's; a closure
-    span gives its generators g_i, relative orders m_i and m_i g_i = sum_{l<i} c_il g_l. V_j = U_{g_d}^{j_d}
-    ... U_{g_1}^{j_1} moves t0 to t0 + sum j_i g_i at the integer phase sum_i j_i pairing(omega_i, t0 +
-    sum_{l<i} j_l g_l) + j_i (j_i + 1) / 2 pairing(omega_i, g_i) (walk). On coset b, U_{g_i}^{m_i} =
-    roots[alpha_i] V_{c_i}, so mu_b(g_i) = lambda_i solves lambda_i^{m_i} = roots[alpha_i] prod_l
-    lambda_l^{c_il} exactly as integers mod N |H'|. Each orbit starts at its least frame position.
+    H is the run time shifts in Delta_0^perp, H' those whose shifts commute with all of H's, one run per
+    element; its echelon form (_echelon) gives generators g_i, relative orders m_i and m_i g_i =
+    sum_{l<i} c_il g_l, and the least run of each coset of H' (reps). V_j = U_{g_d}^{j_d} ... U_{g_1}^{j_1}
+    moves t0 to t0 + sum j_i g_i at the integer phase sum_i j_i pairing(omega_i, t0 + sum_{l<i} j_l g_l) +
+    j_i (j_i + 1) / 2 pairing(omega_i, g_i) (walk). On coset b, U_{g_i}^{m_i} = roots[alpha_i] V_{c_i}, so
+    mu_b(g_i) = lambda_i solves lambda_i^{m_i} = roots[alpha_i] prod_l lambda_l^{c_il} exactly as integers
+    mod N |H'|. Each orbit starts at its least frame position.
     """
     n, (blocks, size), flat = g.size, frame.shape, frame.ravel()
     starts = plane[::blocks]
     shifts, w = starts // n, g.coords[starts % n]
-    pairs = g.pairings(np.concatenate([g.coords[plane[:blocks]], w]), g.coords[shifts])  # Delta_0, then omega_r
-    h = ~pairs[:blocks].any(axis=0)
-    commutators = pairs[blocks:][h][:, h]  # [h, k]: pairing(omega_h, x_k), commuting where symmetric
-    span, gens, m = _span(g, starts[h][~(commutators != commutators.T).any(axis=1)] // n * n)
-    count = len(span)
+    h = np.flatnonzero(~g.pairings(g.coords[plane[:blocks]], g.coords[shifts]).any(axis=0))  # H: runs in Delta_0^perp
+    if len(h) > 1:
+        commutators = g.pairings(w[h], g.coords[shifts[h]])  # [h, k]: pairing(omega_h, x_k), commuting where symmetric
+        h = h[~(commutators != commutators.T).any(axis=1)]
+    count = len(h)
     if count == 1:
-        return _SplitTable(np.arange(n), np.ones(n, dtype=np.complex128), np.ones((1, 1), dtype=np.complex128))
-    gens, omega = g.coords[gens // n], w[np.searchsorted(shifts, gens // n)]
+        one = np.ones((1, 1), dtype=np.complex128)
+        return _SplitTable(np.arange(n), np.ones(n, dtype=np.complex128), one, np.arange(len(starts)))
+    rows, m, bound = _echelon(g, g.coords[shifts[h]])
+    gens, omega = g.coords[shifts[h[rows]]], w[h[rows]]
     digits = np.arange(count)[:, None] // (np.cumprod(m) // m) % m  # h(j) in the normal form's order
     number = np.zeros(n, dtype=np.int64)
     number[g.index(digits @ gens)] = np.arange(count)
@@ -280,8 +308,8 @@ def _split_table(g: _GroupTable, plane: np.ndarray, frame: np.ndarray) -> _Split
     def walk(j):  # the walk phase less its sum_i j_i pairing(omega_i, t0)
         return (j @ lower * j).sum(-1) + j * (j + 1) // 2 @ half
 
-    seen = _uncoset(np.arange(n), frame)[g.translates(g.coords[span // n])]  # [k, t]: frame position of t - h_k
-    start, at = seen.min(axis=0), number[span[seen.argmin(axis=0)] // n]  # t = t0 + h(at), t0 first in frame order
+    seen = _uncoset(np.arange(n), frame)[g.translates(g.coords[shifts[h]])]  # [k, t]: frame position of t - h_k
+    start, at = seen.min(axis=0), number[shifts[h][seen.argmin(axis=0)]]  # t = t0 + h(at), t0 first in frame order
     p, j = g.pairings(g.coords[flat[start]], omega), digits[at]  # pairing(omega_i, t0), the digits of h
     up, moves = np.diag(m) - rel, walk(np.concatenate([np.diag(m), rel]))  # U_{g_i}^{m_i}, then V_{c_i}
     alpha = p @ up.T + (moves[: len(m)] - moves[len(m) :])
@@ -292,7 +320,8 @@ def _split_table(g: _GroupTable, plane: np.ndarray, frame: np.ndarray) -> _Split
     phase = ((lam - p * count) * j).sum(-1) - walk(j) * count
     order = np.argsort(((frame[start // size, 0] * n + start) * count + at)[flat])
     chars = np.exp(2j * np.pi * (psi @ digits.T % count) / count) / math.sqrt(count)
-    return _SplitTable(order, np.exp(2j * np.pi * (phase % big) / big)[flat[order]], chars)
+    reps = np.flatnonzero((g.coords[shifts] < bound).all(axis=1))
+    return _SplitTable(order, np.exp(2j * np.pi * (phase % big) / big)[flat[order]], chars, reps)
 
 
 class _LatticeTable:

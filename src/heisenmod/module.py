@@ -122,7 +122,7 @@ def module_frame_check(
     sys = GaborSystem(ctx.lattice, tuple(windows))
     factor, scale = _factor(_windows(sys)[None], sys.lattice)
     bounds = FrameBounds(*_bounds(_gram(factor, scale))[0].tolist())
-    return {"generating": bool(_factor_frames(factor, scale, tol, sys.lattice)[0]), "bounds": bounds}
+    return {"generating": bool(_factor_frames(factor, scale, tol)[0]), "bounds": bounds}
 
 
 def module_expansion(
@@ -135,7 +135,7 @@ def module_expansion(
     sys = GaborSystem(ctx.lattice, tuple(windows))
     _require_windows(ctx.lattice, xi)
     factor = _factor(_windows(sys)[None], sys.lattice)
-    if not _factor_frames(*factor, tol, sys.lattice)[0]:
+    if not _factor_frames(*factor, tol)[0]:
         raise ValueError("window family does not generate the module; no expansion exists")
     return [left_inner(xi, gamma, ctx) for gamma in _dual_window(sys, tol, factor)[0]]
 
@@ -441,7 +441,7 @@ def _check_localization(ctx: ModuleContext, xi: np.ndarray, eta: np.ndarray) -> 
 def _norm_routes(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, ...]:
     """Module norm per case via the frame-operator spectrum, the top orbit singular value, the C*-norm.
 
-    The orbit's singular values are sqrt(|Delta_0|) times those of the factor blocks (gabor _factor),
+    The orbit's singular values are sqrt(scale / weight) times those of the factor blocks (gabor _factor),
     the C*-norm the largest singular value of the rep blocks split by the adjoint's table (_split_rep_blocks).
     """
     lat = ctx.lattice
@@ -570,7 +570,7 @@ def _check_generators(ctx: ModuleContext, draws: np.ndarray, frame_tol: float) -
     generating, ops = [], []
     for k in (1, 2, 3):
         factor, scale = _factor(windows[k * (k - 1) : k * (k + 1)].reshape(2, k, n), lat)
-        generating.append(_factor_frames(factor, scale, frame_tol, lat))
+        generating.append(_factor_frames(factor, scale, frame_tol))
         ops.append(_gram(factor, scale))
     generating = np.concatenate(generating)
     slots = np.arange(3) < counts[:, None]  # family f's windows fill its first counts[f] of 3 slots

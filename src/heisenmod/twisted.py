@@ -35,12 +35,15 @@ its entries at the columns of t + X(Delta), X(Delta) the time shifts, so the
 matrix is block diagonal over the cosets of X(Delta); _rep_blocks gathers
 only those blocks, |G| runs entries, for verify's identities. The adjoint's
 shifts commute with rep(a), and the rep cosets are the adjoint's frame
-cosets, so its split table (groups) splits each block on both sides for
-the spectral norms (_split_rep_blocks): the C*-norm and the norm chain.
+cosets, so its split table (groups) splits each block for the spectral
+norms (_split_rep_blocks): the C*-norm and the norm chain. Each split
+block is read at its quotient by H', from one change of basis of the
+orbit-start rows alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,25 +174,27 @@ def _rep_blocks(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np
 
 
 def _split_rep_blocks(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, dual: MeasuredSubgroup) -> np.ndarray:
-    """The rep blocks (_rep_blocks) split by the adjoint's table (groups _SplitTable), for their singular
-    values: (..., blocks, size, size). Rep coset b is the adjoint's frame coset of the same least member,
-    members alike in order, and the adjoint's shifts commute with rep(a). R_b^T, gathered in the table's
-    order, is split (R_b^T V, V = conj(W)), then its conjugate transpose: V^H conj(R_b) V = conj(W^H R_b W),
-    of which the blocks (psi, psi) are kept, the others being zero."""
+    """Blocks with the singular values of the rep blocks (_rep_blocks) split by the adjoint's table (groups
+    _SplitTable): (..., blocks, size, size). Rep coset b is the adjoint's frame coset of the same least
+    member, members alike in order, and the adjoint's shifts U_h, h in H', commute with R_b. So R_b W_psi
+    = W_psi B_psi, B_psi = W_psi^H R_b W_psi, and row t0 of W_psi, t0 an orbit start, holds D(t0) /
+    sqrt(|H'|) at column t0 alone: row t0 of R_b W_psi is D(t0) / sqrt(|H'|) times row t0 of B_psi. The
+    orbit-start rows, order[::|H'|] (h = 0 first), conjugated and split (conj(R_b) conj(W)), times
+    sqrt(|H'|), are conj(B_psi) up to unit row phases, which leave the singular values."""
     split = dual._tables.split
-    if len(split.chars) == 1:
+    chars = len(split.chars)
+    if chars == 1:
         return _rep_blocks(domain, conjugated, a)
     m = _fibre_sums(domain, _plain(domain, conjugated, a))
     blocks, size = domain._tables.rep.shape
-    chars, at = len(split.chars), (split.order % size).reshape(blocks, size)
-    gather = domain._tables.rep_gather[np.arange(blocks)[None, :, None], at[None], at.T[:, :, None]]
-    rows = _split(np.take(m.reshape(m.shape[:-2] + (-1,)), gather.reshape(size, -1), axis=-1), split)
+    at = (split.order % size).reshape(blocks, size)
+    gather = domain._tables.rep_gather[np.arange(blocks)[:, None, None], at[:, ::chars, None], at[:, None]]
+    rows = np.take(m.reshape(m.shape[:-2] + (-1,)), gather.swapaxes(0, 1).reshape(size // chars, -1), axis=-1)
+    rows = _split(np.conjugate(rows, out=rows), split)  # (..., orbit start, block orbit psi)
     lead = rows.shape[:-2]
-    cols = np.conjugate(rows, out=rows).reshape(lead + (size, blocks, size)).swapaxes(-1, -3)
-    cols = _split(cols.reshape(lead + (size, -1)), split).reshape(lead + (-1, chars, blocks, size // chars, chars))
-    out = np.diagonal(cols, axis1=-4, axis2=-1)  # (..., orbit, block, orbit, psi)
+    out = rows.reshape(lead + (size // chars, blocks, size // chars, chars))
     out = out.transpose(*range(len(lead)), -3, -1, -4, -2).reshape(lead + (-1, size // chars, size // chars))
-    return out * domain.float_weight
+    return out * (domain.float_weight * math.sqrt(chars))
 
 
 def _fibre_sums(domain: MeasuredSubgroup, a: np.ndarray) -> np.ndarray:
@@ -210,11 +215,12 @@ def _zero_sums(domain: MeasuredSubgroup, a: np.ndarray) -> np.ndarray:
     return (coeffs.reshape(-1, len(runs.chi)) @ runs.chi).reshape(coeffs.shape)
 
 
-def _base_rows(values: np.ndarray, domain: MeasuredSubgroup) -> np.ndarray:
-    """The run table's shift base[r] * values(t - x_r) of (..., |G|) vectors: (..., runs, |G|), frame-coset order."""
+def _base_rows(values: np.ndarray, domain: MeasuredSubgroup, select=slice(None)) -> np.ndarray:
+    """The run table's shift base[r] * values(t - x_r) of (..., |G|) vectors: (..., runs, |G|), frame-coset
+    order; the runs that select picks (all by default)."""
     runs = domain._tables.runs
-    rows = np.take(values, runs.minus, axis=-1)
-    return np.multiply(rows, runs.base, out=rows)
+    rows = np.take(values, runs.minus[select], axis=-1)
+    return np.multiply(rows, runs.base[select], out=rows)
 
 
 def _act(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, xi: np.ndarray) -> np.ndarray:

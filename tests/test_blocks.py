@@ -279,36 +279,62 @@ def _basis(lattice):
     return basis, np.arange(n).reshape(blocks, -1, chars).transpose(0, 2, 1).reshape(blocks * chars, -1)
 
 
+def _assert_reps_are_coset_leaders(sub):
+    """The split's reps hold the least run of each coset of H' in X(Delta), runs / |H'| of them: H' the time
+    shifts in Delta_0^perp whose shifts commute with those of every other such time shift."""
+    table, tables = sub.ambient._table, sub._tables
+    d0 = len(tables.runs.chi)
+    x, w = tables.x[::d0], tables.w[::d0]  # one point per run, the runs by ascending time shift
+    inside = ~table.pairings(tables.w[:d0], x).any(axis=0)  # H: the points (0, v), v in Delta_0, come first
+    commutators = table.pairings(w[inside], x[inside])
+    shifts = x[inside][(commutators == commutators.T).all(axis=1)]  # H'
+    reps = tables.split.reps
+    assert len(shifts) == len(tables.split.chars) and len(reps) * len(shifts) == len(x)
+    cosets = table.index(x[reps][:, None] + shifts[None])  # (reps, |H'|)
+    assert np.array_equal(np.sort(cosets, axis=None), table.index(x))
+    assert np.array_equal(cosets.min(axis=1), table.index(x[reps]))
+
+
 def test_split_is_exact_on_every_small_lattice():
-    # Every subgroup of Z1-Z12, Z2 x Z4 and Z3^2, and the big rungs: W is unitary, W^H S W leaks <= 1e-14
-    # relative off its split blocks, the duals are the dense solve within gabor's error model (4 eps
-    # sqrt|G| B / A), and the rep blocks split by the adjoint's table keep their top singular value.
-    worst_unitary = worst_leak = 0.0
+    # Every subgroup of Z1-Z12, Z2 x Z4 and Z3^2, and the big rungs, each lattice and its adjoint: W is
+    # unitary, W^H S W leaks <= 1e-14 relative off its split blocks, the spectrum of the quotient frame blocks
+    # (one run per coset of H', gabor _factor) is the dense eigvalsh, the duals are the dense solve within
+    # gabor's error model (4 eps sqrt|G| B / A), and the quotient rep blocks (_split_rep_blocks) have every
+    # singular value of the unsplit ones, within 16 eps of the largest: a few eps of it on each side (twisted
+    # _svals, LAPACK), and the change of basis's |H'| terms.
+    eps = np.finfo(float).eps
+    worst_unitary = worst_leak = worst_eig = worst_sv = 0.0
     rng, count, split = np.random.default_rng(6), 0, 0
     for k, lat in enumerate(_lattices()):
         g, n = lat.ambient, lat.ambient.order
-        basis, index = _basis(lat)
-        worst_unitary = max(worst_unitary, np.abs(basis.conj().T @ basis - np.eye(n)).max())
-        sys = GaborSystem(lat, tuple(randn_window(g, 500 + 7 * k + j) for j in range(1 + k % 2)))
-        dense = frame_operator(sys)
-        full = basis.conj().T @ dense @ basis
-        inside = np.zeros((n, n), dtype=bool)
-        inside[index[:, :, None], index[:, None, :]] = True
-        worst_leak = max(worst_leak, np.abs(full[~inside]).max(initial=0.0) / np.abs(dense).max())
-        bounds = frame_bounds(sys)
-        if bounds.lower > 1e-9 * max(bounds.upper, 1.0):
-            solved = np.linalg.solve(dense, np.stack([eta.values for eta in sys.windows], axis=1))
-            duals = np.stack([gamma.values for gamma in dual_window(sys)], axis=1)
-            tol = 4 * np.finfo(float).eps * np.sqrt(n) * bounds.upper / bounds.lower
-            assert np.linalg.norm(duals - solved) <= tol * np.linalg.norm(solved), (g.orders, len(lat))
-        a = rng.standard_normal(len(lat)) + 1j * rng.standard_normal(len(lat))
-        top = _svals(_rep_blocks(lat, False, a))[:, 0].max()
-        got = _svals(_split_rep_blocks(lat, False, a, adjoint_subgroup(lat)))[:, 0].max()
-        assert abs(got - top) <= 1e-13 * top, (g.orders, len(lat))
+        adjoint = adjoint_subgroup(lat)
+        for sub, dual in ((lat, adjoint), (adjoint, lat)):
+            _assert_reps_are_coset_leaders(sub)
+            basis, index = _basis(sub)
+            worst_unitary = max(worst_unitary, np.abs(basis.conj().T @ basis - np.eye(n)).max())
+            sys = GaborSystem(sub, tuple(randn_window(g, 500 + 7 * k + j) for j in range(1 + k % 2)))
+            dense = frame_operator(sys)
+            full = basis.conj().T @ dense @ basis
+            inside = np.zeros((n, n), dtype=bool)
+            inside[index[:, :, None], index[:, None, :]] = True
+            worst_leak = max(worst_leak, np.abs(full[~inside]).max(initial=0.0) / np.abs(dense).max())
+            expect = np.linalg.eigvalsh(dense)[::-1]
+            worst_eig = max(worst_eig, np.abs(spectrum(sys) - expect).max() / max(expect[0], 1e-300))
+            bounds = frame_bounds(sys)
+            if bounds.lower > 1e-9 * max(bounds.upper, 1.0):
+                solved = np.linalg.solve(dense, np.stack([eta.values for eta in sys.windows], axis=1))
+                duals = np.stack([gamma.values for gamma in dual_window(sys)], axis=1)
+                tol = 4 * eps * np.sqrt(n) * bounds.upper / bounds.lower
+                assert np.linalg.norm(duals - solved) <= tol * np.linalg.norm(solved), (g.orders, len(sub))
+            a = rng.standard_normal(len(sub)) + 1j * rng.standard_normal(len(sub))
+            expect = np.sort(np.linalg.svd(_rep_blocks(sub, False, a), compute_uv=False), axis=None)
+            got = np.sort(_svals(_split_rep_blocks(sub, False, a, dual)), axis=None)
+            worst_sv = max(worst_sv, np.abs(got - expect).max() / expect[-1])
+            split += len(sub._tables.split.chars) > 1
         count += 1
-        split += len(lat._tables.split.chars) > 1
-    assert count > 740 and split > 500, (count, split)
+    assert count > 740 and split > 1000, (count, split)
     assert worst_unitary <= 1e-15 and worst_leak <= 1e-14, (worst_unitary, worst_leak)
+    assert worst_eig <= 1e-14 and worst_sv <= 16 * eps, (worst_eig, worst_sv)
 
 
 # The verify-ladder rungs' blocks before and after the split: (frame count, size) -> (count, size), likewise
@@ -341,38 +367,61 @@ def test_split_blocks_on_the_ladder_rungs(rung, frame, frame_split, rep, rep_spl
     assert frame_split[1] ** 2 * len(common) == len(adjoint) and rep_split[1] ** 2 * len(common) == len(lattice)
 
 
-def test_density_rule_counts_orbit_rows_whatever_the_split_block_shape(monkeypatch):
-    # Z12 with Delta = <(2, 0)>: |Delta| = 6 < |G| = 12, so one window is no frame. H' = 2 Z_12 splits the one
-    # frame coset into 6 blocks of 6 runs x 2 orbits, more rows than columns: the count, not the shape, sets
-    # the algebraic route's lower bound to 0.0 exactly.
+def test_density_rule_is_the_factor_block_shape(monkeypatch):
+    # Z12 with Delta = <(2, 0)>: |Delta| = 6 < |G| = 12, so one window is no frame. H' = 2 Z_12 is every run's
+    # time shift, one coset, so it splits the one frame coset into 6 blocks of 1 rep x 2 orbits: fewer rows
+    # than columns, which sets the algebraic route's lower bound to 0.0 exactly.
     group = FiniteAbelianGroup((12,))
     ctx = module_context(subgroup_from_generators(group, [((2,), (0,))], 1))
     factor, _ = gabor_impl._factor(randn_window(group, 3).values[None, None], ctx.lattice)
-    assert factor.shape == (1, 6, 6, 2)
+    assert factor.shape == (1, 6, 1, 2)
     lowers = []
     real = gabor_impl._frame_test
     monkeypatch.setattr(gabor_impl, "_frame_test", lambda lower, *rest: lowers.append(lower.copy()) or real(lower, *rest))
     verdict = module_frame_check([randn_window(group, 3)], ctx)
     assert lowers[0].tolist() == [0.0] and not verdict["generating"]
+    # k runs / |H'| rows against |G| / (|Delta_0| |H'|) columns: fewer rows exactly when k |Delta| < |G|, on
+    # every small lattice and the big rungs, for k = 1, 2, 3.
+    count = 0
+    for lat in _lattices():
+        tables, n = lat._tables, lat.ambient.order
+        d0, chars, runs = len(tables.runs.chi), len(tables.split.chars), len(tables.runs.minus)
+        for k in (1, 2, 3):
+            factor, _ = gabor_impl._factor(np.zeros((k, n), dtype=np.complex128), lat)
+            assert factor.shape == (d0 * chars, k * runs // chars, n // d0 // chars)
+            assert (factor.shape[-2] < factor.shape[-1]) == (k * len(lat) < n), (lat.ambient.orders, len(lat), k)
+            count += 1
+    assert count > 3 * 740
 
 
-def _bumped_span(real):
-    """groups._span with its first relative order one too high: a wrong polycyclic presentation of H'."""
-    def span(table, points):
-        points, kept, orders = real(table, points)
-        return points, kept, orders + (np.arange(len(orders)) == 0)
+def _bumped_echelon(real):
+    """groups._echelon with its first relative order one too high: a wrong polycyclic presentation of H'."""
+    def echelon(table, coords):
+        rows, orders, bound = real(table, coords)
+        return rows, orders + (np.arange(len(orders)) == 0), bound
 
-    return span
+    return echelon
 
 
 # The identities each split-table mutation fails. On the Z12 rung H' has two elements, so a swap of the two
-# columns of its character table only negates the nontrivial character: the same basis, not a mutation.
+# columns of its character table only negates the nontrivial character: the same basis, not a mutation. A phase
+# swap on Z12 reaches the norm chain since the frame factor keeps one run per coset of H' (the split's reps):
+# its Gram is |H'| times theirs only in a basis where U_h acts on each split block as one scalar, so a wrong
+# phase moves the frame side's norms off the rep side's, which the adjoint's table splits. The rep side reads
+# the orbit-start rows of each block, order[::|H'|]; reading row t0 + h instead multiplies each row of the split
+# block by a unit phase, which leaves its singular values, so it is not a mutation either. A reps table that
+# repeats one coset of H' and drops another doubles one row of every frame block and loses one. On the Z6^2 rung
+# the split blocks are 1 x 1 and the lost run's row on block b is a unit times the kept run's row on another
+# block b', so S'^-1 eta, S' the wrong blocks 2 |F_0|^2, is still a dual (not the canonical one): reconstruction
+# holds, and the norms see the mutation.
 SPLIT_MUTATIONS = {
-    ("phase", 0): {"reconstruction"},
+    ("phase", 0): {"norm-chain", "reconstruction", "dual-scaling"},
     ("phase", 1): {"norm-chain", "reconstruction", "dual-scaling"},
     ("chars", 1): {"norm-chain", "reconstruction", "dual-scaling"},
     ("order", 0): {"norm-chain", "reconstruction", "dual-scaling"},
     ("order", 1): {"norm-chain", "reconstruction", "dual-scaling"},
+    ("reps", 0): {"norm-chain", "reconstruction", "dual-scaling"},
+    ("reps", 1): {"norm-chain", "dual-scaling"},
 }
 
 
@@ -380,14 +429,18 @@ SPLIT_MUTATIONS = {
                          ["z12", "z6x6"][v])
 def test_a_wrong_split_table_fails_verify(field, rung, monkeypatch):
     # Two column phases of the lattice's split table (the second of the first orbit and the first of the
-    # second), or two columns of its character table (two elements of H'), swapped; or the first relative
-    # order of H''s generators one too high, for the lattice's table and the adjoint's.
+    # second), or two columns of its character table (two elements of H'), swapped; the second of the
+    # lattice's reps made a copy of the first; or the first relative order of H''s generators one too high,
+    # for the lattice's table and the adjoint's.
     assert not _failing(_fresh(MUTATION_RUNGS[rung]))
     lattice = _fresh(MUTATION_RUNGS[rung])
     split = lattice._tables.split
     if field == "order":
-        monkeypatch.setattr(groups_impl, "_span", _bumped_span(groups_impl._span))
+        monkeypatch.setattr(groups_impl, "_echelon", _bumped_echelon(groups_impl._echelon))
         del lattice._tables.__dict__["split"]
+    elif field == "reps":
+        assert len(split.reps) > 1
+        lattice._tables.__dict__["split"] = split._replace(reps=split.reps[[0, 0, *range(2, len(split.reps))]])
     else:
         bad = getattr(split, field).copy()
         i, j = (1, len(split.chars)) if field == "phase" else (0, 1)

@@ -387,7 +387,7 @@ def test_generating_check_holds_no_orbit_sized_array():
     gabor_impl._factor(windows, sub)  # builds the run table outside the measurement
     tracemalloc.start()
     try:
-        verdicts = gabor_impl._factor_frames(*gabor_impl._factor(windows, sub), 1e-9, sub)
+        verdicts = gabor_impl._factor_frames(*gabor_impl._factor(windows, sub), 1e-9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -421,8 +421,9 @@ def test_run_layer_tables_on_z2048_fit_the_zak_form_budget():
     # module actions and the C*-norm, the lattice's cached tables other than its points (plane, and the
     # generators its build supplied) and the twisted-algebra tables (sub, kappa, neg, star) are the run
     # table, 24 runs |G| bytes plus its frame cosets, chi and pos, the rep cosets and rep_gather,
-    # 8 |G| + 8 runs |G|, and the split, 24 |G| + 16 |H'|^2 with H' = 64 Z_2048, the time shifts in
-    # Delta_0^perp (32 of them). None has the shape of a Delta_0 x G phase table.
+    # 8 |G| + 8 runs |G|, and the split, 24 |G| + 16 |H'|^2 + 8 runs / |H'| with H' = 64 Z_2048, the time
+    # shifts in Delta_0^perp (32 of them), and one run per coset of H' (4). None has the shape of a
+    # Delta_0 x G phase table.
     group = FiniteAbelianGroup((2048,))
     eta, gamma, xi = (randn_window(group, s) for s in (1, 2, 3))
     ctx = module_context(subgroup_from_generators(group, [((16,), (0,)), ((0,), (32,))], 1))
@@ -435,12 +436,12 @@ def test_run_layer_tables_on_z2048_fit_the_zak_form_budget():
     cstar_norm(a)
     tables, n, d0, h = ctx.lattice._tables, group.order, 64, 32
     runs = len(ctx.lattice) // d0
-    assert tables.split.chars.shape == (h, h)
+    assert tables.split.chars.shape == (h, h) and tables.split.reps.shape == (runs // h,)
     cached = {name: value for name, value in vars(tables).items()
               if name not in {"plane", "gens", "sub", "kappa", "neg", "star"}}
     arrays = [v for value in cached.values() for v in (value if isinstance(value, tuple) else (value,))
               if isinstance(v, np.ndarray)]
-    budget = 32 * runs * n + 16 * n + 8 * len(ctx.lattice) + 16 * d0**2 + 24 * n + 16 * h**2
+    budget = 32 * runs * n + 16 * n + 8 * len(ctx.lattice) + 16 * d0**2 + 24 * n + 16 * h**2 + 8 * runs // h
     assert sum(v.nbytes for v in arrays) <= budget, (sum(v.nbytes for v in arrays), budget)
     assert all(v.shape != (d0, n) for v in arrays), [v.shape for v in arrays]
     assert {"runs", "rep", "rep_gather", "split"} <= set(cached), sorted(cached)

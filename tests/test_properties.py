@@ -71,10 +71,13 @@ def _modulus(group):
     return math.lcm(*group.orders)
 
 
-def _char(group, w, x):
+def _phase(group, w, x):
     big = _modulus(group)
-    m = sum(wj * xj * (big // n) for wj, xj, n in zip(w, x, group.orders)) % big
-    return cmath.exp(2j * math.pi * m / big)
+    return sum(wj * xj * (big // n) for wj, xj, n in zip(w, x, group.orders)) % big
+
+
+def _char(group, w, x):
+    return cmath.exp(2j * math.pi * _phase(group, w, x) / _modulus(group))
 
 
 def _sub(group, a, b):
@@ -169,6 +172,20 @@ def _basis(sub):
     return basis, np.arange(n).reshape(blocks, -1, chars).transpose(0, 2, 1).reshape(blocks * chars, -1)
 
 
+def _coset_leaders_ref(sub):
+    """The least time shift of each coset of H' in X(Delta), in ascending order, and |H'|, from the
+    definitions: H the time shifts x of Delta with character(v, x) = 1 for every (0, v) in Delta, H' those
+    h in H whose shift pi(h, omega_h) commutes with pi(k, omega_k) for every k in H."""
+    group, omega = sub.ambient, {}
+    for x, w in sub.elements:
+        omega.setdefault(x, w)
+    zero = [w for x, w in sub.elements if x == group.zero()]
+    h = [x for x in omega if all(_phase(group, v, x) == 0 for v in zero)]
+    hp = [x for x in h if all(_phase(group, omega[x], k) == _phase(group, omega[k], x) for k in h)]
+    leaders = {min((group.add(x, y) for y in hp), key=group.index) for x in omega}
+    return sorted(leaders, key=group.index), len(hp)
+
+
 @PROPERTY
 @given(lattices(max_order=32), st.integers(0, 2**31))
 def test_run_form_analysis_and_frame_blocks_match_reference_orbits(case, seed):
@@ -198,14 +215,20 @@ def test_run_form_analysis_and_frame_blocks_match_reference_orbits(case, seed):
 @given(st.one_of(lattices(max_order=32), sheared()), st.integers(0, 2**31))
 def test_split_is_exact_on_the_lattice_and_its_adjoint(case, seed):
     # The split's basis is unitary and block-diagonalises the frame operator to rounding (the dense frame
-    # operator through W leaks <= 1e-14 relative off the split blocks); the spectrum is the dense one, the
-    # duals the dense solve within gabor's error model (4 eps sqrt|G| B / A), and the split rep blocks keep
-    # the top singular value of the unsplit ones. Both the lattice and its adjoint, sheared ones included.
+    # operator through W leaks <= 1e-14 relative off the split blocks); the split's reps are the least run
+    # of each coset of H'; the spectrum of the quotient frame blocks (gabor _factor) is the dense one, the
+    # duals the dense solve within gabor's error model (4 eps sqrt|G| B / A), and the quotient rep blocks
+    # have every singular value of the unsplit ones within 16 eps of the largest (a few eps on each side
+    # and the change of basis's |H'| terms). Both the lattice and its adjoint, sheared ones included.
     group, gens = case
     lattice = subgroup_from_generators(group, gens, 1)
     eps, n = np.finfo(float).eps, group.order
     rng = np.random.default_rng(seed)
     for sub, dual in ((lattice, adjoint_subgroup(lattice)), (adjoint_subgroup(lattice), lattice)):
+        leaders, count = _coset_leaders_ref(sub)
+        runs = sub._tables.x[:: len(sub._tables.runs.chi)]  # the runs' time shifts, ascending
+        assert [tuple(x) for x in runs[sub._tables.split.reps].tolist()] == leaders
+        assert len(sub._tables.split.chars) == count
         basis, index = _basis(sub)
         assert np.abs(basis.conj().T @ basis - np.eye(n)).max() <= 1e-14
         windows = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
@@ -224,8 +247,9 @@ def test_split_is_exact_on_the_lattice_and_its_adjoint(case, seed):
             tol = 4 * eps * np.sqrt(n) * bounds.upper / bounds.lower
             assert np.linalg.norm(duals - solved) <= tol * np.linalg.norm(solved)
         a = rng.standard_normal(len(sub)) + 1j * rng.standard_normal(len(sub))
-        top = _svals(_rep_blocks(sub, False, a))[..., 0].max()
-        assert abs(_svals(_split_rep_blocks(sub, False, a, dual))[..., 0].max() - top) <= 1e-13 * top
+        expect = np.sort(np.linalg.svd(_rep_blocks(sub, False, a), compute_uv=False), axis=None)
+        got = np.sort(_svals(_split_rep_blocks(sub, False, a, dual)), axis=None)
+        assert np.abs(got - expect).max() <= 16 * eps * expect[-1]
 
 
 @PROPERTY

@@ -464,21 +464,35 @@ def test_svd_appears_in_the_package_only_inside_svals():
 
 def test_run_table_shift_appears_in_the_package_only_inside_base_rows():
     # One run-table shift: the gather by runs.minus, then the base phases, is _base_rows, which _act and
-    # the frame factor call. The Delta_0 characters are read as one |Delta_0| x |Delta_0| table: no
-    # function gathers them per point through pos.
-    shifts, per_point = set(), set()
+    # the frame factor call, the factor with its selection of runs. runs.minus in any form other than its
+    # length or shape, a subscripted minus[...] included, is read there and where the tables are built
+    # (groups: the run table, and the rep cosets and their gather from it), and by the dense
+    # integrated_rep, which scatters the fibre sums to it (_rep). The Delta_0 characters are read as one
+    # |Delta_0| x |Delta_0| table: no function gathers them per point through pos.
+    shifts, reads, per_point = set(), set(), set()
     for path in sorted(Path(heisenmod.__file__).parent.glob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for func in ast.walk(tree):
             if not isinstance(func, ast.FunctionDef):
                 continue
             for node in ast.walk(func):
                 if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.take" and len(node.args) > 1
-                        and ast.unparse(node.args[1]).endswith("minus")):
+                        and "minus" in ast.unparse(node.args[1])):
                     shifts.add((path.name, func.name))
+                if (isinstance(node, ast.Name) and node.id == "minus"
+                        or isinstance(node, ast.Attribute) and node.attr == "minus"):
+                    up = parent[id(node)]
+                    sized = (isinstance(up, ast.Call) and ast.unparse(up.func) == "len"
+                             or isinstance(up, ast.Attribute) and up.attr == "shape")
+                    if not sized:
+                        reads.add((path.name, func.name))
                 if (isinstance(node, ast.Subscript) and ast.unparse(node.value).endswith("chi")
                         and "pos" in ast.unparse(node.slice)):
                     per_point.add((path.name, func.name))
     assert shifts == {("twisted.py", "_base_rows")}
+    assert reads == {("twisted.py", "_base_rows"), ("twisted.py", "_rep"), ("groups.py", "runs"),
+                     ("groups.py", "rep"), ("groups.py", "rep_gather")}, reads
     assert not per_point
 
 
