@@ -85,10 +85,11 @@ def shift_orbit(eta: Window, sub: MeasuredSubgroup) -> np.ndarray:
     return _orbit(eta.values, sub)
 
 
-def _orbit(values: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
-    """shift_orbit with leading case axes: values (..., |G|) give orbits (..., |Delta|, |G|)."""
+def _orbit(values: np.ndarray, sub: MeasuredSubgroup, at=slice(None)) -> np.ndarray:
+    """shift_orbit with leading case axes: values (..., |G|) give orbits (..., |Delta|, |G|), at the columns t
+    that at picks (all of G by default, in its order)."""
     tables = sub._tables
-    perm, phase = tables.group.gather(tables.x, tables.w)
+    perm, phase = tables.group.gather(tables.x, tables.w, at)
     roots, out = tables.group.roots[phase], np.take(values, perm, axis=-1)
     return np.multiply(roots, out, out=out)  # reuses the gather's buffer: no third array
 

@@ -16,8 +16,10 @@ measured subgroup is stored as the sorted int64 plane indices
 index(x) * |G| + index(w) of its points; its coordinates, run table (its
 shifts in Zak form over the frame cosets: a runs x |G| gather and base
 phase roots and the |Delta_0| x |Delta_0| characters, no |Delta| x |G| or
-|Delta_0| x |G| table) and twisted-algebra tables are built from them on
-first use, and its points as TFPoint tuples only when read.
+|Delta_0| x |G| table) and twisted-algebra tables (the involution's, and the
+product's in crossed-product form, |Delta| runs entries: no |Delta| x |Delta|
+table) are built from them on first use, and its points as TFPoint tuples
+only when read.
 
 Measure conventions: counting measure (weight 1) on G, weight 1/|G| per point
 on the dual, hence weight 1/|G| per point of the plane. A subgroup carries an
@@ -146,11 +148,13 @@ class _GroupTable:
         ((a mod n) N / n = a N / n mod N)."""
         return (w * self.scale) @ x.T % self.modulus
 
-    def translates(self, x: np.ndarray) -> np.ndarray:
-        """index(t - x_p) at [p, t] for coordinates x (P, rank): (P, |G|), one pass per factor."""
-        index = (self.coords[:, 0] - x[:, 0, None]) % self.orders[0] * self.radix[0]
+    def translates(self, x: np.ndarray, at=slice(None)) -> np.ndarray:
+        """index(t - x_p) at [p, t] for coordinates x (P, rank) and the elements t that at picks (all of G by
+        default, in its order): (P, len(t)), one pass per factor."""
+        t = self.coords[at]
+        index = (t[:, 0] - x[:, 0, None]) % self.orders[0] * self.radix[0]
         for j in range(1, len(self.orders)):
-            index += (self.coords[:, j] - x[:, j, None]) % self.orders[j] * self.radix[j]
+            index += (t[:, j] - x[:, j, None]) % self.orders[j] * self.radix[j]
         return index
 
     def plane_index(self, x, w) -> np.ndarray:
@@ -164,12 +168,13 @@ class _GroupTable:
         xs, ws = self.split(plane)
         return tuple(TFPoint(tuple(x), tuple(w)) for x, w in zip(xs.tolist(), ws.tolist()))
 
-    def gather(self, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Shifts of the points (x_k, w_k): perm[k, t] = index(t - x_k), phase[k, t] = pairing(w_k, t).
+    def gather(self, x: np.ndarray, w: np.ndarray, at=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Shifts of the points (x_k, w_k) at the elements t that at picks (all of G by default):
+        perm[k, t] = index(t - x_k), phase[k, t] = pairing(w_k, t).
 
         (pi(z_k) xi)(t) = roots[phase[k, t]] * xi[perm[k, t]] (translates, pairings).
         """
-        return self.translates(x), self.pairings(w, self.coords)
+        return self.translates(x, at), self.pairings(w, self.coords[at])
 
 
 def _member(sorted_values: np.ndarray, values) -> np.ndarray:
@@ -389,28 +394,20 @@ class _LatticeTable:
     def rep_gather(self) -> np.ndarray:
         """Flat index r |G| + j into the fibre sums (runs, |G|, frame-coset order) at entry (i, k) of rep
         block b: row t = rep[b, i], at frame position j, holds m_r(t) at column index(t - x_r) = rep[b, k].
-        Shape (|G| / runs, runs, runs)."""
+        Shape (|G| / runs, runs, runs). The entries start at zero: a valid table writes every one, and a
+        corrupted frame-coset table leaves some at entry 0, wrong numbers that verify reports, not an index
+        error."""
         rep, minus, n = self.rep, self.runs.minus, self.group.size
         blocks, size = rep.shape
         at = _uncoset(np.tile(np.arange(size), blocks), rep)  # the position of t in its rep coset
         j = _uncoset(np.arange(n), self.runs.frame)[rep]  # the frame positions of the rows
-        gather = np.empty((blocks, size, size), dtype=np.int64)
+        gather = np.zeros((blocks, size, size), dtype=np.int64)
         gather[np.arange(blocks)[:, None], np.arange(size), at[minus[:, j]]] = np.arange(size)[:, None, None] * n + j
         return gather
 
     @cached_property
     def neg(self) -> np.ndarray:
         return np.searchsorted(self.plane, self.group.plane_index(-self.x, -self.w))
-
-    @cached_property
-    def sub(self) -> np.ndarray:
-        """sub[i, k] = position of z_k - z_i; its plane index is built one coordinate at a time, in place."""
-        plane = np.zeros((len(self.plane),) * 2, dtype=np.int64)
-        digit = np.empty_like(plane)
-        for c, n in zip(np.hstack([self.x, self.w]).T, np.tile(self.group.orders, 2)):
-            plane *= n
-            plane += np.remainder(np.subtract(c[None], c[:, None], out=digit), n, out=digit)
-        return np.searchsorted(self.plane, plane)
 
     @cached_property
     def star(self) -> np.ndarray:
@@ -421,12 +418,25 @@ class _LatticeTable:
         return self.group.roots[np.stack([-phase % self.group.modulus, phase])]
 
     @cached_property
-    def kappa(self) -> np.ndarray:
-        """kappa[i, k] = c(z_i, z_k - z_i) = conj(character(tau_k, x_i)) character(tau_i, x_i), one roots
-        lookup of its integer phase mod N, which is built in place."""
-        phase = self.group.pairings(self.x, self.w)  # [i, k]: pairing(tau_k, x_i)
-        np.subtract(self.group.pairing(self.w, self.x)[:, None], phase, out=phase)
-        return self.group.roots[np.remainder(phase, self.group.modulus, out=phase)]
+    def crossed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The twisted product in crossed-product form (twisted _crossed): a gather index and unit phases,
+        each (|Delta_0|, runs, runs), [beta, t, r] for frame coset beta and runs t and r.
+
+        Run r times run s = t - r (x_s = x_t - x_r) lands on run t, at delta = omega_r + omega_s - omega_t in
+        Delta_0. The gather index is beta' runs + s, beta' the frame coset of t_beta - x_r (t_beta the first
+        member of coset beta, read off the run gather); the phase is conj(character(omega_s, x_r))
+        character(delta, t_beta), one roots lookup of its integer phase mod N."""
+        g, runs = self.group, self.runs
+        d0, count = len(runs.chi), len(runs.minus)
+        x, w = self.x[::d0], self.w[::d0]  # one point per run, (x_r, omega_r), runs by ascending time shift
+        s = np.searchsorted(g.index(x), g.index(x[:, None] - x[None]))  # [t, r]: the run of x_t - x_r
+        delta = w[None] + w[s] - w[:, None]  # [t, r]: omega_r + omega_s - omega_t, in Delta_0
+        coset = _uncoset(np.repeat(np.arange(d0), runs.frame.shape[1]), runs.frame)  # the frame coset of each t
+        shifted = coset[runs.minus[:, :: runs.frame.shape[1]]]  # [r, beta]: the frame coset of t_beta - x_r
+        phase = g.pairings(g.coords[runs.frame[:, 0]], delta.reshape(-1, g.orders.size)).reshape(d0, count, count)
+        phase -= g.pairings(w, x)[s, np.arange(count)]  # [t, r]: pairing(omega_s, x_r)
+        gather = np.ascontiguousarray(shifted.T[:, None, :] * count + s)
+        return gather, g.roots[np.remainder(phase, g.modulus, out=phase)]
 
 
 def character(group: FiniteAbelianGroup, w: GroupElement, x: GroupElement) -> complex:

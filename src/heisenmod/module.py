@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -32,8 +31,8 @@ from .gabor import (FrameBounds, GaborSystem, _analyze, _bounds, _by_block, _dua
                     _factor_frames, _gram, _orbit, _require_windows, _windows, analysis)
 from .groups import FiniteAbelianGroup, MeasuredSubgroup, adjoint_subgroup
 from .shifts import Window, _randn, splitmix64_stream
-from .twisted import (TwistedSeq, _act, _base_rows, _convolve, _involve, _rep, _rep_blocks, _split_rep_blocks, _svals,
-                      _top_eig)
+from .twisted import (TwistedSeq, _act, _base_rows, _crossed, _hat, _involve, _rep_blocks, _split_rep_blocks, _svals,
+                      _top_eig, _unhat)
 
 
 @dataclass(frozen=True)
@@ -183,35 +182,39 @@ def theta_matrix(eta: Window, gamma: Window, ctx: ModuleContext) -> np.ndarray:
 
     left_inner(delta_t, eta) is column t of the dense analysis matrix, and
     column t of theta is left_act's time-fibre form applied to it, the
-    integrated-representation route that frame_like does not take. This is
-    _theta with one case.
+    integrated-representation route that frame_like does not take. theta
+    commutes with the lattice shifts, so it is block diagonal over the frame
+    cosets: _theta gives its blocks, one case, and every other entry is zero.
     """
     _require_windows(ctx.lattice, eta, gamma)
-    return _theta(analysis(eta, ctx.lattice)[None], gamma.values[None], ctx)[0]
+    frame, n = ctx.lattice._tables.runs.frame, ctx.lattice.ambient.order
+    rows = np.take(analysis(eta, ctx.lattice), frame.ravel(), axis=-1)
+    theta = np.zeros((n, n), dtype=np.complex128)
+    theta[frame[:, :, None], frame[:, None, :]] = _theta(rows[None], gamma.values[None], ctx)[0]
+    return theta
 
 
-def _theta(rows: np.ndarray, gamma: np.ndarray, ctx: ModuleContext, sums: np.ndarray | None = None) -> np.ndarray:
-    """theta_matrix per case of (cases, |Delta|, |G|) analysis matrices of eta and (cases, |G|) gammas.
+def _theta(rows: np.ndarray, gamma: np.ndarray, ctx: ModuleContext) -> np.ndarray:
+    """theta_matrix's blocks per case of (cases, |Delta|, |G|) analysis matrices of eta, columns in frame-coset
+    order, and (cases, |G|) gammas: (cases, |Delta_0|, size, size), block b theta on the rows and columns of
+    frame coset b, members in the order of runs.frame.
 
     Column t is _act of column t of rows: weight * sum_r roots[base_r] gamma(s - x_r) Z_r(s), with
     Z_r(s) = sum_v rows[(r, v), t] chi_v(s) over the run's points (x_r, omega_r + v). Each Delta_0
-    character chi_v is constant on a frame coset (groups), so Z takes one value per coset b,
-    Z[r, b, t] = sum_v chi[v, b] rows[(r, v), t]: the rows placed by pos, as _zero_sums places its
-    coefficients, then one product with chi^T per run (_zero_sums contracts chi's other axis, so each
-    keeps its own product). Theta on coset b is then weight F_b(gamma)^T Z[:, b] (_factor): runs |G|^2 +
-    |Delta| |Delta_0| |G| products in all. sums, when given, is a spent (cases, |Delta|, |G|) buffer
-    that receives the placed rows; Z then goes into the spent rows.
+    character chi_v is constant on a frame coset (groups), so for s and t on coset b, Z[r, b, t] = sum_v
+    chi[v, b] rows[(r, v), t]: the rows placed by pos, as _zero_sums places its coefficients, against chi's
+    column b on coset b's own columns. Theta on coset b is then weight F_b(gamma)^T Z[:, b] (the unsplit
+    factor, gabor _by_block): runs |G|^2 / |Delta_0| + |Delta| |G| products in all.
     """
-    lat, cases, n, runs = ctx.lattice, len(rows), rows.shape[-1], ctx.lattice._tables.runs
-    shape = (cases, len(runs.minus), len(runs.chi), n)
-    placed = np.empty_like(rows) if sums is None else sums
-    placed[:, runs.pos] = rows
-    zak = np.matmul(runs.chi.T, placed.reshape(shape), out=rows.reshape(shape))  # (cases, runs, blocks, |G|)
-    factor = _by_block(_base_rows(gamma[:, None, :], lat), len(runs.chi))  # (cases, blocks, runs, size), unsplit
+    lat, runs = ctx.lattice, ctx.lattice._tables.runs
+    cases, points, (blocks, size) = len(rows), len(ctx.lattice), runs.frame.shape
+    placed = np.empty((cases, blocks, points, size), dtype=np.complex128)  # [case, b, (r, v), j]
+    placed[:, :, runs.pos] = np.swapaxes(rows.reshape(cases, points, blocks, size), 1, 2)
+    shape = (cases, blocks, len(runs.minus), len(runs.chi), size)
+    zak = (runs.chi.T[:, None, None, :] @ placed.reshape(shape))[..., 0, :]  # (cases, blocks, runs, size)
+    factor = _by_block(_base_rows(gamma[:, None, :], lat), blocks)  # (cases, blocks, runs, size), unsplit
     factor *= lat.float_weight
-    theta = np.empty((cases, n, n), dtype=np.complex128)
-    theta[:, runs.frame.ravel()] = (np.swapaxes(factor, -1, -2) @ np.swapaxes(zak, 1, 2)).reshape(cases, n, n)
-    return theta
+    return np.swapaxes(factor, -1, -2) @ zak
 
 
 def dual_lattice_norm_scaling(eta: Window, ctx: ModuleContext) -> dict:
@@ -271,6 +274,7 @@ VERIFY_TOLERANCES = {
 
 # A check evaluates its cases in chunks whose temporaries hold about this many complex entries.
 _CHUNK = 2**15
+_EPS = np.finfo(np.float64).eps
 
 
 def _slots(rows: np.ndarray, slots: int) -> np.ndarray:
@@ -363,6 +367,30 @@ def _check_cocycle(ctx: ModuleContext, seeds: np.ndarray) -> tuple[dict, dict]:
     )
 
 
+# Associativity's error model: (ab)c - a(bc) sums products of three operands, each at most w^2 |a(u)| |b(v)|
+# |c(z)| in modulus, so its rounding error is about eps times the componentwise scale max((|a| * |b|) * |c|),
+# with * the untwisted convolution of the moduli (Higham, Accuracy and Stability of Numerical Algorithms,
+# ch. 3, without the worst-case factor |Delta|). By Cauchy-Schwarz (|a| * |b|)(v) <= w ||a||_2 ||b||_2, so that
+# scale is at most w^2 ||a||_2 ||b||_2 ||c||_1, which costs O(|Delta|) per case where the componentwise scale
+# costs two more products. The sub-gap is decided on gap <= _ASSOCIATIVITY eps w^2 ||a||_2 ||b||_2 ||c||_1.
+# The ratio gap / (eps w^2 ||a||_2 ||b||_2 ||c||_1) falls with |Delta|. Over verify's draws on every subgroup of
+# Z1-Z12 at six weights and of Z2 x Z4 it reads at most 2.2, on domains of at most 4 points, where the few
+# roundings of each product do not average out (3.6 over 20000 random draws on each such domain); 1.8 on
+# domains of 5 to 16 points and 0.6 above; on the verify-ladder rungs at most 1.9. The constant is twice the
+# largest of these, rounded up.
+_ASSOCIATIVITY = 8.0
+
+
+def _twisted_budget(domain: MeasuredSubgroup) -> int:
+    """Complex entries one case of _twisted_gaps keeps alive at its peak on domain, the larger of its two
+    stages': the first crossed product's five gathered stacks of |Delta| runs terms (_crossed) beside the
+    operands, their involutions and transforms and the stacked factors, 20 stacks of |Delta| entries; or the
+    rep stage's _rep_blocks of four operands, which holds their fibre sums and their blocks, runs |G| each, at
+    once, beside 16 coefficient stacks of |Delta| entries."""
+    runs, points, n = len(domain._tables.runs.minus), len(domain), domain.ambient.order
+    return max(runs * 5 * points + 20 * points, runs * 8 * n + 16 * points)
+
+
 def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c, xi) -> tuple[np.ndarray, np.ndarray]:
     """Per-case max gap of the algebra axioms, the trace and the representation identities: raw and scaled.
 
@@ -371,7 +399,8 @@ def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c, xi) -> tuple[np
     is multilinear in its o operands among a, b and c, so its rounding error
     is homogeneous of degree d in w and of degree o in the operands. The
     scaled gap is each sub-gap over max(1, w)^d: as it is for w <= 1, and
-    weight-free above.
+    weight-free above; associativity's is its model's ratio (_ASSOCIATIVITY)
+    in the tolerance's units.
 
     The identities are evaluated on a, b and c over r = sqrt(max(1, w)), xi as
     it is: every term then lies within about max(1, w) of 1, and so does every
@@ -382,27 +411,34 @@ def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c, xi) -> tuple[np
     to about the largest float. At w <= 1, r is exactly 1 and nothing is
     rescaled.
 
+    The products run in crossed-product form (twisted _crossed): one transform (_hat) of a, b, c, a* and b*;
+    ab, a b*, b* a*, b* a and bc from one crossed product, then (ab)c and a(bc) from the first's transforms;
+    one transform back (_unhat). The involution and the representation identities stay in coefficient space.
     The representation identities compare the rep blocks (twisted): every
     entry off them is a structural zero on both sides. The blocks applied to
     xi per rep coset are held against _act, which does not read the block table.
     """
-    r = np.sqrt(max(1.0, domain.float_weight))
+    r, w = np.sqrt(max(1.0, domain.float_weight)), domain.float_weight
+    norms = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1) * np.abs(c).sum(axis=-1)  # unscaled
     a, b, c = a / r, b / r, c / r
-    conv, rep = partial(_convolve, domain, flag), partial(_rep_blocks, domain, flag)
-    ab, (inv_a, inv_b) = conv(a, b), _involve(domain, flag, np.stack([a, b]))
+    inv_a, inv_b = _involve(domain, flag, np.stack([a, b]))
+    hats = _hat(domain, flag, np.stack([a, b, c, inv_a, inv_b]))
+    products = _crossed(domain, hats[[0, 0, 4, 4, 1]], hats[[1, 4, 3, 0, 2]])  # ab, a b*, b* a*, b* a, bc
+    ab_c, a_bc = _crossed(domain, np.stack([products[0], hats[0]]), np.stack([hats[2], products[4]]))
+    products[4] = ab_c - a_bc
+    ab, a_inv_b, inv_b_inv_a, inv_b_a, assoc = _unhat(domain, flag, products)
+    del hats, products, ab_c, a_bc  # spent before the rep stage's peak
     inv_inv_a, inv_ab = _involve(domain, flag, np.stack([inv_a, ab]))
-    trace_a_inv_b = conv(a, inv_b)[:, 0]
     subgaps = [  # (operands o, degree d, per-case gap)
         (1, 0, _case_max(inv_inv_a - a)),
-        (2, 1, _case_max(inv_ab - conv(inv_b, inv_a))),
-        (2, 1, np.abs(trace_a_inv_b - conv(inv_b, a)[:, 0])),
-        (2, 1, np.abs(trace_a_inv_b - domain.float_weight * (a * b.conj()).sum(axis=-1))),
-        (3, 2, _case_max(conv(ab, c) - conv(a, conv(b, c)))),
+        (2, 1, _case_max(inv_ab - inv_b_inv_a)),
+        (2, 1, np.abs(a_inv_b[:, 0] - inv_b_a[:, 0])),
+        (2, 1, np.abs(a_inv_b[:, 0] - w * (a * b.conj()).sum(axis=-1))),
     ]
     # The rep blocks last, those of a, b, ab and a* from one call: with the product of two, five stacks
-    # alive at the peak. A difference is taken in place (|x - y| = |y - x| exactly), and the conjugate
+    # alive after it. A difference is taken in place (|x - y| = |y - x| exactly), and the conjugate
     # transpose of rep(a) goes into the spent rep(b).
-    rep_a, rep_b, rep_ab, rep_inv_a = rep(np.stack([a, b, ab, inv_a]))
+    rep_a, rep_b, rep_ab, rep_inv_a = _rep_blocks(domain, flag, np.stack([a, b, ab, inv_a]))
     cosets = domain._tables.rep
     applied = (rep_a @ np.take(xi, cosets, axis=-1)[..., None])[..., 0]
     subgaps.append((1, 1, _case_max(applied - np.take(_act(domain, flag, a, xi), cosets, axis=-1))))
@@ -412,22 +448,26 @@ def _twisted_gaps(domain: MeasuredSubgroup, flag: bool, a, b, c, xi) -> tuple[np
     subgaps.append((2, 2, _case_max(rep_ab)))
     operands, degree, gaps = (np.array(col) for col in zip(*subgaps))
     operands, degree = operands[:, None], degree[:, None]
-    return (gaps * r**operands).max(axis=0), (gaps * r ** (operands - 2 * degree)).max(axis=0)
+    # associativity on the scaled operands: g r^3 raw; its model's scale eps w^2 N on the raw operands, N their
+    # norms, is eps min(1, w)^2 r N over r^3, divided in steps so that no w^2 over- or underflows
+    assoc, unit = _case_max(assoc), w / r**2
+    model = assoc / unit / unit / (r * norms) / (_ASSOCIATIVITY * _EPS) * VERIFY_TOLERANCES["twisted-axioms"]
+    return (np.maximum((gaps * r**operands).max(axis=0), assoc * r**3),
+            np.maximum((gaps * r ** (operands - 2 * degree)).max(axis=0), model))
 
 
 def _check_twisted_axioms(ctx: ModuleContext, coeffs: np.ndarray, xi: np.ndarray) -> dict:
-    """Decided on the weight-scaled gap (see _twisted_gaps); max_abs_gap reports the raw one.
+    """Decided on the scaled gap (see _twisted_gaps); max_abs_gap reports the raw one.
 
     Case i draws a, b and c on both domains from coeffs[i] (cases, 3, max(|Delta|, |adjoint|)), each the
     prefix of its row as long as the domain, and xi[0, i] and xi[1, i] (2, cases, |G|) on the lattice and
-    the adjoint.
+    the adjoint; the chunks hold _twisted_budget's entries per case.
     """
     gaps = []
     for domain, flag, x in ((ctx.lattice, False, xi[0]), (ctx.dual, True, xi[1])):
-        size = 3 * max(len(domain) ** 2, domain._tables.rep_gather.size)  # three stacks of the larger kind
         draws = coeffs[..., : len(domain)].swapaxes(0, 1)
         gaps.append(_per_case(lambda a, b, c, x, _: _twisted_gaps(domain, flag, a, b, c, x), ctx, *draws, x,
-                              per_case=size))
+                              per_case=_twisted_budget(domain)))
     raw, scaled = np.max(gaps, axis=(0, 2))  # NaN, from sums that overflow, propagates and fails
     return _entry("twisted-axioms", len(xi[0]), raw, scaled, use_rel=True)
 
@@ -461,38 +501,57 @@ def _check_norm_chain(ctx: ModuleContext, eta: np.ndarray) -> tuple[dict, dict]:
 
 
 def _extension_gaps(eta: np.ndarray, gamma: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray]:
-    """Per pair of (pairs, |G|) windows: theta_matrix against frame_like, both from one gather of the
-    stacked (eta, gamma) orbits; frame_like's operands, scaled and conjugated in place, keep its order,
-    and theta's Delta_0 sums then take the spent gamma orbit's place."""
-    lat = ctx.lattice
-    orbits = _orbit(np.stack([eta, gamma], axis=1), lat)  # (pairs, 2, |Delta|, |G|)
+    """Per pair of (pairs, |G|) windows: theta_matrix against frame_like on each frame coset's rows and
+    columns; both commute with the lattice shifts, so every entry between two cosets is a structural zero of
+    both. One gather of the stacked (eta, gamma) orbits at the cosets' members, in frame-coset order, serves
+    both sides; frame_like's block b is weight Gamma_b^T conj(E_b), Gamma_b and E_b the orbits' columns on
+    coset b, so that side reads the coset table and nothing else of the run table."""
+    lat, frame = ctx.lattice, ctx.lattice._tables.runs.frame
+    (blocks, size), pairs, points = frame.shape, len(eta), len(ctx.lattice)
+    orbits = _orbit(np.stack([eta, gamma], axis=1), lat, frame.ravel())  # (pairs, 2, |Delta|, |G|)
     rows, synthesis = np.conjugate(orbits[:, 0], out=orbits[:, 0]), orbits[:, 1]
     synthesis *= lat.float_weight
-    frame = np.swapaxes(synthesis, -1, -2) @ rows
-    theta = _theta(rows, gamma, ctx, sums=synthesis)
-    theta -= frame
+    by_coset = (pairs, points, blocks, size)
+    frame_like = synthesis.reshape(by_coset).transpose(0, 2, 3, 1) @ np.swapaxes(rows.reshape(by_coset), 1, 2)
+    theta = _theta(rows, gamma, ctx)
+    theta -= frame_like
     return (_case_max(theta),)
 
 
+def _extension_budget(ctx: ModuleContext) -> int:
+    """Complex entries one pair of _extension_gaps keeps alive at its peak: the two orbits and theta's placed
+    rows, |Delta| |G| each; frame_like's blocks, |G|^2 / |Delta_0|; and theta's runs |G| factor, its copy by
+    block and its Zak sums. The orbits' gather tables add 2 |Delta| |G| once per chunk (gabor _orbit), so a
+    chunk of one pair peaks at up to about 4/3 of this."""
+    lat, n = ctx.lattice, ctx.lattice.ambient.order
+    runs = lat._tables.runs
+    return 3 * len(lat) * n + n * n // len(runs.chi) + 3 * len(runs.minus) * n
+
+
 def _check_operator_extension(ctx: ModuleContext, eta: np.ndarray, gamma: np.ndarray) -> dict:
-    """theta_matrix against frame_like per pair, in chunks of 2 |Delta| |G| + 3 |G|^2 entries per pair:
-    the two orbits, the frame_like side, theta in coset order and in the order of G.
+    """theta_matrix against frame_like per pair, block for block (_extension_gaps), in chunks of
+    _extension_budget's entries per pair.
 
     Decided on gap / max(1, w), w the lattice weight; max_abs_gap reports the raw gap. Error model: both
     sides are w times sums of |Delta| products of an eta and a gamma orbit entry, so their entries and
     their rounding errors, about c eps w |Delta| max|eta| max|gamma|, are of degree 1 in w, as in
     _twisted_gaps: the scaled gap is the raw one for w <= 1 and weight-free above.
     """
-    n = ctx.lattice.ambient.order
-    per_pair = 2 * len(ctx.lattice) * n + 3 * n * n
-    (gaps,) = _per_case(_extension_gaps, ctx, eta, gamma, per_case=per_pair)
+    (gaps,) = _per_case(_extension_gaps, ctx, eta, gamma, per_case=_extension_budget(ctx))
     return _entry("operator-extension", len(eta), gaps.max(), gaps.max() / max(1.0, ctx.lattice.float_weight),
                   use_rel=True)
 
 
 def _janssen_gaps(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, np.ndarray]:
-    """Per case: janssen_frame_operator against the frame operator S of the one-window system, both
-    dense, so that every entry between two frame cosets is compared too; raw and scaled.
+    """Per case: janssen_frame_operator against the frame operator S of the one-window system, block for
+    block; raw and scaled gaps.
+
+    The Janssen side is the adjoint's rep blocks (twisted _rep_blocks) on the cosets of X(adjoint) =
+    Delta_0^perp, listed by least member (groups rep). Those are the lattice's frame cosets, members in the
+    same order, so S's side is the lattice's unsplit frame blocks (gabor _factor: weight |Delta_0| times the
+    Gram of the base rows on each coset), taken in the order of their least members. Both operators vanish
+    between two cosets, so nothing else is compared. The two sides read different tables: the adjoint's
+    rep blocks and the lattice's run table.
 
     Error model: both sides are weighted sums of products of two window
     entries, so their rounding errors grow with the entries of S itself
@@ -500,16 +559,29 @@ def _janssen_gaps(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, np.n
     weight * sum_z |pi(z) eta(t)|^2). The scaled gap divides by max(1, max|S|):
     the absolute gap for small operators, the relative one above.
     """
-    frame = _gram(_orbit(eta, ctx.lattice), ctx.lattice.float_weight)
-    gap = _case_max(_rep(ctx.dual, False, _analyze(eta, eta, ctx.dual)) - frame)
-    return gap, gap / np.maximum(1.0, _case_max(frame))
+    lat, runs = ctx.lattice, ctx.lattice._tables.runs
+    blocks = len(runs.chi)
+    janssen = _rep_blocks(ctx.dual, False, _analyze(eta, eta, ctx.dual))
+    frame = _gram(_by_block(_base_rows(eta[:, None, :], lat), blocks), lat.float_weight * blocks)
+    janssen -= frame[:, np.argsort(runs.frame[:, 0])]
+    gap = _case_max(janssen)
+    return gap, gap / np.maximum(1.0, _case_max(np.diagonal(frame, axis1=-2, axis2=-1)))
+
+
+def _janssen_budget(ctx: ModuleContext) -> int:
+    """Complex entries one case of _janssen_gaps keeps alive at its peak: the adjoint's rep blocks,
+    |G|^2 / |Delta_0| (the adjoint has |G| / |Delta_0| runs), kept while the lattice's side holds its
+    base rows by block and their conjugate, runs |G| each, and its frame blocks, |G|^2 / |Delta_0|. The
+    adjoint's side peaks lower: its fibre sums and its rep blocks, |G|^2 / |Delta_0| each."""
+    lat, n = ctx.lattice, ctx.lattice.ambient.order
+    runs = lat._tables.runs
+    return 2 * len(runs.minus) * n + 2 * n * n // len(runs.chi) + 4 * n
 
 
 def _check_janssen(ctx: ModuleContext, eta: np.ndarray) -> dict:
-    """Decided on the scaled gap (see _janssen_gaps); max_abs_gap reports the raw one."""
-    n = ctx.lattice.ambient.order
-    gaps, scaled = _per_case(_janssen_gaps, ctx, eta,
-                             per_case=n * max(len(ctx.lattice), len(ctx.dual), n))  # the dense orbit and S
+    """Decided on the scaled gap (see _janssen_gaps); max_abs_gap reports the raw one. Chunks hold
+    _janssen_budget's entries per case."""
+    gaps, scaled = _per_case(_janssen_gaps, ctx, eta, per_case=_janssen_budget(ctx))
     return _entry("janssen", len(eta), gaps.max(), scaled.max(), use_rel=True)
 
 

@@ -3,9 +3,9 @@
 A sequence a on a measured subgroup, twisted by the Heisenberg cocycle c (flag
 ``conjugated`` False) or by its pointwise conjugate (flag True), multiplies by
 
-    (a * b)(z) = weight * sum_w kappa(w, z - w) a(w) b(z - w)
+    (a * b)(z) = weight * sum_w c(w, z - w) a(w) b(z - w)
 
-and has involution a*(z) = conj(kappa(z, -z)) conj(a(-z)). The canonical trace
+and has involution a*(z) = conj(c(z, -z)) conj(a(-z)). The canonical trace
 is evaluation at zero. The integrated representation realizes a as an operator
 on C^G, sending z to pi(z) for the plain cocycle and to pi(z)* for the
 conjugated one; it is faithful, so the C*-norm of a is the spectral norm of
@@ -18,11 +18,21 @@ conj(c(z, -z)) pi(-z), rep(a) on the conjugated flag is the plain rep of the
 plain involution of conj(a) (_plain): the representation kernels run one form.
 
 Every product, involution and representation reads the domain's tables (see
-groups): the neg index table, the sub table of differences z_k - z_i with
-its cocycle table kappa = c(z_i, z_k - z_i), one complex table built from
-the integer phases mod N and read by both flags (the conjugated cocycle is
-conj(kappa)), and the run table; all are gathers, and the kernels behind
-them take leading case axes.
+groups): the neg index table and the involution's phases, the run table, and
+the crossed-product table of the product; all are gathers, and the kernels
+behind them take leading case axes.
+
+C*(Delta, c) is a crossed product of the functions on Delta_0's dual by the
+run shifts (Rieffel, Canad. J. Math. 1988), and the product runs in that
+form. A run's coefficients against the Delta_0 characters, one value per
+frame coset beta (_hat, the transform _zero_sums takes), multiply as
+(a * b)^_t(beta) = weight * sum_r conj(character(omega_s, x_r))
+character(delta_rs, t_beta) ah_r(beta) bh_s(beta - x_r), s = t - r and
+delta_rs = omega_r + omega_s - omega_t in Delta_0: one gather and one phase
+per (beta, t, r), |Delta| runs entries in all, against the |Delta|^2 of the
+coefficient form (_crossed). _unhat transforms back. The conjugated product
+is conj of the plain product of the conjugates, so both flags run one kernel.
+
 The integrated representation sums over each time fibre,
 m_x(t) = sum over (x, w) of a(x, w) roots[pairing(w, t)], and places m_x(t)
 at row t, column index(t - x) of the |G| x |G| matrix; _act applies it to a
@@ -92,31 +102,53 @@ def _require_same_algebra(a: TwistedSeq, b: TwistedSeq) -> None:
 
 
 def twisted_convolve(a: TwistedSeq, b: TwistedSeq) -> TwistedSeq:
-    """(a * b)(z) = weight * sum over w of kappa(w, z - w) a(w) b(z - w)."""
+    """(a * b)(z) = weight * sum over w of c(w, z - w) a(w) b(z - w), in crossed-product form (_convolve)."""
     _require_same_algebra(a, b)
     return TwistedSeq(a.domain, a.conjugated, _convolve(a.domain, a.conjugated, a.coeffs, b.coeffs))
 
 
 def _convolve(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """twisted_convolve per case of leading axes: entry [i, k] pairs z_i with z_k - z_i.
+    """twisted_convolve per case of leading axes: the crossed product (_crossed) of the transforms (_hat) of
+    a and b, transformed back (_unhat)."""
+    ah, bh = _hat(domain, conjugated, np.stack(np.broadcast_arrays(a, b)))
+    return _unhat(domain, conjugated, _crossed(domain, ah, bh))
 
-    b gathered by sub into one |Delta| x |Delta| buffer per case, scaled by kappa in place, is
-    contracted with a as one vector-matrix product; the weight scales the |Delta|-vector. The
-    conjugated cocycle is conj(kappa), so its product is conj of the plain product of conj(a), conj(b).
-    """
-    tables = domain._tables
-    sub, kappa = tables.sub, tables.kappa  # built, on first use, before the product's buffer
-    if conjugated:
-        a, b = a.conj(), b.conj()
-    terms = np.take(b, sub, axis=-1)
-    terms *= kappa
-    out = (a[..., None, :] @ terms)[..., 0, :]
-    out *= domain.float_weight
+
+def _hat(domain: MeasuredSubgroup, conjugated: bool, a: np.ndarray) -> np.ndarray:
+    """The crossed-product transform per case: (..., |Delta|) give (..., |Delta_0|, runs), [beta, r] the run's
+    coefficients against the Delta_0 characters on frame coset beta (_zero_sums), of a itself or, on the
+    conjugated flag, of conj(a): the conjugated product is conj of the plain product of conj(a), conj(b)."""
+    return np.swapaxes(_zero_sums(domain, a.conj() if conjugated else a), -1, -2)
+
+
+def _unhat(domain: MeasuredSubgroup, conjugated: bool, h: np.ndarray) -> np.ndarray:
+    """Coefficients (..., |Delta|) of transforms (_hat) (..., |Delta_0|, runs): chi chi^H = |Delta_0| I, so each
+    run's coefficients are its transform times chi^H / |Delta_0|, placed by pos; conjugated back on that flag."""
+    runs = domain._tables.runs
+    coeffs = np.swapaxes(h, -1, -2) @ (runs.chi.conj().T / len(runs.chi))
+    out = np.take(coeffs.reshape(coeffs.shape[:-2] + (-1,)), runs.pos, axis=-1)
     return np.conjugate(out, out=out) if conjugated else out
 
 
+def _crossed(domain: MeasuredSubgroup, ah: np.ndarray, bh: np.ndarray) -> np.ndarray:
+    """The plain product a * b between transforms (_hat), per case: (..., |Delta_0|, runs) give the same.
+
+    C*(Delta, c) is a crossed product of the functions on Delta_0's dual, the frame cosets, by the run shifts:
+    (a * b)^[beta, t] = weight * sum_r phase[beta, t, r] ah[beta, r] bh[beta - x_r, t - r], the crossed table
+    (groups) giving the phase and the flat index of bh at frame coset beta - x_r and run t - r. One gather of
+    bh, scaled by the phases in place, is contracted with ah as one matrix-vector product per coset:
+    |Delta| runs products, where the coefficient form takes |Delta|^2.
+    """
+    gather, phase = domain._tables.crossed
+    terms = np.take(bh.reshape(bh.shape[:-2] + (-1,)), gather, axis=-1)
+    terms *= phase
+    out = (terms @ ah[..., None])[..., 0]
+    out *= domain.float_weight
+    return out
+
+
 def involution(a: TwistedSeq) -> TwistedSeq:
-    """a*(z) = conj(kappa(z, -z)) conj(a(-z)), where c(z, -z) = character(w, x) for z = (x, w)."""
+    """a*(z) = conj(c(z, -z)) conj(a(-z)), where c(z, -z) = character(w, x) for z = (x, w)."""
     return TwistedSeq(a.domain, a.conjugated, _involve(a.domain, a.conjugated, a.coeffs))
 
 

@@ -14,6 +14,7 @@ from heisenmod import (
     FiniteAbelianGroup,
     GaborSystem,
     MeasuredSubgroup,
+    TwistedSeq,
     adjoint_subgroup,
     all_subgroups,
     frame_operator,
@@ -24,6 +25,11 @@ from heisenmod import (
     subgroup_from_generators,
     dual_window,
     frame_bounds,
+    frame_like,
+    involution,
+    theta_matrix,
+    trace,
+    twisted_convolve,
     verify_suite,
 )
 from heisenmod import gabor as gabor_impl
@@ -31,7 +37,7 @@ from heisenmod import groups as groups_impl
 from heisenmod import module as module_impl
 from heisenmod import module_frame_check
 from heisenmod.shifts import _randn
-from heisenmod.twisted import _rep, _rep_blocks, _split_rep_blocks, _svals
+from heisenmod.twisted import _act, _rep, _rep_blocks, _split_rep_blocks, _svals
 
 GROUPS = [FiniteAbelianGroup(orders) for orders in [(n,) for n in range(1, 13)] + [(2, 4), (3, 3)]]
 # The largest verify-ladder rungs: Z6^2 at |Delta| = 72, Z8^2 at 64, Z80 at 160, Z96 at 96 (weight 3) and 192.
@@ -165,6 +171,40 @@ def test_dense_frame_operator_vanishes_between_frame_cosets_and_its_spectrum_is_
     assert worst_eig <= 1e-14, worst_eig
 
 
+def test_adjoint_rep_cosets_are_the_frame_cosets_by_least_member():
+    # janssen (module _janssen_gaps) holds the adjoint's rep block i against the lattice's frame block
+    # argsort(frame[:, 0])[i]: the adjoint lists its rep cosets by least member, and each is a frame coset,
+    # its members in the same ascending order.
+    count = 0
+    for lat in _lattices():
+        frame = lat._tables.runs.frame
+        assert np.array_equal(adjoint_subgroup(lat)._tables.rep, frame[np.argsort(frame[:, 0])]), lat.ambient
+        count += 1
+    assert count > 740
+
+
+def test_frame_like_and_theta_vanish_between_frame_cosets():
+    # Both commute with the lattice shifts, so verify's operator-extension compares them on the frame cosets
+    # alone. frame_like, the dense Gram of two orbits, and theta column by column, the time-fibre action of
+    # each dense analysis column (one stacked _act), cancel between two cosets to rounding; theta_matrix is
+    # built per coset, so its entries there are zero, and on the cosets it is both of them.
+    worst_off = worst = 0.0
+    for k, lat in enumerate(_lattices()):
+        g, n = lat.ambient, lat.ambient.order
+        eta, gamma = randn_window(g, 700 + 2 * k), randn_window(g, 701 + 2 * k)
+        like, theta = frame_like(eta, gamma, lat), theta_matrix(eta, gamma, module_context(lat))
+        columns = _act(lat, False, gabor_impl.analysis(eta, lat).T, np.broadcast_to(gamma.values, (n, n))).T
+        frame = lat._tables.runs.frame
+        off = np.ones((n, n), dtype=bool)
+        off[frame[:, :, None], frame[:, None, :]] = False
+        scale = np.abs(like).max()
+        assert np.all(theta[off] == 0), (g.orders, len(lat))
+        worst_off = max(worst_off, np.abs(like[off]).max(initial=0.0) / scale,
+                        np.abs(columns[off]).max(initial=0.0) / scale)
+        worst = max(worst, np.abs(theta - like).max() / scale, np.abs(theta - columns).max() / scale)
+    assert worst_off <= 1e-14 and worst <= 1e-14, (worst_off, worst)
+
+
 MUTATION_RUNGS = [((12,), [((2,), (3,)), ((0,), (4,))]), BIG_RUNGS[0][:2]]
 
 
@@ -181,12 +221,13 @@ def _failing(lattice) -> set:
 # The identities each mutation fails: the frame-coset swap on Z12, each run-table swap on both rungs.
 FRAME_COSET_MUTATION = {"localization", "norm-chain", "operator-extension", "figa", "imprimitivity",
                         "reconstruction", "dual-scaling", "twisted-axioms"}
+# janssen reads the lattice's run shift (twisted _base_rows) for its frame blocks, so it fails minus and base.
 RUN_TABLE_MUTATIONS = {
     "pos": {"operator-extension", "reconstruction", "twisted-axioms"},
-    "minus": {"localization", "norm-chain", "operator-extension", "figa", "imprimitivity", "reconstruction",
-              "dual-scaling", "twisted-axioms"},
-    "base": {"localization", "norm-chain", "operator-extension", "figa", "imprimitivity", "reconstruction",
-             "dual-scaling", "twisted-axioms"},
+    "minus": {"localization", "norm-chain", "operator-extension", "janssen", "figa", "imprimitivity",
+              "reconstruction", "dual-scaling", "twisted-axioms"},
+    "base": {"localization", "norm-chain", "operator-extension", "janssen", "figa", "imprimitivity",
+             "reconstruction", "dual-scaling", "twisted-axioms"},
     "chi": {"localization", "operator-extension", "reconstruction", "twisted-axioms"},
 }
 
@@ -220,6 +261,27 @@ def test_a_wrong_run_table_fails_verify(field, rung):
     bad[[i, j]] = bad[[j, i]]
     lattice._tables.__dict__["runs"] = runs._replace(**{field: bad})
     assert _failing(lattice) == RUN_TABLE_MUTATIONS[field]
+
+
+@pytest.mark.parametrize("rung", MUTATION_RUNGS, ids=["z12", "z6x6"])
+@pytest.mark.parametrize("field", ["chi", "pos"])
+def test_a_wrong_chi_or_pos_fails_the_trace_witness(field, rung):
+    # The crossed-product kernel (twisted _crossed) reads chi and pos through its transforms, as the rep blocks
+    # do. With two Delta_0 characters, or two positions of one run, swapped (as above) it is still an
+    # associative product, that of a relabelled algebra; tr(a b*) = w sum a conj(b) reads neither table, so it
+    # is the witness that fails.
+    lattice = _fresh(rung)
+    runs = lattice._tables.runs
+    bad = getattr(runs, field).copy()
+    i, j = (len(runs.chi), len(runs.chi) + 1) if field == "pos" else (0, 1)
+    bad[[i, j]] = bad[[j, i]]
+    lattice._tables.__dict__["runs"] = runs._replace(**{field: bad})
+    a, b, c = (TwistedSeq(lattice, False, v) for v in _randn(splitmix64_stream(9, 3), len(lattice)))
+    associativity = twisted_convolve(twisted_convolve(a, b), c).coeffs - twisted_convolve(a, twisted_convolve(b, c)).coeffs
+    assert np.abs(associativity).max() <= 1e-12
+    witness = trace(twisted_convolve(a, involution(b))) - float(lattice.weight) * np.sum(a.coeffs * b.coeffs.conj())
+    assert abs(witness) > 0.1
+    assert "twisted-axioms" in _failing(lattice)
 
 
 def test_reversed_rep_blocks_fail_verify():

@@ -419,7 +419,7 @@ def test_frame_ops_on_z2048_build_no_orbit_sized_array(op):
 def test_run_layer_tables_on_z2048_fit_the_zak_form_budget():
     # Z2048 (16, 0), (0, 32): |Delta| = 8192 in 128 runs, |Delta_0| = 64. After the frame operations, both
     # module actions and the C*-norm, the lattice's cached tables other than its points (plane, and the
-    # generators its build supplied) and the twisted-algebra tables (sub, kappa, neg, star) are the run
+    # generators its build supplied) and the twisted-algebra tables (crossed, neg, star) are the run
     # table, 24 runs |G| bytes plus its frame cosets, chi and pos, the rep cosets and rep_gather,
     # 8 |G| + 8 runs |G|, and the split, 24 |G| + 16 |H'|^2 + 8 runs / |H'| with H' = 64 Z_2048, the time
     # shifts in Delta_0^perp (32 of them), and one run per coset of H' (4). None has the shape of a
@@ -438,7 +438,7 @@ def test_run_layer_tables_on_z2048_fit_the_zak_form_budget():
     runs = len(ctx.lattice) // d0
     assert tables.split.chars.shape == (h, h) and tables.split.reps.shape == (runs // h,)
     cached = {name: value for name, value in vars(tables).items()
-              if name not in {"plane", "gens", "sub", "kappa", "neg", "star"}}
+              if name not in {"plane", "gens", "crossed", "neg", "star"}}
     arrays = [v for value in cached.values() for v in (value if isinstance(value, tuple) else (value,))
               if isinstance(v, np.ndarray)]
     budget = 32 * runs * n + 16 * n + 8 * len(ctx.lattice) + 16 * d0**2 + 24 * n + 16 * h**2 + 8 * runs // h

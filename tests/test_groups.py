@@ -329,15 +329,21 @@ def test_a_large_lattice_holds_about_one_int64_per_point():
     assert held < 5 * 2**20, held
 
 
-def test_difference_table_builds_in_about_three_tables():
-    # Z80 at |Delta| = 160, a verify-ladder rung: the table holds 160^2 int64 entries, 0.195 MiB
-    sub = subgroup_from_generators(FiniteAbelianGroup((80,)), [((5,), (30,)), ((0,), (8,))], 1)
-    tables = sub._tables
-    assert len(sub) == 160 and tables.x.size and tables.w.size  # coordinates built outside the measurement
-    tracemalloc.start()
-    try:
-        table = tables.sub
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * table.nbytes, (peak, table.nbytes)
+def test_crossed_product_table_builds_in_about_two_tables():
+    # The twisted product's crossed-product table (twisted _crossed) on the verify-ladder's Z80 rung at
+    # |Delta| = 160 and its Z6^2 rung at redundancy 2: an int64 gather index and complex phases of
+    # |Delta| runs entries each, 24 |Delta| runs bytes, 60 KiB where the |Delta|^2 difference and cocycle
+    # tables it replaced held 600 KiB on Z80. Its build holds at most about two such tables.
+    for orders, gens in [((80,), [((5,), (30,)), ((0,), (8,))]),
+                         ((6, 6), [((1, 0), (3, 3)), ((0, 1), (3, 4)), ((0, 0), (6, 0)), ((0, 0), (0, 3))])]:
+        tables = subgroup_from_generators(FiniteAbelianGroup(orders), gens, 1)._tables
+        assert tables.x.size and tables.w.size and tables.runs  # built outside the measurement
+        tracemalloc.start()
+        try:
+            gather, phase = tables.crossed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = 24 * len(tables.plane) * len(tables.runs.minus)
+        assert gather.nbytes + phase.nbytes == size
+        assert peak <= 2.5 * size, (orders, peak, size)

@@ -13,6 +13,7 @@ import cmath
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,7 +39,8 @@ from heisenmod import (
     twisted_convolve,
 )
 from heisenmod import gabor
-from heisenmod.twisted import _rep_blocks, _split_rep_blocks, _svals
+from heisenmod.twisted import _convolve, _rep_blocks, _split_rep_blocks, _svals
+from test_twisted import _gather_convolve
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -270,6 +272,19 @@ def test_twisted_convolve_and_involution_match_definition(case, conjugated, seed
         star[pos[z]] = (_kappa(group, z, neg, conjugated) * a.coeffs[pos[neg]]).conjugate()
     assert np.allclose(twisted_convolve(a, b).coeffs, conv, atol=1e-10)
     assert np.allclose(involution(a).coeffs, star, atol=1e-12)
+
+
+@PROPERTY
+@given(lattices(max_order=32), st.booleans(), st.integers(0, 2**31))
+def test_crossed_kernel_matches_the_gather_oracle(case, conjugated, seed):
+    # The crossed-product kernel against the gather convolution (test_twisted), both flags, at weight 1/3:
+    # within (|Delta| + 3) eps of each other on the scale weight * sum |a| * max |b|, twice Higham's gamma_n.
+    group, gens = case
+    sub = subgroup_from_generators(group, gens, Fraction(1, 3))
+    a, b = _random_coeffs(len(sub), seed), _random_coeffs(len(sub), seed + 1)
+    scale = float(sub.weight) * np.abs(a).sum() * np.abs(b).max()
+    gap = np.abs(_convolve(sub, conjugated, a, b) - _gather_convolve(sub, conjugated, a, b)).max()
+    assert gap <= 2 * (len(sub) + 3) * np.finfo(float).eps * scale, (group.orders, len(sub), gap, scale)
 
 
 @PROPERTY

@@ -33,6 +33,7 @@ from heisenmod import (
     twisted_convolve,
     unit_seq,
 )
+from heisenmod.twisted import _convolve
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -326,52 +327,71 @@ def test_kernels_with_a_case_axis_equal_per_case_calls_bit_for_bit():
             assert act[i].tobytes() == _act(lat, flag, a[i], xi[i]).tobytes()
 
 
-def test_difference_tables_equal_the_add_neg_construction_on_every_subgroup():
-    # The reference is the construction _convolve gathered on every call before the tables held sub and
-    # kappa: add[i, j] = position of z_i + z_j, cocycle[i, j] = phase of c(z_i, z_j). roots is injective
-    # on 0..N-1, so equal kappa bytes mean equal integer phases.
+def _gather_convolve(domain, conjugated, a, b):
+    """The gather convolution, the oracle of the crossed-product kernel: the differences z_k - z_i and the
+    cocycle c(z_i, z_k - z_i) = conj(character(tau_k, x_i)) character(tau_i, x_i) as |Delta| x |Delta|
+    tables, b gathered by the one and scaled by the other, contracted with a; the conjugated product is conj
+    of the plain product of conj(a), conj(b)."""
+    tables = domain._tables
+    grp, x, w = tables.group, tables.x, tables.w
+    sub = np.searchsorted(tables.plane, grp.plane_index(x[None] - x[:, None], w[None] - w[:, None]))
+    kappa = grp.roots[(grp.pairing(w, x)[:, None] - grp.pairings(x, w)) % grp.modulus]
+    if conjugated:
+        a, b = np.conj(a), np.conj(b)
+    out = float(domain.weight) * (a[..., None, :] @ (np.take(b, sub, axis=-1) * kappa))[..., 0, :]
+    return out.conj() if conjugated else out
+
+
+def test_gather_oracle_is_the_add_neg_construction_on_every_subgroup():
+    # The oracle's difference table is add[neg] of the sums z_i + z_j, and its cocycle the phases of
+    # c(z_i, z_j) gathered there: on unit coefficients it is the table of the definition.
     for g in SMALL_GROUPS:
         for elems in all_subgroups(g):
-            tables = MeasuredSubgroup(g, elems, 1)._tables
+            dom = MeasuredSubgroup(g, elems, 1)
+            tables = dom._tables
             grp, x, w = tables.group, tables.x, tables.w
             add = np.searchsorted(tables.plane, grp.plane_index(x[:, None] + x[None], w[:, None] + w[None]))
             cocycle = -grp.pairing(w[None], x[:, None]) % grp.modulus
             sub = add[tables.neg]
-            phase = np.take_along_axis(cocycle, sub, axis=1)
-            assert np.array_equal(tables.sub, sub), (g.orders, elems)
-            assert tables.kappa.tobytes() == grp.roots[phase].tobytes(), (g.orders, elems)
-            # and the construction before sub was built one coordinate at a time
-            diff = np.searchsorted(tables.plane, grp.plane_index(x[None] - x[:, None], w[None] - w[:, None]))
-            assert np.array_equal(tables.sub, diff), (g.orders, elems)
+            kappa = grp.roots[np.take_along_axis(cocycle, sub, axis=1)]
+            eye = np.eye(len(dom))
+            for i in range(len(dom)):  # delta_i * b puts kappa[i, k] b(z_k - z_i) at z_k
+                b = np.arange(len(dom)) + 1.0
+                assert np.array_equal(_gather_convolve(dom, False, eye[i], b), kappa[i] * b[sub[i]]), g.orders
 
 
-def _convolve_reference(domain, conjugated, a, b):
-    """The per-call formula _convolve ran before the tables held kappa: the cocycle roots gathered from
-    their integer phases, three |Delta|^2 products and a strided sum."""
-    tables = domain._tables
-    pairing = tables.group.pairing(tables.w[None], tables.x[:, None])
-    phase = (np.diag(pairing)[:, None] - pairing) % tables.group.modulus
-    kappa = tables.group.roots[-phase if conjugated else phase]
-    terms = float(domain.weight) * (a[..., :, None] * kappa * np.take(b, tables.sub, axis=-1))
-    return terms.sum(axis=-2)
-
-
-def test_convolve_matches_the_per_call_formula_on_every_subgroup():
-    # Both sum |Delta| products of |kappa| = 1 and unit-free operands, so each differs from the exact
-    # sum by at most (|Delta| + 3) eps times weight * sum |a| * max |b| (Higham's gamma_n bound).
-    from heisenmod.twisted import _convolve
-
+@pytest.mark.parametrize("weight", [1, Fraction(1, 3)], ids=["w1", "w1/3"])
+def test_crossed_kernel_matches_the_gather_oracle_on_every_subgroup(weight):
+    # Every subgroup of Z1-Z12 and Z2 x Z4, both flags: non-cyclic Delta_0, runs off omega_r = 0 and the
+    # conjugated flag among them. Both sum |Delta| products of unit phases and unit-free operands, so each
+    # is within (|Delta| + 3) eps of the exact sum on the scale weight * sum |a| * max |b| (Higham's gamma_n);
+    # the two agree to within twice that.
     eps = np.finfo(float).eps
+    worst, count = 0.0, 0
     for g in SMALL_GROUPS:
         for k, elems in enumerate(all_subgroups(g)):
-            dom = MeasuredSubgroup(g, elems, Fraction(1, 3))
+            dom = MeasuredSubgroup(g, elems, weight)
             for flag in (False, True):
                 a = np.stack([_random_seq(dom, flag, 700 + 2 * k + i).coeffs for i in range(2)])
                 b = np.stack([_random_seq(dom, flag, 900 + 2 * k + i).coeffs for i in range(2)])
                 scale = float(dom.weight) * np.abs(a).sum(axis=-1) * np.abs(b).max(axis=-1)
-                bound = 2 * (len(dom) + 3) * eps * scale
-                gap = np.abs(_convolve(dom, flag, a, b) - _convolve_reference(dom, flag, a, b)).max(axis=-1)
-                assert np.all(gap <= bound), (g.orders, elems, flag, gap, bound)
+                gap = np.abs(_convolve(dom, flag, a, b) - _gather_convolve(dom, flag, a, b)).max(axis=-1)
+                assert np.all(gap <= 2 * (len(dom) + 3) * eps * scale), (g.orders, elems, flag, gap, scale)
+                worst, count = max(worst, float((gap / scale).max())), count + 1
+    assert count > 800 and worst <= 2e-15, (count, worst)
+
+
+def test_crossed_table_has_delta_runs_entries_and_exact_phases():
+    # Z80 at |Delta| = 160 (16 runs of 10) and Z6^2 at |Delta| = 72 (36 runs of 2): the gather index and the
+    # phases are (|Delta_0|, runs, runs), |Delta| runs entries each, the phases exact roots of unity.
+    for orders, gens, runs in [((80,), [((5,), (30,)), ((0,), (8,))], 16),
+                               ((6, 6), [((1, 0), (3, 3)), ((0, 1), (3, 4)), ((0, 0), (6, 0)), ((0, 0), (0, 3))], 36)]:
+        dom = subgroup_from_generators(FiniteAbelianGroup(orders), gens, 1)
+        gather, phase = dom._tables.crossed
+        d0 = len(dom._tables.runs.chi)
+        assert gather.shape == phase.shape == (d0, runs, runs) and d0 * runs == len(dom)
+        assert gather.min() >= 0 and gather.max() < len(dom)
+        assert np.all(np.isin(phase, dom._tables.group.roots))
 
 
 # The closed forms of _svals and _top_eig against LAPACK. Each singular value may differ from
@@ -466,7 +486,7 @@ def test_run_table_shift_appears_in_the_package_only_inside_base_rows():
     # One run-table shift: the gather by runs.minus, then the base phases, is _base_rows, which _act and
     # the frame factor call, the factor with its selection of runs. runs.minus in any form other than its
     # length or shape, a subscripted minus[...] included, is read there and where the tables are built
-    # (groups: the run table, and the rep cosets and their gather from it), and by the dense
+    # (groups: the run table, the rep cosets and their gather, and the crossed-product table), and by the dense
     # integrated_rep, which scatters the fibre sums to it (_rep). The Delta_0 characters are read as one
     # |Delta_0| x |Delta_0| table: no function gathers them per point through pos.
     shifts, reads, per_point = set(), set(), set()
@@ -492,7 +512,7 @@ def test_run_table_shift_appears_in_the_package_only_inside_base_rows():
                     per_point.add((path.name, func.name))
     assert shifts == {("twisted.py", "_base_rows")}
     assert reads == {("twisted.py", "_base_rows"), ("twisted.py", "_rep"), ("groups.py", "runs"),
-                     ("groups.py", "rep"), ("groups.py", "rep_gather")}, reads
+                     ("groups.py", "rep"), ("groups.py", "rep_gather"), ("groups.py", "crossed")}, reads
     assert not per_point
 
 

@@ -63,9 +63,11 @@ def _random_seq(domain, conjugated, seed):
 
 
 def _ref_twisted_axioms(ctx, seed, cases):
-    """Raw max gap, and the max of each sub-gap over max(1, w)^degree, w the domain weight."""
+    """Raw max gap, and the max of each sub-gap over max(1, w)^degree, w the domain weight, but
+    associativity's: its gap over _ASSOCIATIVITY eps w^2 ||a||_2 ||b||_2 ||c||_1, in the tolerance's units."""
     gap = scaled = 0.0
     seeds = _derived_seeds(seed, 6 * cases)
+    model = module_impl._ASSOCIATIVITY * np.finfo(float).eps / VERIFY_TOLERANCES["twisted-axioms"]
     for i in range(cases):
         for domain, flag in ((ctx.lattice, False), (ctx.dual, True)):
             a = _random_seq(domain, flag, seeds[6 * i])
@@ -88,10 +90,13 @@ def _ref_twisted_axioms(ctx, seed, cases):
                 np.sum(a.coeffs * b.coeffs.conj())
             )
             scale = max(1.0, float(domain.weight))
-            for degree, diff in ((2, assoc), (0, invol), (1, prod_star), (2, rep_ab - ordered), (1, rep_star),
-                                 (1, tracial), (1, pairing)):
+            for degree, diff in ((0, invol), (1, prod_star), (2, rep_ab - ordered), (1, rep_star), (1, tracial),
+                                 (1, pairing)):
                 gap = max(gap, float(np.abs(diff).max()))
                 scaled = max(scaled, float(np.abs(diff).max()) / scale**degree)
+            norms = np.linalg.norm(a.coeffs) * np.linalg.norm(b.coeffs) * np.abs(c.coeffs).sum()
+            gap = max(gap, float(np.abs(assoc).max()))
+            scaled = max(scaled, float(np.abs(assoc).max()) / (model * float(domain.weight) ** 2 * norms))
     return {"twisted-axioms": (gap, scaled)}
 
 
@@ -295,7 +300,13 @@ def test_stacked_checks_match_per_case_reference(name):
         for ident, (abs_gap, rel_gap) in reference.items():
             entry = report[ident]
             assert abs(entry["max_abs_gap"] - abs_gap) <= 1e-13, (ident, entry, abs_gap)
-            assert abs(entry["max_rel_gap"] - rel_gap) <= 1e-13, (ident, entry, rel_gap)
+            if ident == "twisted-axioms":
+                # Its decisive gap is associativity's rounding over a scale of a few eps (_ASSOCIATIVITY): the
+                # check forms (ab)c and a(bc) from transforms, the reference from coefficients, and the two
+                # routes round differently, so the model's ratio is held to within a factor of 4.
+                assert rel_gap / 4 <= entry["max_rel_gap"] <= 4 * rel_gap, (ident, entry, rel_gap)
+            else:
+                assert abs(entry["max_rel_gap"] - rel_gap) <= 1e-13, (ident, entry, rel_gap)
             decisive = rel_gap if ident in USE_REL else abs_gap
             assert entry["pass"] == (decisive <= VERIFY_TOLERANCES[ident]), (ident, entry)
 
