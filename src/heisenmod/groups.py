@@ -289,7 +289,9 @@ def _split_table(g: _GroupTable, plane: np.ndarray, frame: np.ndarray) -> _Split
     moves t0 to t0 + sum j_i g_i at the integer phase sum_i j_i pairing(omega_i, t0 + sum_{l<i} j_l g_l) +
     j_i (j_i + 1) / 2 pairing(omega_i, g_i) (walk). On coset b, U_{g_i}^{m_i} = roots[alpha_i] V_{c_i}, so
     mu_b(g_i) = lambda_i solves lambda_i^{m_i} = roots[alpha_i] prod_l lambda_l^{c_il} exactly as integers
-    mod N |H'|. Each orbit starts at its least frame position.
+    mod N |H'|. Each orbit t + H' lies in one frame coset, whose positions ascend in the order of G, so it
+    starts at its least member in that order: t with each coordinate j, ascending, reduced below d_j by the
+    generator that is d_j at j and zero before (_echelon's rule), rank passes over G.
     """
     n, (blocks, size), flat = g.size, frame.shape, frame.ravel()
     starts = plane[::blocks]
@@ -313,9 +315,11 @@ def _split_table(g: _GroupTable, plane: np.ndarray, frame: np.ndarray) -> _Split
     def walk(j):  # the walk phase less its sum_i j_i pairing(omega_i, t0)
         return (j @ lower * j).sum(-1) + j * (j + 1) // 2 @ half
 
-    seen = _uncoset(np.arange(n), frame)[g.translates(g.coords[shifts[h]])]  # [k, t]: frame position of t - h_k
-    start, at = seen.min(axis=0), number[shifts[h][seen.argmin(axis=0)]]  # t = t0 + h(at), t0 first in frame order
-    p, j = g.pairings(g.coords[flat[start]], omega), digits[at]  # pairing(omega_i, t0), the digits of h
+    t0 = g.coords.copy()  # the start of t's orbit, t = t0 + h(at); left unreduced, as each d_j divides n_j
+    for i, gen in zip(np.flatnonzero(bound < g.orders), gens[::-1]):
+        t0 -= (t0[:, i] // bound[i])[:, None] * gen
+    start, at = _uncoset(np.arange(n), frame)[g.index(t0)], number[g.index(g.coords - t0)]  # start: t0's frame position
+    p, j = g.pairings(t0, omega), digits[at]  # pairing(omega_i, t0), the digits of h
     up, moves = np.diag(m) - rel, walk(np.concatenate([np.diag(m), rel]))  # U_{g_i}^{m_i}, then V_{c_i}
     alpha = p @ up.T + (moves[: len(m)] - moves[len(m) :])
     big, lam, psi = g.modulus * count, np.zeros((n, len(m)), dtype=np.int64), np.zeros((count, len(m)), dtype=np.int64)

@@ -357,6 +357,71 @@ def _assert_reps_are_coset_leaders(sub):
     assert np.array_equal(cosets.min(axis=1), table.index(x[reps]))
 
 
+def _seen_split_table(g, plane, frame):
+    """groups._split_table with its orbit starts read off an |H'| x |G| table of translates: the least frame
+    position among t - h, h in H'. The oracle of the echelon reduction that replaced it."""
+    n, (blocks, size), flat = g.size, frame.shape, frame.ravel()
+    starts = plane[::blocks]
+    shifts, w = starts // n, g.coords[starts % n]
+    h = np.flatnonzero(~g.pairings(g.coords[plane[:blocks]], g.coords[shifts]).any(axis=0))
+    if len(h) > 1:
+        commutators = g.pairings(w[h], g.coords[shifts[h]])
+        h = h[~(commutators != commutators.T).any(axis=1)]
+    count = len(h)
+    if count == 1:
+        one = np.ones((1, 1), dtype=np.complex128)
+        return groups_impl._SplitTable(np.arange(n), np.ones(n, dtype=np.complex128), one, np.arange(len(starts)))
+    rows, m, bound = groups_impl._echelon(g, g.coords[shifts[h]])
+    gens, omega = g.coords[shifts[h[rows]]], w[h[rows]]
+    digits = np.arange(count)[:, None] // (np.cumprod(m) // m) % m
+    number = np.zeros(n, dtype=np.int64)
+    number[g.index(digits @ gens)] = np.arange(count)
+    rel, q = digits[number[g.index(m[:, None] * gens)]], g.pairings(omega, gens)
+    lower, half = np.tril(q, -1).T, q.diagonal()
+
+    def walk(j):
+        return (j @ lower * j).sum(-1) + j * (j + 1) // 2 @ half
+
+    seen = groups_impl._uncoset(np.arange(n), frame)[g.translates(g.coords[shifts[h]])]  # [k, t]: t - h_k
+    start, at = seen.min(axis=0), number[shifts[h][seen.argmin(axis=0)]]
+    p, j = g.pairings(g.coords[flat[start]], omega), digits[at]
+    up, moves = np.diag(m) - rel, walk(np.concatenate([np.diag(m), rel]))
+    alpha = p @ up.T + (moves[: len(m)] - moves[len(m) :])
+    big, lam, psi = g.modulus * count, np.zeros((n, len(m)), dtype=np.int64), np.zeros((count, len(m)), dtype=np.int64)
+    for i, mi in enumerate(m):
+        lam[:, i] = (alpha[:, i] * count + lam @ rel[i]) % big // mi
+        psi[:, i] = ((psi @ rel[i]) % count // mi + digits[:, i] * (count // mi)) % count
+    phase = ((lam - p * count) * j).sum(-1) - walk(j) * count
+    order = np.argsort(((frame[start // size, 0] * n + start) * count + at)[flat])
+    chars = np.exp(2j * np.pi * (psi @ digits.T % count) / count) / np.sqrt(count)
+    reps = np.flatnonzero((g.coords[shifts] < bound).all(axis=1))
+    return groups_impl._SplitTable(order, np.exp(2j * np.pi * (phase % big) / big)[flat[order]], chars, reps)
+
+
+def test_split_table_equals_its_translate_table_oracle(benchmark_jobs):
+    # Every array of the split table (order, phase, chars, reps) bit for bit against the oracle's, on each
+    # lattice and its adjoint: every small lattice and the big rungs, a seeded sample of the subgroups of
+    # Z4^2 (generated by one to four points), and the verify-ladder rungs of round 0 for seed 1.
+    lattices = list(_lattices())
+    z4_squared, rng = FiniteAbelianGroup((4, 4)), np.random.default_rng(25)
+    for k in range(160):
+        gens = [(tuple(x), tuple(w)) for x, w in rng.integers(0, 4, size=(1 + k % 4, 2, 2)).tolist()]
+        lattices.append(subgroup_from_generators(z4_squared, gens, 1))
+    for job in benchmark_jobs.round_jobs("verify-ladder", 1, 0):
+        gens = [(tuple(x), tuple(w)) for x, w in job["generators"]]
+        lattices.append(subgroup_from_generators(FiniteAbelianGroup(tuple(job["group"])), gens, 1))
+    split = 0
+    for lat in lattices:
+        for sub in (lat, adjoint_subgroup(lat)):
+            tables = sub._tables
+            got = tables.split
+            expect = _seen_split_table(tables.group, tables.plane, tables.runs.frame)
+            for field in got._fields:
+                assert np.array_equal(getattr(got, field), getattr(expect, field)), (sub.ambient.orders, field)
+            split += len(got.chars) > 1
+    assert split > 1000, split
+
+
 def test_split_is_exact_on_every_small_lattice():
     # Every subgroup of Z1-Z12, Z2 x Z4 and Z3^2, and the big rungs, each lattice and its adjoint: W is
     # unitary, W^H S W leaks <= 1e-14 relative off its split blocks, the spectrum of the quotient frame blocks

@@ -465,20 +465,24 @@ BENCH_SCALE = [
 
 
 @pytest.mark.parametrize("orders, gens, weight, seed, points", BENCH_SCALE)
-def test_verify_suite_passes_at_benchmark_scale(orders, gens, weight, seed, points):
+def test_verify_suite_passes_at_benchmark_scale(orders, gens, weight, seed, points, monkeypatch):
+    # Chunked checks keep the traced peak within a fixed 1 MiB plus 1.5 chunks of complex entries: about
+    # 1.5 MB of 1.75 MiB at 2^15 entries a chunk and 3.2 MB of 4 MiB at the default 2^17 on the Z96
+    # |Delta| = 192 rung.
     lattice = subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight)
     assert len(lattice) == points
-    tf_shift_matrix.cache_clear()
-    tracemalloc.start()
-    try:
-        report = verify_suite(lattice, seed=seed)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report["pass"], [entry for entry in report["identities"] if not entry["pass"]]
-    assert tf_shift_matrix.cache_info().currsize == 0
-    # chunked checks keep every temporary near 2^15 complex entries
-    assert peak <= 3 * 2**20, peak
+    for chunk in (module_impl._CHUNK, 2**15):
+        monkeypatch.setattr(module_impl, "_CHUNK", chunk)
+        tf_shift_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            report = verify_suite(lattice, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["pass"], [entry for entry in report["identities"] if not entry["pass"]]
+        assert tf_shift_matrix.cache_info().currsize == 0
+        assert peak <= 2**20 + 1.5 * 16 * chunk, (chunk, peak)
 
 
 def _drawn(ctx, salt, cases, slots):
@@ -546,8 +550,8 @@ def test_theta_matrix_takes_one_factor_and_no_act_call(rung, monkeypatch):
 
 
 @pytest.mark.parametrize("rung", [0, 2], ids=["z96-192", "z80-160"])
-def test_figa_and_localization_run_in_at_most_two_chunks(rung, monkeypatch):
-    # The default chunk counts run-form temporaries: 40 cases take at most two chunks on these rungs.
+def test_figa_and_localization_run_in_one_chunk(rung, monkeypatch):
+    # The default chunk counts run-form temporaries: 40 cases take one chunk on these rungs.
     orders, gens, weight, _, _ = BENCH_SCALE[rung]
     ctx = module_context(subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight))
     calls = {"_figa": 0, "_localization": 0}
@@ -556,7 +560,36 @@ def test_figa_and_localization_run_in_at_most_two_chunks(rung, monkeypatch):
     figa = module_impl._check_figa(ctx, *_drawn(ctx, 3, 40, 4))
     localization = module_impl._check_localization(ctx, *_drawn(ctx, 3, 40, 2))
     assert figa["cases"] == localization["cases"] == 40
-    assert 1 <= max(calls.values()) <= 2, calls
+    assert calls == {"_figa": 1, "_localization": 1}, calls
+
+
+def test_the_benchmark_tail_rung_runs_each_check_in_one_chunk(benchmark_jobs, monkeypatch):
+    # verify-ladder's tail op: the first Z6^2 redundancy-2 job of round 0 for seed 1, 36 runs of
+    # |Delta_0| = 2. Every check's kernel runs once per suite, twisted-axioms once on each domain.
+    job = next(job for job in benchmark_jobs.round_jobs("verify-ladder", 1, 0)
+               if job["group"] == [6, 6] and job["size"]["redundancy"] == "2")
+    gens = [(tuple(x), tuple(w)) for x, w in job["generators"]]
+    lattice = subgroup_from_generators(FiniteAbelianGroup((6, 6)), gens, Fraction(job["weight"]))
+    runs = lattice._tables.runs
+    assert (lattice.ambient.order, len(lattice), len(runs.minus), len(runs.chi)) == (36, 72, 36, 2)
+    passes = {}
+    chunked = module_impl._per_case
+
+    def counted(fn, ctx, *draws, per_case=0):
+        check = traceback.extract_stack(limit=2)[0].name
+
+        def kernel(*args):
+            passes[check] = passes.get(check, 0) + 1
+            return fn(*args)
+
+        return chunked(kernel, ctx, *draws, per_case=per_case)
+
+    monkeypatch.setattr(module_impl, "_per_case", counted)
+    assert verify_suite(lattice, seed=job["seed"])["pass"]
+    assert passes == {"_check_twisted_axioms": 2} | {f"_check_{name}": 1 for name in (
+        "localization", "norm_chain", "operator_extension", "janssen", "figa", "imprimitivity", "generators",
+        "dual_scaling")}, passes
+    assert sum(passes.values()) == 10
 
 
 @pytest.mark.parametrize("rung", [None, 0, 1, 2], ids=["z48-r2", "z96-192", "z96-weight-3", "z80-160"])
@@ -597,7 +630,7 @@ def test_generator_check_makes_one_pass_over_its_six_families(monkeypatch):
 
 def test_generator_witness_gathers_in_window_chunks(monkeypatch):
     # The dense synthesis witness runs per window, _CHUNK // (|Delta| |G|) windows a chunk, one gather
-    # each: on the Z80 |Delta| = 160 rung two windows, six gathers for the twelve. One window a chunk
+    # each: on the Z80 |Delta| = 160 rung ten windows, two gathers for the twelve. One window a chunk
     # keeps both entries.
     orders, gens, weight, seed, _ = BENCH_SCALE[2]
     ctx = module_context(subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight))

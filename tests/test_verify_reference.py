@@ -313,11 +313,15 @@ def test_stacked_checks_match_per_case_reference(name):
 
 def test_chunk_size_does_not_change_the_report(monkeypatch):
     # One case per chunk against the default chunks: the same verdicts and gaps within rounding. On the
-    # Z80 |Delta| = 160 rung of the benchmark the default operator-extension chunk holds one pair, and
-    # localization and figa run their 40 cases in 2 chunks of 22 (32768 // (80 * 16 + 160 + 40)).
+    # Z80 |Delta| = 160 rung of the benchmark the default operator-extension chunk holds 3 pairs, and
+    # localization and figa run their 40 cases in one chunk (2^17 // (80 * 16 + 160 + 40) = 88). On its
+    # Z6^2 redundancy-2 rung (the first of round 0 for seed 1) every check runs in one chunk, twisted-axioms
+    # its 8 cases stacked on each domain.
+    z6_squared = [((1, 0), (3, 3)), ((0, 1), (3, 4)), ((0, 0), (6, 0)), ((0, 0), (0, 3))]
     lattices = [
         (subgroup_from_generators(FiniteAbelianGroup((12,)), [((2,), (3,)), ((0,), (4,))], 1), 3),
         (subgroup_from_generators(FiniteAbelianGroup((80,)), [((5,), (30,)), ((0,), (8,))], 1), 1252682883),
+        (subgroup_from_generators(FiniteAbelianGroup((6, 6)), z6_squared, 1), 1651873308),
     ]
     for lattice, seed in lattices:
         with monkeypatch.context() as patch:
@@ -328,3 +332,4 @@ def test_chunk_size_does_not_change_the_report(monkeypatch):
         for a, b in zip(single["identities"], full["identities"]):
             assert a["cases"] == b["cases"]
             assert abs(a["max_abs_gap"] - b["max_abs_gap"]) <= 1e-13, (len(lattice), a, b)
+            assert abs(a["max_rel_gap"] - b["max_rel_gap"]) <= 1e-13, (len(lattice), a, b)
