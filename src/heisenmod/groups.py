@@ -74,10 +74,10 @@ class FiniteAbelianGroup:
 
     def reduce(self, coords: Iterable[int]) -> GroupElement:
         """Reduce coordinates mod the factor orders."""
-        c = tuple(int(v) for v in coords)
+        c = [int(v) for v in coords]
         if len(c) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(c)}")
-        return tuple(v % n for v, n in zip(c, self.orders))
+        return tuple([v % n for v, n in zip(c, self.orders)])
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return tuple((u + v) % n for u, v, n in zip(a, b, self.orders))
@@ -129,6 +129,9 @@ class _GroupTable:
         self.modulus = math.lcm(*orders)
         self.scale = self.modulus // self.orders
         self.roots = np.exp(2j * np.pi * np.arange(self.modulus) / self.modulus)
+        # the plane G x G^ as one group of rank 2 rank: coordinates x then w, its index the plane index
+        self.plane_orders = np.concatenate([self.orders, self.orders])
+        self.plane_radix = np.concatenate([self.radix * self.size, self.radix])
 
     def index(self, coords) -> np.ndarray:
         """coordinates @ radix, reduced per coordinate: one pass per factor over the leading axes."""
@@ -183,30 +186,63 @@ def _member(sorted_values: np.ndarray, values) -> np.ndarray:
     return sorted_values[pos] == values
 
 
-def _span(table: _GroupTable, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted plane indices of the subgroup generated by ``points``, the points kept as generators and their
-    relative orders.
+def _hermite(orders: list[int], rows) -> tuple[list[list[int]], list[int]]:
+    """Echelon generators of the subgroup of Z_{n_1} x ... x Z_{n_m} that the integer rows generate, and their
+    relative orders: a Hermite-form row reduction modulo the factor orders, in Python ints (Cohen, A Course in
+    Computational Algebraic Number Theory, 1993, 2.4).
 
-    Points already in the span are dropped. A kept point g extends the span H
-    by the disjoint cosets H + k g, 0 < k < m, where m is the order of g
-    modulo H; so the span at least doubles per kept generator and at most
-    log2 of its order are kept. The order of g divides N, so k runs up to N.
+    Column j takes the rows zero on every column before j, which generate the members zero there. Euclid's
+    algorithm on pairs of rows, unimodular at each step, gathers their entries at j into one pivot row p and
+    leaves the others zero at j; u p, u p_j = d_j = gcd(p_j, n_j) mod n_j, is generator j, and (n_j / d_j) p,
+    zero at j, joins the others, which then generate the members zero up to j. So every member is
+    sum_i a_i g_i, a_i below the relative order n_j / d_j of g_i, in exactly one way: the form _echelon
+    reads off a subgroup listed in full. At most len(rows) + m rows are alive at once.
     """
-    span = np.zeros(1, dtype=np.int64)
-    kept, orders = [], []
-    rest = np.asarray(points, dtype=np.int64)
-    k = np.arange(table.modulus + 1)[:, None]
-    while True:
-        rest = rest[~_member(span, rest)]
-        if not rest.size:
-            return span, np.array(kept, dtype=np.int64), np.array(orders, dtype=np.int64)
-        kept.append(rest[0])
-        gx, gw = table.split(rest[0])
-        mx, mw = k * gx, k * gw
-        m = 1 + int(np.argmax(_member(span, table.plane_index(mx[1:], mw[1:]))))
-        orders.append(m)
-        sx, sw = table.split(span)
-        span = np.sort(table.plane_index(sx[:, None] + mx[None, :m], sw[:, None] + mw[None, :m]).ravel())
+    rows = [[v % n for v, n in zip(row, orders)] for row in rows]
+    echelon, relative = [], []
+    for j, n in enumerate(orders):
+        pivot, rest = None, []
+        for row in rows:
+            if row[j] and pivot is None:
+                pivot = row
+                continue
+            while row[j]:
+                q = pivot[j] // row[j]
+                pivot, row = row, [(a - q * b) % k for a, b, k in zip(pivot, row, orders)]
+            rest.append(row)
+        if pivot is not None:
+            d = math.gcd(pivot[j], n)
+            u = pow(pivot[j] // d, -1, n // d)
+            rest.append([n // d * p % k for p, k in zip(pivot, orders)])
+            echelon.append([u * p % k for p, k in zip(pivot, orders)])
+            relative.append(n // d)
+        rows = [row for row in rest if any(row)]
+    return echelon, relative
+
+
+def _closure(table: _GroupTable, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted plane indices and echelon generators, (k, 2 rank) coordinates x then w, of the subgroup of the
+    plane that the integer rows (coordinates x then w) generate: _hermite's presentation, its members
+    sum_i a_i g_i, a_i below m_i, listed by one mixed-radix broadcast of the digits a_i and one sort."""
+    echelon, relative = _hermite(table.plane_orders.tolist(), rows)
+    m = np.array(relative, dtype=np.int64)
+    gens = np.array(echelon, dtype=np.int64).reshape(len(m), len(table.plane_orders))
+    digits = np.arange(math.prod(relative))[:, None] // (np.cumprod(m) // m) % m
+    plane = digits @ gens % table.plane_orders @ table.plane_radix
+    plane.sort()
+    return plane, gens
+
+
+def _keys(rows: np.ndarray, modulus: int) -> np.ndarray:
+    """One int64 per row of an integer array with entries below modulus, equal exactly where the rows are: the
+    rows in mixed radix modulus, relabelled densely (np.unique) before a column that could pass 2^62."""
+    key, bound = np.zeros(len(rows), dtype=np.int64), 1
+    for column in rows.T:
+        if bound * modulus > 2**62:
+            key, bound = np.unique(key, return_inverse=True)[1], len(rows)
+        key = key * modulus + column
+        bound *= modulus
+    return key
 
 
 class _RunTable(NamedTuple):
@@ -258,79 +294,116 @@ def _split(values: np.ndarray, split: _SplitTable, back: bool = False) -> np.nda
     return out * split.phase.conj() if back else out
 
 
-def _echelon(g: _GroupTable, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A polycyclic presentation of a subgroup of G listed in full by its coordinates (count, rank), read off
-    them in echelon form, a fixed number of array operations per coordinate.
+def _echelon(orders: np.ndarray, radix: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A polycyclic presentation of a subgroup of Z_{n_1} x ... x Z_{n_m} (orders; an element's index is its
+    coordinates @ radix) listed in full by its indices, ascending, read off them in echelon form by one
+    searchsorted.
 
-    The members zero on the coordinates before j project onto d_j Z_{n_j} at j, and one whose coordinate
-    j is d_j, the least positive there, generates them modulo those zero on j as well, with relative order
-    n_j / d_j. Returns the generators' rows, last coordinate first, so that m_i g_i lies in the span of
-    the generators before g_i; their relative orders m_i; and d, n_j where the projection is 0. A point
-    is the least member of its coset exactly when its coordinate j is below d_j for every j.
+    The members zero on the coordinates before j come first, below radix[j - 1]. They project onto d_j Z_{n_j}
+    at j, and the first of them at or past radix[j], the least positive coordinate j among them, d_j,
+    generates them modulo those zero on j as well, with relative order n_j / d_j. Returns the generators'
+    positions, last coordinate first, so that m_i g_i lies in the span of the generators before g_i; their
+    relative orders m_i; and d, n_j where the projection is 0. A point is the least member of its coset
+    exactly when its coordinate j is below d_j for every j.
     """
-    inside, rows, orders, bound = np.ones(len(coords), dtype=bool), [], [], g.orders.copy()
-    for j, n in enumerate(g.orders.tolist()):
-        column = np.where(inside & (coords[:, j] > 0), coords[:, j], n)
-        k = int(np.argmin(column))
-        if column[k] < n:
-            rows.append(k)
-            orders.append(n // int(column[k]))
-            bound[j] = column[k]
-        inside &= coords[:, j] == 0
-    return np.array(rows[::-1], dtype=np.int64), np.array(orders[::-1], dtype=np.int64), bound
+    orders, radix = orders.tolist(), radix.tolist()
+    ends = np.searchsorted(index, [orders[0] * radix[0], *radix]).tolist()
+    rows, relative, bound = [], [], list(orders)
+    for j, (n, step) in enumerate(zip(orders, radix)):
+        if ends[j + 1] < ends[j]:
+            bound[j] = int(index[ends[j + 1]]) // step % n
+            rows.append(ends[j + 1])
+            relative.append(n // bound[j])
+    return np.array(rows[::-1], dtype=np.int64), np.array(relative[::-1], dtype=np.int64), np.array(bound)
 
 
-def _split_table(g: _GroupTable, plane: np.ndarray, frame: np.ndarray) -> _SplitTable:
-    """A lattice's split (_SplitTable) from its plane indices and frame cosets, by gathers on integer tables.
+class _Commuting(NamedTuple):
+    """H' in echelon form (_commuting) and what the split (_split_table) reads of it: generators g_i (k, rank),
+    relative orders m_i, the bound d (_echelon), the relations c_il (m_i g_i = sum_{l<i} c_il g_l), the
+    characters psi(h_a) / sqrt(|H'|) at [psi, a], the orbit starts t0 (in the order of G), index(t0 + h_a) at
+    [t0, a], the digits j_ai of h_a = sum_i j_ai g_i, and the walk phase's coefficients, one row per h_a, then
+    one per relation. A lattice and its adjoint have the same H', so their tables share it."""
 
-    H is the run time shifts in Delta_0^perp, H' those whose shifts commute with all of H's, one run per
-    element; its echelon form (_echelon) gives generators g_i, relative orders m_i and m_i g_i =
-    sum_{l<i} c_il g_l, and the least run of each coset of H' (reps). V_j = U_{g_d}^{j_d} ... U_{g_1}^{j_1}
-    moves t0 to t0 + sum j_i g_i at the integer phase sum_i j_i pairing(omega_i, t0 + sum_{l<i} j_l g_l) +
-    j_i (j_i + 1) / 2 pairing(omega_i, g_i) (walk). On coset b, U_{g_i}^{m_i} = roots[alpha_i] V_{c_i}, so
-    mu_b(g_i) = lambda_i solves lambda_i^{m_i} = roots[alpha_i] prod_l lambda_l^{c_il} exactly as integers
-    mod N |H'|. Each orbit t + H' lies in one frame coset, whose positions ascend in the order of G, so it
-    starts at its least member in that order: t with each coordinate j, ascending, reduced below d_j by the
-    generator that is d_j at j and zero before (_echelon's rule), rank passes over G.
+    gens: np.ndarray
+    orders: np.ndarray
+    bound: np.ndarray
+    rel: np.ndarray
+    chars: np.ndarray
+    starts: np.ndarray
+    orbits: np.ndarray
+    digits: np.ndarray
+    walks: np.ndarray
+
+
+def _commuting(g: _GroupTable, x: np.ndarray, w: np.ndarray, zero: np.ndarray) -> _Commuting | None:
+    """H' (_Commuting) from a lattice's run starts (x_r, omega_r) and Delta_0's coordinates; None when H' = 0.
+
+    H is the run time shifts in Delta_0^perp, H' those whose shifts commute with all of H's, tested against
+    H's echelon generators: the commutator is additive in each argument on H and alternating, so a cyclic H
+    is H'. Both are listed by ascending time shift, as _echelon reads them. The characters solve
+    psi(g_i)^{m_i} = prod_l psi(g_l)^{c_il} as integers mod |H'|. V_j = U_{g_d}^{j_d} ... U_{g_1}^{j_1} moves
+    t0 to t0 + sum j_i g_i (the orbit starts t0 have every coordinate j below d_j) at the integer phase
+    sum_i j_i pairing(omega_i, t0) plus the walk phase, sum_i j_i sum_{l<i} j_l q_il + j_i (j_i + 1) / 2 q_ii
+    with q_il = pairing(omega_i, g_l): linear in q, so its coefficients do not depend on omega.
     """
-    n, (blocks, size), flat = g.size, frame.shape, frame.ravel()
-    starts = plane[::blocks]
-    shifts, w = starts // n, g.coords[starts % n]
-    h = np.flatnonzero(~g.pairings(g.coords[plane[:blocks]], g.coords[shifts]).any(axis=0))  # H: runs in Delta_0^perp
-    if len(h) > 1:
-        commutators = g.pairings(w[h], g.coords[shifts[h]])  # [h, k]: pairing(omega_h, x_k), commuting where symmetric
-        h = h[~(commutators != commutators.T).any(axis=1)]
-    count = len(h)
+    shifts = x @ g.radix  # ascending
+    h = np.flatnonzero(~g.pairings(zero, x).any(axis=0))  # H
+    if len(h) == 1:
+        return None
+    rows, m, bound = _echelon(g.orders, g.radix, shifts[h])
+    if len(rows) > 1:
+        e = h[rows]
+        commuting = (g.pairings(w[h], x[e]) == g.pairings(x[h], w[e])).all(axis=1)
+        if not commuting.all():
+            h = h[commuting]
+            rows, m, bound = _echelon(g.orders, g.radix, shifts[h])
+    count, k = len(h), len(m)
     if count == 1:
-        one = np.ones((1, 1), dtype=np.complex128)
-        return _SplitTable(np.arange(n), np.ones(n, dtype=np.complex128), one, np.arange(len(starts)))
-    rows, m, bound = _echelon(g, g.coords[shifts[h]])
-    gens, omega = g.coords[shifts[h[rows]]], w[h[rows]]
-    digits = np.arange(count)[:, None] // (np.cumprod(m) // m) % m  # h(j) in the normal form's order
-    number = np.zeros(n, dtype=np.int64)
-    number[g.index(digits @ gens)] = np.arange(count)
-    rel, q = digits[number[g.index(m[:, None] * gens)]], g.pairings(omega, gens)  # q[i, l] pairing(omega_i, g_l)
-    lower, half = np.tril(q, -1).T, q.diagonal()
-
-    def walk(j):  # the walk phase less its sum_i j_i pairing(omega_i, t0)
-        return (j @ lower * j).sum(-1) + j * (j + 1) // 2 @ half
-
-    t0 = g.coords.copy()  # the start of t's orbit, t = t0 + h(at); left unreduced, as each d_j divides n_j
-    for i, gen in zip(np.flatnonzero(bound < g.orders), gens[::-1]):
-        t0 -= (t0[:, i] // bound[i])[:, None] * gen
-    start, at = _uncoset(np.arange(n), frame)[g.index(t0)], number[g.index(g.coords - t0)]  # start: t0's frame position
-    p, j = g.pairings(t0, omega), digits[at]  # pairing(omega_i, t0), the digits of h
-    up, moves = np.diag(m) - rel, walk(np.concatenate([np.diag(m), rel]))  # U_{g_i}^{m_i}, then V_{c_i}
-    alpha = p @ up.T + (moves[: len(m)] - moves[len(m) :])
-    big, lam, psi = g.modulus * count, np.zeros((n, len(m)), dtype=np.int64), np.zeros((count, len(m)), dtype=np.int64)
-    for i, mi in enumerate(m):
-        lam[:, i] = (alpha[:, i] * count + lam @ rel[i]) % big // mi
+        return None
+    gens = x[h[rows]]
+    digits = np.arange(count)[:, None] // (np.cumprod(m) // m) % m  # [a, i]: j_ai
+    members = digits @ gens  # h_a, coordinates left unreduced
+    rel = digits[np.argmax(g.index(members) == g.index(m[:, None] * gens)[:, None], axis=1)]  # [i, l]: c_il
+    psi = np.zeros_like(digits)
+    for i, mi in enumerate(m.tolist()):
         psi[:, i] = ((psi @ rel[i]) % count // mi + digits[:, i] * (count // mi)) % count
-    phase = ((lam - p * count) * j).sum(-1) - walk(j) * count
-    order = np.argsort(((frame[start // size, 0] * n + start) * count + at)[flat])
-    chars = np.exp(2j * np.pi * (psi @ digits.T % count) / count) / math.sqrt(count)
-    reps = np.flatnonzero((g.coords[shifts] < bound).all(axis=1))
-    return _SplitTable(order, np.exp(2j * np.pi * (phase % big) / big)[flat[order]], chars, reps)
+    roots = np.exp(2j * np.pi * np.arange(count) / count) / math.sqrt(count)
+    starts = np.indices(bound).reshape(len(bound), -1).T
+    j = np.concatenate([digits, np.diag(m), rel])
+    walks = (j[:, :, None] * j[:, None, :] * (np.arange(k)[:, None] > np.arange(k))).reshape(len(j), k * k)  # l < i
+    walks[:, :: k + 1] = j * (j + 1) // 2  # [i, i]
+    walks[count : count + k] -= walks[count + k :]
+    return _Commuting(gens, m, bound, rel, roots[psi @ digits.T % count], starts, g.index(starts[:, None] + members),
+                      digits, walks[: count + k])
+
+
+def _split_table(g: _GroupTable, x: np.ndarray, w: np.ndarray, commuting: _Commuting | None, frame: np.ndarray,
+                 position: np.ndarray) -> _SplitTable:
+    """A lattice's split (_SplitTable) from its run starts (x_r, omega_r), its H' (_commuting), its frame cosets
+    and the frame position of each t.
+
+    On coset b, U_{g_i}^{m_i} = roots[alpha_i] V_{c_i}, so mu_b(g_i) = lambda_i solves lambda_i^{m_i} =
+    roots[alpha_i] prod_l lambda_l^{c_il} exactly as integers mod N |H'|. Each orbit t0 + H' lies in one frame
+    coset, whose positions ascend in the order of G, so the rows, by coset (least member), orbit and h, are the
+    orbit starts stably sorted by their coset's least member, each followed by t0 + h_a, a ascending.
+    """
+    n, size = g.size, frame.shape[1]
+    if commuting is None:
+        one = np.ones((1, 1), dtype=np.complex128)
+        return _SplitTable(np.arange(n), np.ones(n, dtype=np.complex128), one, np.arange(len(x)))
+    gens, m, bound, rel, chars, starts, orbits, digits, walks = commuting
+    count = len(chars)
+    omega = w[np.searchsorted(x @ g.radix, gens @ g.radix)]
+    walk = walks @ g.pairings(omega, gens).ravel()  # the walk phases of the h_a, then of U_{g_i}^{m_i} less V_{c_i}
+    rows = np.argsort(frame[position[orbits[:, 0]] // size, 0], kind="stable")
+    p = g.pairings(starts[rows], omega)  # pairing(omega_i, t0)
+    alpha = p @ (np.diag(m) - rel).T + walk[count:]
+    big, lam = g.modulus * count, np.zeros_like(p)
+    for i, mi in enumerate(m.tolist()):
+        lam[:, i] = (alpha[:, i] * count + lam @ rel[i]) % big // mi
+    phase = (lam - p * count) @ digits.T - walk[:count] * count  # [t0, a]
+    reps = np.flatnonzero((x < bound).all(axis=1))
+    return _SplitTable(position[orbits[rows]].ravel(), np.exp(2j * np.pi * (phase.ravel() % big) / big), chars, reps)
 
 
 class _LatticeTable:
@@ -338,8 +411,12 @@ class _LatticeTable:
 
     Position k everywhere is the point with the k-th smallest plane index:
     ``plane`` holds the sorted read-only plane indices, ``x`` and ``w`` the
-    coordinates, and ``gens`` generators of the subgroup: the points a
-    closure span kept, supplied by a build that ran one.
+    coordinates, and ``gens`` echelon generators of the subgroup, (count,
+    2 rank) coordinates x then w: the rows of its echelon presentation,
+    supplied by a build that made one. The tables share their intermediates:
+    ``heads``, the run starts (x_r, omega_r), ``position``, the frame-coset
+    labels, and ``commuting``, H' in echelon form, which the adjoint's table
+    shares too (adjoint_subgroup).
     """
 
     def __init__(self, group: _GroupTable, plane: np.ndarray, gens: np.ndarray | None = None) -> None:
@@ -351,7 +428,8 @@ class _LatticeTable:
 
     @cached_property
     def gens(self) -> np.ndarray:
-        return _span(self.group, self.plane)[1]
+        rows = _echelon(self.group.plane_orders, self.group.plane_radix, self.plane)[0]
+        return np.concatenate(self.group.split(self.plane[rows]), axis=1)
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -366,25 +444,46 @@ class _LatticeTable:
         return hash(self.plane.tobytes())
 
     @cached_property
+    def heads(self) -> tuple[np.ndarray, np.ndarray]:
+        """The run starts (x_r, omega_r), one point per run, runs by ascending time shift: coordinates (runs,
+        rank) each."""
+        g = self.group
+        return g.split(self.plane[:: int(np.searchsorted(self.plane, g.size))])
+
+    @cached_property
     def runs(self) -> _RunTable:
         """Sorted points come in runs, one per time shift x_r, each a coset omega_r + Delta_0 of
         Delta_0 = {w : (0, w) in Delta}, omega_r the run's first w. The pairing is additive in w, so point
         (x_r, omega_r + v) has the phase base[r] chi[v] at t. A stable sort of the columns of the Delta_0
         phases pairing(v, t), a temporary, lists each frame coset in one run of equal keys, ascending."""
-        g, d0 = self.group, int(np.searchsorted(self.plane, self.group.size))
-        x, w = g.split(self.plane[::d0])
-        v = g.index(g.coords[self.plane % g.size] - np.repeat(w, d0, axis=0))
+        g, (x, w) = self.group, self.heads
+        d0, w_all = len(self.plane) // len(x), g.coords[self.plane % g.size]
+        v = g.index(w_all - np.repeat(w, d0, axis=0))
         pos = np.arange(len(self.plane)) // d0 * d0 + np.searchsorted(self.plane[:d0], v)
-        zero = g.pairings(g.coords[self.plane[:d0]], g.coords)
+        zero = g.pairings(w_all[:d0], g.coords)
         frame = np.lexsort(zero).reshape(d0, -1)
         order = frame.ravel()
-        minus = np.take(g.translates(x), order, axis=1)
+        minus = g.translates(x, order)
         return _RunTable(minus, g.roots[g.pairings(w, g.coords[order])], g.roots[zero[:, frame[:, 0]]], pos, frame)
+
+    @cached_property
+    def position(self) -> np.ndarray:
+        """The frame-coset labels: the frame position of each t of G, coset t // (|G| / |Delta_0|)."""
+        return _uncoset(np.arange(self.group.size), self.runs.frame)
+
+    @cached_property
+    def commuting(self) -> _Commuting | None:
+        """H' (_commuting), kept in the dict that adjoint_subgroup gives a lattice's table and its adjoint's."""
+        shared = self.__dict__.get("shared", {})
+        if "commuting" not in shared:
+            zero = self.group.coords[self.plane[: len(self.runs.chi)]]  # Delta_0
+            shared["commuting"] = _commuting(self.group, *self.heads, zero)
+        return shared["commuting"]
 
     @cached_property
     def split(self) -> _SplitTable:
         """The frame cosets split over the commuting time shifts inside them (_SplitTable)."""
-        return _split_table(self.group, self.plane, self.runs.frame)
+        return _split_table(self.group, *self.heads, self.commuting, self.runs.frame, self.position)
 
     @cached_property
     def rep(self) -> np.ndarray:
@@ -404,7 +503,7 @@ class _LatticeTable:
         rep, minus, n = self.rep, self.runs.minus, self.group.size
         blocks, size = rep.shape
         at = _uncoset(np.tile(np.arange(size), blocks), rep)  # the position of t in its rep coset
-        j = _uncoset(np.arange(n), self.runs.frame)[rep]  # the frame positions of the rows
+        j = self.position[rep]  # the frame positions of the rows
         gather = np.zeros((blocks, size, size), dtype=np.int64)
         gather[np.arange(blocks)[:, None], np.arange(size), at[minus[:, j]]] = np.arange(size)[:, None, None] * n + j
         return gather
@@ -429,18 +528,22 @@ class _LatticeTable:
         Run r times run s = t - r (x_s = x_t - x_r) lands on run t, at delta = omega_r + omega_s - omega_t in
         Delta_0. The gather index is beta' runs + s, beta' the frame coset of t_beta - x_r (t_beta the first
         member of coset beta, read off the run gather); the phase is conj(character(omega_s, x_r))
-        character(delta, t_beta), one roots lookup of its integer phase mod N."""
-        g, runs = self.group, self.runs
-        d0, count = len(runs.chi), len(runs.minus)
-        x, w = self.x[::d0], self.w[::d0]  # one point per run, (x_r, omega_r), runs by ascending time shift
-        s = np.searchsorted(g.index(x), g.index(x[:, None] - x[None]))  # [t, r]: the run of x_t - x_r
-        delta = w[None] + w[s] - w[:, None]  # [t, r]: omega_r + omega_s - omega_t, in Delta_0
-        coset = _uncoset(np.repeat(np.arange(d0), runs.frame.shape[1]), runs.frame)  # the frame coset of each t
-        shifted = coset[runs.minus[:, :: runs.frame.shape[1]]]  # [r, beta]: the frame coset of t_beta - x_r
-        phase = g.pairings(g.coords[runs.frame[:, 0]], delta.reshape(-1, g.orders.size)).reshape(d0, count, count)
-        phase -= g.pairings(w, x)[s, np.arange(count)]  # [t, r]: pairing(omega_s, x_r)
-        gather = np.ascontiguousarray(shifted.T[:, None, :] * count + s)
-        return gather, g.roots[np.remainder(phase, g.modulus, out=phase)]
+        character(delta, t_beta), one roots lookup of its integer phase mod N, the pairing of t_beta with delta
+        summed from its pairings with the run starts. The run gather at x_t gives s."""
+        g, runs, position = self.group, self.runs, self.position
+        (d0, size), count = runs.frame.shape, len(runs.minus)
+        x, w = self.heads
+        shifts = self.plane[::d0] // g.size
+        run = np.zeros(g.size, dtype=np.int64)
+        run[shifts] = np.arange(count)
+        s = run[runs.minus[:, position[shifts]].T]  # [t, r]: the run of x_t - x_r
+        p = g.pairings(g.coords[runs.frame[:, 0]], w)  # [beta, r]: pairing(omega_r, t_beta)
+        phase = np.take(p, s, axis=1)
+        phase += p[:, None, :]
+        phase -= p[:, :, None]
+        phase -= np.take(g.pairings(w, x), s * count + np.arange(count))  # [t, r]: pairing(omega_s, x_r)
+        gather = (position[runs.minus[:, ::size].T] // size * count)[:, None, :] + s
+        return gather, np.take(g.roots, np.remainder(phase, g.modulus, out=phase))
 
 
 def character(group: FiniteAbelianGroup, w: GroupElement, x: GroupElement) -> complex:
@@ -474,10 +577,14 @@ class MeasuredSubgroup:
         plane = np.sort(table.plane_index(coords[:, 0], coords[:, 1]))
         if np.any(plane[1:] == plane[:-1]):
             raise ValueError("subgroup element list contains duplicates")
-        span, gens, _ = _span(table, plane)
-        if len(span) != len(plane):
-            outside = table.points(np.setdiff1d(span, plane)[:1])[0]
-            raise ValueError(f"points do not form a subgroup: they generate {outside}, not among them")
+        # generators read off the points as if they formed a subgroup, then closed: the closure is the point set
+        # exactly when it is one
+        coords = np.concatenate(table.split(plane), axis=1)
+        span, gens = _closure(table, coords[_echelon(table.plane_orders, table.plane_radix, plane)[0]].tolist())
+        if not np.array_equal(span, plane):
+            outside = np.setdiff1d(_closure(table, coords.tolist())[0], plane)
+            raise ValueError(f"points do not form a subgroup: they generate {table.points(outside[:1])[0]}, "
+                             "not among them")
         self._set(ambient, _LatticeTable(table, span, gens), weight)
 
     @classmethod
@@ -545,10 +652,10 @@ def subgroup_from_generators(
     gens: Iterable[tuple[Iterable[int], Iterable[int]]],
     weight: Fraction | int | str = 1,
 ) -> MeasuredSubgroup:
-    """Smallest subgroup of G x G^ containing the generators, with the given weight."""
-    points = [group.index(x) * group.order + group.index(w) for x, w in gens]
-    span, kept, _ = _span(group._table, np.array(points, dtype=np.int64))
-    return MeasuredSubgroup._from_plane(group, span, weight, kept)
+    """Smallest subgroup of G x G^ containing the generators, with the given weight: the listing of their
+    echelon presentation (_closure)."""
+    plane, echelon = _closure(group._table, [group.reduce(x) + group.reduce(w) for x, w in gens])
+    return MeasuredSubgroup._from_plane(group, plane, weight, echelon)
 
 
 def full_plane(group: FiniteAbelianGroup, weight: Fraction | int | str = 1) -> MeasuredSubgroup:
@@ -568,21 +675,30 @@ def adjoint_subgroup(sub: MeasuredSubgroup) -> MeasuredSubgroup:
     process holds at most 32 lattices and their adjoints through it.
 
     Membership of (y, tau) amounts to character(tau, x) = character(w, y) for
-    every (x, w) in the subgroup. Both sides are characters of (x, w), so the
-    test runs on the generators the closure span kept, for the whole plane at
-    once, in integer phases. The result carries weight 1/size per the
-    induced-measure convention. A self-adjoint point set (aZ_n x bZ_n with
-    ab = n is one) shares the subgroup's integer tables.
+    every (x, w) in the subgroup. Both sides are characters of (x, w), so it
+    is tested on the subgroup's echelon generators (x_i, w_i), as a join: each
+    tau keyed by its pairings with the x_i, each y by the w_i's pairings with
+    it (_keys), one stable sort of the tau keys and two searchsorted calls
+    list the matching tau of each y, ascending. O(k |G| + |adjoint|) entries,
+    no |G|^2 mask. Each fibre {tau : (y, tau) in the adjoint} is a coset of
+    X(Delta)^perp, so it is as large as that of y = 0. The result carries
+    weight 1/size per the induced-measure convention. A self-adjoint point
+    set (aZ_n x bZ_n with ab = n is one) shares the subgroup's integer tables.
     """
     table = sub.ambient._table
-    gx, gw = table.split(sub._tables.gens)
-    member = np.ones((table.size, table.size), dtype=bool)  # member[index(y), index(tau)]
-    for x, w in zip(gx, gw):
-        member &= table.pairing(w, table.coords)[:, None] == table.pairing(table.coords, x)[None, :]
-    plane = np.flatnonzero(member)
+    n = table.size
+    phases = table.pairings(table.coords, sub._tables.gens.reshape(-1, table.orders.size))  # [t, 2i]: pairing(t, x_i)
+    keys = _keys(np.concatenate([phases[:, ::2], phases[:, 1::2]]), table.modulus)  # the tau rows, then the y rows
+    order = np.argsort(keys[:n], kind="stable")
+    ranked, wanted = keys[order], keys[n:]
+    lo, hi = np.searchsorted(ranked, wanted), np.searchsorted(ranked, wanted, side="right")
+    y = np.flatnonzero(hi > lo)
+    plane = (y[:, None] * n + order[lo[y, None] + np.arange(hi[0] - lo[0])]).ravel()
     if np.array_equal(plane, sub.plane):
         return sub.with_weight(1 / sub.size)
-    return MeasuredSubgroup._from_plane(sub.ambient, plane, 1 / sub.size)
+    adjoint = MeasuredSubgroup._from_plane(sub.ambient, plane, 1 / sub.size)
+    adjoint._tables.shared = sub._tables.__dict__.setdefault("shared", {})  # the same H' (_commuting)
+    return adjoint
 
 
 def default_measures(group: FiniteAbelianGroup) -> dict[str, Fraction]:

@@ -130,21 +130,30 @@ def _unhat(domain: MeasuredSubgroup, conjugated: bool, h: np.ndarray) -> np.ndar
     return np.conjugate(out, out=out) if conjugated else out
 
 
-def _crossed(domain: MeasuredSubgroup, ah: np.ndarray, bh: np.ndarray) -> np.ndarray:
-    """The plain product a * b between transforms (_hat), per case: (..., |Delta_0|, runs) give the same.
+def _crossed(domain: MeasuredSubgroup, ah: np.ndarray, bh: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """The plain product a * b between transforms (_hat), per case: (..., |Delta_0|, runs) give the same, at the
+    runs t that rows picks (all by default; slice(0, 1), run 0, for a trace, _trace_hat).
 
     C*(Delta, c) is a crossed product of the functions on Delta_0's dual, the frame cosets, by the run shifts:
     (a * b)^[beta, t] = weight * sum_r phase[beta, t, r] ah[beta, r] bh[beta - x_r, t - r], the crossed table
     (groups) giving the phase and the flat index of bh at frame coset beta - x_r and run t - r. One gather of
     bh, scaled by the phases in place, is contracted with ah as one matrix-vector product per coset:
-    |Delta| runs products, where the coefficient form takes |Delta|^2.
+    |Delta| runs products, where the coefficient form takes |Delta|^2; |Delta| for run 0 alone.
     """
     gather, phase = domain._tables.crossed
-    terms = np.take(bh.reshape(bh.shape[:-2] + (-1,)), gather, axis=-1)
-    terms *= phase
+    terms = np.take(bh.reshape(bh.shape[:-2] + (-1,)), gather[:, rows], axis=-1)
+    terms *= phase[:, rows]
     out = (terms @ ah[..., None])[..., 0]
     out *= domain.float_weight
     return out
+
+
+def _trace_hat(domain: MeasuredSubgroup, conjugated: bool, h: np.ndarray) -> np.ndarray:
+    """The trace per case of the product whose transform (_hat) h is given at run 0 alone, (..., |Delta_0|, 1):
+    the zero point is run 0's first point, so its coefficient is _unhat's at run 0 and v = 0."""
+    chi = domain._tables.runs.chi
+    out = (np.swapaxes(h, -1, -2) @ (chi.conj().T / len(chi)))[..., 0, 0]
+    return out.conj() if conjugated else out
 
 
 def involution(a: TwistedSeq) -> TwistedSeq:

@@ -371,7 +371,7 @@ def _seen_split_table(g, plane, frame):
     if count == 1:
         one = np.ones((1, 1), dtype=np.complex128)
         return groups_impl._SplitTable(np.arange(n), np.ones(n, dtype=np.complex128), one, np.arange(len(starts)))
-    rows, m, bound = groups_impl._echelon(g, g.coords[shifts[h]])
+    rows, m, bound = groups_impl._echelon(g.orders, g.radix, shifts[h])
     gens, omega = g.coords[shifts[h[rows]]], w[h[rows]]
     digits = np.arange(count)[:, None] // (np.cumprod(m) // m) % m
     number = np.zeros(n, dtype=np.int64)
@@ -523,8 +523,8 @@ def test_density_rule_is_the_factor_block_shape(monkeypatch):
 
 def _bumped_echelon(real):
     """groups._echelon with its first relative order one too high: a wrong polycyclic presentation of H'."""
-    def echelon(table, coords):
-        rows, orders, bound = real(table, coords)
+    def echelon(*args):
+        rows, orders, bound = real(*args)
         return rows, orders + (np.arange(len(orders)) == 0), bound
 
     return echelon
@@ -564,7 +564,7 @@ def test_a_wrong_split_table_fails_verify(field, rung, monkeypatch):
     split = lattice._tables.split
     if field == "order":
         monkeypatch.setattr(groups_impl, "_echelon", _bumped_echelon(groups_impl._echelon))
-        del lattice._tables.__dict__["split"]
+        del lattice._tables.__dict__["split"], lattice._tables.__dict__["commuting"]
     elif field == "reps":
         assert len(split.reps) > 1
         lattice._tables.__dict__["split"] = split._replace(reps=split.reps[[0, 0, *range(2, len(split.reps))]])

@@ -296,23 +296,23 @@ def test_public_and_private_constructors_agree_on_every_small_subgroup():
                 assert adjoint_subgroup.__wrapped__(sub) == adjoint_subgroup.__wrapped__(public)
 
 
-def test_builds_run_the_closure_span_once_or_not_at_all(monkeypatch):
+def test_builds_run_the_echelon_closure_once_or_not_at_all(monkeypatch):
     calls = []
-    span = groups_impl._span
+    hermite = groups_impl._hermite
 
-    def counted(table, points):
-        calls.append(len(points))
-        return span(table, points)
+    def counted(orders, rows):
+        calls.append(len(rows))
+        return hermite(orders, rows)
 
-    monkeypatch.setattr(groups_impl, "_span", counted)
+    monkeypatch.setattr(groups_impl, "_hermite", counted)
     g = FiniteAbelianGroup((12,))
     sub = subgroup_from_generators(g, [((2,), (3,)), ((0,), (4,))], 1)
-    assert len(calls) == 1
+    assert calls == [2]
     adjoint_subgroup.__wrapped__(sub)
     sub.with_weight(3)
     full_plane(g)
     trivial_subgroup(g)
-    assert len(calls) == 1
+    assert calls == [2]
 
 
 def test_a_large_lattice_holds_about_one_int64_per_point():

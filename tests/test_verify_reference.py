@@ -171,15 +171,18 @@ def _ref_figa(ctx, seed, cases):
 
 
 def _ref_imprimitivity(ctx, seed, cases):
-    gap = 0.0
+    """The raw gap and, per case, its ratio to eps max|lhs| over the model's constant, in the tolerance's units."""
+    gap = ratio = 0.0
     seeds = _derived_seeds(seed, 3 * cases)
     group = ctx.lattice.ambient
     for i in range(cases):
         xi, eta, gamma = (randn_window(group, s) for s in seeds[3 * i : 3 * i + 3])
         lhs = left_act(left_inner(xi, eta, ctx), gamma, ctx).values
         rhs = right_act(xi, right_inner(eta, gamma, ctx), ctx).values
-        gap = max(gap, float(np.abs(lhs - rhs).max()))
-    return {"imprimitivity": (gap, gap / max(1.0, float(ctx.lattice.weight)))}
+        case = float(np.abs(lhs - rhs).max())
+        gap = max(gap, case)
+        ratio = max(ratio, case / float(np.abs(lhs).max()) / (module_impl._IMPRIMITIVITY * np.finfo(float).eps))
+    return {"imprimitivity": (gap, ratio * VERIFY_TOLERANCES["imprimitivity"])}
 
 
 def _ref_generator_families(ctx, seed, frame_tol):
