@@ -415,14 +415,17 @@ class _LatticeTable:
     2 rank) coordinates x then w: the rows of its echelon presentation,
     supplied by a build that made one. The tables share their intermediates:
     ``heads``, the run starts (x_r, omega_r), ``position``, the frame-coset
-    labels, and ``commuting``, H' in echelon form, which the adjoint's table
-    shares too (adjoint_subgroup).
+    labels, and ``commuting``, H' in echelon form, kept in ``shared``: the
+    adjoint's table is given its lattice's dict (adjoint_subgroup), as the two
+    have the same H'.
     """
 
-    def __init__(self, group: _GroupTable, plane: np.ndarray, gens: np.ndarray | None = None) -> None:
+    def __init__(self, group: _GroupTable, plane: np.ndarray, gens: np.ndarray | None = None,
+                 shared: dict | None = None) -> None:
         plane.setflags(write=False)
         self.group = group
         self.plane = plane
+        self.shared = {} if shared is None else shared
         if gens is not None:
             self.gens = gens
 
@@ -471,14 +474,13 @@ class _LatticeTable:
         """The frame-coset labels: the frame position of each t of G, coset t // (|G| / |Delta_0|)."""
         return _uncoset(np.arange(self.group.size), self.runs.frame)
 
-    @cached_property
+    @property
     def commuting(self) -> _Commuting | None:
-        """H' (_commuting), kept in the dict that adjoint_subgroup gives a lattice's table and its adjoint's."""
-        shared = self.__dict__.get("shared", {})
-        if "commuting" not in shared:
+        """H' (_commuting), built on first use into ``shared``."""
+        if "commuting" not in self.shared:
             zero = self.group.coords[self.plane[: len(self.runs.chi)]]  # Delta_0
-            shared["commuting"] = _commuting(self.group, *self.heads, zero)
-        return shared["commuting"]
+            self.shared["commuting"] = _commuting(self.group, *self.heads, zero)
+        return self.shared["commuting"]
 
     @cached_property
     def split(self) -> _SplitTable:
@@ -588,10 +590,10 @@ class MeasuredSubgroup:
         self._set(ambient, _LatticeTable(table, span, gens), weight)
 
     @classmethod
-    def _from_plane(cls, ambient: FiniteAbelianGroup, plane: np.ndarray, weight, gens=None):
+    def _from_plane(cls, ambient: FiniteAbelianGroup, plane: np.ndarray, weight, gens=None, shared=None):
         """The subgroup whose sorted int64 plane indices are ``plane``, taken on trust: no closure check."""
         sub = cls.__new__(cls)
-        sub._set(ambient, _LatticeTable(ambient._table, plane, gens), weight)
+        sub._set(ambient, _LatticeTable(ambient._table, plane, gens, shared), weight)
         return sub
 
     def _set(self, ambient: FiniteAbelianGroup, tables: _LatticeTable, weight: Fraction | int | str) -> None:
@@ -696,9 +698,7 @@ def adjoint_subgroup(sub: MeasuredSubgroup) -> MeasuredSubgroup:
     plane = (y[:, None] * n + order[lo[y, None] + np.arange(hi[0] - lo[0])]).ravel()
     if np.array_equal(plane, sub.plane):
         return sub.with_weight(1 / sub.size)
-    adjoint = MeasuredSubgroup._from_plane(sub.ambient, plane, 1 / sub.size)
-    adjoint._tables.shared = sub._tables.__dict__.setdefault("shared", {})  # the same H' (_commuting)
-    return adjoint
+    return MeasuredSubgroup._from_plane(sub.ambient, plane, 1 / sub.size, shared=sub._tables.shared)  # the same H'
 
 
 def default_measures(group: FiniteAbelianGroup) -> dict[str, Fraction]:

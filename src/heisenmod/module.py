@@ -604,27 +604,28 @@ def _check_figa(ctx: ModuleContext, eta, gamma, xi, psi) -> dict:
     return _entry("figa", len(eta), gaps.max(), np.max(gaps / (1.0 + np.abs(lhs))), use_rel=True)
 
 
-# Imprimitivity's error model: left_act(left_inner(xi, eta), gamma) and right_act(xi, right_inner(eta, gamma))
-# are the same vector summed over the lattice and over the adjoint, so their gap is rounding, about eps times
-# the vector's largest entry where the sums do not cancel. Each case is decided on gap <= _IMPRIMITIVITY eps
-# max|lhs|, which is weight-free (both sides are of degree 1 in the weight) and grows with |Delta| as the gap
-# does. Over verify seeds 1 to 1000 the largest ratio gap / (eps max|lhs|) per lattice reads 4.4 to 17.4 on the
-# verify-ladder rungs (the lattices of round 0 of seeds 1 and 2) and at most 1056 on the subgroups of Z1-Z12,
-# Z2 x Z2, Z2 x Z4 and Z3^2: on the trivial lattice of Z12, where the adjoint side sums |G|^2 terms to the
-# rank-one <xi, eta> gamma (489 on the whole plane, the mirror case; median ratios 2 to 7). On Z3840 (32, 0),
-# (0, 40) at seed 1, whose raw gap 1.0e-10 failed the absolute bound this replaced, it reads 7.1. The constant
-# is twice the largest of these, rounded up.
-_IMPRIMITIVITY = 2200.0
+# Imprimitivity's error model: left_act(left_inner(xi, eta), gamma) = w sum_z a(z) pi(z) gamma and right_act(xi,
+# right_inner(eta, gamma)) = w' sum_u b(u) pi(u) xi are the same vector summed over the lattice and over the adjoint, so
+# their gap is rounding, about eps times the moduli of the summed terms (as in _ASSOCIATIVITY's model, without the
+# worst-case factor): at most eps (w ||a||_1 max|gamma| + w' ||b||_1 max|xi|), a scale that no cancellation in the sums
+# shrinks, weight-free in ratio (both sides are of degree 1 in the weight) and O(|Delta| + |adjoint| + |G|) per case.
+# Each case is decided on gap <= _IMPRIMITIVITY eps times that scale. Over verify seeds 1 to 1000 the largest ratio per
+# lattice reads 0.48 to 3.3 on the verify-ladder rungs (the lattices of round 0 of seeds 1 and 2) and at most 3.8 on the
+# subgroups of Z1-Z12, Z2 x Z2, Z2 x Z4 and Z3^2 (on Z12; the median over all these cases 0.36, the 99.9th percentile
+# 1.8). It falls with the size, as the terms' rounding errors average out: on Z3840 (32, 0), (0, 40) at seed 1, whose
+# raw gap 1.0e-10 failed the absolute bound this replaced, it reads 0.06. The constant is twice the largest of these,
+# rounded up.
+_IMPRIMITIVITY = 8.0
 
 
 def _imprimitivity_gaps(xi, eta, gamma, ctx: ModuleContext) -> tuple[np.ndarray, np.ndarray]:
     """Per case: left_act(left_inner(xi, eta), gamma) against right_act(xi, right_inner(eta, gamma)), the raw
     gap and its model's ratio (_IMPRIMITIVITY) in the tolerance's units."""
-    lhs = _act(ctx.lattice, False, _analyze(xi, eta, ctx.lattice), gamma)
-    scale = np.maximum(_case_max(lhs), _TINY)
-    lhs -= _act(ctx.dual, True, _analyze(eta, gamma, ctx.dual).conj(), xi)
-    gap = _case_max(lhs)
-    return gap, gap / scale / (_IMPRIMITIVITY * _EPS) * VERIFY_TOLERANCES["imprimitivity"]
+    a, b = _analyze(xi, eta, ctx.lattice), _analyze(eta, gamma, ctx.dual).conj()
+    scale = (ctx.lattice.float_weight * np.abs(a).sum(axis=-1) * np.abs(gamma).max(axis=-1)
+             + ctx.dual.float_weight * np.abs(b).sum(axis=-1) * np.abs(xi).max(axis=-1))
+    gap = _case_max(_act(ctx.lattice, False, a, gamma) - _act(ctx.dual, True, b, xi))
+    return gap, gap / np.maximum(scale, _TINY) / (_IMPRIMITIVITY * _EPS) * VERIFY_TOLERANCES["imprimitivity"]
 
 
 def _check_imprimitivity(ctx: ModuleContext, xi: np.ndarray, eta: np.ndarray, gamma: np.ndarray) -> dict:

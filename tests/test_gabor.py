@@ -441,8 +441,8 @@ def test_run_layer_tables_on_z2048_fit_the_zak_form_budget():
     tables, n, d0, h = ctx.lattice._tables, group.order, 64, 32
     runs = len(ctx.lattice) // d0
     assert tables.split.chars.shape == (h, h) and tables.split.reps.shape == (runs // h,)
-    cached = {name: value for name, value in vars(tables).items()
-              if name not in {"plane", "gens", "crossed", "neg", "star"}}
+    cached = {name: value for name, value in {**vars(tables), **tables.shared}.items()
+              if name not in {"plane", "gens", "crossed", "neg", "star", "shared"}}
     arrays = list({id(v): v for value in cached.values() for v in (value if isinstance(value, tuple) else (value,))
                    if isinstance(v, np.ndarray)}.values())
     budget = 32 * runs * n + 16 * n + 8 * len(ctx.lattice) + 16 * d0**2 + 24 * n + 16 * h**2 + 8 * runs // h

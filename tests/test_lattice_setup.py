@@ -256,3 +256,18 @@ def test_join_keys_are_equal_exactly_where_the_rows_are():
         keys = groups_impl._keys(rows, modulus)
         same_rows = (rows[:, None] == rows[None]).all(axis=-1)
         assert np.array_equal(keys[:, None] == keys[None], same_rows), (modulus, columns)
+
+
+def test_a_lattice_and_its_adjoint_share_one_h_prime_whichever_builds_it():
+    # The adjoint's table is given its lattice's dict for H' (_commuting) when it is made, so the two share one
+    # H' whether the lattice's split is built before the adjoint, after it, or not at all.
+    g = FiniteAbelianGroup((6, 6))
+    gens = [((1, 0), (3, 3)), ((0, 1), (3, 4)), ((0, 0), (6, 0)), ((0, 0), (0, 3))]
+    for first in ("lattice", "adjoint", "neither"):
+        lat = subgroup_from_generators(g, gens, 1)
+        if first == "lattice":
+            lat._tables.split
+        adjoint = adjoint_subgroup.__wrapped__(lat)
+        (adjoint if first == "adjoint" else lat)._tables.split
+        assert adjoint._tables.commuting is lat._tables.commuting, first
+        assert len(lat._tables.split.chars) > 1 and len(adjoint._tables.split.chars) > 1, first

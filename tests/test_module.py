@@ -836,18 +836,18 @@ def test_janssen_is_decided_on_the_gap_over_the_operator_scale(monkeypatch):
 
 def test_extension_and_imprimitivity_are_decided_on_the_weight_scaled_gap():
     # Z4 (1, 0), (0, 2) at weight 1e6: both sides of both identities, and their rounding, scale by w.
-    # operator-extension divides its gap by w; imprimitivity's model, eps max|lhs|, scales with w itself.
+    # operator-extension divides its gap by w. Imprimitivity's model, eps (w ||a||_1 max|gamma| + w' ||b||_1
+    # max|xi|), scales with w itself, so its ratio is the weight-1 report's but for rounding: 4.45e-12 here
+    # against 4.05e-12 at weight 1, 22 times below the tolerance.
     lattice = subgroup_from_generators(Z4, [((1,), (0,)), ((0,), (2,))], 10**6)
     report = {e["name"]: e for e in verify_suite(lattice, seed=5)["identities"]}
-    for name in ("operator-extension", "imprimitivity"):
-        entry = report[name]
-        assert entry["max_abs_gap"] > VERIFY_TOLERANCES[name] >= 1e2 * entry["max_rel_gap"], entry
-        assert entry["pass"], entry
-    extension = report["operator-extension"]
-    assert extension["max_rel_gap"] == extension["max_abs_gap"] / 10**6, extension
+    extension, imprimitivity = report["operator-extension"], report["imprimitivity"]
+    assert extension["max_abs_gap"] > VERIFY_TOLERANCES["operator-extension"] >= 1e3 * extension["max_rel_gap"]
+    assert extension["max_rel_gap"] == extension["max_abs_gap"] / 10**6 and extension["pass"], extension
+    assert imprimitivity["max_abs_gap"] > VERIFY_TOLERANCES["imprimitivity"] >= 10 * imprimitivity["max_rel_gap"]
     unit = verify_suite(lattice.with_weight(1), seed=5)["identities"]
-    assert report["imprimitivity"]["max_rel_gap"] == pytest.approx(
-        next(e["max_rel_gap"] for e in unit if e["name"] == "imprimitivity"), rel=1e-2)
+    assert imprimitivity["max_rel_gap"] == pytest.approx(
+        next(e["max_rel_gap"] for e in unit if e["name"] == "imprimitivity"), rel=0.25), imprimitivity
     assert all(e["pass"] for e in report.values()), report
 
 

@@ -171,17 +171,20 @@ def _ref_figa(ctx, seed, cases):
 
 
 def _ref_imprimitivity(ctx, seed, cases):
-    """The raw gap and, per case, its ratio to eps max|lhs| over the model's constant, in the tolerance's units."""
+    """The raw gap and, per case, its ratio to eps (w ||a||_1 max|gamma| + w' ||b||_1 max|xi|) over the model's
+    constant, in the tolerance's units."""
     gap = ratio = 0.0
     seeds = _derived_seeds(seed, 3 * cases)
     group = ctx.lattice.ambient
     for i in range(cases):
         xi, eta, gamma = (randn_window(group, s) for s in seeds[3 * i : 3 * i + 3])
-        lhs = left_act(left_inner(xi, eta, ctx), gamma, ctx).values
-        rhs = right_act(xi, right_inner(eta, gamma, ctx), ctx).values
+        a, b = left_inner(xi, eta, ctx), right_inner(eta, gamma, ctx)
+        lhs, rhs = left_act(a, gamma, ctx).values, right_act(xi, b, ctx).values
+        scale = (float(ctx.lattice.weight) * np.abs(a.coeffs).sum() * np.abs(gamma.values).max()
+                 + float(ctx.dual.weight) * np.abs(b.coeffs).sum() * np.abs(xi.values).max())
         case = float(np.abs(lhs - rhs).max())
         gap = max(gap, case)
-        ratio = max(ratio, case / float(np.abs(lhs).max()) / (module_impl._IMPRIMITIVITY * np.finfo(float).eps))
+        ratio = max(ratio, case / scale / (module_impl._IMPRIMITIVITY * np.finfo(float).eps))
     return {"imprimitivity": (gap, ratio * VERIFY_TOLERANCES["imprimitivity"])}
 
 
