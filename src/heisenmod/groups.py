@@ -151,10 +151,8 @@ class _GroupTable:
         ((a mod n) N / n = a N / n mod N)."""
         return (w * self.scale) @ x.T % self.modulus
 
-    def translates(self, x: np.ndarray, at=slice(None)) -> np.ndarray:
-        """index(t - x_p) at [p, t] for coordinates x (P, rank) and the elements t that at picks (all of G by
-        default, in its order): (P, len(t)), one pass per factor."""
-        t = self.coords[at]
+    def translates(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """index(t_q - x_p) at [p, q] for coordinate arrays x (P, rank) and t (Q, rank): one pass per factor."""
         index = (t[:, 0] - x[:, 0, None]) % self.orders[0] * self.radix[0]
         for j in range(1, len(self.orders)):
             index += (t[:, j] - x[:, j, None]) % self.orders[j] * self.radix[j]
@@ -177,7 +175,8 @@ class _GroupTable:
 
         (pi(z_k) xi)(t) = roots[phase[k, t]] * xi[perm[k, t]] (translates, pairings).
         """
-        return self.translates(x, at), self.pairings(w, self.coords[at])
+        t = self.coords[at]
+        return self.translates(x, t), self.pairings(w, t)
 
 
 def _member(sorted_values: np.ndarray, values) -> np.ndarray:
@@ -465,9 +464,8 @@ class _LatticeTable:
         pos = np.arange(len(self.plane)) // d0 * d0 + np.searchsorted(self.plane[:d0], v)
         zero = g.pairings(w_all[:d0], g.coords)
         frame = np.lexsort(zero).reshape(d0, -1)
-        order = frame.ravel()
-        minus = g.translates(x, order)
-        return _RunTable(minus, g.roots[g.pairings(w, g.coords[order])], g.roots[zero[:, frame[:, 0]]], pos, frame)
+        minus, base = g.gather(x, w, frame.ravel())
+        return _RunTable(minus, g.roots[base], g.roots[zero[:, frame[:, 0]]], pos, frame)
 
     @cached_property
     def position(self) -> np.ndarray:
@@ -572,9 +570,13 @@ class MeasuredSubgroup:
     def __init__(self, ambient: FiniteAbelianGroup, elements: Iterable[TFPoint],
                  weight: Fraction | int | str) -> None:
         table = ambient._table
-        coords = np.array(elements, dtype=np.int64)
+        shape = f"subgroup points must be pairs of {ambient.rank}-coordinate tuples"
+        try:
+            coords = np.array(elements, dtype=np.int64)
+        except ValueError as ragged:  # points or coordinate tuples of different lengths
+            raise ValueError(shape) from ragged
         if coords.size and coords.shape[1:] != (2, ambient.rank):
-            raise ValueError(f"subgroup points must be pairs of {ambient.rank}-coordinate tuples")
+            raise ValueError(shape)
         coords = coords.reshape(-1, 2, ambient.rank)
         plane = np.sort(table.plane_index(coords[:, 0], coords[:, 1]))
         if np.any(plane[1:] == plane[:-1]):
@@ -712,32 +714,30 @@ def default_measures(group: FiniteAbelianGroup) -> dict[str, Fraction]:
     }
 
 
-@lru_cache(maxsize=32)
 def all_subgroups(group: FiniteAbelianGroup) -> tuple[tuple[TFPoint, ...], ...]:
-    """Element sets of every subgroup of G x G^, each sorted, deduplicated.
+    """Element sets of every subgroup of G x G^, each sorted, the sets sorted.
 
-    Built from sums of cyclic subgroups; for cyclic G the plane has rank two,
-    so one round of pairwise sums is complete. Higher-rank ambients iterate to
-    a fixed point. Cached for the 32 most recently used groups, as adjoint_subgroup is.
+    Each subgroup is listed once, by its echelon form (_echelon), built one plane coordinate at a time from the
+    last (Cohen 1993, 2.4, as _hermite): a subgroup H of Z_n x A, A the coordinates after this one, is
+    K = H cap (0 x A) when it projects to 0 on Z_n, and otherwise K + <(d, v)>, d Z_n its projection (d | n,
+    d < n) and v the least member of its coset of K in A with (n / d) v in K. Distinct (K, d, v) give distinct H.
     """
     table = group._table
-    # Row p lists k p for k < N; points generating the same cyclic subgroup give equal sorted rows.
-    k = np.arange(table.modulus)[:, None]
-    x, w = table.split(np.arange(table.size**2))
-    rows = np.unique(np.sort(table.plane_index(x[:, None] * k, w[:, None] * k)), axis=0)
-    cyclics = [np.unique(row) for row in rows]
-    found = {tuple(c.tolist()): c for c in cyclics}
-    frontier = list(found.values())
-    while frontier:
-        new = {}
-        for h in frontier:
-            hx, hw = table.split(h)
-            for cx, cw in (table.split(c) for c in cyclics):
-                total = np.unique(table.plane_index(hx[:, None] + cx[None], hw[:, None] + cw[None]))
-                new.setdefault(tuple(total.tolist()), total)
-        frontier = [total for key, total in new.items() if key not in found]
-        found.update(new)
-        if group.rank == 1:
-            # Subgroups of a rank-two plane need at most two cyclic summands.
-            break
-    return tuple(sorted(table.points(h) for h in found.values()))
+    orders, radix = table.plane_orders, table.plane_radix
+
+    def digits(p):  # plane coordinates of plane indices, on a new last axis
+        return p[..., None] // radix % orders
+
+    subgroups = [np.zeros(1, dtype=np.int64)]
+    for n, step in zip(orders.tolist()[::-1], radix.tolist()[::-1]):
+        members, d = np.arange(step), np.array([d for d in range(1, n) if n % d == 0], dtype=np.int64)  # A
+        found = []
+        for k in subgroups:
+            least = members[((digits(members[:, None]) + digits(k)) % orders @ radix).min(axis=1) == members]
+            at = np.nonzero(_member(k, digits(least) * (n // d)[:, None, None] % orders @ radix))  # [d, v]
+            found.append(k)
+            for e, v in zip(d[at[0]].tolist(), least[at[1]].tolist()):  # H = K + <(e, v)>, listed in full
+                multiples = np.arange(n // e)[:, None] * digits(np.int64(e * step + v)) % orders
+                found.append(np.sort(((multiples[:, None] + digits(k)) % orders @ radix).ravel()))
+        subgroups = found
+    return tuple(sorted(table.points(h) for h in subgroups))

@@ -13,10 +13,8 @@ import pytest
 from heisenmod import (
     FiniteAbelianGroup,
     GaborSystem,
-    MeasuredSubgroup,
     TwistedSeq,
     adjoint_subgroup,
-    all_subgroups,
     frame_operator,
     module_context,
     randn_window,
@@ -38,26 +36,8 @@ from heisenmod import module as module_impl
 from heisenmod import module_frame_check
 from heisenmod.shifts import _randn
 from heisenmod.twisted import _act, _rep, _rep_blocks, _split_rep_blocks, _svals
+from sweeps import BIG_RUNGS, SMALL_GROUPS, WIDE_GROUPS, big_rungs, every_subgroup, lattices
 from test_lattice_setup import _split_table
-
-GROUPS = [FiniteAbelianGroup(orders) for orders in [(n,) for n in range(1, 13)] + [(2, 4), (3, 3)]]
-# The largest verify-ladder rungs: Z6^2 at |Delta| = 72, Z8^2 at 64, Z80 at 160, Z96 at 96 (weight 3) and 192.
-BIG_RUNGS = [
-    ((6, 6), [((1, 0), (3, 3)), ((0, 1), (3, 4)), ((0, 0), (6, 0)), ((0, 0), (0, 3))], 1),
-    ((8, 8), [((8, 0), (0, 0)), ((0, 1), (0, 1)), ((0, 0), (4, 0)), ((0, 0), (0, 2))], 1),
-    ((80,), [((5,), (30,)), ((0,), (8,))], 1),
-    ((96,), [((24,), (72,)), ((0,), (4,))], 3),
-    ((96,), [((8,), (0,)), ((0,), (6,))], 1),
-]
-
-
-def _lattices():
-    for g in GROUPS:
-        for elems in all_subgroups(g):
-            yield MeasuredSubgroup(g, elems, 1)
-    for orders, gens, weight in BIG_RUNGS:
-        yield subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight)
-
 
 # Two Z32^2 lattices, |G| = 1024: a separable one (|Delta| = 1024) and one whose runs start off zero
 # (|Delta| = 2048).
@@ -98,9 +78,9 @@ def test_run_table_places_base_and_delta0_phases_on_the_dense_gather():
     # Every point of every small lattice and of the big rungs and two Z32^2 lattices.
     moved = 0
     z32 = FiniteAbelianGroup((32, 32))
-    for lat in [*_lattices(), *(subgroup_from_generators(z32, gens, 1) for gens in Z32_LATTICES)]:
+    for lat in [*lattices(), *(subgroup_from_generators(z32, gens, 1) for gens in Z32_LATTICES)]:
         _assert_run_table_on_gather(lat, np.arange(len(lat)))
-        moved += lat.ambient in GROUPS and not np.array_equal(lat._tables.runs.pos, np.arange(len(lat)))
+        moved += lat.ambient in SMALL_GROUPS and not np.array_equal(lat._tables.runs.pos, np.arange(len(lat)))
     assert moved == 11
 
 
@@ -114,7 +94,7 @@ def test_run_table_on_z64_squared_matches_the_gather_of_a_sample(gens, points, z
 
 def test_coset_tables_partition_the_group_into_cosets():
     count = 0
-    for lat in _lattices():
+    for lat in lattices():
         g, tables = lat.ambient, lat._tables
         table, n = g._table, g.order
         rep, frame = tables.rep, tables.runs.frame
@@ -139,7 +119,7 @@ def test_coset_tables_partition_the_group_into_cosets():
 @pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conjugated"])
 def test_rep_blocks_scattered_back_are_the_dense_rep_bit_for_bit(conjugated):
     rng = np.random.default_rng(4)
-    for lat in _lattices():
+    for lat in lattices():
         n = lat.ambient.order
         rep = lat._tables.rep
         a = rng.standard_normal((2, len(lat))) + 1j * rng.standard_normal((2, len(lat)))
@@ -155,7 +135,7 @@ def test_rep_blocks_scattered_back_are_the_dense_rep_bit_for_bit(conjugated):
 
 def test_dense_frame_operator_vanishes_between_frame_cosets_and_its_spectrum_is_the_blocks():
     worst_off = worst_eig = 0.0
-    for k, lat in enumerate(_lattices()):
+    for k, lat in enumerate(lattices()):
         g, n = lat.ambient, lat.ambient.order
         sys = GaborSystem(lat, tuple(randn_window(g, 300 + 7 * k + j) for j in range(1 + k % 2)))
         dense = frame_operator(sys)
@@ -177,7 +157,7 @@ def test_adjoint_rep_cosets_are_the_frame_cosets_by_least_member():
     # argsort(frame[:, 0])[i]: the adjoint lists its rep cosets by least member, and each is a frame coset,
     # its members in the same ascending order.
     count = 0
-    for lat in _lattices():
+    for lat in lattices():
         frame = lat._tables.runs.frame
         assert np.array_equal(adjoint_subgroup(lat)._tables.rep, frame[np.argsort(frame[:, 0])]), lat.ambient
         count += 1
@@ -190,7 +170,7 @@ def test_frame_like_and_theta_vanish_between_frame_cosets():
     # each dense analysis column (one stacked _act), cancel between two cosets to rounding; theta_matrix is
     # built per coset, so its entries there are zero, and on the cosets it is both of them.
     worst_off = worst = 0.0
-    for k, lat in enumerate(_lattices()):
+    for k, lat in enumerate(lattices()):
         g, n = lat.ambient, lat.ambient.order
         eta, gamma = randn_window(g, 700 + 2 * k), randn_window(g, 701 + 2 * k)
         like, theta = frame_like(eta, gamma, lat), theta_matrix(eta, gamma, module_context(lat))
@@ -360,31 +340,29 @@ def _assert_reps_are_coset_leaders(sub):
 
 def test_split_table_equals_its_oracle_on_more_lattices(benchmark_jobs):
     # Every array of the split table (order, phase, chars, reps) bit for bit against the builder it replaced
-    # (test_lattice_setup's oracle), on each lattice and its adjoint: every small lattice and the big rungs, a
-    # seeded sample of the subgroups of Z4^2 (generated by one to four points), and the verify-ladder rungs of
-    # round 0 for seed 1.
-    lattices = list(_lattices())
-    z4_squared, rng = FiniteAbelianGroup((4, 4)), np.random.default_rng(25)
-    for k in range(160):
-        gens = [(tuple(x), tuple(w)) for x, w in rng.integers(0, 4, size=(1 + k % 4, 2, 2)).tolist()]
-        lattices.append(subgroup_from_generators(z4_squared, gens, 1))
+    # (test_lattice_setup's oracle, which that module runs on every small lattice), and its reps as the coset
+    # leaders, on each lattice and its adjoint: the big rungs, every subgroup of the planes of Z4^2, Z2 x Z6 and
+    # Z2^3, and the verify-ladder rungs of round 0 for seed 1.
+    rungs = []
     for job in benchmark_jobs.round_jobs("verify-ladder", 1, 0):
         gens = [(tuple(x), tuple(w)) for x, w in job["generators"]]
-        lattices.append(subgroup_from_generators(FiniteAbelianGroup(tuple(job["group"])), gens, 1))
-    split = 0
-    for lat in lattices:
+        rungs.append(subgroup_from_generators(FiniteAbelianGroup(tuple(job["group"])), gens, 1))
+    split = count = 0
+    for lat in [*big_rungs(), *every_subgroup(WIDE_GROUPS), *rungs]:
         for sub in (lat, adjoint_subgroup(lat)):
             tables = sub._tables
             got = tables.split
             expect = _split_table(tables.group, tables.plane, tables.runs.frame)
             for field in got._fields:
                 assert np.array_equal(getattr(got, field), getattr(expect, field)), (sub.ambient.orders, field)
+            _assert_reps_are_coset_leaders(sub)
             split += len(got.chars) > 1
-    assert split > 1000, split
+        count += 1
+    assert count == 5 + 1983 + 402 + 2825 + len(rungs) and split > 7500, (count, split)
 
 
 def test_split_is_exact_on_every_small_lattice():
-    # Every subgroup of Z1-Z12, Z2 x Z4 and Z3^2, and the big rungs, each lattice and its adjoint: W is
+    # Every subgroup of the small groups (sweeps) and the big rungs, each lattice and its adjoint: W is
     # unitary, W^H S W leaks <= 1e-14 relative off its split blocks, the spectrum of the quotient frame blocks
     # (one run per coset of H', gabor _factor) is the dense eigvalsh, the duals are the dense solve within
     # gabor's error model (4 eps sqrt|G| B / A), and the quotient rep blocks (_split_rep_blocks) have every
@@ -393,7 +371,7 @@ def test_split_is_exact_on_every_small_lattice():
     eps = np.finfo(float).eps
     worst_unitary = worst_leak = worst_eig = worst_sv = 0.0
     rng, count, split = np.random.default_rng(6), 0, 0
-    for k, lat in enumerate(_lattices()):
+    for k, lat in enumerate(lattices()):
         g, n = lat.ambient, lat.ambient.order
         adjoint = adjoint_subgroup(lat)
         for sub, dual in ((lat, adjoint), (adjoint, lat)):
@@ -471,7 +449,7 @@ def test_density_rule_is_the_factor_block_shape(monkeypatch):
     # k runs / |H'| rows against |G| / (|Delta_0| |H'|) columns: fewer rows exactly when k |Delta| < |G|, on
     # every small lattice and the big rungs, for k = 1, 2, 3.
     count = 0
-    for lat in _lattices():
+    for lat in lattices():
         tables, n = lat._tables, lat.ambient.order
         d0, chars, runs = len(tables.runs.chi), len(tables.split.chars), len(tables.runs.minus)
         for k in (1, 2, 3):

@@ -10,10 +10,8 @@ from heisenmod import (
     FiniteAbelianGroup,
     FrameBounds,
     GaborSystem,
-    MeasuredSubgroup,
     NotAFrameError,
     adjoint_subgroup,
-    all_subgroups,
     analysis,
     cstar_norm,
     delta_window,
@@ -42,6 +40,7 @@ from heisenmod import (
 )
 from heisenmod import gabor as gabor_impl
 from heisenmod.groups import _split
+from sweeps import BIG_RUNGS, lattices
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -334,28 +333,9 @@ def test_dual_window_error_bounds_are_bit_identical(order, tol):
     assert got.value.bounds == expect.value.bounds
 
 
-SMALL_GROUPS = [FiniteAbelianGroup((n,)) for n in range(1, 13)] + [FiniteAbelianGroup((2, 4))]
-# The largest verify-ladder rungs: Z6^2 at |Delta| = 72, Z8^2 at 64, Z80 at 160 and Z96 at 96 (weight 3) and 192.
-BIG_RUNGS = [
-    ((6, 6), [((1, 0), (3, 3)), ((0, 1), (3, 4)), ((0, 0), (6, 0)), ((0, 0), (0, 3))], 1),
-    ((8, 8), [((8, 0), (0, 0)), ((0, 1), (0, 1)), ((0, 0), (4, 0)), ((0, 0), (0, 2))], 1),
-    ((80,), [((5,), (30,)), ((0,), (8,))], 1),
-    ((96,), [((24,), (72,)), ((0,), (4,))], 3),
-    ((96,), [((8,), (0,)), ((0,), (6,))], 1),
-]
-
-
-def _every_lattice():
-    for g in SMALL_GROUPS:
-        for elems in all_subgroups(g):
-            yield MeasuredSubgroup(g, elems, 1)
-    for orders, gens, weight in BIG_RUNGS:
-        yield subgroup_from_generators(FiniteAbelianGroup(orders), gens, weight)
-
-
 def test_orbit_multiplies_into_its_gather_bit_for_bit():
     # The reference allocates the phases, the gather and their product separately.
-    for sub in _every_lattice():
+    for sub in lattices():
         n = sub.ambient.order
         perm, phase = sub._tables.group.gather(sub._tables.x, sub._tables.w)
         raw = np.stack([randn_window(sub.ambient, 80 + i).values for i in range(6)])

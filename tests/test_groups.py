@@ -1,5 +1,6 @@
 """Group arithmetic, characters, subgroup closure, adjoints, and measures."""
 
+import collections
 import math
 import tracemalloc
 from fractions import Fraction
@@ -21,6 +22,7 @@ from heisenmod import (
     trivial_subgroup,
 )
 from heisenmod import groups as groups_impl
+from sweeps import SMALL_GROUPS
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -131,6 +133,15 @@ def test_weil_consistency_exact():
         assert sub.size * sub.weight * len(sub) == Z4.order
 
 
+def test_ragged_or_mixed_rank_point_lists_get_the_shape_message():
+    for points in ([((0, 0), (0,))], [((0,), (0,)), ((0, 0), (0, 0))], [((0,), (0,)), ((2,),)]):
+        with pytest.raises(ValueError, match="pairs of 1-coordinate tuples"):
+            MeasuredSubgroup(Z4, points, 1)
+    for points in ([((0,), (0,))], [((0, 0), (0, 0)), ((1,), (0,))]):
+        with pytest.raises(ValueError, match="pairs of 2-coordinate tuples"):
+            MeasuredSubgroup(Z2xZ2, points, 1)
+
+
 def test_measured_subgroup_validation():
     with pytest.raises(ValueError):
         MeasuredSubgroup(Z4, (TFPoint((1,), (0,)),), 1)  # missing zero
@@ -224,14 +235,64 @@ def test_all_subgroups_counts_match_divisor_formula():
             MeasuredSubgroup(FiniteAbelianGroup((n,)), elems, 1)  # validates closure
 
 
+def _fixed_point_subgroups(group):
+    """The search all_subgroups replaced, as it stood: sums of the frontier subgroups with the cyclic ones until
+    no new subgroup appears; one round for cyclic G, whose plane has rank two."""
+    table = group._table
+    # Row p lists k p for k < N; points generating the same cyclic subgroup give equal sorted rows.
+    k = np.arange(table.modulus)[:, None]
+    x, w = table.split(np.arange(table.size**2))
+    rows = np.unique(np.sort(table.plane_index(x[:, None] * k, w[:, None] * k)), axis=0)
+    cyclics = [np.unique(row) for row in rows]
+    found = {tuple(c.tolist()): c for c in cyclics}
+    frontier = list(found.values())
+    while frontier:
+        new = {}
+        for h in frontier:
+            hx, hw = table.split(h)
+            for cx, cw in (table.split(c) for c in cyclics):
+                total = np.unique(table.plane_index(hx[:, None] + cx[None], hw[:, None] + cw[None]))
+                new.setdefault(tuple(total.tolist()), total)
+        frontier = [total for key, total in new.items() if key not in found]
+        found.update(new)
+        if group.rank == 1:
+            break
+    return tuple(sorted(table.points(h) for h in found.values()))
+
+
+def test_all_subgroups_equals_the_fixed_point_search():
+    for orders in [(12,), (2, 2), (2, 4), (3, 3)]:
+        g = FiniteAbelianGroup(orders)
+        assert all_subgroups(g) == _fixed_point_subgroups(g), orders
+
+
+def _gaussian(n, k, q):
+    """[n, k]_q, the number of k-dimensional subspaces of F_q^n."""
+    return math.prod(q ** (n - i) - 1 for i in range(k)) // math.prod(q ** (i + 1) - 1 for i in range(k))
+
+
 def test_all_subgroups_product_group():
-    got = all_subgroups(Z2xZ2)
-    # The plane of Z_2 x Z_2 is (Z_2)^4 with 67 subgroups: Gaussian binomials
-    # [4,k]_2 = 1, 15, 35, 15, 1.
-    assert len(got) == 67
-
-
-SMALL_GROUPS = [FiniteAbelianGroup((n,)) for n in range(1, 13)] + [FiniteAbelianGroup((2, 4))]
+    # The subgroups of each plane by order. Z2^2: the plane is F_2^4, [4, k]_2 = 1, 15, 35, 15, 1 of order 2^k.
+    # Z2^3: F_2^6, [6, k]_2 = 1, 63, 651, 1395, 651, 63, 1. Z3^2: F_3^4, [4, k]_3 = 1, 40, 130, 40, 1. Z2 x Z6:
+    # the plane is F_2^4 x F_3^2 and subgroup counts multiply over coprime parts, [4, a]_2 [2, b]_3 of order
+    # 2^a 3^b: 67 * 6. Z4^2: the plane is Z4^4, and the subgroups of type (4^b, 2^(a - b)) number
+    # 2^(b (4 - a)) [4 - b, a - b]_2 [4, b]_2 (Birkhoff's formula), of order 2^(a + b): 1, 15, 155, 435, 771,
+    # 435, 155, 15, 1; the fixed-point search agreed.
+    z4_squared = collections.Counter()
+    for a in range(5):
+        for b in range(a + 1):
+            z4_squared[2 ** (a + b)] += 2 ** (b * (4 - a)) * _gaussian(4 - b, a - b, 2) * _gaussian(4, b, 2)
+    expect = [
+        ((2, 2), 67, {2**k: _gaussian(4, k, 2) for k in range(5)}),
+        ((2, 2, 2), 2825, {2**k: _gaussian(6, k, 2) for k in range(7)}),
+        ((3, 3), 212, {3**k: _gaussian(4, k, 3) for k in range(5)}),
+        ((2, 6), 402, {2**a * 3**b: _gaussian(4, a, 2) * _gaussian(2, b, 3) for a in range(5) for b in range(3)}),
+        ((4, 4), 1983, z4_squared),
+    ]
+    for orders, total, counts in expect:
+        got = all_subgroups(FiniteAbelianGroup(orders))
+        assert len(set(got)) == len(got) == sum(counts.values()) == total, orders
+        assert collections.Counter(map(len, got)) == counts, orders
 
 
 def test_zero_is_position_zero_of_every_subgroup():
@@ -270,15 +331,6 @@ def test_adjoint_cache_is_bounded():
     for elems in all_subgroups(g):  # 90 distinct lattices
         adjoint_subgroup(MeasuredSubgroup(g, elems, 1))
         assert adjoint_subgroup.cache_info().currsize <= bound
-
-
-def test_all_subgroups_cache_is_bounded():
-    bound = all_subgroups.cache_info().maxsize
-    assert bound == 32
-    # 33 distinct groups, of orders up to 11: Z_n, Z_1 x Z_n and Z_1 x Z_1 x Z_n
-    for orders in (pad + (n,) for pad in ((), (1,), (1, 1)) for n in range(1, 12)):
-        all_subgroups(FiniteAbelianGroup(orders))
-        assert all_subgroups.cache_info().currsize <= bound
 
 
 def test_public_and_private_constructors_agree_on_every_small_subgroup():

@@ -12,9 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heisenmod import FiniteAbelianGroup, MeasuredSubgroup, adjoint_subgroup, all_subgroups, subgroup_from_generators
+from heisenmod import FiniteAbelianGroup, MeasuredSubgroup, adjoint_subgroup, subgroup_from_generators
 from heisenmod import groups as groups_impl
 from heisenmod.groups import _member, _RunTable, _SplitTable, _uncoset
+from sweeps import every_subgroup
 
 
 def _span(table, points):
@@ -56,7 +57,7 @@ def _runs(tables):
     zero = g.pairings(g.coords[tables.plane[:d0]], g.coords)
     frame = np.lexsort(zero).reshape(d0, -1)
     order = frame.ravel()
-    minus = np.take(g.translates(x), order, axis=1)
+    minus = np.take(g.translates(x, g.coords), order, axis=1)
     return _RunTable(minus, g.roots[g.pairings(w, g.coords[order])], g.roots[zero[:, frame[:, 0]]], pos, frame)
 
 
@@ -156,15 +157,12 @@ def _crossed(tables, runs):
     return gather, g.roots[np.remainder(phase, g.modulus, out=phase)]
 
 
-GROUPS = [FiniteAbelianGroup(orders) for orders in [(n,) for n in range(1, 13)] + [(2, 2), (2, 4), (3, 3)]]
 Z4096 = (FiniteAbelianGroup((4096,)), [((64,), (0,)), ((0,), (64,))])
 
 
 def _sweep(benchmark_jobs):
     """Every subgroup of the small groups, the verify-ladder rungs of round 0 for seeds 1 and 2, and Z4096."""
-    for g in GROUPS:
-        for elems in all_subgroups(g):
-            yield MeasuredSubgroup(g, elems, 1)
+    yield from every_subgroup()
     for seed in (1, 2):
         for job in benchmark_jobs.round_jobs("verify-ladder", seed, 0):
             gens = [(tuple(x), tuple(w)) for x, w in job["generators"]]

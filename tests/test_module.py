@@ -59,6 +59,7 @@ from heisenmod import module as module_impl
 from heisenmod import shifts as shifts_impl
 from heisenmod.module import VERIFY_TOLERANCES
 from heisenmod.shifts import Window, _randn
+from sweeps import SMALL_GROUPS, WIDE_GROUPS
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -381,7 +382,7 @@ def test_conjugated_analysis_stacks_and_meets_the_orbit_against_the_conjugate():
     from heisenmod.gabor import _analyze, _orbit
 
     cases = 0
-    for g in [FiniteAbelianGroup((n,)) for n in range(1, 13)] + [FiniteAbelianGroup((2, 4))]:
+    for g in SMALL_GROUPS:
         xi = np.stack([randn_window(g, 90 + i).values for i in range(3)])
         eta = np.stack([randn_window(g, 95 + i).values for i in range(3)])
         for elems in all_subgroups(g):
@@ -637,6 +638,7 @@ def test_generator_witness_gathers_in_window_chunks(monkeypatch):
     n = ctx.lattice.ambient.order
     salt = splitmix64_stream(seed ^ 0x5EED, 16)[8]
     draws = _randn(splitmix64_stream(salt, 13), n)  # what verify_suite draws for the check
+    assert ctx.lattice._tables.runs  # the run table is one gather of its own, built outside the count
     table = type(ctx.lattice.ambient._table)
     calls = {"gather": 0}
     monkeypatch.setattr(table, "gather", _counting(calls, "gather", table.gather))
@@ -689,6 +691,17 @@ def test_verify_suite_passes_on_z16_squared_with_1024_points():
     assert report["pass"], [entry for entry in report["identities"] if not entry["pass"]]
     twisted = next(e for e in report["identities"] if e["name"] == "twisted-axioms")
     assert twisted["max_rel_gap"] <= 0.1 * VERIFY_TOLERANCES["twisted-axioms"], twisted
+
+
+@pytest.mark.parametrize("group", WIDE_GROUPS, ids=lambda g: "x".join(map(str, g.orders)))
+def test_verify_suite_passes_on_a_seeded_sample_of_every_subgroup(group):
+    # 50 of the 1983, 402 and 2825 subgroups of the planes of Z4^2, Z2 x Z6 and Z2^3, drawn without
+    # replacement, each at weight 1 or 1/3 and with its index as the suite's seed.
+    subgroups = all_subgroups(group)
+    for k, i in enumerate(np.random.default_rng(28).choice(len(subgroups), size=50, replace=False).tolist()):
+        lattice = MeasuredSubgroup(group, subgroups[i], Fraction(1, 1 + 2 * (k % 2)))
+        report = verify_suite(lattice, seed=i)
+        assert report["pass"], (group.orders, i, [e["name"] for e in report["identities"] if not e["pass"]])
 
 
 @pytest.mark.parametrize("rung", [0, 1, 2], ids=["z96-192", "z96-weight-3", "z80-160"])

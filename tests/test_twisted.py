@@ -34,6 +34,7 @@ from heisenmod import (
     unit_seq,
 )
 from heisenmod.twisted import _convolve
+from sweeps import SMALL_GROUPS
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -255,14 +256,11 @@ def test_domain_and_flag_mismatch_rejected():
 
 
 def test_trace_is_the_coefficient_at_zero_on_every_subgroup():
-    for g in [FiniteAbelianGroup((n,)) for n in range(1, 13)] + [FiniteAbelianGroup((2, 4))]:
+    for g in SMALL_GROUPS:
         for k, elems in enumerate(all_subgroups(g)):
             dom = MeasuredSubgroup(g, elems, 1)
             a = _random_seq(dom, bool(k % 2), 1000 + k)
             assert trace(a) == a.at(g.tf_zero())
-
-
-SMALL_GROUPS = [FiniteAbelianGroup((n,)) for n in range(1, 13)] + [FiniteAbelianGroup((2, 4))]
 
 
 @pytest.mark.parametrize("weight", [Fraction(1), Fraction(1, 3)], ids=["w1", "w1/3"])
@@ -362,7 +360,7 @@ def test_gather_oracle_is_the_add_neg_construction_on_every_subgroup():
 
 @pytest.mark.parametrize("weight", [1, Fraction(1, 3)], ids=["w1", "w1/3"])
 def test_crossed_kernel_matches_the_gather_oracle_on_every_subgroup(weight):
-    # Every subgroup of Z1-Z12 and Z2 x Z4, both flags: non-cyclic Delta_0, runs off omega_r = 0 and the
+    # Every subgroup of the small groups (sweeps), both flags: non-cyclic Delta_0, runs off omega_r = 0 and the
     # conjugated flag among them. Both sum |Delta| products of unit phases and unit-free operands, so each
     # is within (|Delta| + 3) eps of the exact sum on the scale weight * sum |a| * max |b| (Higham's gamma_n);
     # the two agree to within twice that.
