@@ -119,12 +119,12 @@ def _finite(v) -> bool:
 
 
 def _resolve_seed(job: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
+    """The job's seed, checked for every command whether or not it reads it, unless --seed overrides it.
+    One rule for both: a nonnegative integer, and JSON true and false are not integers here."""
     seed = job.get("seed", 0)
     if type(seed) is not int or seed < 0:
         raise SpecError('field "seed" must be a nonnegative integer')
-    return seed
+    return seed if args.seed is None else args.seed
 
 
 def _cpair(c: complex) -> list[float]:
@@ -223,7 +223,7 @@ def cmd_janssen(job: dict, args):
     on the gap over max(1, max|S|) (module._janssen_gaps)."""
     sys_ = _system(job)
     eta, ctx = sys_.windows[0].values[None], module_context(sys_.lattice)
-    gap, scaled = (float(v[0]) for v in _janssen_gaps(eta, ctx))
+    gap, scaled, _ = (float(v[0]) for v in _janssen_gaps(eta, eta, ctx))
     passed = scaled <= VERIFY_TOLERANCES["janssen"]
     return {"max_abs_gap": gap, "max_rel_gap": scaled, "pass": passed, "s": str(sys_.lattice.size)}, None
 
@@ -235,7 +235,7 @@ def cmd_spectrum(job: dict, args):
 
 def cmd_verify(job: dict, args):
     lattice = _float_lattice(job)
-    report = verify_suite(lattice, seed=_resolve_seed(job, args), frame_tol=args.tol)
+    report = verify_suite(lattice, seed=args.seed, frame_tol=args.tol)
     rows = ["name,cases,max_abs_gap,max_rel_gap,pass"] + [
         f'{e["name"]},{e["cases"]},{e["max_abs_gap"]},{e["max_rel_gap"]},{_plain(e["pass"])}'
         for e in report["identities"]
@@ -263,6 +263,14 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _seed(text: str) -> int:
+    """--seed, by the job field's rule (_resolve_seed): a nonnegative integer; anything else exits 2."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heisenmod",
@@ -270,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--spec", required=True, help="path to the JSON job file")
-    parser.add_argument("--seed", type=int, default=None, help="override the job file seed")
+    parser.add_argument("--seed", type=_seed, default=None, help="override the job file seed")
     parser.add_argument("--tol", type=_tolerance, default=1e-9, help="frame invertibility tolerance")
     parser.add_argument("--out", choices=("json", "csv"), default="json")
     return parser
@@ -279,7 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload, rows = _COMMANDS[args.command](_load_job(args.spec), args)
+        job = _load_job(args.spec)
+        args.seed = _resolve_seed(job, args)
+        payload, rows = _COMMANDS[args.command](job, args)
     except (SpecError, NotAFrameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, SpecError) else 3

@@ -85,11 +85,10 @@ def shift_orbit(eta: Window, sub: MeasuredSubgroup) -> np.ndarray:
     return _orbit(eta.values, sub)
 
 
-def _orbit(values: np.ndarray, sub: MeasuredSubgroup, at=slice(None)) -> np.ndarray:
-    """shift_orbit with leading case axes: values (..., |G|) give orbits (..., |Delta|, |G|), at the columns t
-    that at picks (all of G by default, in its order)."""
+def _orbit(values: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
+    """shift_orbit with leading case axes: values (..., |G|) give orbits (..., |Delta|, |G|)."""
     tables = sub._tables
-    perm, phase = tables.group.gather(tables.x, tables.w, at)
+    perm, phase = tables.group.gather(tables.x, tables.w)
     roots, out = tables.group.roots[phase], np.take(values, perm, axis=-1)
     return np.multiply(roots, out, out=out)  # reuses the gather's buffer: no third array
 
@@ -119,14 +118,16 @@ def _by_block(rows: np.ndarray, blocks: int, chars: int = 1) -> np.ndarray:
     return rows.reshape(rows.shape[:lead] + (blocks * chars,) + rows.shape[-2:])
 
 
-def _analyze(xi: np.ndarray, eta: np.ndarray, sub: MeasuredSubgroup) -> np.ndarray:
+def _analyze(xi: np.ndarray, eta: np.ndarray, sub: MeasuredSubgroup, select=None) -> np.ndarray:
     """Analysis coefficients <xi, pi(z) eta> per case: (..., |G|) arrays give (..., |Delta|): each base row
-    against xi on each frame coset (_by_block), then against the Delta_0 characters there; pos places them."""
+    against xi on each frame coset (_by_block), then against the Delta_0 characters there; pos places them.
+    A select of runs (twisted _base_rows) gives theirs unplaced, (..., runs picked, |Delta_0|): slice(0, 1)
+    holds the zero point at [..., 0, 0]."""
     runs = sub._tables.runs
-    rows = _by_block(_base_rows(eta[..., None, :], sub), len(runs.chi))
+    rows = _by_block(_base_rows(eta[..., None, :], sub, slice(None) if select is None else select), len(runs.chi))
     sums = (np.conjugate(rows, out=rows) @ np.take(xi, runs.frame, axis=-1)[..., None])[..., 0]
     coeffs = np.swapaxes(sums, -1, -2) @ runs.chi.conj().T
-    return np.take(coeffs.reshape(coeffs.shape[:-2] + runs.pos.shape), runs.pos, axis=-1)
+    return coeffs if select is not None else np.take(coeffs.reshape(coeffs.shape[:-2] + (-1,)), runs.pos, axis=-1)
 
 
 def _gram(rows: np.ndarray, weight: float) -> np.ndarray:

@@ -572,7 +572,7 @@ class MeasuredSubgroup:
         table = ambient._table
         shape = f"subgroup points must be pairs of {ambient.rank}-coordinate tuples"
         try:
-            coords = np.array(elements, dtype=np.int64)
+            coords = np.array(list(elements), dtype=np.int64)  # a generator is read once, like any iterable
         except ValueError as ragged:  # points or coordinate tuples of different lengths
             raise ValueError(shape) from ragged
         if coords.size and coords.shape[1:] != (2, ambient.rank):

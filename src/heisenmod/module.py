@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gabor import (FrameBounds, GaborSystem, _analyze, _bounds, _by_block, _duals, _dual_window, _factor,
-                    _factor_frames, _gram, _orbit, _require_windows, _windows, analysis)
+                    _factor_frames, _gram, _require_windows, _windows, analysis)
 from .groups import FiniteAbelianGroup, MeasuredSubgroup, adjoint_subgroup
 from .shifts import Window, _randn, splitmix64_stream
 from .twisted import (TwistedSeq, _act, _base_rows, _crossed, _hat, _involve, _rep_blocks, _split_rep_blocks, _svals,
@@ -151,9 +151,10 @@ def localization_check(xi: Window, eta: Window, ctx: ModuleContext) -> dict:
 
 
 def _localization(xi: np.ndarray, eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, ...]:
-    """trace(left_inner(xi, eta)), <xi, eta> and trace(right_inner(eta, xi)) per case."""
-    lhs = _analyze(xi, eta, ctx.lattice)[..., 0]
-    via_right = _analyze(eta, xi, ctx.dual)[..., 0].conj()
+    """trace(left_inner(xi, eta)), <xi, eta> and trace(right_inner(eta, xi)) per case: each trace from the
+    zero point's run alone (gabor _analyze), run 0 on both domains."""
+    lhs = _analyze(xi, eta, ctx.lattice, slice(0, 1))[..., 0, 0]
+    via_right = _analyze(eta, xi, ctx.dual, slice(0, 1))[..., 0, 0].conj()
     return lhs, (xi * eta.conj()).sum(axis=-1), via_right
 
 
@@ -513,89 +514,70 @@ def _check_norm_chain(ctx: ModuleContext, eta: np.ndarray) -> tuple[dict, dict]:
     return _entry("norm-chain", cases, rel.max(), rel.max()), _entry("embedding-bound", cases, embed, embed)
 
 
-def _extension_gaps(eta: np.ndarray, gamma: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray]:
-    """Per pair of (pairs, |G|) windows: theta_matrix against frame_like on each frame coset's rows and
-    columns; both commute with the lattice shifts, so every entry between two cosets is a structural zero of
-    both. One gather of the stacked (eta, gamma) orbits at the cosets' members, in frame-coset order, serves
-    both sides; frame_like's block b is weight Gamma_b^T conj(E_b), Gamma_b and E_b the orbits' columns on
-    coset b, so that side reads the coset table and nothing else of the run table."""
-    lat, frame = ctx.lattice, ctx.lattice._tables.runs.frame
-    (blocks, size), pairs, points = frame.shape, len(eta), len(ctx.lattice)
-    orbits = _orbit(np.stack([eta, gamma], axis=1), lat, frame.ravel())  # (pairs, 2, |Delta|, |G|)
-    rows, synthesis = np.conjugate(orbits[:, 0], out=orbits[:, 0]), orbits[:, 1]
-    synthesis *= lat.float_weight
-    by_coset = (pairs, points, blocks, size)
-    frame_like = synthesis.reshape(by_coset).transpose(0, 2, 3, 1) @ np.swapaxes(rows.reshape(by_coset), 1, 2)
-    theta = _theta(rows, gamma, ctx)
-    theta -= frame_like
-    return (_case_max(theta),)
+def _janssen_gaps(eta: np.ndarray, gamma: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, ...]:
+    """Per pair of (pairs, |G|) windows: Janssen's form of theta_matrix(eta, gamma) = S, the frame operator
+    with synthesis by gamma after analysis by eta, against its frame blocks, block for block. Returns the raw
+    gap, the gap over max(1, max|S|) of the frame side (janssen's scale when eta = gamma) and _EXTENSION's bound.
 
-
-def _extension_budget(ctx: ModuleContext) -> int:
-    """Complex entries one pair of _extension_gaps keeps alive at its peak: the two orbits and theta's placed
-    rows, |Delta| |G| each; frame_like's blocks, |G|^2 / |Delta_0|; and theta's runs |G| factor, its copy by
-    block and its Zak sums. The orbits' gather tables add 2 |Delta| |G| once per chunk (gabor _orbit), so a
-    chunk of one pair peaks at up to about 4/3 of this."""
-    lat, n = ctx.lattice, ctx.lattice.ambient.order
-    runs = lat._tables.runs
-    return 3 * len(lat) * n + n * n // len(runs.chi) + 3 * len(runs.minus) * n
-
-
-def _check_operator_extension(ctx: ModuleContext, eta: np.ndarray, gamma: np.ndarray) -> dict:
-    """theta_matrix against frame_like per pair, block for block (_extension_gaps), in chunks of
-    _extension_budget's entries per pair.
-
-    Decided on gap / max(1, w), w the lattice weight; max_abs_gap reports the raw gap. Error model: both
-    sides are w times sums of |Delta| products of an eta and a gamma orbit entry, so their entries and
-    their rounding errors, about c eps w |Delta| max|eta| max|gamma|, are of degree 1 in w, as in
-    _twisted_gaps: the scaled gap is the raw one for w <= 1 and weight-free above.
-    """
-    (gaps,) = _per_case(_extension_gaps, ctx, eta, gamma, per_case=_extension_budget(ctx))
-    return _entry("operator-extension", len(eta), gaps.max(), gaps.max() / max(1.0, ctx.lattice.float_weight),
-                  use_rel=True)
-
-
-def _janssen_gaps(eta: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray, np.ndarray]:
-    """Per case: janssen_frame_operator against the frame operator S of the one-window system, block for
-    block; raw and scaled gaps.
-
-    The Janssen side is the adjoint's rep blocks (twisted _rep_blocks) on the cosets of X(adjoint) =
-    Delta_0^perp, listed by least member (groups rep). Those are the lattice's frame cosets, members in the
-    same order, so S's side is the lattice's unsplit frame blocks (gabor _factor: weight |Delta_0| times the
-    Gram of the base rows on each coset), taken in the order of their least members. Both operators vanish
-    between two cosets, so nothing else is compared. The two sides read different tables: the adjoint's
-    rep blocks and the lattice's run table.
-
-    Error model: both sides are weighted sums of products of two window
-    entries, so their rounding errors grow with the entries of S itself
-    (S is positive semidefinite: max|S| is its largest diagonal entry,
-    weight * sum_z |pi(z) eta(t)|^2). The scaled gap divides by max(1, max|S|):
-    the absolute gap for small operators, the relative one above.
+    The Janssen side is weight(adjoint) sum_u <gamma, pi(u) eta> pi(u) (Janssen, JFAA 1995): the adjoint's rep
+    blocks (twisted _rep_blocks) on the cosets of X(adjoint) = Delta_0^perp, listed by least member (groups
+    rep). Those are the lattice's frame cosets, members in the same order, so the frame side is the lattice's
+    unsplit frame blocks weight |Delta_0| F_b(gamma)^T conj(F_b(eta)) in the order of their least members,
+    F_b the base rows on coset b (gabor _by_block): theta's block too, as eta's analysis rows have the Zak sums
+    |Delta_0| conj(F_b(eta)) (_theta). Both operators vanish between two cosets, so nothing else is compared.
+    The sides read different tables: the adjoint's run table and rep blocks, and the lattice's run shift.
     """
     lat, runs = ctx.lattice, ctx.lattice._tables.runs
     blocks = len(runs.chi)
-    janssen = _rep_blocks(ctx.dual, False, _analyze(eta, eta, ctx.dual))
-    frame = _gram(_by_block(_base_rows(eta[:, None, :], lat), blocks), lat.float_weight * blocks)
+    janssen = _rep_blocks(ctx.dual, False, _analyze(gamma, eta, ctx.dual))
+    windows = np.stack([gamma, eta])
+    rows = _base_rows(windows, lat)  # (2, pairs, runs, |G|), columns in frame-coset order
+    factors = rows.reshape(rows.shape[:-1] + (blocks, -1)).swapaxes(-2, -3)  # by block, a view: _by_block's F
+    columns = np.square(np.abs(rows)).sum(axis=-2).max(axis=-1)  # max_t sum_r |F_b[r, t]|^2 per window
+    frame = np.swapaxes(factors[0], -1, -2) @ np.conjugate(factors[1], out=factors[1])
+    frame *= lat.float_weight * blocks
     janssen -= frame[:, np.argsort(runs.frame[:, 0])]
-    gap = _case_max(janssen)
-    return gap, gap / np.maximum(1.0, _case_max(np.diagonal(frame, axis1=-2, axis2=-1)))
+    gap, bound = _case_max(janssen), lat.float_weight * blocks * np.sqrt(columns[0] * columns[1])
+    return gap, gap / np.maximum(1.0, _case_max(np.diagonal(frame, axis1=-2, axis2=-1))), bound
 
 
 def _janssen_budget(ctx: ModuleContext) -> int:
-    """Complex entries one case of _janssen_gaps keeps alive at its peak: the adjoint's rep blocks,
-    |G|^2 / |Delta_0| (the adjoint has |G| / |Delta_0| runs), kept while the lattice's side holds its
-    base rows by block and their conjugate, runs |G| each, and its frame blocks, |G|^2 / |Delta_0|. The
-    adjoint's side peaks lower: its fibre sums and its rep blocks, |G|^2 / |Delta_0| each."""
+    """Complex entries one pair of _janssen_gaps keeps alive at its peak: the adjoint's rep blocks, |G|^2 /
+    |Delta_0|, beside the two windows' base rows, runs |G| each, and their moduli or the frame blocks and their
+    copy in the adjoint's order. The adjoint's side, with |G| / |Delta_0| runs, peaks lower."""
     lat, n = ctx.lattice, ctx.lattice.ambient.order
-    runs = lat._tables.runs
-    return 2 * len(runs.minus) * n + 2 * n * n // len(runs.chi) + 4 * n
+    return 3 * len(lat._tables.runs.minus) * n + 3 * n * n // len(lat._tables.runs.chi)
 
 
-def _check_janssen(ctx: ModuleContext, eta: np.ndarray) -> dict:
-    """Decided on the scaled gap (see _janssen_gaps); max_abs_gap reports the raw one. Chunks hold
-    _janssen_budget's entries per case."""
-    gaps, scaled = _per_case(_janssen_gaps, ctx, eta, per_case=_janssen_budget(ctx))
-    return _entry("janssen", len(eta), gaps.max(), scaled.max(), use_rel=True)
+# operator-extension's error model: each entry of the frame side is weight |Delta_0| sum_r F_b(gamma)[r, s]
+# conj(F_b(eta)[r, t]), so its rounding error is about eps times the summed terms' moduli (as in _ASSOCIATIVITY's
+# model, without the worst-case factor runs), which Cauchy-Schwarz bounds by weight |Delta_0| sqrt(max_s sum_r
+# |F_b(gamma)[r, s]|^2 max_t sum_r |F_b(eta)[r, t]|^2) = sqrt(max diag S_gamma max diag S_eta), S_eta the frame
+# operator of eta alone: janssen's scale max|S| when eta = gamma. No cancellation shrinks it, it is of degree 1
+# in the weight as both sides are, and it costs runs |G| per window. Each pair is decided on gap <= _EXTENSION
+# eps times that bound. The Janssen side's rounding stays on the same scale: over verify seeds 1 to 10 at weights
+# 1, 1/3, 3 and 1e6 and seeds 1 to 5 at 2/7 and 5/2, on every subgroup of the small groups (40 600 pairs of 10),
+# the largest ratio per suite reads at most 6.0 (on Z12 at |Delta| = 3; median 1.2); over seeds 1 to 29 and each
+# job's own on the verify-ladder rungs of rounds 0 and 1 of seeds 1 and 2, at most 6.3 (median 1.2); at most 4.0
+# on Z96 to Z960 with |Delta| = 1 to 10, where the adjoint holds up to 921 600 points, and 1.0 to 1.4 on Z240 to
+# Z3840 at |Delta| = 720 to 11 520. The constant is twice the largest, 12.7, rounded up to a power of two.
+_EXTENSION = 16.0
+
+
+def _check_janssen_forms(ctx: ModuleContext, eta, gamma, windows) -> tuple[dict, dict]:
+    """operator-extension on the pairs (eta_i, gamma_i) and janssen on the windows paired with themselves, in
+    one pass of _janssen_gaps (chunks of _janssen_budget's entries per pair); max_abs_gap reports the raw gaps.
+    operator-extension is decided on its model's ratio (_EXTENSION) in the tolerance's units; janssen on the gap
+    over max(1, max|S|): both sides are weighted sums of products of two window entries, so their rounding grows
+    with the entries of S (positive semidefinite: max|S| is its largest diagonal entry), the absolute gap for
+    small operators, the relative one above."""
+    pairs = len(eta)
+    gaps, scaled, bound = _per_case(_janssen_gaps, ctx, np.concatenate([eta, windows]),
+                                    np.concatenate([gamma, windows]), per_case=_janssen_budget(ctx))
+    model = gaps[:pairs] / np.maximum(bound[:pairs], _TINY) / (_EXTENSION * _EPS)
+    return (_entry("operator-extension", pairs, gaps[:pairs].max(),
+                   model.max() * VERIFY_TOLERANCES["operator-extension"], use_rel=True),
+            _entry("janssen", len(windows), gaps[pairs:].max(), scaled[pairs:].max(), use_rel=True))
 
 
 def _check_figa(ctx: ModuleContext, eta, gamma, xi, psi) -> dict:
@@ -634,13 +616,6 @@ def _check_imprimitivity(ctx: ModuleContext, xi: np.ndarray, eta: np.ndarray, ga
     return _entry("imprimitivity", len(xi), gaps.max(), scaled.max(), use_rel=True)
 
 
-def _synthesize(coeffs: np.ndarray, windows: np.ndarray, ctx: ModuleContext) -> tuple[np.ndarray]:
-    """Frame synthesis weight * sum_z a(z) pi(z) eta per case of (cases, |Delta|) coefficients and (cases, |G|)
-    windows, from the dense orbit (_orbit): the generators check's witness against _act."""
-    lat = ctx.lattice
-    return (lat.float_weight * (coeffs[:, None] @ _orbit(windows, lat))[:, 0],)
-
-
 def _check_generators(ctx: ModuleContext, draws: np.ndarray, frame_tol: float) -> tuple[dict, dict]:
     """Generating verdict (orbit SVD) against the frame verdict (eigenvalues), and reconstruction.
 
@@ -648,19 +623,28 @@ def _check_generators(ctx: ModuleContext, draws: np.ndarray, frame_tol: float) -
     ends[f] - k on and reconstructs draw ends[f], ends = 1, 2, 4, 6, 9, 12. The factor (_factor) of the two
     families of one k gives their generating verdicts (_factor_frames) and frame blocks (_gram), whose
     shapes do not depend on k; the rest is one pass over all six. The frame blocks go through one _duals,
-    each family's windows zero-padded to 3 slots; a family that is generating and a frame is reconstructed
-    from xi by left_act of left_inner(xi, gamma_j) and by frame synthesis, each summed over j: one
-    _analyze and one _act of the 12 (xi, gamma_j) and (coefficients, eta_j) pairs, and the dense
-    synthesis per window, in chunks of _CHUNK // (|Delta| |G|) windows. The larger residual is kept.
+    each family's windows zero-padded to 3 slots. A family that is generating and a frame is reconstructed
+    from xi by left_act of left_inner(xi, gamma_j), summed over j: one _analyze and one _act of the 12
+    (xi, gamma_j) and (coefficients, eta_j) pairs. Its duals must also satisfy the Wexler-Raz identity
+    (Wexler-Raz, Signal Process. 1990; Janssen, JFAA 1995): sum_j right_inner(gamma_j, eta_j) = size delta_0
+    on the adjoint, the module form of sum_j S_{gamma_j, eta_j} = I, from one adjoint _analyze of the 12
+    (gamma_j, eta_j) pairs.
 
-    Reconstruction is decided on residual / (kappa * |xi|), kappa = B/A the
+    Reconstruction is decided on the larger of residual / (kappa * |xi|) and
+    the Wexler-Raz gap / (kappa * sum_j |gamma_j| |eta_j|), kappa = B/A the
     condition number of the frame operator. Its error model: applying the
     computed dual solves S gamma = eta, which backward-stable LU does with
     relative error about c * eps * sqrt(|G|) * kappa, so
-    residual <= c * eps * sqrt(|G|) * kappa * |xi| with c of order one.
-    The tolerance 1e-12 leaves c * sqrt(|G|) room up to about 4500; an
-    absolute bound instead rejects valid frames near critical density,
-    whose kappa reaches 1e5 while frame_tol accepts kappa up to 1e9.
+    residual <= c * eps * sqrt(|G|) * kappa * |xi| with c of order one; each
+    Wexler-Raz coefficient <gamma_j, pi(u) eta_j> moves by at most the dual's
+    error times |eta_j|, so its gap is at most c * eps * sqrt(|G|) * kappa *
+    sum_j |gamma_j| |eta_j|. The tolerance 1e-12 leaves c * sqrt(|G|) room up
+    to about 4500; an absolute bound instead rejects valid frames near critical
+    density, whose kappa reaches 1e5 while frame_tol accepts kappa up to 1e9.
+    Measured in units of eps, on the draws of the sweep that set _EXTENSION:
+    the Wexler-Raz ratio reads at most 2.5 on the small groups (median 0.23),
+    0.9 on the ladder rungs and 0.06 on two critical Z8^2 frames of kappa
+    1e5 and 3e5; the residual's 17, 2.8 and 6.2.
     """
     lat, n = ctx.lattice, ctx.lattice.ambient.order
     counts = np.array([1, 1, 2, 2, 3, 3])
@@ -678,17 +662,19 @@ def _check_generators(ctx: ModuleContext, draws: np.ndarray, frame_tol: float) -
     bounds, frames, duals = _duals(np.concatenate(ops), padded, lat, frame_tol)
     gammas = np.zeros_like(padded)
     gammas[frames] = duals
-    coeffs = _analyze(xi[np.repeat(np.arange(len(counts)), counts)], gammas[slots], lat)
-    (synthesis,) = _per_case(_synthesize, ctx, coeffs, windows, per_case=len(lat) * n)
-    starts = ends - counts
-    synthesis = np.add.reduceat(synthesis, starts)
+    duals, starts = gammas[slots], ends - counts
+    coeffs = _analyze(xi[np.repeat(np.arange(len(counts)), counts)], duals, lat)
     via_module = np.add.reduceat(_act(lat, False, coeffs, windows), starts)
+    wexler_raz = np.add.reduceat(_analyze(duals, windows, ctx.dual), starts)  # conj of sum_j right_inner
+    wexler_raz[:, 0] -= float(lat.size)  # zero is position 0 of every domain
     recon = generating & frames
-    residual = recon * np.maximum(*(np.linalg.norm(v - xi, axis=-1) for v in (synthesis, via_module)))
+    residual, gap = recon * np.linalg.norm(via_module - xi, axis=-1), recon * _case_max(wexler_raz)
     kappa = np.divide(bounds[:, 1], bounds[:, 0], out=np.ones(len(counts)), where=recon)
-    split, rel = generating != frames, residual / (kappa * np.linalg.norm(xi, axis=-1))
+    norms = np.add.reduceat(np.linalg.norm(duals, axis=-1) * np.linalg.norm(windows, axis=-1), starts)
+    rel = np.maximum(residual / np.linalg.norm(xi, axis=-1), gap / np.maximum(norms, _TINY)) / kappa
+    split = generating != frames
     return (_entry("generator-equivalence", len(counts), split.sum(), split.sum()),
-            _entry("reconstruction", int(recon.sum()), residual.max(), rel.max(), use_rel=True))
+            _entry("reconstruction", int(recon.sum()), max(residual.max(), gap.max()), rel.max(), use_rel=True))
 
 
 def _check_dual_scaling(ctx: ModuleContext, eta: np.ndarray) -> dict:
@@ -733,8 +719,7 @@ def verify_suite(lattice: MeasuredSubgroup, seed: int = 0, frame_tol: float = 1e
                               xi.reshape(2, 8, n)),
         _check_localization(ctx, *_slots(_randn(seeds[2, :80], n), 2)),
         *_check_norm_chain(ctx, norm),
-        _check_operator_extension(ctx, *_slots(ext, 2)),
-        _check_janssen(ctx, janssen),
+        *_check_janssen_forms(ctx, *_slots(ext, 2), janssen),
         _check_figa(ctx, *_slots(_randn(seeds[6, :160], n), 4)),
         _check_imprimitivity(ctx, *_slots(imp, 3)),
         *_check_generators(ctx, gen, frame_tol),

@@ -228,6 +228,28 @@ def test_seed_flag_overrides_job(tmp_path):
     assert json.loads(res.stdout)["seed"] == 7
 
 
+def test_one_seed_rule_for_every_command_and_the_flag(tmp_path, capsys):
+    # The job's seed is checked by every command, whether or not it reads it, and --seed by the same rule: a
+    # nonnegative integer, JSON true and false not counting as one. Everything else exits 2.
+    for seed in (True, False, -1, 1.5, "3"):
+        spec = write_job(tmp_path, dict(TIGHT_JOB, seed=seed))
+        for cmd in sorted(cli._COMMANDS):
+            assert cli.main([cmd, "--spec", spec]) == 2, (seed, cmd)
+            assert 'field "seed" must be a nonnegative integer' in capsys.readouterr().err
+    tight = write_job(tmp_path, TIGHT_JOB, "tight.json")
+    for flag in ("-3", "1.5", "true", "0x5"):
+        for cmd in ("verify", "adjoint"):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main([cmd, "--spec", tight, "--seed", flag])
+            assert exit_.value.code == 2, (flag, cmd)
+    assert cli.main(["adjoint", "--spec", write_job(tmp_path, dict(TIGHT_JOB, seed=0), "zero.json")]) == 0
+    # the same codes from a fresh process
+    res = run_cli("verify", "--spec", tight, "--seed", "-3")
+    assert res.returncode == 2 and "seed must be a nonnegative integer" in res.stderr, res.stderr
+    res = run_cli("frame-bounds", "--spec", write_job(tmp_path, dict(TIGHT_JOB, seed=True), "bool.json"))
+    assert res.returncode == 2 and 'field "seed"' in res.stderr, res.stderr
+
+
 def test_determinism_byte_identical(tmp_path):
     job = {"group": [6], "generators": [[[2], [0]], [[0], [3]]], "seed": 42}
     spec = write_job(tmp_path, job)

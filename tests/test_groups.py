@@ -142,6 +142,16 @@ def test_ragged_or_mixed_rank_point_lists_get_the_shape_message():
             MeasuredSubgroup(Z2xZ2, points, 1)
 
 
+def test_a_generator_a_tuple_and_a_list_of_points_give_the_same_lattice():
+    # The constructor takes any iterable of points and reads it once: a generator of the trivial lattice's one
+    # point, and of the points of Z4 (1, 0), (0, 2), builds what a tuple and a list of the same points build.
+    for lattice in (trivial_subgroup(Z4, 1), subgroup_from_generators(Z4, [((1,), (0,)), ((0,), (2,))], 1)):
+        points = lattice.elements
+        built = [MeasuredSubgroup(Z4, form, 1) for form in (list(points), tuple(points), (z for z in points))]
+        assert all(sub == lattice and np.array_equal(sub.plane, lattice.plane) for sub in built), lattice
+    assert len(MeasuredSubgroup(Z4, (z for z in [((0,), (0,))]), 1)) == 1
+
+
 def test_measured_subgroup_validation():
     with pytest.raises(ValueError):
         MeasuredSubgroup(Z4, (TFPoint((1,), (0,)),), 1)  # missing zero

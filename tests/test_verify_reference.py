@@ -21,7 +21,6 @@ from heisenmod import (
     dual_lattice_norm_scaling,
     dual_window,
     figa_check,
-    frame_like,
     frame_operator,
     gaussian_stream,
     integrated_rep,
@@ -37,7 +36,6 @@ from heisenmod import (
     module_frame_check,
     module_norm,
     randn_window,
-    reconstruction_residual,
     right_act,
     right_inner,
     shift_orbit,
@@ -134,15 +132,21 @@ def _ref_norm_chain(ctx, seed, cases):
 
 
 def _ref_operator_extension(ctx, seed, cases):
-    gap = 0.0
+    """theta_matrix against Janssen's form of the same operator, the matrix of right_act by right_inner(eta,
+    gamma): the raw max gap, and each gap over _EXTENSION eps sqrt(max diag S_gamma max diag S_eta), S_eta the
+    frame operator of eta alone, in the tolerance's units."""
+    gap = ratio = 0.0
+    model = module_impl._EXTENSION * np.finfo(float).eps / VERIFY_TOLERANCES["operator-extension"]
     seeds = _derived_seeds(seed, 2 * cases)
     group = ctx.lattice.ambient
     for i in range(cases):
         eta = randn_window(group, seeds[2 * i])
         gamma = randn_window(group, seeds[2 * i + 1])
-        diff = theta_matrix(eta, gamma, ctx) - frame_like(eta, gamma, ctx.lattice)
-        gap = max(gap, float(np.abs(diff).max()))
-    return {"operator-extension": (gap, gap / max(1.0, float(ctx.lattice.weight)))}
+        diff = float(np.abs(theta_matrix(eta, gamma, ctx) - integrated_rep(right_inner(eta, gamma, ctx))).max())
+        diagonals = [np.abs(np.diag(frame_operator(GaborSystem(ctx.lattice, (v,))))).max() for v in (eta, gamma)]
+        gap = max(gap, diff)
+        ratio = max(ratio, diff / (model * math.sqrt(diagonals[0] * diagonals[1])))
+    return {"operator-extension": (gap, ratio)}
 
 
 def _ref_janssen(ctx, seed, cases):
@@ -190,7 +194,8 @@ def _ref_imprimitivity(ctx, seed, cases):
 
 def _ref_generator_families(ctx, seed, frame_tol):
     """The per-case loop over the six families: whether the two verdicts disagree, and for a reconstructed
-    family its residual and the residual over kappa * |xi| (the decisive value), None for the others."""
+    family the larger of its residual and its Wexler-Raz gap, and the larger of the residual over kappa * |xi|
+    and the gap over kappa * sum_j |gamma_j| |eta_j| (the decisive value), None for the others."""
     seeds = _derived_seeds(seed, 13)
     group = ctx.lattice.ambient
     pos = 0
@@ -205,16 +210,18 @@ def _ref_generator_families(ctx, seed, frame_tol):
                 yield verdict["generating"] != gabor_verdict, None
                 continue
             xi = randn_window(group, seeds[pos])
-            sys = GaborSystem(ctx.lattice, tuple(windows))
-            duals = dual_window(sys, frame_tol)
-            scale = verdict["bounds"].upper / verdict["bounds"].lower * xi.norm()
-            residual = reconstruction_residual(sys, duals, xi)
+            kappa = verdict["bounds"].upper / verdict["bounds"].lower
+            duals = dual_window(GaborSystem(ctx.lattice, tuple(windows)), frame_tol)
             coeffs = module_expansion(xi, windows, ctx, frame_tol)
             rebuilt = np.zeros(group.order, dtype=np.complex128)
-            for a, eta in zip(coeffs, windows):
+            wexler_raz = np.zeros(len(ctx.dual), dtype=np.complex128)
+            for a, eta, gamma in zip(coeffs, windows, duals):
                 rebuilt += left_act(a, eta, ctx).values
-            residual = max(residual, float(np.linalg.norm(rebuilt - xi.values)))
-            yield False, (residual, residual / scale)
+                wexler_raz += right_inner(gamma, eta, ctx).coeffs
+            wexler_raz[0] -= float(ctx.lattice.size)  # size delta_0: zero is position 0 of the adjoint
+            residual, gap = float(np.linalg.norm(rebuilt - xi.values)), float(np.abs(wexler_raz).max())
+            norms = sum(gamma.norm() * eta.norm() for gamma, eta in zip(duals, windows))
+            yield False, (max(residual, gap), max(residual / xi.norm(), gap / norms) / kappa)
 
 
 def _ref_generators(ctx, seed, frame_tol):
@@ -306,10 +313,12 @@ def test_stacked_checks_match_per_case_reference(name):
         for ident, (abs_gap, rel_gap) in reference.items():
             entry = report[ident]
             assert abs(entry["max_abs_gap"] - abs_gap) <= 1e-13, (ident, entry, abs_gap)
-            if ident == "twisted-axioms":
-                # Its decisive gap is associativity's rounding over a scale of a few eps (_ASSOCIATIVITY): the
-                # check forms (ab)c and a(bc) from transforms, the reference from coefficients, and the two
-                # routes round differently, so the model's ratio is held to within a factor of 4.
+            if ident in ("twisted-axioms", "operator-extension"):
+                # Each decisive gap is rounding over a scale of a few eps (_ASSOCIATIVITY, _EXTENSION), and the
+                # check and the reference round differently: twisted-axioms forms (ab)c and a(bc) from transforms,
+                # the reference from coefficients; operator-extension holds the frame blocks against the adjoint's
+                # rep blocks, the reference theta_matrix against right_act's dense matrix. So the model's ratio is
+                # held to within a factor of 4 (0.41 to 1.34 of the reference's on these lattices).
                 assert rel_gap / 4 <= entry["max_rel_gap"] <= 4 * rel_gap, (ident, entry, rel_gap)
             else:
                 assert abs(entry["max_rel_gap"] - rel_gap) <= 1e-13, (ident, entry, rel_gap)
